@@ -22,7 +22,7 @@ def main() -> int:
     mu = VirtualMeasure(Tt.sub, 0, Tt.sub.outer_sup, Fraction(1))
     nu = VirtualMeasure(Tt.quot, 0, Tt.quot.outer_inf, Fraction(1))
     ok = True
-    for r in (1, 2):
+    for r in (1, 2, 3):
         for name, run in (
             ("twist-free", lambda: poisson2_verify("II", Tu, o=0, cut_lo=-r, cut_hi=r)),
             ("twisted", lambda: poisson2_verify("I", Tt, mu, nu, o=0, cut_lo=-r, cut_hi=r)),

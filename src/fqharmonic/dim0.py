@@ -3,9 +3,8 @@
 Every construction at positive level reduces to the dense-table operations in
 this module: pairing, direct/inverse image along a linear map, the Fourier
 transform against the fixed character, and annihilator computation via exact
-echelon algebra.  Tables are deliberately dense and transforms are the direct
-O(N^2) sums; all verification happens at desk scale where auditability beats
-speed.
+echelon algebra.  Tables are deliberately dense; the transform is the shared
+separable one of ``tables.fourier``.
 """
 
 from __future__ import annotations
@@ -14,6 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+from fqharmonic import tables
 from fqharmonic.exactnum import CycNum, DomainError, FqField
 
 
@@ -200,17 +200,7 @@ def pull0(pi: LinMap, g: Fn0) -> Fn0:
 def fourier0(f: Fn0) -> Fn0:
     """F(f)(u) = sum_v f(v) conj(psi(u . v)) on the concretized dual space."""
     sp = f.space
-    fld = sp.field
-    p = fld.p
-    vecs = [sp.vec(i) for i in range(sp.size)]
-    support = [(vecs[i], c) for i, c in enumerate(f.table) if c]
-    out = []
-    for u in vecs:
-        acc = CycNum.zero(p)
-        for v, c in support:
-            acc = acc + c * fld.conj_psi(fld.dot_idx(u, v))
-        out.append(acc)
-    return Fn0(sp, tuple(out))
+    return Fn0(sp, tables.fourier(f.table, sp.field.q, sp.dim, sp.field))
 
 
 # ---------------------------------------------------------------------------

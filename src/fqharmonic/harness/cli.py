@@ -6,6 +6,7 @@ import argparse
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import Optional
 
 from fqharmonic.c1 import (
     C1Fn,
@@ -36,22 +37,32 @@ def _load_config(path: str):
         sys.exit(2)
 
 
-def _parse_window(spec: str) -> Window:
-    lo, _, hi = spec.partition(":")
-    return Window(int(lo), int(hi))
+def _spec_ints(spec: Optional[str], *tokens: str) -> list[int]:
+    try:
+        return [int(t) for t in tokens]
+    except ValueError:
+        raise DomainError(f"malformed spec {spec!r}") from None
 
 
-def _parse_biwindow(spec: str) -> BiWindow:
-    outer, _, inner = spec.partition(",")
+def _parse_window(spec: Optional[str]) -> Window:
+    lo, _, hi = (spec or "").partition(":")
+    return Window(*_spec_ints(spec, lo, hi))
+
+
+def _parse_biwindow(spec: Optional[str]) -> BiWindow:
+    outer, _, inner = (spec or "").partition(",")
     l, _, i = outer.partition(":")
     m, _, n = inner.partition(":")
-    return BiWindow(int(l), int(i), int(m), int(n))
+    return BiWindow(*_spec_ints(spec, l, i, m, n))
 
 
 def _parse_measure(spec: str) -> tuple[Fraction, int]:
     val, _, ref = spec.partition("@")
     num, _, den = val.partition("/")
-    return Fraction(int(num), int(den or "1")), int(ref or "0")
+    num, den, ref = _spec_ints(spec, num, den or "1", ref or "0")
+    if den == 0:
+        raise DomainError(f"zero denominator in measure {spec!r}")
+    return Fraction(num, den), ref
 
 
 def cmd_verify(args) -> int:
@@ -69,6 +80,14 @@ def cmd_verify(args) -> int:
 
 def cmd_transform(args) -> int:
     cfg = _load_config(args.config)
+    try:
+        return _transform(cfg, args)
+    except DomainError as exc:
+        print(f"{args.input}: {exc}", file=sys.stderr)
+        return 2
+
+
+def _transform(cfg, args) -> int:
     p = cfg.field.p
     q, dim, table = parse_table(Path(args.input).read_text(), p)
     if q != cfg.field.q:

@@ -41,28 +41,49 @@ def render_table(
     return "\n".join(lines) + "\n"
 
 
+def _int(token: str, where: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise DomainError(f"{where}: {token!r} is not an integer") from None
+
+
 def parse_table(text: str, p: int) -> tuple[int, int, Table]:
-    """Returns (q, dim, table); context lines are skipped."""
-    rows = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    rows = [ln for ln in rows if not (ln.startswith("window=") or ln.startswith("biwindow="))]
+    """Returns (q, dim, table); context lines are skipped.
+
+    Malformed input raises DomainError naming the file line and the row.
+    """
+    rows = [
+        (n, ln.strip())
+        for n, ln in enumerate(text.splitlines(), 1)
+        if ln.strip() and not ln.strip().startswith(("window=", "biwindow="))
+    ]
     if not rows:
         raise DomainError("empty table file")
-    head = rows[0].split(",")
+    head_line, head_text = rows[0]
+    head = head_text.split(",")
     if len(head) != 3 or head[2] != "enumeration=lex":
-        raise DomainError(f"bad table header {rows[0]!r}")
-    q, dim = int(head[0]), int(head[1])
+        raise DomainError(f"line {head_line}: bad table header {head_text!r}")
+    q, dim = _int(head[0], f"line {head_line}: q"), _int(head[1], f"line {head_line}: dim")
+    if q < 2 or dim < 0:
+        raise DomainError(f"line {head_line}: bad table shape q={q}, dim={dim}")
     table = []
-    for expect, ln in enumerate(rows[1:]):
+    for expect, (line, ln) in enumerate(rows[1:]):
+        where = f"line {line}: row {expect}"
         parts = ln.split(",")
-        if int(parts[0]) != expect:
-            raise DomainError(f"row {expect} out of order")
+        if _int(parts[0], where) != expect:
+            raise DomainError(f"{where} out of order")
         coeffs = []
         for tok in parts[1:]:
             num, _, den = tok.partition("/")
-            coeffs.append(Fraction(int(num), int(den or "1")))
+            denominator = _int(den or "1", where)
+            if denominator == 0:
+                raise DomainError(f"{where}: zero denominator in {tok!r}")
+            coeffs.append(Fraction(_int(num, where), denominator))
         if len(coeffs) != p - 1:
-            raise DomainError(f"row {expect} has {len(coeffs)} coefficients, wanted {p - 1}")
+            raise DomainError(f"{where} has {len(coeffs)} coefficients, wanted {p - 1}")
         table.append(CycNum(p, tuple(coeffs)))
-    if len(table) != q**dim:
+    # q**dim > dim for q >= 2; testing dim first never raises q to a huge header dim
+    if dim > len(table) or len(table) != q**dim:
         raise DomainError("row count does not match the header")
     return q, dim, tuple(table)

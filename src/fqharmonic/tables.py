@@ -11,9 +11,10 @@ these primitives in opposite directions.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Sequence
 
-from fqharmonic.exactnum import CycNum, DomainError, FqField
+from fqharmonic.exactnum import CycNum, DomainError, FqField, _reduce_cyclotomic
 
 Table = tuple[CycNum, ...]
 
@@ -131,16 +132,50 @@ def dot(a: Table, b: Table, p: int) -> CycNum:
 
 
 def fourier(table: Table, q: int, dim: int, field: FqField) -> Table:
-    """Plain dot-pairing transform: out(u) = sum_v table(v) conj(psi(u.v))."""
+    """Dot-pairing transform: out(u) = sum_v table(v) conj(psi(u.v)).
+
+    conj psi(u.v) = prod_j zeta^{-Tr(u_j v_j)}, so the transform factors into
+    one q-point transform per coordinate (Yates' algorithm, the shape of the
+    fast Walsh-Hadamard transform).  Each pass transforms the top digit and
+    moves it to position 0, so after dim passes every digit is back in place.
+    Entries are held as integer coefficient rows over Q[x]/(x^p - 1) on a
+    common denominator: a factor zeta^k only renames row r to row r + k, and
+    the N = q^dim point transform costs O(N*q*dim) integer adds where the
+    direct sum costs N^2 cyclotomic products.  The output is exact and equal
+    to the direct sum.
+    """
+    n = len(table)
+    if n != q**dim:
+        raise DomainError(f"table has {n} entries, expected q^dim = {q**dim}")
     p = field.p
-    vecs = [decode(i, q, dim) for i in range(len(table))]
-    support = [(vecs[i], c) for i, c in enumerate(table) if c]
+    if any(c.prime != p for c in table):
+        raise DomainError("mixed cyclotomic fields")
+    den = math.lcm(*(x.denominator for c in table for x in c.coeffs))
+    # rows[k][i] = den * (coefficient of zeta^k in entry i); row p-1 starts empty
+    rows = [
+        [x.numerator * (den // x.denominator) for x in col]
+        for col in zip(*(c.coeffs for c in table))
+    ]
+    rows.append([0] * n)
+    # expo[u][v] = -Tr(u v) mod p, the power of zeta in conj psi(u v)
+    expo = [[-field.trace_idx(field.mul_idx(u, v)) % p for v in range(q)] for u in range(q)]
+    m = n // q
+    for _ in range(dim):
+        top = [[row[a * m:(a + 1) * m] for a in range(q)] for row in rows]
+        new = [[0] * n for _ in range(p)]
+        for u, shifts in enumerate(expo):
+            for k in range(p):
+                terms = [top[(k - e) % p][a] for a, e in enumerate(shifts)]
+                new[k][u::q] = map(sum, zip(*terms))
+        rows = new
     out = []
-    for u in vecs:
-        acc = CycNum.zero(p)
-        for v, c in support:
-            acc = acc + c * field.conj_psi(field.dot_idx(u, v))
-        out.append(acc)
+    seen: dict[tuple[int, ...], CycNum] = {}  # equal entries share one reduction
+    for col in zip(*rows):
+        val = seen.get(col)
+        if val is None:
+            red = _reduce_cyclotomic(col, p)
+            val = seen[col] = CycNum(p, red if den == 1 else tuple(x / den for x in red))
+        out.append(val)
     return tuple(out)
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from fqharmonic.dim0 import FinSpace, Fn0, fourier0
-from fqharmonic.exactnum import CycNum, field_for
+from fqharmonic.exactnum import CycNum, DomainError, field_for
 from fqharmonic.harness.cli import main as cli_main
 from fqharmonic.harness.config import ConfigError, parse_config
 from fqharmonic.harness.csvio import parse_table, render_table
@@ -147,6 +147,56 @@ def test_cli_transform_fourier1(tmp_path):
     ])
     assert code == 0
     assert "window=-1:1" in out.read_text()
+
+
+@pytest.mark.parametrize("cell,reason", [
+    ("1/0", "zero denominator"),
+    ("x/2", "not an integer"),
+    ("1.5", "not an integer"),
+])
+def test_parse_table_rejects_bad_cells(cell, reason):
+    text = f"2,1,enumeration=lex\n0,1/1\n1,{cell}\n"
+    with pytest.raises(DomainError, match=f"line 3: row 1.*{reason}"):
+        parse_table(text, 2)
+
+
+def test_parse_table_rejects_bad_header():
+    with pytest.raises(DomainError, match="line 1: dim"):
+        parse_table("2,two,enumeration=lex\n0,1/1\n", 2)
+    with pytest.raises(DomainError, match="row count"):
+        parse_table("2,1000000000,enumeration=lex\n0,1/1\n", 2)
+
+
+def _transform_exit(tmp_path, capsys, csv_text, *extra):
+    cfg_path = tmp_path / "c.cfg"
+    cfg_path.write_text(MINIMAL + "\n[model K2]\nc2 = full\n")
+    src = tmp_path / "bad.csv"
+    src.write_text(csv_text)
+    code = cli_main([
+        "transform", str(cfg_path), "--input", str(src), "--out", str(tmp_path / "out.csv"), *extra,
+    ])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and not (tmp_path / "out.csv").exists()
+    return code, err
+
+
+def test_cli_transform_zero_denominator_exits_2(tmp_path, capsys):
+    code, err = _transform_exit(
+        tmp_path, capsys, "2,1,enumeration=lex\n0,1/1\n1,1/0\n", "--op", "fourier0"
+    )
+    assert code == 2 and "bad.csv" in err and "zero denominator" in err
+
+
+@pytest.mark.parametrize("extra", [
+    ("--op", "fourier1", "--model", "K", "--window=-1:1"),
+    ("--op", "fourier2", "--model", "K2", "--biwindow=0:1,-1:1"),
+    ("--op", "fourier1", "--model", "K", "--window=-1:one"),
+])
+def test_cli_transform_misfit_table_exits_2(tmp_path, capsys, extra):
+    # a 3-dimensional table cannot sit on a 2-dimensional window
+    one = CycNum.one(2)
+    code, err = _transform_exit(tmp_path, capsys, render_table(2, (one,) * 8), *extra)
+    assert code == 2 and "bad.csv" in err
 
 
 def test_cli_dump(tmp_path, capsys):
