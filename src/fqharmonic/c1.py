@@ -7,7 +7,8 @@ F(hi)/F(lo) with a coordinate space over the graded slots in [lo, hi).
 
 Function representatives carry a window and a dense table.  The limit
 structure of the six functional spaces is realized by table transport between
-windows; the transport direction depends on the kind of representative:
+windows, all through the one primitive ``tables.transport``; the transport
+direction depends on the kind of representative:
 
 * compactly-supported functions (tag ``D``) move to enclosing windows by
   pulling back below and extending by zero above;
@@ -20,7 +21,6 @@ windows; the transport direction depends on the kind of representative:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -413,27 +413,12 @@ def fn_at(f: C1Fn, w: Window) -> C1Fn:
         if not (w.lo <= src_w.lo and w.hi <= src_w.hi):
             raise WindowError(f"{f.tag} representative at {src_w} cannot move to {w}")
     model, q = f.model, f.model.field.q
-    src_pos = positions(model, src_w)
     dst_pos = positions(model, w)
-    src_index = {pos: r for r, pos in enumerate(src_pos)}
-    p = model.field.p
-    zero = CycNum.zero(p)
-    out = []
-    for idx in range(q ** len(dst_pos)):
-        digs = tables.decode(idx, q, len(dst_pos))
-        src_digits = [0] * len(src_pos)
-        dead = False
-        for j, pos in enumerate(dst_pos):
-            r = src_index.get(pos)
-            if r is not None:
-                src_digits[r] = digs[j]
-            elif pos[0] >= src_w.hi and digs[j]:
-                # above the source window: a D-function vanishes there
-                dead = True
-                break
-            # below the source window: the value does not depend on it
-        out.append(zero if dead else f.table[tables.encode(src_digits, q)])
-    return C1Fn(model, f.tag, w, tuple(out))
+    # below the source window the value does not depend on the digit; above
+    # it a D-function vanishes; slots above the target window are sliced
+    above = [pos for pos in dst_pos if pos[0] >= src_w.hi]
+    table = tables.transport(f.table, q, positions(model, src_w), dst_pos, zeroed=above)
+    return C1Fn(model, f.tag, w, table)
 
 
 def dist_at(G: C1Dist, w: Window) -> C1Dist:
@@ -448,39 +433,15 @@ def dist_at(G: C1Dist, w: Window) -> C1Dist:
     grows = w.lo < G.window.lo or w.hi > G.window.hi
     if grows and not (G.extension and G.extension[0] == "zero_up"):
         raise WindowError(f"distribution at {G.window} cannot grow to {w}")
-    src_w = G.window
-    src_pos = positions(model, src_w)
+    src_pos = positions(model, G.window)
     dst_pos = positions(model, w)
-    dst_index = {pos: j for j, pos in enumerate(dst_pos)}
-    p = model.field.p
-    zero = CycNum.zero(p)
-    # source positions below the target window get summed over; source
-    # positions above it are sliced at zero
-    summed = [r for r, pos in enumerate(src_pos) if pos[0] < w.lo]
-    out = []
-    for idx in range(q ** len(dst_pos)):
-        digs = tables.decode(idx, q, len(dst_pos))
-        # target positions outside the source window carry point masses at
-        # canonical lifts only (zero_up), so any nonzero digit there kills it
-        if any(
-            digs[j]
-            for j, pos in enumerate(dst_pos)
-            if not (src_w.lo <= pos[0] < src_w.hi)
-        ):
-            out.append(zero)
-            continue
-        base = [0] * len(src_pos)
-        for r, pos in enumerate(src_pos):
-            j = dst_index.get(pos)
-            if j is not None:
-                base[r] = digs[j]
-        acc = CycNum.zero(p)
-        for combo in itertools.product(range(q), repeat=len(summed)):
-            for r, d in zip(summed, combo):
-                base[r] = d
-            acc = acc + G.table[tables.encode(base, q)]
-        out.append(acc)
-    return C1Dist(model, G.tag, w, tuple(out), G.extension)
+    # source slots below the target window are summed over and those above it
+    # sliced at zero; target slots outside the source window carry point
+    # masses at canonical lifts only (zero_up), so a nonzero digit there
+    # kills the entry
+    below = [pos for pos in src_pos if pos[0] < w.lo]
+    table = tables.transport(G.table, q, src_pos, dst_pos, summed=below, zeroed=dst_pos)
+    return C1Dist(model, G.tag, w, table, G.extension)
 
 
 def _common_fn_window(a: C1Fn, b: C1Fn) -> Window:
@@ -533,15 +494,12 @@ def canonical_fn(f: C1Fn) -> C1Fn:
     # trim the top while the outermost slots carry no support
     while cur.window.hi > cur.window.lo:
         w = Window(cur.window.lo, cur.window.hi - 1)
-        outer = [r for r, pos in enumerate(positions(model, cur.window)) if pos[0] >= w.hi]
-        dim = window_dim(model, cur.window)
-        supported = any(
-            c and any(tables.decode(i, q, dim)[r] for r in outer)
-            for i, c in enumerate(cur.table)
-        )
-        if supported:
+        # positions are cut-major, so the outermost slots are the top digits
+        # and the entries with all of them zero come first
+        inner = q ** window_dim(model, w)
+        if any(cur.table[inner:]):
             break
-        cur = C1Fn(model, "D", w, tables.contract(cur.table, q, dim, [r for r in range(dim) if r not in outer], "slice"))
+        cur = C1Fn(model, "D", w, cur.table[:inner])
     # raise the bottom while the table is invariant along the lowest slots
     while cur.window.lo < cur.window.hi:
         w = Window(cur.window.lo + 1, cur.window.hi)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from fqharmonic import tables
 from fqharmonic.c1 import (
@@ -69,10 +69,25 @@ def interval_triple(mid: C1Model, sub: C1Model, label: str = "") -> TripleC1:
     def is_sub(k: int, s: int) -> bool:
         return s < sub.mult(k)
 
-    for k in range(-8, 9):
+    # multiplicities are constant between consecutive descriptor cuts, so
+    # one cut per cell decides the inclusion exactly
+    for k in cell_points(_desc_cuts(mid.desc) | _desc_cuts(sub.desc)):
         if sub.mult(k) > mid.mult(k):
-            raise DomainError("sub pattern exceeds the mid pattern")
+            raise DomainError(f"sub pattern exceeds the mid pattern at cut {k}")
     return TripleC1(mid, sub, quot, is_sub, label or f"{sub.label}<{mid.label}")
+
+
+def cell_points(edges: Iterable[Optional[int]]) -> list[int]:
+    """One integer in each cell of the line cut at the finite edges."""
+    cuts = sorted({e for e in edges if e is not None}) or [0]
+    return [cuts[0] - 1] + cuts
+
+
+def _desc_cuts(desc: tuple) -> set[int]:
+    """Cuts at which the slot multiplicity of a normalized descriptor can change."""
+    if desc[0] == "sum":
+        return _desc_cuts(desc[1]) | _desc_cuts(desc[2])
+    return set(desc[1:])
 
 
 def _interval_of(desc: tuple):

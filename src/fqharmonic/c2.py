@@ -307,14 +307,6 @@ class VirtualMeasure:
         return VirtualMeasure(dual_model2(self.model), -self.src, -self.dst, self.scalar)
 
 
-def vmeas_identity(model: C2Model, i: int) -> VirtualMeasure:
-    return VirtualMeasure(model, i, i, Fraction(1))
-
-
-def vmeas_compose(a: VirtualMeasure, b: VirtualMeasure) -> VirtualMeasure:
-    return a.compose(b)
-
-
 def vmeas_canonical(model: C2Model, i: int, j: int, kind: str) -> VirtualMeasure:
     """The canonical total-mass-1 (fiberwise compact) or unit-point-mass
     (fiberwise discrete) element of mu(F(i) | F(j))."""
@@ -367,29 +359,11 @@ class D2Elem:
         factor = Fraction(q) ** model.sigma(bw.l, bw2.l, bw.m)
         src_pos = positions2(model, bw)
         dst_pos = positions2(model, bw2)
-        dst_index = {pos: j for j, pos in enumerate(dst_pos)}
-        summed = [r for r, (a, _b) in enumerate(src_pos) if a < bw2.l]
-        p = model.field.p
-        zero = CycNum.zero(p)
-        out = []
-        for idx in range(q ** len(dst_pos)):
-            digs = tables.decode(idx, q, len(dst_pos))
-            if any(digs[j] for j, (a, b) in enumerate(dst_pos) if b >= bw.n):
-                out.append(zero)
-                continue
-            base = [0] * len(src_pos)
-            for r, pos in enumerate(src_pos):
-                j = dst_index.get(pos)
-                if j is not None:
-                    base[r] = digs[j]
-            acc = CycNum.zero(p)
-            for combo in itertools.product(range(q), repeat=len(summed)):
-                for r, d in zip(summed, combo):
-                    base[r] = d
-                acc = acc + self.table[tables.encode(base, q)]
-            out.append(acc * factor)
+        summed = [pos for pos in src_pos if pos[0] < bw2.l]
+        zeroed = [pos for pos in dst_pos if pos[1] >= bw.n]
+        out = tables.scale(tables.transport(self.table, q, src_pos, dst_pos, summed, zeroed), factor)
         return D2Elem(
-            model, self.o, bw2, tuple(out), VirtualMeasure(model, bw2.l, self.o, self.twist.scalar)
+            model, self.o, bw2, out, VirtualMeasure(model, bw2.l, self.o, self.twist.scalar)
         )
 
     def folded(self) -> Table:
@@ -453,29 +427,11 @@ class D2Dist:
         factor = Fraction(q) ** model.sigma(bw2.l, bw.l, bw2.m)
         src_pos = positions2(model, bw)
         dst_pos = positions2(model, bw2)
-        dst_index = {pos: j for j, pos in enumerate(dst_pos)}
-        summed = [r for r, (_a, b) in enumerate(src_pos) if b < bw2.m]
-        p = model.field.p
-        zero = CycNum.zero(p)
-        out = []
-        for idx in range(q ** len(dst_pos)):
-            digs = tables.decode(idx, q, len(dst_pos))
-            if any(digs[j] for j, (a, _b) in enumerate(dst_pos) if a >= bw.i):
-                out.append(zero)
-                continue
-            base = [0] * len(src_pos)
-            for r, pos in enumerate(src_pos):
-                j = dst_index.get(pos)
-                if j is not None:
-                    base[r] = digs[j]
-            acc = CycNum.zero(p)
-            for combo in itertools.product(range(q), repeat=len(summed)):
-                for r, d in zip(summed, combo):
-                    base[r] = d
-                acc = acc + self.table[tables.encode(base, q)]
-            out.append(acc * factor)
+        summed = [pos for pos in src_pos if pos[1] < bw2.m]
+        zeroed = [pos for pos in dst_pos if pos[0] >= bw.i]
+        out = tables.scale(tables.transport(self.table, q, src_pos, dst_pos, summed, zeroed), factor)
         return D2Dist(
-            model, self.o, bw2, tuple(out), VirtualMeasure(model, self.o, bw2.l, self.twist.scalar)
+            model, self.o, bw2, out, VirtualMeasure(model, self.o, bw2.l, self.twist.scalar)
         )
 
     def folded(self) -> Table:
@@ -523,54 +479,19 @@ class E2Fn:
     def at(self, bw2: BiWindow) -> "E2Fn":
         bw = self.bw
         model, q = self.model, self.model.field.q
-        p = model.field.p
         src_pos = positions2(model, bw)
         dst_pos = positions2(model, bw2)
         if self.tag in ("E2", "E2t"):
             # germs: everything moves down
             if not (bw2.l <= bw.l and bw2.i <= bw.i and bw2.m <= bw.m and bw2.n <= bw.n):
                 raise WindowError(f"germ at {bw} cannot move to {bw2}")
-            src_index = {pos: r for r, pos in enumerate(src_pos)}
-            out = []
-            for idx in range(q ** len(dst_pos)):
-                digs = tables.decode(idx, q, len(dst_pos))
-                base = [0] * len(src_pos)
-                for j, pos in enumerate(dst_pos):
-                    r = src_index.get(pos)
-                    if r is not None:
-                        base[r] = digs[j]
-                out.append(self.table[tables.encode(base, q)])
-            return E2Fn(model, self.tag, bw2, tuple(out))
+            return E2Fn(model, self.tag, bw2, tables.transport(self.table, q, src_pos, dst_pos))
         # compactly-supported duals: everything moves up
         if not (bw2.l >= bw.l and bw2.i >= bw.i and bw2.m >= bw.m and bw2.n >= bw.n):
             raise WindowError(f"dual representative at {bw} cannot move to {bw2}")
-        dst_index = {pos: j for j, pos in enumerate(dst_pos)}
-        summed = [
-            r for r, (a, b) in enumerate(src_pos) if a < bw2.l or b < bw2.m
-        ]
-        zero = CycNum.zero(p)
-        out = []
-        for idx in range(q ** len(dst_pos)):
-            digs = tables.decode(idx, q, len(dst_pos))
-            if any(
-                digs[j]
-                for j, (a, b) in enumerate(dst_pos)
-                if a >= bw.i or b >= bw.n
-            ):
-                out.append(zero)
-                continue
-            base = [0] * len(src_pos)
-            for r, pos in enumerate(src_pos):
-                j = dst_index.get(pos)
-                if j is not None:
-                    base[r] = digs[j]
-            acc = CycNum.zero(p)
-            for combo in itertools.product(range(q), repeat=len(summed)):
-                for r, d in zip(summed, combo):
-                    base[r] = d
-                acc = acc + self.table[tables.encode(base, q)]
-            out.append(acc)
-        return E2Fn(model, self.tag, bw2, tuple(out))
+        summed = [(a, b) for (a, b) in src_pos if a < bw2.l or b < bw2.m]
+        zeroed = [(a, b) for (a, b) in dst_pos if a >= bw.i or b >= bw.n]
+        return E2Fn(model, self.tag, bw2, tables.transport(self.table, q, src_pos, dst_pos, summed, zeroed))
 
     def __mul__(self, c) -> "E2Fn":
         return E2Fn(self.model, self.tag, self.bw, tables.scale(self.table, c))

@@ -29,7 +29,7 @@ from fqharmonic.c2 import (
     fourier2,
     positions2,
 )
-from fqharmonic.c1_triples import CheckReport
+from fqharmonic.c1_triples import CheckReport, cell_points
 from fqharmonic.exactnum import CycNum, DomainError
 
 
@@ -43,8 +43,12 @@ class GradedC2Triple:
     def __post_init__(self) -> None:
         if not (self.mid.field == self.sub.field == self.quot.field):
             raise DomainError("triple members over different fields")
-        for a in range(-6, 7):
-            for b in range(-6, 7):
+        # region membership is constant between consecutive finite box
+        # edges, so one point per cell of the edge grid decides it exactly
+        boxes = self.mid.boxes + self.sub.boxes + self.quot.boxes
+        b_points = cell_points(e for box in boxes for e in box[2:])
+        for a in cell_points(e for box in boxes for e in box[:2]):
+            for b in b_points:
                 in_mid = self.mid.in_region(a, b)
                 in_sub = self.sub.in_region(a, b)
                 in_quot = self.quot.in_region(a, b)

@@ -29,23 +29,13 @@ class FinSpace:
         return self.field.q**self.dim
 
     def vec(self, index: int) -> tuple[int, ...]:
-        q = self.field.q
-        return tuple((index // q**j) % q for j in range(self.dim))
+        return tables.decode(index, self.field.q, self.dim)
 
     def index(self, vec: Sequence[int]) -> int:
-        q = self.field.q
-        return sum(c * q**j for j, c in enumerate(vec))
+        return tables.encode(vec, self.field.q)
 
     def vectors(self) -> Iterator[tuple[int, ...]]:
         return (self.vec(i) for i in range(self.size))
-
-    def add(self, u: Sequence[int], v: Sequence[int]) -> tuple[int, ...]:
-        f = self.field
-        return tuple(f.add_idx(a, b) for a, b in zip(u, v))
-
-    def neg(self, u: Sequence[int]) -> tuple[int, ...]:
-        f = self.field
-        return tuple(f.neg_idx(a) for a in u)
 
 
 @dataclass(frozen=True)
@@ -150,13 +140,13 @@ class Fn0:
     __rmul__ = __mul__
 
     def check(self) -> "Fn0":
-        return Fn0(self.space, tuple(self.table[self.space.index(self.space.neg(v))]
-                                     for v in self.space.vectors()))
+        sp = self.space
+        return Fn0(sp, tables.check_table(self.table, sp.field.q, sp.dim, sp.field))
 
     def translate(self, a: Sequence[int]) -> "Fn0":
         """T_a(f)(v) = f(v + a)."""
         sp = self.space
-        return Fn0(sp, tuple(self.table[sp.index(sp.add(v, a))] for v in sp.vectors()))
+        return Fn0(sp, tables.translate(self.table, sp.field.q, sp.dim, a, sp.field))
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.table)

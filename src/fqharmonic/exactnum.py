@@ -427,19 +427,3 @@ def parse_field_spec(text: str) -> FqField:
 def psi(x: FqElem) -> CycNum:
     """The fixed nontrivial additive character zeta_p^{Tr(x)} of F_q."""
     return CycNum.zeta_pow(x.field.p, x.trace())
-
-
-def cyc_conj(z: CycNum) -> CycNum:
-    """Complex conjugation on Q(zeta_p); cyc_conj(psi(x)) = psi(-x)."""
-    return z.conj()
-
-
-def fq_ops(a: FqElem, b: FqElem, kind: str) -> FqElem:
-    """Field arithmetic dispatcher: kind is 'add', 'mul' or 'inv'."""
-    if kind == "add":
-        return a + b
-    if kind == "mul":
-        return a * b
-    if kind == "inv":
-        return a.inverse()
-    raise DomainError(f"unknown operation kind {kind!r}")

@@ -140,6 +140,15 @@ def _build_elem(model, spec: str, w: Window):
     raise DomainError(f"unknown element spec {spec!r}")
 
 
+def _check_table_cap(cfg, dim: int) -> None:
+    """Refuse a window table of more than ``table_cap`` entries before it is built."""
+    q, cap = cfg.field.q, cfg.table_cap
+    # q >= 2: a dim past the cap's bit length is over the cap, and a huge
+    # q**dim is never formed
+    if dim > cap.bit_length() or q**dim > cap:
+        raise DomainError(f"the window table has {q}^{dim} entries, more than table_cap = {cap}")
+
+
 def cmd_dump(args) -> int:
     from fqharmonic.c2 import C2Model, bw_dim
     from fqharmonic.c2_triples import delta0_fn, one_fn
@@ -154,6 +163,7 @@ def cmd_dump(args) -> int:
     try:
         if isinstance(model, C2Model):
             bw = _parse_biwindow(args.window)
+            _check_table_cap(cfg, bw_dim(model, bw))
             kind = args.elem.partition(":")[0]
             if kind == "ones":
                 if model.is_cf:
@@ -169,6 +179,7 @@ def cmd_dump(args) -> int:
             text = render_table(cfg.field.q, table, biwindow=(bw.l, bw.i, bw.m, bw.n))
         else:
             w = _parse_window(args.window)
+            _check_table_cap(cfg, window_dim(model, w))
             table = _build_elem(model, args.elem, w)
             text = render_table(cfg.field.q, table, window=(w.lo, w.hi))
     except DomainError as exc:

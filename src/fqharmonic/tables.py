@@ -2,25 +2,21 @@
 
 A "table" is a tuple of CycNum of length q^D indexed by D coordinate digits,
 least-significant digit = position 0.  The window layers move tables between
-windows with four primitives: pull back along a coordinate projection, extend
-by zero into new coordinates, slice onto a coordinate subspace, and sum over
-dropped coordinates.  Function tables and pairing (distribution) tables use
-these primitives in opposite directions.
+windows with four moves: pull back along a coordinate projection, extend by
+zero into new coordinates, slice onto a coordinate subspace, and sum over
+dropped coordinates.  ``transport`` is the one primitive that makes all four
+moves at once, on digits named by labels; function tables and pairing
+(distribution) tables use it in opposite directions.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from typing import Sequence
+from typing import Hashable, Iterable, Sequence
 
 from fqharmonic.exactnum import CycNum, DomainError, FqField, _reduce_cyclotomic
 
 Table = tuple[CycNum, ...]
-
-
-def table_size(q: int, dim: int) -> int:
-    return q**dim
 
 
 def decode(index: int, q: int, dim: int) -> tuple[int, ...]:
@@ -39,6 +35,56 @@ def const_table(value: CycNum, q: int, dim: int) -> Table:
     return tuple(value for _ in range(q**dim))
 
 
+def transport(
+    table: Table,
+    q: int,
+    src_pos: Sequence[Hashable],
+    dst_pos: Sequence[Hashable],
+    summed: Iterable[Hashable] = (),
+    zeroed: Iterable[Hashable] = (),
+) -> Table:
+    """Move a table from the digit labels src_pos to the labels dst_pos.
+
+    A label in both lists keeps its digit.  A source-only label is summed
+    over when it is in ``summed`` (fiber sum) and read at digit 0 otherwise
+    (slice).  A destination-only label is ignored (pullback) unless it is in
+    ``zeroed``, where the entry vanishes whenever that digit is nonzero
+    (extension by zero).
+    """
+    if len(table) != q ** len(src_pos):
+        raise DomainError(f"table has {len(table)} entries, expected {q}^{len(src_pos)}")
+    weight = {pos: q**r for r, pos in enumerate(src_pos)}
+    summed, zeroed = set(summed), set(zeroed)
+    # source index of each destination index, built digit by digit from the
+    # least significant one; None marks an entry forced to zero
+    index: list = [0]
+    for pos in dst_pos:
+        w = weight.get(pos)
+        if w is not None:
+            index = [None if i is None else i + d * w for d in range(q) for i in index]
+        elif pos in zeroed:
+            index = index + [None] * (len(index) * (q - 1))
+        else:
+            index = index * q
+    dst = set(dst_pos)
+    offsets = [0]  # source index offsets spanning one fiber of the summed digits
+    for pos, w in weight.items():
+        if pos not in dst and pos in summed:
+            offsets = [o + d * w for d in range(q) for o in offsets]
+    rest = offsets[1:]
+    zero = CycNum.zero(table[0].prime)
+    out = []
+    for i in index:
+        if i is None:
+            out.append(zero)
+            continue
+        acc = table[i]
+        for o in rest:
+            acc = acc + table[i + o]
+        out.append(acc)
+    return tuple(out)
+
+
 def expand(table: Table, q: int, new_dim: int, embed: Sequence[int], mode: str) -> Table:
     """Move a table into a larger coordinate set.
 
@@ -46,19 +92,7 @@ def expand(table: Table, q: int, new_dim: int, embed: Sequence[int], mode: str) 
     the extra coordinates; mode 'zero' supports the value only where every
     extra coordinate vanishes.
     """
-    old_dim = len(embed)
-    p = table[0].prime
-    zero = CycNum.zero(p)
-    embedded = set(embed)
-    out = []
-    for idx in range(q**new_dim):
-        digs = decode(idx, q, new_dim)
-        if mode == "zero" and any(digs[j] for j in range(new_dim) if j not in embedded):
-            out.append(zero)
-            continue
-        old = encode([digs[embed[r]] for r in range(old_dim)], q)
-        out.append(table[old])
-    return tuple(out)
+    return transport(table, q, embed, range(new_dim), zeroed=range(new_dim) if mode == "zero" else ())
 
 
 def contract(table: Table, q: int, old_dim: int, keep: Sequence[int], mode: str) -> Table:
@@ -67,34 +101,12 @@ def contract(table: Table, q: int, old_dim: int, keep: Sequence[int], mode: str)
     mode 'slice' reads the value at dropped coordinates = 0; mode 'sum'
     accumulates over all values of the dropped coordinates.
     """
-    p = table[0].prime if table else 2
-    dropped = [j for j in range(old_dim) if j not in set(keep)]
-    out = []
-    for idx in range(q ** len(keep)):
-        digs = decode(idx, q, len(keep))
-        base = [0] * old_dim
-        for r, pos in enumerate(keep):
-            base[pos] = digs[r]
-        if mode == "slice":
-            out.append(table[encode(base, q)])
-        else:
-            acc = CycNum.zero(p)
-            for combo in itertools.product(range(q), repeat=len(dropped)):
-                for pos, d in zip(dropped, combo):
-                    base[pos] = d
-                acc = acc + table[encode(base, q)]
-            out.append(acc)
-    return tuple(out)
+    return transport(table, q, range(old_dim), keep, summed=() if mode == "slice" else range(old_dim))
 
 
 def apply_perm(table: Table, q: int, perm: Sequence[int]) -> Table:
     """Permute coordinates: new digit j is the old digit perm[j]."""
-    dim = len(perm)
-    out = [table[0]] * len(table)
-    for idx in range(len(table)):
-        digs = decode(idx, q, dim)
-        out[encode([digs[perm[j]] for j in range(dim)], q)] = table[idx]
-    return tuple(out)
+    return transport(table, q, range(len(perm)), perm)
 
 
 def reverse_positions(table: Table, q: int, dim: int) -> Table:
@@ -201,9 +213,3 @@ def psi_linear(field: FqField, dim: int, digits: Sequence[int], conj: bool = Fal
 
 def is_zero(table: Table) -> bool:
     return all(c.is_zero() for c in table)
-
-
-def tables_equal(a: Table, b: Table) -> bool:
-    if len(a) != len(b):
-        raise DomainError("tables of different sizes")
-    return all(x == y for x, y in zip(a, b))

@@ -22,6 +22,7 @@ from fqharmonic.c1 import (
     colattice_model,
     mul_dist,
     pairing1,
+    segment_model,
     window_dim,
 )
 from fqharmonic.c1_triples import (
@@ -34,7 +35,7 @@ from fqharmonic.c1_triples import (
     poisson1_verify,
     tensor_haar,
 )
-from fqharmonic.exactnum import CycNum, field_for
+from fqharmonic.exactnum import CycNum, DomainError, field_for
 
 F2 = field_for(2)
 F3 = field_for(3)
@@ -58,6 +59,16 @@ def standard_triple(fld, cut=0):
     K = laurent_model(fld)
     O = lattice_model(fld, cut)
     return interval_triple(K, O)
+
+
+def test_interval_triple_decides_inclusion_at_every_cut():
+    # the sub leaves the mid only at cuts 20..24, far from the origin
+    with pytest.raises(DomainError, match="cut 20"):
+        interval_triple(segment_model(F2, 0, 20), segment_model(F2, 5, 25))
+    with pytest.raises(DomainError):
+        interval_triple(lattice_model(F2, 30), laurent_model(F2))
+    T = interval_triple(segment_model(F2, 0, 20), segment_model(F2, 5, 20))
+    assert T.quot.desc == ("segment", 0, 5)
 
 
 def test_beta_push_of_lattice_indicator():

@@ -26,7 +26,6 @@ from fqharmonic.c2 import (
     positions2,
     shift_region,
     vmeas_canonical,
-    vmeas_identity,
 )
 from fqharmonic.exactnum import CycNum, DomainError, field_for
 
@@ -113,7 +112,7 @@ def test_vmeasure_group_laws():
         assert a.compose(a.inverse()).src == a.compose(a.inverse()).dst == i
         c = VirtualMeasure(K2, k, i, Fraction(7))
         assert a.compose(b.compose(c)).scalar == a.compose(b).compose(c).scalar
-        assert vmeas_identity(K2, i).compose(a).scalar == a.scalar
+        assert VirtualMeasure(K2, i, i, Fraction(1)).compose(a).scalar == a.scalar
     with pytest.raises(DomainError):
         VirtualMeasure(K2, 0, 1, Fraction(1)).compose(VirtualMeasure(K2, 0, 1, Fraction(1)))
 
@@ -249,7 +248,7 @@ def test_fourier2_lattice_block():
     for idx in range(2 ** len(pos)):
         digs = [(idx >> r) & 1 for r in range(len(pos))]
         table.append(one if all(digs[r] == 0 for r in range(len(pos)) if r not in sub) else zero)
-    x = D2Elem(model, -1, bw, tuple(table), vmeas_identity(model, -1))
+    x = D2Elem(model, -1, bw, tuple(table), VirtualMeasure(model, -1, -1, Fraction(1)))
     y = fourier2(x)
     assert y.model == k2_model(F2)
     assert y.bw == bw

@@ -35,7 +35,7 @@ from fqharmonic.c2_triples import (
     outer_cut_triple,
     poisson2_verify,
 )
-from fqharmonic.exactnum import CycNum, field_for
+from fqharmonic.exactnum import CycNum, DomainError, field_for
 
 F2 = field_for(2)
 F3 = field_for(3)
@@ -75,6 +75,20 @@ def quot_measure(T, o=0, scalar=Fraction(1)):
 # ---------------------------------------------------------------------------
 # images: examples and adjointness
 # ---------------------------------------------------------------------------
+
+
+def test_graded_triple_decides_the_partition_on_every_cell():
+    K2 = k2_model(F2)
+    sub = C2Model(F2, ((None, None, None, 0),))
+    # sub and quot overlap only at columns a >= 10, row b = -1
+    quot = C2Model(F2, ((None, 10, 0, None), (10, None, -1, None)))
+    with pytest.raises(DomainError, match=r"overlap at \(10, -1\)"):
+        GradedC2Triple(K2, sub, quot)
+    # a gap far out breaks the partition too
+    quot = C2Model(F2, ((None, 10, 0, None), (10, None, 1, None)))
+    with pytest.raises(DomainError, match=r"partition fails at \(10, 0\)"):
+        GradedC2Triple(K2, sub, quot)
+    GradedC2Triple(K2, sub, C2Model(F2, ((None, None, 0, None),)))
 
 
 def test_beta_push_lattice_block():

@@ -1,5 +1,9 @@
+import importlib
+import importlib.util
 import json
 from fractions import Fraction
+from pathlib import Path
+
 import pytest
 
 from fqharmonic.dim0 import FinSpace, Fn0, fourier0
@@ -219,6 +223,19 @@ def test_cli_dump_biwindow(tmp_path, capsys):
     assert dim == 2 and all(c == CycNum.one(2) for c in table)
 
 
+@pytest.mark.parametrize(
+    "model, window", [("K", "--window=-40:40"), ("K", "--window=-6:7"), ("K2", "--window=0:4,-2:2")]
+)
+def test_cli_dump_over_table_cap_exits_2(tmp_path, capsys, model, window):
+    # 2^80, 2^13 and 2^16 entries against the default table_cap of 4096
+    cfg_path = tmp_path / "c.cfg"
+    cfg_path.write_text(MINIMAL + "\n[model K2]\nc2 = full\n")
+    elem = "deltaF:0" if model == "K" else "ones"
+    assert cli_main(["dump", str(cfg_path), "--model", model, window, "--elem", elem]) == 2
+    captured = capsys.readouterr()
+    assert "table_cap" in captured.err and captured.out == ""
+
+
 def test_suite_registry_covers_expected_identities():
     covered = set()
     for _name, (_fn, tags) in SUITES.items():
@@ -271,3 +288,20 @@ def test_default_config_parses_and_names_resolve():
     cfg = parse_config(DEFAULT_CONFIG)
     kinds = {s.kind for s in cfg.suites}
     assert kinds <= set(SUITES)
+
+
+def test_traced_names_resolve():
+    # perfbench/tracing.py patches these names through getattr; one that a
+    # refactor deletes would only fail at trace time
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    targets = [(mod, name) for _l, mod, names, _m, _t in tracing.SPANS for name in names]
+    targets += [(mod, name) for _l, mod, name in tracing.COUNTERS]
+    assert len(targets) > 30
+    for mod_name, name in targets:
+        obj = importlib.import_module("fqharmonic." + mod_name)
+        for part in name.split("."):
+            obj = getattr(obj, part)
+        assert callable(obj), f"{mod_name}.{name}"
