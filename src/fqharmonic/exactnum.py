@@ -7,12 +7,15 @@ every comparison in the package is an exact equality.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Sequence
 
 Rational = Fraction
+
+_ZERO = Fraction(0)  # immutable, so every zero coefficient built here can share it
 
 
 class DomainError(ValueError):
@@ -37,6 +40,30 @@ def _reduce_cyclotomic(coeffs: Sequence[Fraction], p: int) -> tuple[Fraction, ..
     return tuple(folded[k] - top for k in range(p - 1))
 
 
+def _cyclotomic_product(
+    a: Sequence[Fraction], b: Sequence[Fraction], p: int
+) -> tuple[Fraction, ...]:
+    """The product of two power-basis vectors, reduced like _reduce_cyclotomic.
+
+    Both operands are scaled to integer vectors, so the convolution and the
+    fold of exponents mod p run on integers in one pass; each output
+    coefficient is then one Fraction over the product of the denominators.
+    """
+    ra = [x.as_integer_ratio() for x in a]
+    rb = [y.as_integer_ratio() for y in b]
+    da = math.lcm(*(d for _, d in ra))
+    db = math.lcm(*(d for _, d in rb))
+    ib = [(j, n * (db // d)) for j, (n, d) in enumerate(rb) if n]
+    folded = [0] * p
+    for i, (n, d) in enumerate(ra):
+        if n:
+            x = n * (da // d)
+            for j, y in ib:
+                folded[(i + j) % p] += x * y
+    top, den = folded.pop(), da * db
+    return tuple(Fraction(x - top, den) if x != top else _ZERO for x in folded)
+
+
 @dataclass(frozen=True)
 class CycNum:
     """Element of Q(zeta_p) in the power basis 1, zeta_p, ..., zeta_p^{p-2}."""
@@ -52,7 +79,7 @@ class CycNum:
 
     @staticmethod
     def zero(p: int) -> "CycNum":
-        return CycNum(p, tuple([Fraction(0)] * (p - 1)))
+        return CycNum(p, (_ZERO,) * (p - 1))
 
     @staticmethod
     def one(p: int) -> "CycNum":
@@ -77,6 +104,10 @@ class CycNum:
 
     def __add__(self, other: "CycNum") -> "CycNum":
         self._check(other)
+        if not any(other.coeffs):
+            return self
+        if not any(self.coeffs):
+            return other
         return CycNum(self.prime, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "CycNum") -> "CycNum":
@@ -88,16 +119,19 @@ class CycNum:
 
     def __mul__(self, other: "CycNum | Fraction | int") -> "CycNum":
         if isinstance(other, (int, Fraction)):
-            return CycNum(self.prime, tuple(a * other for a in self.coeffs))
+            return self._scaled(other)
         self._check(other)
-        n = self.prime - 1
-        conv = [Fraction(0)] * (2 * n - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        conv[i + j] += a * b
-        return CycNum(self.prime, _reduce_cyclotomic(conv, self.prime))
+        # a rational operand (no zeta terms) only scales the other one
+        if not any(other.coeffs[1:]):
+            return self._scaled(other.coeffs[0])
+        if not any(self.coeffs[1:]):
+            return other._scaled(self.coeffs[0])
+        return CycNum(self.prime, _cyclotomic_product(self.coeffs, other.coeffs, self.prime))
+
+    def _scaled(self, r: "Fraction | int") -> "CycNum":
+        if r == 1:
+            return self
+        return CycNum(self.prime, tuple(a * r if a else _ZERO for a in self.coeffs))
 
     def __rmul__(self, other: "Fraction | int") -> "CycNum":
         return self.__mul__(other)
@@ -116,7 +150,7 @@ class CycNum:
         return CycNum(p, _reduce_cyclotomic(out, p))
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def __bool__(self) -> bool:
         return not self.is_zero()

@@ -6,7 +6,10 @@ The recurrence is
 
     state <- (6364136223846793005 * state + 1442695040888963407) mod 2^64
 
-and each draw returns the top 32 bits of the new state.
+and each draw returns the top 32 bits of the new state.  ``fraction`` picks
+from a fixed 6 x 3 grid of rationals, and ``cyc_coeffs`` draws all the
+coefficients of a cyclotomic number in one call, with the same stream as
+drawing them one at a time.
 """
 
 from __future__ import annotations
@@ -16,6 +19,10 @@ from fractions import Fraction
 _MUL = 6364136223846793005
 _INC = 1442695040888963407
 _MASK = (1 << 64) - 1
+
+# fraction() draws a numerator from (1, 2, 3, -1, -2, 5), then a denominator from (1, 2, 3)
+_FRACTIONS = tuple(tuple(Fraction(num, den) for den in (1, 2, 3)) for num in (1, 2, 3, -1, -2, 5))
+_ZERO = Fraction(0)
 
 
 class LCG:
@@ -37,6 +44,26 @@ class LCG:
 
     def fraction(self) -> Fraction:
         """Small nonzero rational for measure values and coefficients."""
-        num = self.choice([1, 2, 3, -1, -2, 5])
-        den = self.choice([1, 2, 3])
-        return Fraction(num, den)
+        row = _FRACTIONS[self.next_u32() % 6]
+        return row[self.next_u32() % 3]
+
+    def cyc_coeffs(self, n: int) -> tuple[Fraction, ...]:
+        """n power-basis coefficients of a random cyclotomic number.
+
+        Each coefficient is 0 when randint(0, 3) draws 0 and fraction()
+        otherwise; the recurrence runs inline on a local copy of the state,
+        so the draws and the final state are those of that loop.
+        """
+        s = self.state
+        out = []
+        for _ in range(n):
+            s = (_MUL * s + _INC) & _MASK
+            if (s >> 32) % 4:
+                s = (_MUL * s + _INC) & _MASK
+                row = _FRACTIONS[(s >> 32) % 6]
+                s = (_MUL * s + _INC) & _MASK
+                out.append(row[(s >> 32) % 3])
+            else:
+                out.append(_ZERO)
+        self.state = s
+        return tuple(out)

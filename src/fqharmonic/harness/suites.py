@@ -141,7 +141,7 @@ def _report(name: str, ctx: SuiteContext) -> Report:
 
 
 def _rand_cyc(rng: LCG, p: int) -> CycNum:
-    return CycNum(p, tuple(rng.fraction() if rng.randint(0, 3) else Fraction(0) for _ in range(p - 1)))
+    return CycNum(p, rng.cyc_coeffs(p - 1))
 
 
 def _rand_fn0(rng: LCG, space: FinSpace) -> Fn0:

@@ -7,14 +7,21 @@ zero into new coordinates, slice onto a coordinate subspace, and sum over
 dropped coordinates.  ``transport`` is the one primitive that makes all four
 moves at once, on digits named by labels; function tables and pairing
 (distribution) tables use it in opposite directions.
+
+Arithmetic over a whole table runs on integers: ``_rows`` writes a table as
+integer coefficient rows over one common denominator, and ``_cycs`` turns
+rows back into entries with one Fraction per nonzero coefficient.  Fiber
+sums in ``transport``, rational factors in ``scale`` and the transform in
+``fourier`` all go through this pair.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Hashable, Iterable, Sequence
 
-from fqharmonic.exactnum import CycNum, DomainError, FqField, _reduce_cyclotomic
+from fqharmonic.exactnum import _ZERO, CycNum, DomainError, FqField
 
 Table = tuple[CycNum, ...]
 
@@ -71,18 +78,16 @@ def transport(
     for pos, w in weight.items():
         if pos not in dst and pos in summed:
             offsets = [o + d * w for d in range(q) for o in offsets]
-    rest = offsets[1:]
-    zero = CycNum.zero(table[0].prime)
-    out = []
-    for i in index:
-        if i is None:
-            out.append(zero)
-            continue
-        acc = table[i]
-        for o in rest:
-            acc = acc + table[i + o]
-        out.append(acc)
-    return tuple(out)
+    p = table[0].prime
+    zero = CycNum.zero(p)
+    if len(offsets) == 1:
+        return tuple(zero if i is None else table[i] for i in index)
+    den, rows = _rows(table, p)
+    live = [i for i in index if i is not None]
+    # sums[k][j]: den times coefficient k of the fiber sum at the j-th live index
+    sums = [list(map(sum, zip(*([row[i + o] for i in live] for o in offsets)))) for row in rows]
+    vals = iter(_cycs(sums, den, p))
+    return tuple(zero if i is None else next(vals) for i in index)
 
 
 def expand(table: Table, q: int, new_dim: int, embed: Sequence[int], mode: str) -> Table:
@@ -124,7 +129,14 @@ def translate(table: Table, q: int, dim: int, shift: Sequence[int], field: FqFie
 
 
 def scale(table: Table, c) -> Table:
-    return tuple(x * c for x in table)
+    if isinstance(c, CycNum):
+        return tuple(x * c for x in table)
+    if c == 1 or not table:
+        return table
+    c = Fraction(c)
+    p = table[0].prime
+    den, rows = _rows(table, p)
+    return _cycs([[x * c.numerator for x in row] for row in rows], den * c.denominator, p)
 
 
 def add(a: Table, b: Table) -> Table:
@@ -160,15 +172,8 @@ def fourier(table: Table, q: int, dim: int, field: FqField) -> Table:
     if n != q**dim:
         raise DomainError(f"table has {n} entries, expected q^dim = {q**dim}")
     p = field.p
-    if any(c.prime != p for c in table):
-        raise DomainError("mixed cyclotomic fields")
-    den = math.lcm(*(x.denominator for c in table for x in c.coeffs))
-    # rows[k][i] = den * (coefficient of zeta^k in entry i); row p-1 starts empty
-    rows = [
-        [x.numerator * (den // x.denominator) for x in col]
-        for col in zip(*(c.coeffs for c in table))
-    ]
-    rows.append([0] * n)
+    den, rows = _rows(table, p)
+    rows.append([0] * n)  # the coefficient of zeta^(p-1), folded away at the end
     # expo[u][v] = -Tr(u v) mod p, the power of zeta in conj psi(u v)
     expo = [[-field.trace_idx(field.mul_idx(u, v)) % p for v in range(q)] for u in range(q)]
     m = n // q
@@ -180,15 +185,8 @@ def fourier(table: Table, q: int, dim: int, field: FqField) -> Table:
                 terms = [top[(k - e) % p][a] for a, e in enumerate(shifts)]
                 new[k][u::q] = map(sum, zip(*terms))
         rows = new
-    out = []
-    seen: dict[tuple[int, ...], CycNum] = {}  # equal entries share one reduction
-    for col in zip(*rows):
-        val = seen.get(col)
-        if val is None:
-            red = _reduce_cyclotomic(col, p)
-            val = seen[col] = CycNum(p, red if den == 1 else tuple(x / den for x in red))
-        out.append(val)
-    return tuple(out)
+    top = rows.pop()  # zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2))
+    return _cycs([[x - t for x, t in zip(row, top)] for row in rows], den, p)
 
 
 def check_table(table: Table, q: int, dim: int, field: FqField) -> Table:
@@ -213,3 +211,32 @@ def psi_linear(field: FqField, dim: int, digits: Sequence[int], conj: bool = Fal
 
 def is_zero(table: Table) -> bool:
     return all(c.is_zero() for c in table)
+
+
+def _rows(table: Table, p: int) -> tuple[int, list[list[int]]]:
+    """Common denominator den and integer coefficient rows of a table.
+
+    rows[k][i] is den times the coefficient of zeta^k in entry i, so sums and
+    rational scalings of entries become integer work on the rows.
+    """
+    if any(c.prime != p for c in table):
+        raise DomainError("mixed cyclotomic fields")
+    ratios = [[x.as_integer_ratio() for x in col] for col in zip(*(c.coeffs for c in table))]
+    den = math.lcm(*{d for row in ratios for _, d in row})
+    return den, [[n * (den // d) for n, d in row] for row in ratios]
+
+
+def _cycs(rows: Sequence[Sequence[int]], den: int, p: int) -> Table:
+    """The table whose entry i has the coefficients rows[k][i] / den.
+
+    Each nonzero coefficient is one Fraction; zero coefficients share one
+    Fraction(0), and equal entries share one CycNum.
+    """
+    seen: dict[tuple[int, ...], CycNum] = {}
+    out = []
+    for col in zip(*rows):
+        val = seen.get(col)
+        if val is None:
+            val = seen[col] = CycNum(p, tuple(Fraction(x, den) if x else _ZERO for x in col))
+        out.append(val)
+    return tuple(out)

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import importlib.util
 import json
@@ -86,6 +87,41 @@ def test_reports_deterministic_bytes():
     b = emit_report(run_suites(cfg), "json")
     assert a == b
     assert json.loads(a)[0]["suite"] == "poisson1"
+
+
+F3_IMAGES = """\
+[field]
+spec = 3,1,[0,1]
+
+[run]
+seed = 20260808
+table_cap = 4096
+
+[suite cyc_ring]
+run = cyc_ring
+cases = 5
+
+[suite compose1]
+run = compose1
+cases = 4
+
+[suite base_change1]
+run = base_change1
+cases = 3
+
+[suite module2]
+run = module2
+cases = 3
+"""
+
+
+def test_f3_image_report_bytes_are_pinned():
+    # the JSON report of a small F_3 image run; any change to the draw stream,
+    # the case counts or an identity's outcome moves this digest
+    text = emit_report(run_suites(parse_config(F3_IMAGES)), "json")
+    assert [r["cases"] for r in json.loads(text)] == [20, 36, 21, 9]
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "1370042da2e231912999ca8112dd5f91075f3160d33a35ef8edbbb7884511d29"
 
 
 def test_seed_changes_draws_not_validity():

@@ -39,11 +39,19 @@ def slow_transport(table, q, src_pos, dst_pos, summed=(), zeroed=()):
 
 
 def rand_table(rng, q, dim):
+    """Zero, rational-only and general entries with denominators 1..6, so fiber
+    sums meet a common denominator and rows of zeros."""
     p = field_for(q).p
-    return tuple(
-        CycNum(p, tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(p - 1)))
-        for _ in range(q**dim)
-    )
+
+    def coeff():
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 6))
+
+    def general():
+        return CycNum(p, tuple(coeff() for _ in range(p - 1)))
+
+    # half the entries are general, a quarter zero, a quarter rational
+    kinds = (lambda: CycNum.zero(p), lambda: CycNum.from_rational(p, coeff()), general, general)
+    return tuple(rng.choice(kinds)() for _ in range(q**dim))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
