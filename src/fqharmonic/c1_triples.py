@@ -4,8 +4,17 @@ A triple 0 -> E1 -> E2 -> E3 -> 0 in this package is graded: every graded
 slot of the middle model is assigned to the sub or to the quotient, and the
 index maps between the three filtrations are the identity on cuts (models are
 pre-normalized so that filtration index = cut).  Each window of the middle
-model then induces an exact sequence of finite quotients, and the eight
-direct/inverse images act by slot bookkeeping on tables.
+model then induces an exact sequence of finite quotients, and the direct
+and inverse images act by slot bookkeeping on tables.
+
+``IMAGE_KINDS`` is the one table of image kinds, shared with ``c2_triples``:
+alpha_pull (alpha^*) slices a middle table onto the sub, alpha_push
+(alpha_*) zero-extends a sub table, beta_pull (beta^*) pulls a quotient
+table back and beta_push (beta_*) sums a middle table onto the quotient.
+Functions and distributions are conjugate realizations of the same images:
+both make the kind's one table move (``image_table``), and a distribution
+meets the side conditions (capability, window widening, measure factor) of
+the ``CONJUGATE`` kind, which swaps push and pull.
 """
 
 from __future__ import annotations
@@ -23,10 +32,8 @@ from fqharmonic.c1 import (
     Window,
     WindowError,
     C1Model,
-    dist_at,
     dual_model,
     dual_window,
-    fn_at,
     fourier1_dist,
     positions,
     sum_model,
@@ -245,123 +252,112 @@ def base_change(T: TripleC1, Tg: TripleC1, label: str = ""):
 # ---------------------------------------------------------------------------
 
 
+# kind: (source member, target member, slots of T.split moved (0 sub, 1
+# quotient), table mode).
+# alpha_pull slices onto the sub, alpha_push zero-extends from the sub,
+# beta_pull pulls back from the quotient and beta_push sums onto it.
+IMAGE_KINDS = {
+    "alpha_pull": ("mid", "sub", 0, "slice"),
+    "alpha_push": ("sub", "mid", 0, "zero"),
+    "beta_pull": ("quot", "mid", 1, "pullback"),
+    "beta_push": ("mid", "quot", 1, "sum"),
+}
+# a distribution makes a kind's table move under its conjugate's side conditions
+CONJUGATE = {
+    "alpha_pull": "alpha_push",
+    "alpha_push": "alpha_pull",
+    "beta_pull": "beta_push",
+    "beta_push": "beta_pull",
+}
+
+
+def image_target(kind: str, T, x):
+    """The member of triple T that kind maps x to, once x sits on its source."""
+    src, dst = IMAGE_KINDS[kind][:2]
+    if x.model != getattr(T, src):
+        raise DomainError(f"{kind} expects a representative on the {src} model")
+    return getattr(T, dst)
+
+
+def image_table(kind: str, T, table, w):
+    """The kind's table move across the middle window (or bi-window) w."""
+    src, _dst, keep, mode = IMAGE_KINDS[kind]
+    slots = T.split(w)
+    dim = len(slots[0]) + len(slots[1])
+    if src == "mid":
+        return tables.contract(table, T.mid.field.q, dim, slots[keep], mode)
+    return tables.expand(table, T.mid.field.q, dim, slots[keep], mode)
+
+
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise CapabilityError(msg)
 
 
-def _fn_images(kind: str, T: TripleC1, x: C1Fn, mu1: Optional[HaarMeasure]) -> C1Fn:
-    q = T.mid.field.q
-    if kind == "alpha_pull":
-        if x.model != T.mid:
-            raise DomainError("alpha_pull expects a function on the middle model")
-        w = x.window
-        sub_idx, _ = T.split(w)
-        dim = window_dim(T.mid, w)
-        return C1Fn(T.sub, x.tag, w, tables.contract(x.table, q, dim, sub_idx, "slice"))
-    if kind == "alpha_push":
-        if x.model != T.sub:
-            raise DomainError("alpha_push expects a function on the sub model")
-        q_inf = T.quot.bounds[0]
-        _require(q_inf is not None, "alpha_push needs a discrete quotient")
-        w = Window(min(x.window.lo, q_inf), x.window.hi)
-        moved = fn_at(x, w)
-        sub_idx, _ = T.split(w)
-        dim = window_dim(T.mid, w)
-        return C1Fn(T.mid, x.tag, w, tables.expand(moved.table, q, dim, sub_idx, "zero"))
-    if kind == "beta_pull":
-        if x.model != T.quot:
-            raise DomainError("beta_pull expects a function on the quotient model")
-        s_sup = T.sub.bounds[1]
-        if x.tag == "D":
-            _require(s_sup is not None, "beta_pull on compact support needs a compact sub")
-            w = Window(x.window.lo, max(x.window.hi, s_sup))
-        else:
-            w = x.window
-        moved = fn_at(x, w)
-        _, quot_idx = T.split(w)
-        dim = window_dim(T.mid, w)
-        return C1Fn(T.mid, x.tag, w, tables.expand(moved.table, q, dim, quot_idx, "pullback"))
-    if kind == "beta_push":
-        if x.model != T.mid:
-            raise DomainError("beta_push expects a function on the middle model")
-        if mu1 is None or mu1.model != T.sub:
-            raise DomainError("beta_push consumes a measure on the sub model")
-        w = x.window
+# side-condition rules, named by the kind of function that follows them;
+# each gives the window to move to and the measure factor of the table
+
+
+def _plain(kind: str, T: TripleC1, x, mu1) -> tuple[Window, Fraction]:
+    return x.window, Fraction(1)
+
+
+def _discrete_quot(kind: str, T: TripleC1, x, mu1) -> tuple[Window, Fraction]:
+    q_inf = T.quot.bounds[0]
+    _require(q_inf is not None, f"{kind} needs a discrete quotient")
+    return Window(min(x.window.lo, q_inf), x.window.hi), Fraction(1)
+
+
+def _cover_fibers(kind: str, T: TripleC1, x, mu1) -> tuple[Window, Fraction]:
+    # a compactly supported function, and any distribution when the sub is
+    # compact, widens over the sub; a germ stays where it is, and so does an
+    # E-type distribution over a non-compact sub
+    w, s_sup = x.window, T.sub.bounds[1]
+    if isinstance(x, C1Fn):
         if x.tag != "D":
-            s_sup = T.sub.bounds[1]
-            _require(s_sup is not None, "beta_push on germs needs a compact sub")
-            if w.hi < s_sup:
-                raise WindowError("germ window does not cover the fibers")
-        sub_idx, quot_idx = T.split(w)
-        dim = window_dim(T.mid, w)
-        summed = tables.contract(x.table, q, dim, quot_idx, "sum")
-        return C1Fn(T.quot, x.tag, w, tables.scale(summed, mu1.value_at(w.lo)))
-    raise DomainError(f"unknown image kind {kind!r}")
+            return w, Fraction(1)
+        _require(s_sup is not None, f"{kind} on compact support needs a compact sub")
+    elif s_sup is None:
+        _require(x.tag in ("Ep", "ETp"), f"{kind} of a general distribution needs a compact sub")
+        return w, Fraction(1)
+    return Window(w.lo, max(w.hi, s_sup)), Fraction(1)
 
 
-def _dist_images(kind: str, T: TripleC1, x: C1Dist, mu1: Optional[HaarMeasure]) -> C1Dist:
-    q = T.mid.field.q
-    if kind == "alpha_push":
-        if x.model != T.sub:
-            raise DomainError("alpha_push expects a distribution on the sub model")
-        w = x.window
-        sub_idx, _ = T.split(w)
-        dim = window_dim(T.mid, w)
-        return C1Dist(T.mid, x.tag if x.tag != "Haar" else "Dp", w,
-                      tables.expand(x.table, q, dim, sub_idx, "zero"), None)
-    if kind == "beta_push":
-        if x.model != T.mid:
-            raise DomainError("beta_push expects a distribution on the middle model")
+def _integrate_fibers(kind: str, T: TripleC1, x, mu1) -> tuple[Window, Fraction]:
+    if mu1 is None or mu1.model != T.sub:
+        raise DomainError(f"{kind} consumes a measure on the sub model")
+    w = x.window
+    if isinstance(x, C1Fn) and x.tag != "D":
         s_sup = T.sub.bounds[1]
-        if s_sup is not None:
-            w = Window(x.window.lo, max(x.window.hi, s_sup))
-            moved = dist_at(x, w)
-        else:
-            _require(x.tag in ("Ep", "ETp"),
-                     "beta_push of a general distribution needs a compact sub")
-            w = x.window
-            moved = x
-        sub_idx, quot_idx = T.split(w)
-        dim = window_dim(T.mid, w)
-        return C1Dist(T.quot, moved.tag if moved.tag != "Haar" else "Dp", w,
-                      tables.contract(moved.table, q, dim, quot_idx, "sum"), None)
-    if kind == "alpha_pull":
-        if x.model != T.mid:
-            raise DomainError("alpha_pull expects a distribution on the middle model")
-        q_inf = T.quot.bounds[0]
-        _require(q_inf is not None, "alpha_pull on distributions needs a discrete quotient")
-        w = Window(min(x.window.lo, q_inf), x.window.hi)
-        moved = dist_at(x, w)
-        sub_idx, _ = T.split(w)
-        dim = window_dim(T.mid, w)
-        return C1Dist(T.sub, moved.tag if moved.tag != "Haar" else "Dp", w,
-                      tables.contract(moved.table, q, dim, sub_idx, "slice"), None)
-    if kind == "beta_pull":
-        if x.model != T.quot:
-            raise DomainError("beta_pull expects a distribution on the quotient model")
-        if mu1 is None or mu1.model != T.sub:
-            raise DomainError("beta_pull consumes a measure on the sub model")
-        w = x.window
-        _, quot_idx = T.split(w)
-        dim = window_dim(T.mid, w)
-        lifted = tables.expand(x.table, q, dim, quot_idx, "pullback")
-        return C1Dist(T.mid, x.tag if x.tag != "Haar" else "Dp", w,
-                      tables.scale(lifted, mu1.value_at(w.lo)), None)
-    raise DomainError(f"unknown image kind {kind!r}")
+        _require(s_sup is not None, f"{kind} on germs needs a compact sub")
+        if w.hi < s_sup:
+            # germ windows must not grow
+            raise WindowError("germ window does not cover the fibers")
+    return w, mu1.value_at(w.lo)
+
+
+_RULES1 = {
+    "alpha_pull": _plain,
+    "alpha_push": _discrete_quot,
+    "beta_pull": _cover_fibers,
+    "beta_push": _integrate_fibers,
+}
 
 
 def images1(kind: str, T: TripleC1, x, mu1: Optional[HaarMeasure] = None):
-    """The eight direct/inverse images along a graded triple.
+    """The direct and inverse images along a graded triple.
 
-    kind is one of alpha_pull, alpha_push, beta_pull, beta_push; functions
-    and distributions dispatch to the mutually conjugate realizations.
+    kind is one of alpha_pull, alpha_push, beta_pull, beta_push.  A function
+    and a distribution make the kind's one table move; the distribution
+    follows the side conditions of the conjugate kind.
     """
-    if isinstance(x, C1Fn):
-        return _fn_images(kind, T, x, mu1)
-    if isinstance(x, C1Dist):
-        return _dist_images(kind, T, x, mu1)
-    raise DomainError("images act on function or distribution representatives")
+    if kind not in IMAGE_KINDS or not isinstance(x, (C1Fn, C1Dist)):
+        raise DomainError(f"no image {kind!r} of a {type(x).__name__}")
+    dst = image_target(kind, T, x)
+    rule = _RULES1[kind if isinstance(x, C1Fn) else CONJUGATE[kind]]
+    w, factor = rule(kind, T, x, mu1)
+    table = tables.scale(image_table(kind, T, x.at(w).table, w), factor)
+    return type(x)(dst, "Dp" if x.tag == "Haar" else x.tag, w, table)
 
 
 def tensor_haar(T: TripleC1, mu1: HaarMeasure, mu3: HaarMeasure, ref: int = 0) -> HaarMeasure:

@@ -2,10 +2,12 @@
 
 The sub and quotient of a triple partition the middle region column by
 column.  Direct and inverse images act by slot bookkeeping on bi-window
-tables; every measure identification required by the class hypotheses
-(fiberwise compact or discrete sides trivialize their virtual-measure
-factors through the canonical mass-1 or point-mass elements) shows up as an
-explicit power of q on the twist.
+tables, through the kind table and table move of ``c1_triples``: a twisted
+function follows its kind's side-condition rule and a distribution the rule
+of the conjugate kind (push and pull swapped).  Every measure identification
+required by the class hypotheses (fiberwise compact or discrete sides
+trivialize their virtual-measure factors through the canonical mass-1 or
+point-mass elements) shows up as an explicit power of q on the twist.
 """
 
 from __future__ import annotations
@@ -28,8 +30,9 @@ from fqharmonic.c2 import (
     dual_model2,
     fourier2,
     positions2,
+    vmeas_canonical,
 )
-from fqharmonic.c1_triples import CheckReport, cell_points
+from fqharmonic.c1_triples import CONJUGATE, IMAGE_KINDS, CheckReport, cell_points, image_table, image_target
 from fqharmonic.exactnum import CycNum, DomainError
 
 
@@ -62,13 +65,6 @@ class GradedC2Triple:
         sub_idx = [r for r, (a, b) in enumerate(pos) if self.sub.in_region(a, b)]
         quot_idx = [r for r in range(len(pos)) if r not in set(sub_idx)]
         return sub_idx, quot_idx
-
-    # signed canonical-element exponents between two outer cuts
-    def w_sub(self, f: int, t: int) -> int:
-        return self.sub.count_above(f, t) if f <= t else -self.sub.count_above(t, f)
-
-    def v_quot(self, f: int, t: int) -> int:
-        return self.quot.count_below(f, t) if f <= t else -self.quot.count_below(t, f)
 
 
 def dual_triple2(T: GradedC2Triple) -> GradedC2Triple:
@@ -118,129 +114,49 @@ def _check_measure(vm: Optional[VirtualMeasure], model: C2Model, src: int, dst: 
 # the four images on twisted functions and their four conjugates
 # ---------------------------------------------------------------------------
 
+# side-condition rules, named by the kind of twisted function that follows
+# them and shared with the conjugate kind of distribution; each gives the
+# bi-window to move to, the measure factor of the table and that of the twist
 
-def _elem_images(kind: str, T: GradedC2Triple, x: D2Elem, aux: Optional[VirtualMeasure]) -> D2Elem:
-    model, q = T.mid, T.mid.field.q
+
+def _outer_compact_sub(kind: str, T: GradedC2Triple, x, aux) -> tuple[BiWindow, Fraction, Fraction]:
+    top = T.sub.outer_sup
+    _require(top is not None, f"{kind} needs an outer-compact sub")
+    mu = _check_measure(aux, T.sub, x.o, top, kind)
+    bw = BiWindow(x.bw.l, max(x.bw.i, top), x.bw.m, x.bw.n)
+    return bw, Fraction(T.mid.field.q) ** T.sub.sigma(bw.l, bw.i, bw.m), mu.scalar
+
+
+def _outer_discrete_quot(kind: str, T: GradedC2Triple, x, aux) -> tuple[BiWindow, Fraction, Fraction]:
+    bot = T.quot.outer_inf
+    _require(bot is not None, f"{kind} needs an outer-discrete quotient")
+    nu = _check_measure(aux, T.quot, x.o, bot, kind)
     bw = x.bw
-    if kind == "beta_push":
-        if x.model != T.mid:
-            raise DomainError("beta_push expects a representative on the middle model")
-        top = T.sub.outer_sup
-        _require(top is not None, "beta_push needs an outer-compact sub")
-        mu = _check_measure(aux, T.sub, x.o, top, "beta_push")
-        if bw.i < top:
-            raise WindowError("window top must cover the whole sub")
-        sub_idx, quot_idx = T.split(bw)
-        dim = bw_dim(model, bw)
-        factor = Fraction(q) ** T.sub.sigma(bw.l, bw.i, bw.m)
-        table = tables.scale(tables.contract(x.table, q, dim, quot_idx, "sum"), factor)
-        return D2Elem(
-            T.quot, x.o, bw, table,
-            VirtualMeasure(T.quot, bw.l, x.o, x.twist.scalar * mu.scalar),
-        )
-    if kind == "alpha_pull":
-        if x.model != T.mid:
-            raise DomainError("alpha_pull expects a representative on the middle model")
-        bot = T.quot.outer_inf
-        _require(bot is not None, "alpha_pull needs an outer-discrete quotient")
-        nu = _check_measure(aux, T.quot, x.o, bot, "alpha_pull")
-        if bw.l > bot:
-            raise WindowError("window bottom must sit below the whole quotient")
-        sub_idx, _ = T.split(bw)
-        dim = bw_dim(model, bw)
-        table = tables.contract(x.table, q, dim, sub_idx, "slice")
-        return D2Elem(
-            T.sub, x.o, bw, table,
-            VirtualMeasure(T.sub, bw.l, x.o, x.twist.scalar * nu.scalar),
-        )
-    if kind == "beta_pull":
-        if x.model != T.quot:
-            raise DomainError("beta_pull expects a representative on the quotient model")
-        _require(T.sub.is_cf, "beta_pull needs a fiberwise compact sub")
-        sup = T.sub.inner_sup(bw.l, bw.i)
-        n_out = bw.n if sup is None else max(bw.n, sup)
-        moved = x.at(BiWindow(bw.l, bw.i, bw.m, n_out))
-        bw2 = moved.bw
-        sub_idx, quot_idx = T.split(bw2)
-        dim = bw_dim(model, bw2)
-        table = tables.expand(moved.table, q, dim, quot_idx, "pullback")
-        scalar = moved.twist.scalar * Fraction(q) ** (-T.w_sub(bw2.l, x.o))
-        return D2Elem(T.mid, x.o, bw2, table, VirtualMeasure(T.mid, bw2.l, x.o, scalar))
-    if kind == "alpha_push":
-        if x.model != T.sub:
-            raise DomainError("alpha_push expects a representative on the sub model")
-        _require(T.quot.is_df, "alpha_push needs a fiberwise discrete quotient")
-        inf = T.quot.inner_inf(bw.l, bw.i)
-        m_out = bw.m if inf is None else min(bw.m, inf)
-        moved = x.at(BiWindow(bw.l, bw.i, m_out, bw.n))
-        bw2 = moved.bw
-        sub_idx, _ = T.split(bw2)
-        dim = bw_dim(model, bw2)
-        table = tables.expand(moved.table, q, dim, sub_idx, "zero")
-        scalar = moved.twist.scalar * Fraction(q) ** T.v_quot(bw2.l, x.o)
-        return D2Elem(T.mid, x.o, bw2, table, VirtualMeasure(T.mid, bw2.l, x.o, scalar))
-    raise DomainError(f"unknown image kind {kind!r}")
+    return BiWindow(min(bw.l, bot), bw.i, bw.m, bw.n), Fraction(1), nu.scalar
 
 
-def _dist_images(kind: str, T: GradedC2Triple, x: D2Dist, aux: Optional[VirtualMeasure]) -> D2Dist:
-    model, q = T.mid, T.mid.field.q
+def _fiberwise_compact_sub(kind: str, T: GradedC2Triple, x, aux) -> tuple[BiWindow, Fraction, Fraction]:
     bw = x.bw
-    if kind == "beta_pull":
-        if x.model != T.quot:
-            raise DomainError("beta_pull expects a distribution on the quotient model")
-        top = T.sub.outer_sup
-        _require(top is not None, "beta_pull needs an outer-compact sub")
-        mu = _check_measure(aux, T.sub, x.o, top, "beta_pull")
-        moved = x.at(BiWindow(bw.l, max(bw.i, top), bw.m, bw.n))
-        bw2 = moved.bw
-        _, quot_idx = T.split(bw2)
-        dim = bw_dim(model, bw2)
-        factor = Fraction(q) ** T.sub.sigma(bw2.l, bw2.i, bw2.m)
-        table = tables.scale(tables.expand(moved.table, q, dim, quot_idx, "pullback"), factor)
-        return D2Dist(
-            T.mid, x.o, bw2, table,
-            VirtualMeasure(T.mid, x.o, bw2.l, moved.twist.scalar * mu.scalar),
-        )
-    if kind == "alpha_push":
-        if x.model != T.sub:
-            raise DomainError("alpha_push expects a distribution on the sub model")
-        bot = T.quot.outer_inf
-        _require(bot is not None, "alpha_push needs an outer-discrete quotient")
-        nu = _check_measure(aux, T.quot, x.o, bot, "alpha_push")
-        moved = x.at(BiWindow(min(bw.l, bot), bw.i, bw.m, bw.n))
-        bw2 = moved.bw
-        sub_idx, _ = T.split(bw2)
-        dim = bw_dim(model, bw2)
-        table = tables.expand(moved.table, q, dim, sub_idx, "zero")
-        return D2Dist(
-            T.mid, x.o, bw2, table,
-            VirtualMeasure(T.mid, x.o, bw2.l, moved.twist.scalar * nu.scalar),
-        )
-    if kind == "beta_push":
-        if x.model != T.mid:
-            raise DomainError("beta_push expects a distribution on the middle model")
-        _require(T.sub.is_cf, "beta_push of distributions needs a fiberwise compact sub")
-        sup = T.sub.inner_sup(bw.l, bw.i)
-        if sup is not None and bw.n < sup:
-            raise WindowError("inner window must cover the fibers")
-        sub_idx, quot_idx = T.split(bw)
-        dim = bw_dim(model, bw)
-        table = tables.contract(x.table, q, dim, quot_idx, "sum")
-        scalar = x.twist.scalar * Fraction(q) ** (-T.w_sub(bw.l, x.o))
-        return D2Dist(T.quot, x.o, bw, table, VirtualMeasure(T.quot, x.o, bw.l, scalar))
-    if kind == "alpha_pull":
-        if x.model != T.mid:
-            raise DomainError("alpha_pull expects a distribution on the middle model")
-        _require(T.quot.is_df, "alpha_pull of distributions needs a fiberwise discrete quotient")
-        inf = T.quot.inner_inf(bw.l, bw.i)
-        if inf is not None and bw.m > inf:
-            raise WindowError("inner window must reach below the quotient slots")
-        sub_idx, _ = T.split(bw)
-        dim = bw_dim(model, bw)
-        table = tables.contract(x.table, q, dim, sub_idx, "slice")
-        scalar = x.twist.scalar * Fraction(q) ** T.v_quot(bw.l, x.o)
-        return D2Dist(T.sub, x.o, bw, table, VirtualMeasure(T.sub, x.o, bw.l, scalar))
-    raise DomainError(f"unknown image kind {kind!r}")
+    canonical = vmeas_canonical(T.sub, bw.l, x.o, "one")
+    sup = T.sub.inner_sup(bw.l, bw.i)
+    bw = BiWindow(bw.l, bw.i, bw.m, bw.n if sup is None else max(bw.n, sup))
+    return bw, Fraction(1), canonical.scalar
+
+
+def _fiberwise_discrete_quot(kind: str, T: GradedC2Triple, x, aux) -> tuple[BiWindow, Fraction, Fraction]:
+    bw = x.bw
+    canonical = vmeas_canonical(T.quot, bw.l, x.o, "delta")
+    inf = T.quot.inner_inf(bw.l, bw.i)
+    bw = BiWindow(bw.l, bw.i, bw.m if inf is None else min(bw.m, inf), bw.n)
+    return bw, Fraction(1), canonical.scalar
+
+
+_RULES2 = {
+    "beta_push": _outer_compact_sub,
+    "alpha_pull": _outer_discrete_quot,
+    "beta_pull": _fiberwise_compact_sub,
+    "alpha_push": _fiberwise_discrete_quot,
+}
 
 
 def images2(kind: str, T: GradedC2Triple, x, aux: Optional[VirtualMeasure] = None):
@@ -251,13 +167,19 @@ def images2(kind: str, T: GradedC2Triple, x, aux: Optional[VirtualMeasure] = Non
     * beta_pull / alpha_push need a fiberwise compact sub resp. fiberwise
       discrete quotient and trivialize the matching measure factor through
       the canonical elements.
-    Distributions dispatch to the conjugate realizations.
+    Distributions make the same table moves under the conjugate kind's
+    conditions.  The move of the representative to the rule's bi-window
+    raises WindowError when the window is on the wrong side.
     """
-    if isinstance(x, D2Elem):
-        return _elem_images(kind, T, x, aux)
-    if isinstance(x, D2Dist):
-        return _dist_images(kind, T, x, aux)
-    raise DomainError("images act on twisted representatives")
+    if kind not in IMAGE_KINDS or not isinstance(x, (D2Elem, D2Dist)):
+        raise DomainError(f"no image {kind!r} of a {type(x).__name__}")
+    dst = image_target(kind, T, x)
+    rule = _RULES2[kind if isinstance(x, D2Elem) else CONJUGATE[kind]]
+    bw, factor, twist_factor = rule(kind, T, x, aux)
+    moved = x.at(bw)
+    table = tables.scale(image_table(kind, T, moved.table, bw), factor)
+    tw = moved.twist
+    return type(x)(dst, x.o, bw, table, VirtualMeasure(dst, tw.src, tw.dst, tw.scalar * twist_factor))
 
 
 # ---------------------------------------------------------------------------
@@ -267,25 +189,17 @@ def images2(kind: str, T: GradedC2Triple, x, aux: Optional[VirtualMeasure] = Non
 
 def one_fn(model: C2Model, o: int, bw: BiWindow) -> D2Elem:
     """The constant 1 of a fiberwise compact model, canonically twisted."""
-    if not model.is_cf:
-        raise CapabilityError("the constant 1 needs a fiberwise compact model")
+    twist = vmeas_canonical(model, bw.l, o, "one")
     sup = model.inner_sup(bw.l, bw.i)
     if sup is not None and bw.n < sup:
         raise WindowError("window must contain the column tops")
-    q = model.field.q
-    dim = bw_dim(model, bw)
-    w = model.count_above(bw.l, o) if bw.l <= o else -model.count_above(o, bw.l)
-    return D2Elem(
-        model, o, bw,
-        tables.const_table(CycNum.one(model.field.p), q, dim),
-        VirtualMeasure(model, bw.l, o, Fraction(q) ** (-w)),
-    )
+    table = tables.const_table(CycNum.one(model.field.p), model.field.q, bw_dim(model, bw))
+    return D2Elem(model, o, bw, table, twist)
 
 
 def delta0_fn(model: C2Model, o: int, bw: BiWindow) -> D2Elem:
     """The unit point mass at 0 of a fiberwise discrete model."""
-    if not model.is_df:
-        raise CapabilityError("the point mass needs a fiberwise discrete model")
+    twist = vmeas_canonical(model, bw.l, o, "delta")
     inf = model.inner_inf(bw.l, bw.i)
     if inf is not None and bw.m > inf:
         raise WindowError("window must reach below the column bottoms")
@@ -293,8 +207,7 @@ def delta0_fn(model: C2Model, o: int, bw: BiWindow) -> D2Elem:
     p = model.field.p
     dim = bw_dim(model, bw)
     table = tuple(CycNum.one(p) if i == 0 else CycNum.zero(p) for i in range(q**dim))
-    v = model.count_below(bw.l, o) if bw.l <= o else -model.count_below(o, bw.l)
-    return D2Elem(model, o, bw, table, VirtualMeasure(model, bw.l, o, Fraction(q) ** v))
+    return D2Elem(model, o, bw, table, twist)
 
 
 def one_mu(model: C2Model, mu: VirtualMeasure, bw: BiWindow) -> D2Dist:

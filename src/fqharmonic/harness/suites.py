@@ -144,8 +144,12 @@ def _rand_cyc(rng: LCG, p: int) -> CycNum:
     return CycNum(p, rng.cyc_coeffs(p - 1))
 
 
+def _rand_table(rng: LCG, field, dim: int) -> tuple:
+    return tuple(_rand_cyc(rng, field.p) for _ in range(field.q**dim))
+
+
 def _rand_fn0(rng: LCG, space: FinSpace) -> Fn0:
-    return Fn0(space, tuple(_rand_cyc(rng, space.field.p) for _ in range(space.size)))
+    return Fn0(space, _rand_table(rng, space.field, space.dim))
 
 
 def _rand_map(rng: LCG, src: FinSpace, dst: FinSpace) -> LinMap:
@@ -156,47 +160,44 @@ def _rand_map(rng: LCG, src: FinSpace, dst: FinSpace) -> LinMap:
 
 
 def _rand_c1fn(rng: LCG, model, w, tag="D") -> C1Fn:
-    n = model.field.q ** window_dim(model, w)
-    return C1Fn(model, tag, w, tuple(_rand_cyc(rng, model.field.p) for _ in range(n)))
+    return C1Fn(model, tag, w, _rand_table(rng, model.field, window_dim(model, w)))
 
 
 def _rand_c1dist(rng: LCG, model, w, tag="Dp") -> C1Dist:
-    n = model.field.q ** window_dim(model, w)
-    return C1Dist(model, tag, w, tuple(_rand_cyc(rng, model.field.p) for _ in range(n)))
+    return C1Dist(model, tag, w, _rand_table(rng, model.field, window_dim(model, w)))
 
 
 def _rand_d2elem(rng: LCG, model, o, bw) -> D2Elem:
-    n = model.field.q ** bw_dim(model, bw)
-    return D2Elem(
-        model, o, bw,
-        tuple(_rand_cyc(rng, model.field.p) for _ in range(n)),
-        VirtualMeasure(model, bw.l, o, abs(rng.fraction()) or Fraction(1)),
-    )
+    table = _rand_table(rng, model.field, bw_dim(model, bw))
+    return D2Elem(model, o, bw, table, VirtualMeasure(model, bw.l, o, abs(rng.fraction())))
 
 
 def _rand_d2dist(rng: LCG, model, o, bw) -> D2Dist:
-    n = model.field.q ** bw_dim(model, bw)
-    return D2Dist(
-        model, o, bw,
-        tuple(_rand_cyc(rng, model.field.p) for _ in range(n)),
-        VirtualMeasure(model, o, bw.l, abs(rng.fraction()) or Fraction(1)),
-    )
+    table = _rand_table(rng, model.field, bw_dim(model, bw))
+    return D2Dist(model, o, bw, table, VirtualMeasure(model, o, bw.l, abs(rng.fraction())))
 
 
 def _rand_e2(rng: LCG, model, bw, tag="E2") -> E2Fn:
-    n = model.field.q ** bw_dim(model, bw)
-    return E2Fn(model, tag, bw, tuple(_rand_cyc(rng, model.field.p) for _ in range(n)))
+    return E2Fn(model, tag, bw, _rand_table(rng, model.field, bw_dim(model, bw)))
 
 
 def _rand_lift(rng: LCG, model, o=0) -> AutHatElem:
     g = AutElem(model, rng.randint(-1, 1), rng.randint(-1, 1), rng.randint(1, model.field.q - 1))
-    return AutHatElem(g, VirtualMeasure(model, o, g.apply_cut(o), abs(rng.fraction()) or Fraction(1)))
+    return AutHatElem(g, VirtualMeasure(model, o, g.apply_cut(o), abs(rng.fraction())))
 
 
 def _check(rep: Report, identity: str, ok: bool, context: str = "") -> None:
     rep.cases += 1
     if not ok:
         rep.fail(identity, context)
+
+
+def _merge(rep: Report, subs) -> Report:
+    """Add the cases and failures of library check reports, in order."""
+    for sub in subs:
+        rep.cases += sub.cases
+        rep.failures.extend(sub.failures)
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -439,39 +440,28 @@ def poisson1(ctx: SuiteContext) -> Report:
     cut = ctx.params.get("cut_hi", 2)
     deep = ctx.params.get("deep_cut", 0)
     values = (Fraction(1), Fraction(q), Fraction(1, q))
-    shifts = range(-2, 3)
-    T0 = ctx.params.get("triple") or interval_triple(K, lattice_model(ctx.field, 0))
-    for m in shifts:
-        T = interval_triple(K, lattice_model(ctx.field, -m, label=f"shift{m}"))
-        for v1 in values:
-            for v2 in values:
-                sub = poisson1_verify(
-                    T,
-                    HaarMeasure(T.sub, 0, v1),
-                    HaarMeasure(T.mid, 0, v2),
-                    cut_lo=-cut,
-                    cut_hi=cut,
-                    max_points=ctx.params.get("max_points", 256),
-                    corrupt=ctx.corrupt,
-                )
-                rep.cases += sub.cases
-                rep.failures.extend(sub.failures)
+    sweeps = [
+        (interval_triple(K, lattice_model(ctx.field, -m, label=f"shift{m}")), cut)
+        for m in range(-2, 3)
+    ]
     if deep:
         # full-depth sweep reaching the point cap, over the whole measure grid
-        for v1 in values:
-            for v2 in values:
-                sub = poisson1_verify(
-                    T0,
-                    HaarMeasure(T0.sub, 0, v1),
-                    HaarMeasure(T0.mid, 0, v2),
-                    cut_lo=-deep,
-                    cut_hi=deep,
-                    max_points=ctx.params.get("max_points", 256),
-                    corrupt=ctx.corrupt,
-                )
-                rep.cases += sub.cases
-                rep.failures.extend(sub.failures)
-    return rep
+        T0 = ctx.params.get("triple") or interval_triple(K, lattice_model(ctx.field, 0))
+        sweeps.append((T0, deep))
+    return _merge(rep, (
+        poisson1_verify(
+            T,
+            HaarMeasure(T.sub, 0, v1),
+            HaarMeasure(T.mid, 0, v2),
+            cut_lo=-reach,
+            cut_hi=reach,
+            max_points=ctx.params.get("max_points", 256),
+            corrupt=ctx.corrupt,
+        )
+        for T, reach in sweeps
+        for v1 in values
+        for v2 in values
+    ))
 
 
 @register(
@@ -490,8 +480,8 @@ def fubini_projection(ctx: SuiteContext) -> Report:
     for _ in range(ctx.params.get("cases", 100)):
         c = ctx.rng.randint(-1, 1)
         T = interval_triple(K, lattice_model(ctx.field, c))
-        mu1 = HaarMeasure(T.sub, 0, abs(ctx.rng.fraction()) or Fraction(1))
-        mu3 = HaarMeasure(T.quot, 0, abs(ctx.rng.fraction()) or Fraction(1))
+        mu1 = HaarMeasure(T.sub, 0, abs(ctx.rng.fraction()))
+        mu3 = HaarMeasure(T.quot, 0, abs(ctx.rng.fraction()))
         mu2 = tensor_haar(T, mu1, mu3)
         f = _rand_c1fn(ctx.rng, T.mid, w)
         _check(
@@ -562,8 +552,8 @@ def compose1(ctx: SuiteContext) -> Report:
         L = lattice_model(ctx.field, c2_, label="L")
         Tb = direct_sum_triple(L, K)
         Tc = compose_epi(T1, Tb)
-        nu = HaarMeasure(L, 0, abs(ctx.rng.fraction()) or Fraction(1))
-        mu = HaarMeasure(T1.sub, 0, abs(ctx.rng.fraction()) or Fraction(1))
+        nu = HaarMeasure(L, 0, abs(ctx.rng.fraction()))
+        mu = HaarMeasure(T1.sub, 0, abs(ctx.rng.fraction()))
         numu = HaarMeasure(Tc.sub, 0, nu.value_at(0) * mu.value_at(0))
         f = _rand_c1fn(ctx.rng, Tb.mid, w)
         lhs = images1("beta_push", Tc, f, numu)
@@ -658,7 +648,7 @@ def base_change1(ctx: SuiteContext) -> Report:
         D = segment_model(ctx.field, c1_, c2_, label="D")
         Tg = interval_triple(T.quot, D)
         T_fiber, T_mono = base_change(T, Tg)
-        mu = HaarMeasure(T.sub, 0, abs(ctx.rng.fraction()) or Fraction(1))
+        mu = HaarMeasure(T.sub, 0, abs(ctx.rng.fraction()))
         f = _rand_c1fn(ctx.rng, T.mid, w)
         _check(
             rep, "base_change_push_pull",
@@ -730,8 +720,8 @@ def fourier_image1(ctx: SuiteContext) -> Report:
         c = ctx.rng.randint(-1, 1)
         T = interval_triple(K, lattice_model(ctx.field, c))
         Td = dual_triple(T)
-        mu1 = HaarMeasure(T.sub, 0, abs(ctx.rng.fraction()) or Fraction(1))
-        mu3 = HaarMeasure(T.quot, 0, abs(ctx.rng.fraction()) or Fraction(1))
+        mu1 = HaarMeasure(T.sub, 0, abs(ctx.rng.fraction()))
+        mu3 = HaarMeasure(T.quot, 0, abs(ctx.rng.fraction()))
         mu2 = tensor_haar(T, mu1, mu3)
         f = _rand_c1fn(ctx.rng, T.mid, w)
         _check(
@@ -837,8 +827,8 @@ def vmeasure(ctx: SuiteContext) -> Report:
     for i in rng_range:
         for j in rng_range:
             for k in rng_range:
-                a = VirtualMeasure(K2, i, j, ctx.rng.fraction() or Fraction(1))
-                b = VirtualMeasure(K2, j, k, ctx.rng.fraction() or Fraction(1))
+                a = VirtualMeasure(K2, i, j, ctx.rng.fraction())
+                b = VirtualMeasure(K2, j, k, ctx.rng.fraction())
                 c = VirtualMeasure(K2, k, i, Fraction(7))
                 _check(
                     rep, "vmeasure_associativity",
@@ -903,7 +893,7 @@ def fourier2_props(ctx: SuiteContext) -> Report:
             and fourier2(h).table == e.check().table,
             "",
         )
-        vm = VirtualMeasure(K2, 0, 1, abs(ctx.rng.fraction()) or Fraction(1))
+        vm = VirtualMeasure(K2, 0, 1, abs(ctx.rng.fraction()))
         _check(
             rep, "fourier2_basepoint_compat",
             d2_equal(fourier2(basepoint_change(x, vm)), basepoint_change(fourier2(x), vm.on_dual())),
@@ -949,8 +939,8 @@ def images2_adjoint(ctx: SuiteContext) -> Report:
     for _ in range(ctx.params.get("cases", 10)):
         cut = ctx.rng.randint(-1, 1)
         T = outer_cut_triple(K2, cut)
-        mu = VirtualMeasure(T.sub, 0, T.sub.outer_sup, abs(ctx.rng.fraction()) or Fraction(1))
-        nu = VirtualMeasure(T.quot, 0, T.quot.outer_inf, abs(ctx.rng.fraction()) or Fraction(1))
+        mu = VirtualMeasure(T.sub, 0, T.sub.outer_sup, abs(ctx.rng.fraction()))
+        nu = VirtualMeasure(T.quot, 0, T.quot.outer_inf, abs(ctx.rng.fraction()))
         bw = BiWindow(min(-1, T.quot.outer_inf), max(1, T.sub.outer_sup), -1, 1)
         f = _rand_d2elem(ctx.rng, T.mid, 0, bw)
         G = _rand_d2dist(ctx.rng, T.quot, 0, bw)
@@ -1008,7 +998,7 @@ def poisson2_ii(ctx: SuiteContext) -> Report:
     rep = _report("poisson2_ii", ctx)
     K2 = _std_c2(ctx)
     triple = ctx.params.get("triple") or inner_cut_triple(K2, 0)
-    sub = poisson2_verify(
+    return _merge(rep, [poisson2_verify(
         "II",
         triple,
         o=ctx.params.get("basepoint", 0),
@@ -1016,10 +1006,7 @@ def poisson2_ii(ctx: SuiteContext) -> Report:
         cut_hi=ctx.params.get("cut_hi", 2),
         max_points=ctx.params.get("max_points", 256),
         corrupt=ctx.corrupt,
-    )
-    rep.cases += sub.cases
-    rep.failures.extend(sub.failures)
-    return rep
+    )])
 
 
 @register(
@@ -1033,21 +1020,21 @@ def poisson2_i(ctx: SuiteContext) -> Report:
     q = ctx.field.q
     triple = ctx.params.get("triple") or outer_cut_triple(K2, 0)
     values = (Fraction(1), Fraction(q), Fraction(1, q))
-    for s_mu in values:
-        for s_nu in values:
-            sub = poisson2_verify(
-                "I",
-                triple,
-                VirtualMeasure(triple.sub, 0, triple.sub.outer_sup, s_mu),
-                VirtualMeasure(triple.quot, 0, triple.quot.outer_inf, s_nu),
-                o=ctx.params.get("basepoint", 0),
-                cut_lo=ctx.params.get("cut_lo", -1),
-                cut_hi=ctx.params.get("cut_hi", 1),
-                max_points=ctx.params.get("max_points", 256),
-                corrupt=ctx.corrupt,
-            )
-            rep.cases += sub.cases
-            rep.failures.extend(sub.failures)
+    _merge(rep, (
+        poisson2_verify(
+            "I",
+            triple,
+            VirtualMeasure(triple.sub, 0, triple.sub.outer_sup, s_mu),
+            VirtualMeasure(triple.quot, 0, triple.quot.outer_inf, s_nu),
+            o=ctx.params.get("basepoint", 0),
+            cut_lo=ctx.params.get("cut_lo", -1),
+            cut_hi=ctx.params.get("cut_hi", 1),
+            max_points=ctx.params.get("max_points", 256),
+            corrupt=ctx.corrupt,
+        )
+        for s_mu in values
+        for s_nu in values
+    ))
     # the corollary under monomial automorphisms
     Td = dual_triple2(triple)
     mu = VirtualMeasure(triple.sub, 0, triple.sub.outer_sup, Fraction(1))
@@ -1166,8 +1153,8 @@ def base_change2(ctx: SuiteContext) -> Report:
         c2_ = ctx.rng.randint(c1_, 1)
         # twisted base change through outer cuts
         T, Tg, T_fiber, T_mono = _zvezda(ctx, "cc_dd", c1_, c2_)
-        mu = VirtualMeasure(T.sub, 0, c1_, abs(ctx.rng.fraction()) or Fraction(1))
-        nu = VirtualMeasure(Tg.quot, 0, c2_, abs(ctx.rng.fraction()) or Fraction(1))
+        mu = VirtualMeasure(T.sub, 0, c1_, abs(ctx.rng.fraction()))
+        nu = VirtualMeasure(Tg.quot, 0, c2_, abs(ctx.rng.fraction()))
         bw = BiWindow(min(-1, c2_), max(1, c1_), -1, 1)
         f = _rand_d2elem(ctx.rng, T.mid, 0, bw)
         _check(
@@ -1210,7 +1197,7 @@ def base_change2(ctx: SuiteContext) -> Report:
         )
         # mixed classes
         T, Tg, T_fiber, T_mono = _zvezda(ctx, "cc_df", c1_, c2_)
-        mu = VirtualMeasure(T.sub, 0, c1_, abs(ctx.rng.fraction()) or Fraction(1))
+        mu = VirtualMeasure(T.sub, 0, c1_, abs(ctx.rng.fraction()))
         bwm = BiWindow(-1, max(1, c1_), -1, max(1, c2_))
         fm = _rand_d2elem(ctx.rng, T_mono.sub, 0, bwm)
         _check(
@@ -1231,7 +1218,7 @@ def base_change2(ctx: SuiteContext) -> Report:
             f"{c1_},{c2_}",
         )
         T, Tg, T_fiber, T_mono = _zvezda(ctx, "cf_dc", c1_, c2_)
-        nu = VirtualMeasure(Tg.quot, 0, c2_, abs(ctx.rng.fraction()) or Fraction(1))
+        nu = VirtualMeasure(Tg.quot, 0, c2_, abs(ctx.rng.fraction()))
         bwx = BiWindow(min(-1, c2_), 1, min(-1, c1_), max(1, c1_))
         fx = _rand_d2elem(ctx.rng, T.quot, 0, bwx)
         _check(
@@ -1253,8 +1240,8 @@ def base_change2(ctx: SuiteContext) -> Report:
         )
         # compositions of epimorphisms, twisted and fiberwise
         T, Tg, T_fiber, T_mono = _zvezda(ctx, "cc_dd", c1_, c2_)
-        mu = VirtualMeasure(T.sub, 0, c1_, abs(ctx.rng.fraction()) or Fraction(1))
-        nug = VirtualMeasure(Tg.sub, 0, c2_, abs(ctx.rng.fraction()) or Fraction(1))
+        mu = VirtualMeasure(T.sub, 0, c1_, abs(ctx.rng.fraction()))
+        nug = VirtualMeasure(Tg.sub, 0, c2_, abs(ctx.rng.fraction()))
         munu = VirtualMeasure(T_mono.sub, 0, c2_, mu.scalar * nug.scalar)
         bw = BiWindow(min(-1, c2_), max(1, c2_), -1, 1)
         f = _rand_d2elem(ctx.rng, T.mid, 0, bw)
@@ -1302,8 +1289,8 @@ def base_change2(ctx: SuiteContext) -> Report:
         Tin = GradedC2Triple(T2o.sub, E1, E3, "in")
         coker = box_model(F, c1_, None, None, None, "coker")
         Tc = GradedC2Triple(K2, E1, coker, "comp")
-        mu3 = VirtualMeasure(E3, 0, c1_, abs(ctx.rng.fraction()) or Fraction(1))
-        nul = VirtualMeasure(T2o.quot, 0, c2_, abs(ctx.rng.fraction()) or Fraction(1))
+        mu3 = VirtualMeasure(E3, 0, c1_, abs(ctx.rng.fraction()))
+        nul = VirtualMeasure(T2o.quot, 0, c2_, abs(ctx.rng.fraction()))
         mn = VirtualMeasure(coker, 0, c1_, mu3.scalar * nul.scalar)
         bwc = BiWindow(min(-1, c1_), 1, -1, 1)
         fc = _rand_d2elem(ctx.rng, K2, 0, bwc)
@@ -1364,8 +1351,8 @@ def fourier_image2(ctx: SuiteContext) -> Report:
         cut = ctx.rng.randint(-1, 1)
         T = outer_cut_triple(K2, cut)
         Td = dual_triple2(T)
-        mu = VirtualMeasure(T.sub, 0, cut, abs(ctx.rng.fraction()) or Fraction(1))
-        nu = VirtualMeasure(T.quot, 0, cut, abs(ctx.rng.fraction()) or Fraction(1))
+        mu = VirtualMeasure(T.sub, 0, cut, abs(ctx.rng.fraction()))
+        nu = VirtualMeasure(T.quot, 0, cut, abs(ctx.rng.fraction()))
         bw = BiWindow(min(-1, cut), max(1, cut), -1, 1)
         f = _rand_d2elem(ctx.rng, T.mid, 0, bw)
         G3 = _rand_d2dist(ctx.rng, T.quot, 0, bw)
@@ -1435,7 +1422,7 @@ def dominate2(ctx: SuiteContext) -> Report:
             fourier2(xs).table == tuple(c * renorm for c in fourier2(x).table),
             f"d=({da},{db})",
         )
-        vm = VirtualMeasure(K2, 0, ctx.rng.randint(-1, 1), abs(ctx.rng.fraction()) or Fraction(1))
+        vm = VirtualMeasure(K2, 0, ctx.rng.randint(-1, 1), abs(ctx.rng.fraction()))
         G = _rand_d2dist(ctx.rng, K2, 0, bw)
         _check(
             rep, "basepoint_change_compat",

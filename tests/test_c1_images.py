@@ -9,6 +9,7 @@ from fqharmonic.c1 import (
     CapabilityError,
     HaarMeasure,
     Window,
+    WindowError,
     delta_lattice,
     dist_at,
     fn_at,
@@ -219,6 +220,8 @@ def test_char_dist_profile():
     half = CycNum.from_rational(2, Fraction(1, 2))
     zero = CycNum.zero(2)
     assert d.table == (half, half, zero, zero)
+    # the image of the Haar distribution is no longer Haar-extended
+    assert d.tag == "Dp" and d.extension is None
 
 
 def test_poisson1_standard_lattice():
@@ -284,3 +287,59 @@ def test_dual_triple_shapes():
     sub_idx, quot_idx = Td.split(Window(-2, 2))
     # dual sub = annihilator of the sub = mirrored quotient slots
     assert len(sub_idx) == 2 and len(quot_idx) == 2
+
+
+# ---------------------------------------------------------------------------
+# guards: every image rejects what it cannot take, with the same error class
+# ---------------------------------------------------------------------------
+
+KIND_SOURCE = {"alpha_pull": "mid", "alpha_push": "sub", "beta_pull": "quot", "beta_push": "mid"}
+
+
+@pytest.mark.parametrize("make", [rand_fn, rand_dist], ids=["fn", "dist"])
+@pytest.mark.parametrize("kind", sorted(KIND_SOURCE))
+def test_image_on_wrong_source_model_raises(kind, make):
+    T = standard_triple(F2)
+    wrong = T.quot if KIND_SOURCE[kind] == "mid" else T.mid
+    x = make(random.Random(5), wrong, Window(-1, 1))
+    with pytest.raises(DomainError) as exc:
+        images1(kind, T, x, HaarMeasure(T.sub, 0, Fraction(1)))
+    assert exc.type is DomainError  # not a capability or window failure
+
+
+def test_unknown_kind_and_bare_table_raise():
+    T = standard_triple(F2)
+    f = rand_fn(random.Random(6), T.mid, Window(-1, 1))
+    with pytest.raises(DomainError) as exc:
+        images1("gamma_pull", T, f)
+    assert exc.type is DomainError
+    with pytest.raises(DomainError) as exc:
+        images1("alpha_pull", T, f.table)
+    assert exc.type is DomainError
+
+
+# the function side of the first two conditions is in test_side_conditions_raise
+@pytest.mark.parametrize(
+    "kind, make, tag, member",
+    [
+        ("alpha_pull", rand_dist, "Dp", "mid"),  # needs a discrete quotient
+        ("beta_push", rand_dist, "Dp", "mid"),  # a general distribution needs a compact sub
+        ("beta_push", rand_fn, "E", "mid"),  # so does a germ
+    ],
+)
+def test_image_capabilities_raise(kind, make, tag, member):
+    # a colattice sub is not compact and its quotient is not discrete
+    T = interval_triple(laurent_model(F2), colattice_model(F2, 0))
+    x = make(random.Random(7), getattr(T, member), Window(-1, 1), tag=tag)
+    with pytest.raises(CapabilityError):
+        images1(kind, T, x, HaarMeasure(T.sub, 0, Fraction(1)))
+
+
+def test_germ_beta_push_needs_window_over_the_fibers():
+    T = standard_triple(F2, cut=2)
+    g = rand_fn(random.Random(8), T.mid, Window(-1, 1), tag="E")
+    mu1 = HaarMeasure(T.sub, 0, Fraction(1))
+    with pytest.raises(WindowError):
+        images1("beta_push", T, g, mu1)
+    wide = rand_fn(random.Random(8), T.mid, Window(-1, 2), tag="E")
+    assert images1("beta_push", T, wide, mu1).model == T.quot

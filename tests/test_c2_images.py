@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from fqharmonic.c1 import CapabilityError
+from fqharmonic.c1 import CapabilityError, WindowError
 from fqharmonic.c2 import (
     BiWindow,
     C2Model,
@@ -553,3 +553,75 @@ def test_transform_image_diagrams_inner():
         lhs = fourier2(images2("alpha_pull", T, G2))
         rhs = images2("beta_push", Td, fourier2(G2))
         assert d2dist_equal(lhs, rhs)
+
+
+# ---------------------------------------------------------------------------
+# guards: every image rejects what it cannot take, with the same error class
+# ---------------------------------------------------------------------------
+
+KIND_SOURCE = {"alpha_pull": "mid", "alpha_push": "sub", "beta_pull": "quot", "beta_push": "mid"}
+
+
+@pytest.mark.parametrize("make", [rand_elem, rand_dist], ids=["elem", "dist"])
+@pytest.mark.parametrize("kind", sorted(KIND_SOURCE))
+@pytest.mark.parametrize("cut_triple", [outer_cut_triple, inner_cut_triple], ids=["outer", "inner"])
+def test_image_on_wrong_source_model_raises(cut_triple, kind, make):
+    T = cut_triple(k2_model(F2), 0)
+    wrong = T.quot if KIND_SOURCE[kind] == "mid" else T.mid
+    x = make(random.Random(21), wrong, 0, BW)
+    aux = sub_measure(T) if T.sub.is_c else None
+    with pytest.raises(DomainError) as exc:
+        images2(kind, T, x, aux)
+    assert exc.type is DomainError  # not a capability or window failure
+
+
+def test_unknown_kind_and_bare_table_raise():
+    T = outer_cut_triple(k2_model(F2), 0)
+    f = rand_elem(random.Random(22), T.mid, 0, BW)
+    with pytest.raises(DomainError) as exc:
+        images2("gamma_pull", T, f, quot_measure(T))
+    assert exc.type is DomainError
+    with pytest.raises(DomainError) as exc:
+        images2("alpha_pull", T, f.table, quot_measure(T))
+    assert exc.type is DomainError
+
+
+# the function side of the beta pair is in test_class_flags_enforced
+@pytest.mark.parametrize(
+    "cut_triple, kind, make, member",
+    [
+        # the outer cut's sub is not fiberwise compact, its quotient not fiberwise discrete
+        (outer_cut_triple, "beta_push", rand_dist, "mid"),
+        (outer_cut_triple, "alpha_push", rand_elem, "sub"),
+        (outer_cut_triple, "alpha_pull", rand_dist, "mid"),
+        # the inner cut's sub is not outer compact, its quotient not outer discrete
+        (inner_cut_triple, "beta_pull", rand_dist, "quot"),
+        (inner_cut_triple, "alpha_pull", rand_elem, "mid"),
+        (inner_cut_triple, "alpha_push", rand_dist, "sub"),
+    ],
+)
+def test_image_capabilities_raise(cut_triple, kind, make, member):
+    T = cut_triple(k2_model(F2), 0)
+    x = make(random.Random(23), getattr(T, member), 0, BW)
+    with pytest.raises(CapabilityError):
+        images2(kind, T, x, None)
+
+
+@pytest.mark.parametrize(
+    "cut_triple, cut, kind, make, member, aux, bw",
+    [
+        # a function's window top must cover the outer-compact sub
+        (outer_cut_triple, 1, "beta_push", rand_elem, "mid", sub_measure, BiWindow(-1, 0, -1, 1)),
+        # a function's window bottom must sit below the outer-discrete quotient
+        (outer_cut_triple, -1, "alpha_pull", rand_elem, "mid", quot_measure, BiWindow(0, 1, -1, 1)),
+        # a distribution's inner window must cover the fiberwise compact sub
+        (inner_cut_triple, 1, "beta_push", rand_dist, "mid", None, BiWindow(-1, 1, -1, 0)),
+        # a distribution's inner window must reach below the fiberwise discrete quotient
+        (inner_cut_triple, -1, "alpha_pull", rand_dist, "mid", None, BiWindow(-1, 1, 0, 1)),
+    ],
+)
+def test_image_window_conditions_raise(cut_triple, cut, kind, make, member, aux, bw):
+    T = cut_triple(k2_model(F2), cut)
+    x = make(random.Random(24), getattr(T, member), 0, bw)
+    with pytest.raises(WindowError):
+        images2(kind, T, x, aux(T) if aux else None)

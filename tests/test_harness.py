@@ -124,6 +124,47 @@ def test_f3_image_report_bytes_are_pinned():
     assert digest == "1370042da2e231912999ca8112dd5f91075f3160d33a35ef8edbbb7884511d29"
 
 
+F3_IMAGES2 = """\
+[field]
+spec = 3,1,[0,1]
+
+[run]
+seed = 20260808
+table_cap = 4096
+
+[suite images2_adjoint]
+run = images2_adjoint
+cases = 2
+
+[suite base_change2]
+run = base_change2
+cases = 1
+
+[suite fourier_image2]
+run = fourier_image2
+cases = 1
+"""
+
+
+def test_f3_images2_report_bytes_are_pinned():
+    # the JSON report of a small F_3 run of the C_2 image suites, pinned the
+    # same way as the C_1 run above
+    text = emit_report(run_suites(parse_config(F3_IMAGES2)), "json")
+    assert [r["cases"] for r in json.loads(text)] == [12, 16, 2]
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "242e96bfc6dbd01c69faf24db9ae4a15bee8b2b433df774ccfd08f6c48f7cf7e"
+
+
+def test_lcg_fraction_grid_has_no_zero():
+    # suites take rng.fraction() as a measure value with no zero fallback
+    from fqharmonic.harness.rng import _FRACTIONS
+
+    assert len(_FRACTIONS) == 6 and all(len(row) == 3 for row in _FRACTIONS)
+    assert all(v != 0 for row in _FRACTIONS for v in row)
+    gen = LCG(20260808)
+    assert all(gen.fraction() != 0 for _ in range(1000))
+
+
 def test_seed_changes_draws_not_validity():
     cfg = parse_config(MINIMAL)
     r1 = run_suites(cfg, seed=1)
