@@ -27,7 +27,7 @@ from typing import Optional
 
 from fqharmonic import tables
 from fqharmonic.exactnum import CycNum, DomainError, FqField
-from fqharmonic.tables import Table
+from fqharmonic.tables import Rows
 
 
 class WindowError(DomainError):
@@ -304,11 +304,12 @@ class C1Fn:
     model: C1Model
     tag: str
     window: Window
-    table: Table
+    table: Rows  # a CycNum sequence is accepted and stored as Rows
 
     def __post_init__(self) -> None:
         if self.tag not in FN_TAGS:
             raise DomainError(f"bad function tag {self.tag!r}")
+        object.__setattr__(self, "table", tables.as_rows(self.table, self.model.field.p))
         if len(self.table) != self.model.field.q ** window_dim(self.model, self.window):
             raise DomainError("table length does not match the window")
 
@@ -353,12 +354,13 @@ class C1Dist:
     model: C1Model
     tag: str
     window: Window
-    table: Table  # pairing table: <G, f> = sum table * f-table
+    table: Rows  # pairing table: <G, f> = sum table * f-table
     extension: Optional[tuple] = None  # None | ('zero_up',) | ('haar', value, ref)
 
     def __post_init__(self) -> None:
         if self.tag not in DIST_TAGS:
             raise DomainError(f"bad distribution tag {self.tag!r}")
+        object.__setattr__(self, "table", tables.as_rows(self.table, self.model.field.p))
         if len(self.table) != self.model.field.q ** window_dim(self.model, self.window):
             raise DomainError("table length does not match the window")
 
@@ -497,7 +499,7 @@ def canonical_fn(f: C1Fn) -> C1Fn:
         # positions are cut-major, so the outermost slots are the top digits
         # and the entries with all of them zero come first
         inner = q ** window_dim(model, w)
-        if any(cur.table[inner:]):
+        if not tables.is_zero(cur.table[inner:]):
             break
         cur = C1Fn(model, "D", w, cur.table[:inner])
     # raise the bottom while the table is invariant along the lowest slots
@@ -699,10 +701,7 @@ def integrate(f: C1Fn, mu: HaarMeasure) -> CycNum:
         raise DomainError("measure on a different model")
     if f.tag != "D":
         raise CapabilityError("only compactly supported functions integrate")
-    acc = CycNum.zero(f.p)
-    for c in f.table:
-        acc = acc + c
-    return acc * mu.value_at(f.window.lo)
+    return tables.total(f.table) * mu.value_at(f.window.lo)
 
 
 def i_mu(f: C1Fn, mu: HaarMeasure) -> C1Dist:
@@ -746,11 +745,11 @@ def delta_point_dist(model: C1Model, point, w: Optional[Window] = None) -> C1Dis
 # ---------------------------------------------------------------------------
 
 
-def _rev_fourier(model: C1Model, w: Window, table: Table) -> Table:
-    """Dot-pairing transform followed by the dual-window slot matching."""
+def _rev_fourier(model: C1Model, w: Window, table: Rows, factor: Fraction = Fraction(1)) -> Rows:
+    """Dot-pairing transform times factor, then the dual-window slot matching."""
     q = model.field.q
     dim = window_dim(model, w)
-    ft = tables.fourier(table, q, dim, model.field)
+    ft = tables.fourier(table, q, dim, model.field, factor)
     return tables.apply_perm(ft, q, dual_perm(model, w))
 
 
@@ -760,7 +759,7 @@ def fourier1(f: C1Fn, mu: HaarMeasure) -> C1Fn:
         raise CapabilityError("fourier1 applies to compactly-supported functions")
     if f.model != mu.model:
         raise DomainError("measure on a different model")
-    out_table = tables.scale(_rev_fourier(f.model, f.window, f.table), mu.value_at(f.window.lo))
+    out_table = _rev_fourier(f.model, f.window, f.table, mu.value_at(f.window.lo))
     return C1Fn(dual_model(f.model), "D", dual_window(f.window), out_table)
 
 
@@ -768,9 +767,7 @@ def fourier1_dist(G: C1Dist, mu: HaarMeasure) -> C1Dist:
     """F_{mu^{-1}} on distributions, via adjointness on pairing tables."""
     if G.model != mu.model:
         raise DomainError("measure on a different model")
-    out_table = tables.scale(
-        _rev_fourier(G.model, G.window, G.table), Fraction(1) / mu.value_at(G.window.hi)
-    )
+    out_table = _rev_fourier(G.model, G.window, G.table, Fraction(1) / mu.value_at(G.window.hi))
     ext = ("zero_up",) if G.tag == "Haar" else None
     return C1Dist(dual_model(G.model), "Dp", dual_window(G.window), out_table, ext)
 
@@ -785,7 +782,7 @@ def fourier_e(f: C1Fn) -> C1Dist:
         raise CapabilityError("fourier_e applies to locally-constant germs")
     q = f.model.field.q
     dim = window_dim(f.model, f.window)
-    out_table = tables.scale(_rev_fourier(f.model, f.window, f.table), Fraction(1, q**dim))
+    out_table = _rev_fourier(f.model, f.window, f.table, Fraction(1, q**dim))
     tag = "ETp" if f.tag == "E" else "Ep"
     return C1Dist(dual_model(f.model), tag, dual_window(f.window), out_table, None)
 

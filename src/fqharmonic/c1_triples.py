@@ -442,8 +442,8 @@ def poisson1_verify(
                 report.fail(
                     "poisson1_characteristic_transform",
                     f"window {w}",
-                    str(expect[:4]),
-                    str(lhs.table[:4]),
+                    str(tuple(expect[:4])),
+                    str(tuple(lhs.table[:4])),
                 )
             else:
                 # cross-check the oracle against the dual-side pipeline

@@ -26,7 +26,7 @@ from typing import Optional
 from fqharmonic import tables
 from fqharmonic.c1 import CapabilityError, WindowError
 from fqharmonic.exactnum import CycNum, DomainError, FqField
-from fqharmonic.tables import Table
+from fqharmonic.tables import Rows
 
 Box = tuple  # (a_lo, a_hi, b_lo, b_hi), None = unbounded
 
@@ -335,12 +335,13 @@ class D2Elem:
     model: C2Model
     o: int
     bw: BiWindow
-    table: Table
+    table: Rows  # a CycNum sequence is accepted and stored as Rows
     twist: VirtualMeasure
 
     def __post_init__(self) -> None:
         if self.twist.model != self.model or self.twist.src != self.bw.l or self.twist.dst != self.o:
             raise DomainError("twist must compare the window bottom with the basepoint")
+        object.__setattr__(self, "table", tables.as_rows(self.table, self.model.field.p))
         if len(self.table) != self.model.field.q ** bw_dim(self.model, self.bw):
             raise DomainError("table length does not match the bi-window")
 
@@ -366,7 +367,7 @@ class D2Elem:
             model, self.o, bw2, out, VirtualMeasure(model, bw2.l, self.o, self.twist.scalar)
         )
 
-    def folded(self) -> Table:
+    def folded(self) -> Rows:
         return tables.scale(self.table, self.twist.scalar)
 
     def __mul__(self, c) -> "D2Elem":
@@ -402,12 +403,13 @@ class D2Dist:
     model: C2Model
     o: int
     bw: BiWindow
-    table: Table
+    table: Rows  # a CycNum sequence is accepted and stored as Rows
     twist: VirtualMeasure
 
     def __post_init__(self) -> None:
         if self.twist.model != self.model or self.twist.src != self.o or self.twist.dst != self.bw.l:
             raise DomainError("twist must compare the basepoint with the window bottom")
+        object.__setattr__(self, "table", tables.as_rows(self.table, self.model.field.p))
         if len(self.table) != self.model.field.q ** bw_dim(self.model, self.bw):
             raise DomainError("table length does not match the bi-window")
 
@@ -434,7 +436,7 @@ class D2Dist:
             model, self.o, bw2, out, VirtualMeasure(model, self.o, bw2.l, self.twist.scalar)
         )
 
-    def folded(self) -> Table:
+    def folded(self) -> Rows:
         return tables.scale(self.table, self.twist.scalar)
 
     def __mul__(self, c) -> "D2Dist":
@@ -464,11 +466,12 @@ class E2Fn:
     model: C2Model
     tag: str
     bw: BiWindow
-    table: Table
+    table: Rows  # a CycNum sequence is accepted and stored as Rows
 
     def __post_init__(self) -> None:
         if self.tag not in E2_TAGS:
             raise DomainError(f"bad tag {self.tag!r}")
+        object.__setattr__(self, "table", tables.as_rows(self.table, self.model.field.p))
         if len(self.table) != self.model.field.q ** bw_dim(self.model, self.bw):
             raise DomainError("table length does not match the bi-window")
 
@@ -601,10 +604,11 @@ def basepoint_change(x, vm: VirtualMeasure):
 # ---------------------------------------------------------------------------
 
 
-def _rev_fourier2(model: C2Model, bw: BiWindow, table: Table) -> Table:
+def _rev_fourier2(model: C2Model, bw: BiWindow, table: Rows, factor: Fraction = Fraction(1)) -> Rows:
+    """Dot-pairing transform times factor, then the dual bi-window slot order."""
     q = model.field.q
     dim = bw_dim(model, bw)
-    ft = tables.fourier(table, q, dim, model.field)
+    ft = tables.fourier(table, q, dim, model.field, factor)
     return tables.reverse_positions(ft, q, dim)
 
 
@@ -613,8 +617,7 @@ def fourier2(x):
     if isinstance(x, D2Elem):
         model, bw = x.model, x.bw
         q = model.field.q
-        scale = Fraction(q) ** model.sigma(bw.l, bw.i, bw.m)
-        out = tables.scale(_rev_fourier2(model, bw, x.table), scale)
+        out = _rev_fourier2(model, bw, x.table, Fraction(q) ** model.sigma(bw.l, bw.i, bw.m))
         dm = dual_model2(model)
         return D2Elem(
             dm, -x.o, bw.dual(), out, VirtualMeasure(dm, -bw.i, -x.o, x.twist.scalar)
@@ -622,8 +625,7 @@ def fourier2(x):
     if isinstance(x, D2Dist):
         model, bw = x.model, x.bw
         q = model.field.q
-        scale = Fraction(q) ** (-model.sigma(bw.l, bw.i, bw.n))
-        out = tables.scale(_rev_fourier2(model, bw, x.table), scale)
+        out = _rev_fourier2(model, bw, x.table, Fraction(q) ** (-model.sigma(bw.l, bw.i, bw.n)))
         dm = dual_model2(model)
         return D2Dist(
             dm, -x.o, bw.dual(), out, VirtualMeasure(dm, -x.o, -bw.i, x.twist.scalar)
@@ -634,7 +636,7 @@ def fourier2(x):
         dm = dual_model2(model)
         if x.tag in ("E2", "E2t"):
             dim = bw_dim(model, bw)
-            out = tables.scale(_rev_fourier2(model, bw, x.table), Fraction(1, q**dim))
+            out = _rev_fourier2(model, bw, x.table, Fraction(1, q**dim))
             tag = "E2tp" if x.tag == "E2" else "E2p"
         else:
             out = _rev_fourier2(model, bw, x.table)

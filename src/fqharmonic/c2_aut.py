@@ -146,7 +146,7 @@ def authat_inverse(x: AutHatElem) -> AutHatElem:
     return AutHatElem(gi, measure_transport(gi, x.mu.inverse()))
 
 
-def _relabel(g: AutElem, bw: BiWindow, table, pairing: bool = False):
+def _relabel(g: AutElem, bw: BiWindow, table):
     """Move a table along the slot relabeling of the automorphism.
 
     The output lives on the shifted bi-window; the output digit at slot
@@ -159,19 +159,13 @@ def _relabel(g: AutElem, bw: BiWindow, table, pairing: bool = False):
     bw_out = BiWindow(
         bw.l - g.t_shift, bw.i - g.t_shift, bw.m - g.u_shift, bw.n - g.u_shift
     )
-    src_pos = positions2(model, bw)
-    dst_pos = positions2(model, bw_out)
-    src_index = {pos: r for r, pos in enumerate(src_pos)}
+    weight = {pos: q**r for r, pos in enumerate(positions2(model, bw))}
     cinv = fld.inv_idx(g.unit)
-    dim = len(dst_pos)
-    out = [table[0]] * len(table)
-    for idx in range(q**dim):
-        digs = tables.decode(idx, q, dim)
-        src_digits = [0] * len(src_pos)
-        for j, (A, B) in enumerate(dst_pos):
-            src_digits[src_index[(A + g.t_shift, B + g.u_shift)]] = fld.mul_idx(cinv, digs[j])
-        out[idx] = table[tables.encode(src_digits, q)]
-    return bw_out, tuple(out)
+    digits = [
+        [fld.mul_idx(cinv, d) * weight[(A + g.t_shift, B + g.u_shift)] for d in range(q)]
+        for (A, B) in positions2(model, bw_out)
+    ]
+    return bw_out, tables.gather(table, tables.digit_index(digits))
 
 
 def rep_act(x, target):

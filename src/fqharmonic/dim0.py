@@ -97,9 +97,10 @@ class Fn0:
     """Dense CycNum-valued function table on a FinSpace."""
 
     space: FinSpace
-    table: tuple[CycNum, ...]
+    table: tables.Rows  # a CycNum sequence is accepted and stored as Rows
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "table", tables.as_rows(self.table, self.space.field.p))
         if len(self.table) != self.space.size:
             raise DomainError("table length must be q^dim")
 
@@ -114,7 +115,7 @@ class Fn0:
 
     @staticmethod
     def constant(space: FinSpace, value: CycNum) -> "Fn0":
-        return Fn0(space, tuple(value for _ in range(space.size)))
+        return Fn0(space, tables.const_table(value, space.field.q, space.dim))
 
     @staticmethod
     def indicator(space: FinSpace, points: Sequence[Sequence[int]]) -> "Fn0":
@@ -128,14 +129,14 @@ class Fn0:
     def __add__(self, other: "Fn0") -> "Fn0":
         if self.space != other.space:
             raise DomainError("space mismatch")
-        return Fn0(self.space, tuple(a + b for a, b in zip(self.table, other.table)))
+        return Fn0(self.space, tables.add(self.table, other.table))
 
     def __mul__(self, other):
         if isinstance(other, Fn0):
             if self.space != other.space:
                 raise DomainError("space mismatch")
-            return Fn0(self.space, tuple(a * b for a, b in zip(self.table, other.table)))
-        return Fn0(self.space, tuple(a * other for a in self.table))
+            return Fn0(self.space, tables.mul_pointwise(self.table, other.table))
+        return Fn0(self.space, tables.scale(self.table, other))
 
     __rmul__ = __mul__
 
@@ -149,42 +150,33 @@ class Fn0:
         return Fn0(sp, tables.translate(self.table, sp.field.q, sp.dim, a, sp.field))
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.table)
+        return tables.is_zero(self.table)
 
 
 def pairing0(f: Fn0, g: Fn0) -> CycNum:
     """The nondegenerate symmetric pairing sum_v f(v) g(v)."""
     if f.space != g.space:
         raise DomainError("pairing of functions on different spaces")
-    acc = CycNum.zero(f.space.field.p)
-    for a, b in zip(f.table, g.table):
-        if a and b:
-            acc = acc + a * b
-    return acc
+    return tables.dot(f.table, g.table, f.space.field.p)
 
 
 def push0(pi: LinMap, f: Fn0) -> Fn0:
     """Direct image: sums over fibers, zero off the image."""
     if f.space != pi.source:
         raise DomainError("function not on the source of the map")
-    p = pi.source.field.p
-    out = [CycNum.zero(p) for _ in range(pi.target.size)]
-    for i, v in enumerate(pi.source.vectors()):
-        c = f.table[i]
-        if c:
-            w = pi.target.index(pi.apply(v))
-            out[w] = out[w] + c
-    return Fn0(pi.target, tuple(out))
+    return Fn0(pi.target, tables.scatter(f.table, _image_index(pi), pi.target.size))
 
 
 def pull0(pi: LinMap, g: Fn0) -> Fn0:
     """Inverse image: composition with the map."""
     if g.space != pi.target:
         raise DomainError("function not on the target of the map")
-    return Fn0(
-        pi.source,
-        tuple(g.table[pi.target.index(pi.apply(v))] for v in pi.source.vectors()),
-    )
+    return Fn0(pi.source, tables.gather(g.table, _image_index(pi)))
+
+
+def _image_index(pi: LinMap) -> list[int]:
+    """The target index of the image of every source point."""
+    return [pi.target.index(pi.apply(v)) for v in pi.source.vectors()]
 
 
 def fourier0(f: Fn0) -> Fn0:

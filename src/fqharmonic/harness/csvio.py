@@ -10,15 +10,14 @@ digits, least-significant position first.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 from fqharmonic.exactnum import CycNum, DomainError
-from fqharmonic.tables import Table
 
 
 def render_table(
     q: int,
-    table: Table,
+    table: Sequence[CycNum],
     window: Optional[tuple[int, int]] = None,
     biwindow: Optional[tuple[int, int, int, int]] = None,
 ) -> str:
@@ -48,7 +47,7 @@ def _int(token: str, where: str) -> int:
         raise DomainError(f"{where}: {token!r} is not an integer") from None
 
 
-def parse_table(text: str, p: int) -> tuple[int, int, Table]:
+def parse_table(text: str, p: int) -> tuple[int, int, tuple[CycNum, ...]]:
     """Returns (q, dim, table); context lines are skipped.
 
     Malformed input raises DomainError naming the file line and the row.

@@ -9,7 +9,9 @@ The recurrence is
 and each draw returns the top 32 bits of the new state.  ``fraction`` picks
 from a fixed 6 x 3 grid of rationals, and ``cyc_coeffs`` draws all the
 coefficients of a cyclotomic number in one call, with the same stream as
-drawing them one at a time.
+drawing them one at a time.  ``coeff_rows`` draws a whole table of such
+numbers straight into integer rows over the denominator 6, which every grid
+value divides, with the same stream as one ``cyc_coeffs`` call per entry.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ _MASK = (1 << 64) - 1
 # fraction() draws a numerator from (1, 2, 3, -1, -2, 5), then a denominator from (1, 2, 3)
 _FRACTIONS = tuple(tuple(Fraction(num, den) for den in (1, 2, 3)) for num in (1, 2, 3, -1, -2, 5))
 _ZERO = Fraction(0)
+# 6 * fraction(): every grid denominator divides 6
+_SIXTHS = tuple(tuple(6 * num // den for den in (1, 2, 3)) for num in (1, 2, 3, -1, -2, 5))
 
 
 class LCG:
@@ -67,3 +71,23 @@ class LCG:
                 out.append(_ZERO)
         self.state = s
         return tuple(out)
+
+    def coeff_rows(self, n: int, width: int) -> list[list[int]]:
+        """6 times the coefficients of n random cyclotomic numbers, as rows.
+
+        rows[k][i] is 6 times coefficient k of entry i; entry i draws its
+        width coefficients in order exactly as ``cyc_coeffs(width)`` does, so
+        the draws and the final state are those of n such calls.
+        """
+        s = self.state
+        rows = [[0] * n for _ in range(width)]
+        for i in range(n):
+            for row in rows:
+                s = (_MUL * s + _INC) & _MASK
+                if (s >> 32) % 4:
+                    s = (_MUL * s + _INC) & _MASK
+                    grid = _SIXTHS[(s >> 32) % 6]
+                    s = (_MUL * s + _INC) & _MASK
+                    row[i] = grid[(s >> 32) % 3]
+        self.state = s
+        return rows

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
+from fqharmonic import tables
 from fqharmonic.c1 import (
     C1Dist,
     C1Fn,
@@ -144,8 +145,9 @@ def _rand_cyc(rng: LCG, p: int) -> CycNum:
     return CycNum(p, rng.cyc_coeffs(p - 1))
 
 
-def _rand_table(rng: LCG, field, dim: int) -> tuple:
-    return tuple(_rand_cyc(rng, field.p) for _ in range(field.q**dim))
+def _rand_table(rng: LCG, field, dim: int) -> tables.Rows:
+    """q^dim random entries, each drawn as by _rand_cyc, straight into rows."""
+    return tables.Rows(field.p, 6, rng.coeff_rows(field.q**dim, field.p - 1))
 
 
 def _rand_fn0(rng: LCG, space: FinSpace) -> Fn0:
@@ -1419,7 +1421,7 @@ def dominate2(ctx: SuiteContext) -> Report:
         )
         _check(
             rep, "domination_invariance",
-            fourier2(xs).table == tuple(c * renorm for c in fourier2(x).table),
+            fourier2(xs).table == tables.scale(fourier2(x).table, renorm),
             f"d=({da},{db})",
         )
         vm = VirtualMeasure(K2, 0, ctx.rng.randint(-1, 1), abs(ctx.rng.fraction()))

@@ -1,29 +1,94 @@
-"""Dense CycNum tables over mixed positions with radix q.
+"""Dense tables of cyclotomic numbers over mixed positions with radix q.
 
-A "table" is a tuple of CycNum of length q^D indexed by D coordinate digits,
-least-significant digit = position 0.  The window layers move tables between
-windows with four moves: pull back along a coordinate projection, extend by
-zero into new coordinates, slice onto a coordinate subspace, and sum over
-dropped coordinates.  ``transport`` is the one primitive that makes all four
-moves at once, on digits named by labels; function tables and pairing
-(distribution) tables use it in opposite directions.
+A table is a ``Rows`` value: q^D entries in Q(zeta_p) indexed by D coordinate
+digits, least-significant digit = position 0, stored as integer coefficient
+rows over one common denominator.  ``rows[k][i]`` is ``den`` times the
+coefficient of zeta^k in entry i.  The form is canonical (``den > 0`` and
+coprime to every numerator), so table equality is structural and exact.
+``Rows`` is a sequence of ``CycNum`` only at its edge: ``len``, iteration
+and integer indexing build entries, for CSV, pairings and scalar results.
 
-Arithmetic over a whole table runs on integers: ``_rows`` writes a table as
-integer coefficient rows over one common denominator, and ``_cycs`` turns
-rows back into entries with one Fraction per nonzero coefficient.  Fiber
-sums in ``transport``, rational factors in ``scale`` and the transform in
-``fourier`` all go through this pair.
+Every operation here works on the rows.  The window layers move tables
+between windows with four moves: pull back along a coordinate projection,
+extend by zero into new coordinates, slice onto a coordinate subspace, and
+sum over dropped coordinates.  ``transport`` is the one primitive that makes
+all four at once, on digits named by labels; function tables and pairing
+(distribution) tables use it in opposite directions.  Each index move
+(transport, translation, the sign flip, relabellings) builds its source-index
+list once, digit by digit, and applies it to every row through ``gather``.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Hashable, Iterable, Iterator, Sequence
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable, Iterable, Sequence
+from operator import add as _add, mul as _mul
 
 from fqharmonic.exactnum import _ZERO, CycNum, DomainError, FqField
 
-Table = tuple[CycNum, ...]
+
+@dataclass(frozen=True)
+class Rows(Sequence):
+    """A table in Q(zeta_p) as integer coefficient rows over one denominator.
+
+    ``rows`` holds p - 1 rows of equal length, one per power-basis element;
+    at construction the denominator is made positive and divided out of the
+    common gcd, so equal tables have equal fields.
+    """
+
+    p: int
+    den: int
+    rows: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self) -> None:
+        rows, den = tuple(map(tuple, self.rows)), self.den
+        if len(rows) != self.p - 1 or len(set(map(len, rows))) != 1:
+            raise DomainError(f"a table over Q(zeta_{self.p}) needs {self.p - 1} rows of one length")
+        if den <= 0:
+            if den == 0:
+                raise DomainError("zero table denominator")
+            den, rows = -den, tuple(tuple(-x for x in row) for row in rows)
+        g = den
+        for row in rows:
+            if g == 1:
+                break
+            g = math.gcd(g, *row)
+        if g != 1:
+            den, rows = den // g, tuple(tuple(x // g for x in row) for row in rows)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "rows", rows)
+
+    @staticmethod
+    def of(entries: Iterable[CycNum], p: int) -> "Rows":
+        """The table of a sequence of entries (the edge: CSV, builders, tests)."""
+        entries = tuple(entries)
+        den, rows = _rows(entries, p)
+        if not entries:
+            rows = [()] * (p - 1)
+        return Rows(p, den, rows)
+
+    def __len__(self) -> int:
+        return len(self.rows[0])
+
+    def __iter__(self) -> Iterator[CycNum]:
+        return iter(_cycs(self.rows, self.den, self.p))
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Rows(self.p, self.den, tuple(row[i] for row in self.rows))
+        den = self.den
+        return CycNum(self.p, tuple(Fraction(row[i], den) if row[i] else _ZERO for row in self.rows))
+
+
+def as_rows(table, p: int) -> Rows:
+    """table itself when it is a table over Q(zeta_p), else the table of its entries."""
+    if isinstance(table, Rows):
+        if table.p != p:
+            raise DomainError("mixed cyclotomic fields")
+        return table
+    return Rows.of(table, p)
 
 
 def decode(index: int, q: int, dim: int) -> tuple[int, ...]:
@@ -34,22 +99,69 @@ def encode(digits: Sequence[int], q: int) -> int:
     return sum(d * q**j for j, d in enumerate(digits))
 
 
-def zero_table(p: int, q: int, dim: int) -> Table:
-    return tuple(CycNum.zero(p) for _ in range(q**dim))
+def zero_table(p: int, q: int, dim: int) -> Rows:
+    return Rows(p, 1, ((0,) * q**dim,) * (p - 1))
 
 
-def const_table(value: CycNum, q: int, dim: int) -> Table:
-    return tuple(value for _ in range(q**dim))
+def const_table(value: CycNum, q: int, dim: int) -> Rows:
+    den = math.lcm(*(c.denominator for c in value.coeffs))
+    n = q**dim
+    return Rows(value.prime, den, [(c.numerator * (den // c.denominator),) * n for c in value.coeffs])
+
+
+# ---------------------------------------------------------------------------
+# index moves
+# ---------------------------------------------------------------------------
+
+
+def digit_index(digits: Sequence[Sequence[int]]) -> list[int]:
+    """Sum of per-digit offsets at every index, least significant digit first.
+
+    digits[r][d] is what digit r contributes at value d; the result at index
+    i is the sum over r of digits[r][digit r of i].
+    """
+    index = [0]
+    for offs in digits:
+        index = [i + o for o in offs for i in index]
+    return index
+
+
+def gather(table: Rows, index: Sequence[int]) -> Rows:
+    """out[j] = table[index[j]]; a negative index reads zero.
+
+    The final step of every index move: one source-index list applied to
+    every row.
+    """
+    return Rows(table.p, table.den, _gathered(table.rows, index))
+
+
+def _gathered(rows, index: Sequence[int]) -> list[tuple[int, ...]]:
+    n = len(rows[0])
+    if index and min(index) < 0:
+        index = [i if i >= 0 else n for i in index]
+    return [tuple(map((*row, 0).__getitem__, index)) for row in rows]
+
+
+def scatter(table: Rows, index: Sequence[int], size: int) -> Rows:
+    """out[j] = sum of table[i] over index[i] = j, on a table of the given size."""
+    out = []
+    for row in table.rows:
+        acc = [0] * size
+        for i, x in zip(index, row):
+            if x:
+                acc[i] += x
+        out.append(acc)
+    return Rows(table.p, table.den, out)
 
 
 def transport(
-    table: Table,
+    table: Rows,
     q: int,
     src_pos: Sequence[Hashable],
     dst_pos: Sequence[Hashable],
     summed: Iterable[Hashable] = (),
     zeroed: Iterable[Hashable] = (),
-) -> Table:
+) -> Rows:
     """Move a table from the digit labels src_pos to the labels dst_pos.
 
     A label in both lists keeps its digit.  A source-only label is summed
@@ -58,39 +170,32 @@ def transport(
     ``zeroed``, where the entry vanishes whenever that digit is nonzero
     (extension by zero).
     """
-    if len(table) != q ** len(src_pos):
-        raise DomainError(f"table has {len(table)} entries, expected {q}^{len(src_pos)}")
+    n = len(table)
+    if n != q ** len(src_pos):
+        raise DomainError(f"table has {n} entries, expected {q}^{len(src_pos)}")
+    rows = table.rows
     weight = {pos: q**r for r, pos in enumerate(src_pos)}
-    summed, zeroed = set(summed), set(zeroed)
-    # source index of each destination index, built digit by digit from the
-    # least significant one; None marks an entry forced to zero
-    index: list = [0]
-    for pos in dst_pos:
-        w = weight.get(pos)
-        if w is not None:
-            index = [None if i is None else i + d * w for d in range(q) for i in index]
-        elif pos in zeroed:
-            index = index + [None] * (len(index) * (q - 1))
-        else:
-            index = index * q
-    dst = set(dst_pos)
-    offsets = [0]  # source index offsets spanning one fiber of the summed digits
-    for pos, w in weight.items():
-        if pos not in dst and pos in summed:
-            offsets = [o + d * w for d in range(q) for o in offsets]
-    p = table[0].prime
-    zero = CycNum.zero(p)
-    if len(offsets) == 1:
-        return tuple(zero if i is None else table[i] for i in index)
-    den, rows = _rows(table, p)
-    live = [i for i in index if i is not None]
-    # sums[k][j]: den times coefficient k of the fiber sum at the j-th live index
-    sums = [list(map(sum, zip(*([row[i + o] for i in live] for o in offsets)))) for row in rows]
-    vals = iter(_cycs(sums, den, p))
-    return tuple(zero if i is None else next(vals) for i in index)
+    summed = set(summed)
+    fiber = [pos for pos in src_pos if pos in summed and pos not in dst_pos]
+    if fiber:
+        # sum the fibers first: the summed digits leave the source labels
+        kept = [pos for pos in src_pos if pos not in fiber]
+        bases = digit_index([range(0, q * weight[pos], weight[pos]) for pos in kept])
+        offsets = digit_index([range(0, q * weight[pos], weight[pos]) for pos in fiber])
+        rows = [tuple(map(sum, zip(*([row[b + o] for b in bases] for o in offsets)))) for row in rows]
+        n = len(bases)
+        weight = {pos: q**r for r, pos in enumerate(kept)}
+    zeroed = set(zeroed)
+    dead = [0] + [-n] * (q - 1)  # a nonzero digit of a zeroed label makes the index negative
+    pulled = [0] * q
+    digits = [
+        range(0, q * weight[pos], weight[pos]) if pos in weight else dead if pos in zeroed else pulled
+        for pos in dst_pos
+    ]
+    return Rows(table.p, table.den, _gathered(rows, digit_index(digits)))
 
 
-def expand(table: Table, q: int, new_dim: int, embed: Sequence[int], mode: str) -> Table:
+def expand(table: Rows, q: int, new_dim: int, embed: Sequence[int], mode: str) -> Rows:
     """Move a table into a larger coordinate set.
 
     embed[r] is the new position of old position r.  mode 'pullback' ignores
@@ -100,7 +205,7 @@ def expand(table: Table, q: int, new_dim: int, embed: Sequence[int], mode: str) 
     return transport(table, q, embed, range(new_dim), zeroed=range(new_dim) if mode == "zero" else ())
 
 
-def contract(table: Table, q: int, old_dim: int, keep: Sequence[int], mode: str) -> Table:
+def contract(table: Rows, q: int, old_dim: int, keep: Sequence[int], mode: str) -> Rows:
     """Move a table onto a coordinate subset.
 
     mode 'slice' reads the value at dropped coordinates = 0; mode 'sum'
@@ -109,71 +214,133 @@ def contract(table: Table, q: int, old_dim: int, keep: Sequence[int], mode: str)
     return transport(table, q, range(old_dim), keep, summed=() if mode == "slice" else range(old_dim))
 
 
-def apply_perm(table: Table, q: int, perm: Sequence[int]) -> Table:
+def apply_perm(table: Rows, q: int, perm: Sequence[int]) -> Rows:
     """Permute coordinates: new digit j is the old digit perm[j]."""
     return transport(table, q, range(len(perm)), perm)
 
 
-def reverse_positions(table: Table, q: int, dim: int) -> Table:
+def reverse_positions(table: Rows, q: int, dim: int) -> Rows:
     return apply_perm(table, q, list(reversed(range(dim))))
 
 
-def translate(table: Table, q: int, dim: int, shift: Sequence[int], field: FqField) -> Table:
+def translate(table: Rows, q: int, dim: int, shift: Sequence[int], field: FqField) -> Rows:
     """out(v) = table(v + shift), coordinatewise field addition."""
-    out = []
-    for idx in range(len(table)):
-        digs = decode(idx, q, dim)
-        moved = [field.add_idx(d, s) for d, s in zip(digs, shift)]
-        out.append(table[encode(moved, q)])
-    return tuple(out)
+    return gather(table, digit_index([[field.add_idx(d, shift[r]) * q**r for d in range(q)] for r in range(dim)]))
 
 
-def scale(table: Table, c) -> Table:
+def check_table(table: Rows, q: int, dim: int, field: FqField) -> Rows:
+    """out(v) = table(-v)."""
+    return gather(table, digit_index([[field.neg_idx(d) * q**r for d in range(q)] for r in range(dim)]))
+
+
+# ---------------------------------------------------------------------------
+# arithmetic
+# ---------------------------------------------------------------------------
+
+
+def _same_shape(a: Rows, b: Rows) -> None:
+    if a.p != b.p:
+        raise DomainError("mixed cyclotomic fields")
+    if len(a) != len(b):
+        raise DomainError(f"tables of {len(a)} and {len(b)} entries")
+
+
+def scale(table: Rows, c) -> Rows:
+    """c times every entry; c is a rational or a CycNum."""
     if isinstance(c, CycNum):
-        return tuple(x * c for x in table)
-    if c == 1 or not table:
+        if any(c.coeffs[1:]):
+            return mul_pointwise(table, const_table(c, len(table), 1))  # len(table) copies of c
+        c = c.coeffs[0]
+    if c == 1:
         return table
     c = Fraction(c)
-    p = table[0].prime
-    den, rows = _rows(table, p)
-    return _cycs([[x * c.numerator for x in row] for row in rows], den * c.denominator, p)
+    num = c.numerator
+    return Rows(table.p, table.den * c.denominator, [[x * num for x in row] for row in table.rows])
 
 
-def add(a: Table, b: Table) -> Table:
-    return tuple(x + y for x, y in zip(a, b))
+def add(a: Rows, b: Rows) -> Rows:
+    _same_shape(a, b)
+    den = math.lcm(a.den, b.den)
+    fa, fb = den // a.den, den // b.den
+    if fa == fb == 1:
+        rows = [map(_add, ra, rb) for ra, rb in zip(a.rows, b.rows)]
+    else:
+        rows = [[x * fa + y * fb for x, y in zip(ra, rb)] for ra, rb in zip(a.rows, b.rows)]
+    return Rows(a.p, den, rows)
 
 
-def mul_pointwise(a: Table, b: Table) -> Table:
-    return tuple(x * y for x, y in zip(a, b))
+def _products(a: Rows, b: Rows, combine):
+    """combine(ra, rb) of every pair of nonzero rows, added up by the power of
+    zeta they multiply to: the terms of a product in Q[x]/(x^p - 1)."""
+    p = a.p
+    live_b = [(k, rb) for k, rb in enumerate(b.rows) if any(rb)]
+    terms: list = [[] for _ in range(p)]
+    for j, ra in enumerate(a.rows):
+        if any(ra):
+            for k, rb in live_b:
+                terms[(j + k) % p].append(combine(ra, rb))
+    return terms
 
 
-def dot(a: Table, b: Table, p: int) -> CycNum:
-    acc = CycNum.zero(p)
-    for x, y in zip(a, b):
-        if x and y:
-            acc = acc + x * y
-    return acc
+def mul_pointwise(a: Rows, b: Rows) -> Rows:
+    """Entrywise product: one integer convolution of the rows, folded mod p.
+
+    zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2)) folds the top power away.
+    """
+    _same_shape(a, b)
+    n = len(a)
+    sums = [
+        list(map(sum, zip(*t))) if len(t) > 1 else (t[0] if t else [0] * n)
+        for t in _products(a, b, lambda ra, rb: list(map(_mul, ra, rb)))
+    ]
+    top = sums.pop()
+    if any(top):
+        sums = [list(map(int.__sub__, row, top)) for row in sums]
+    return Rows(a.p, a.den * b.den, sums)
 
 
-def fourier(table: Table, q: int, dim: int, field: FqField) -> Table:
-    """Dot-pairing transform: out(u) = sum_v table(v) conj(psi(u.v)).
+def dot(a: Rows, b: Rows, p: int) -> CycNum:
+    """sum_i a[i] b[i], as one CycNum."""
+    _same_shape(a, b)
+    if a.p != p:
+        raise DomainError("mixed cyclotomic fields")
+    sums = [sum(t) for t in _products(a, b, lambda ra, rb: sum(map(_mul, ra, rb)))]
+    top, den = sums.pop(), a.den * b.den
+    return CycNum(p, tuple(Fraction(x - top, den) if x != top else _ZERO for x in sums))
+
+
+def total(table: Rows) -> CycNum:
+    """The sum of all entries."""
+    den = table.den
+    return CycNum(table.p, tuple(Fraction(sum(row), den) if any(row) else _ZERO for row in table.rows))
+
+
+def is_zero(table: Rows) -> bool:
+    return not any(map(any, table.rows))
+
+
+def fourier(table: Rows, q: int, dim: int, field: FqField, factor: Fraction | int = 1) -> Rows:
+    """Dot-pairing transform times a rational factor:
+    out(u) = factor * sum_v table(v) conj(psi(u.v)).
 
     conj psi(u.v) = prod_j zeta^{-Tr(u_j v_j)}, so the transform factors into
     one q-point transform per coordinate (Yates' algorithm, the shape of the
     fast Walsh-Hadamard transform).  Each pass transforms the top digit and
     moves it to position 0, so after dim passes every digit is back in place.
-    Entries are held as integer coefficient rows over Q[x]/(x^p - 1) on a
-    common denominator: a factor zeta^k only renames row r to row r + k, and
-    the N = q^dim point transform costs O(N*q*dim) integer adds where the
-    direct sum costs N^2 cyclotomic products.  The output is exact and equal
-    to the direct sum.
+    The rows are taken over Q[x]/(x^p - 1): a factor zeta^k only renames row
+    r to row r + k, and the N = q^dim point transform costs O(N*q*dim)
+    integer adds where the direct sum costs N^2 cyclotomic products.  The
+    factor rides on the denominator and on the final fold of zeta^(p-1), so
+    it costs no pass of its own.  The output is exact and equal to the direct
+    sum.
     """
     n = len(table)
     if n != q**dim:
         raise DomainError(f"table has {n} entries, expected q^dim = {q**dim}")
     p = field.p
-    den, rows = _rows(table, p)
-    rows.append([0] * n)  # the coefficient of zeta^(p-1), folded away at the end
+    if table.p != p:
+        raise DomainError("mixed cyclotomic fields")
+    rows = [*table.rows, (0,) * n]  # the coefficient of zeta^(p-1), folded away at the end
     # expo[u][v] = -Tr(u v) mod p, the power of zeta in conj psi(u v)
     expo = [[-field.trace_idx(field.mul_idx(u, v)) % p for v in range(q)] for u in range(q)]
     m = n // q
@@ -185,39 +352,38 @@ def fourier(table: Table, q: int, dim: int, field: FqField) -> Table:
                 terms = [top[(k - e) % p][a] for a, e in enumerate(shifts)]
                 new[k][u::q] = map(sum, zip(*terms))
         rows = new
+    factor = Fraction(factor)
+    num = factor.numerator
     top = rows.pop()  # zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2))
-    return _cycs([[x - t for x, t in zip(row, top)] for row in rows], den, p)
+    out = [[(x - t) * num for x, t in zip(row, top)] for row in rows]
+    return Rows(p, table.den * factor.denominator, out)
 
 
-def check_table(table: Table, q: int, dim: int, field: FqField) -> Table:
-    """out(v) = table(-v)."""
-    out = []
-    for idx in range(len(table)):
-        digs = decode(idx, q, dim)
-        out.append(table[encode([field.neg_idx(d) for d in digs], q)])
-    return tuple(out)
+def psi_linear(field: FqField, dim: int, digits: Sequence[int], conj: bool = False) -> Rows:
+    """Table of psi(sum_r digits[r] * v_r) over all v (or its conjugate).
+
+    The trace is additive, so the power of zeta at v is the sum over r of
+    Tr(digits[r] v_r) mod p, built digit by digit like a source index.
+    """
+    q, p = field.q, field.p
+    sign = -1 if conj else 1
+    coeffs = [digits[r] if r < len(digits) else 0 for r in range(dim)]
+    expo = digit_index([[sign * field.trace_idx(field.mul_idx(c, d)) for d in range(q)] for c in coeffs])
+    expo = [e % p for e in expo]
+    # zeta^k is the unit row k below p - 1, and zeta^(p-1) is -1 in every row
+    rows = [[1 if e == k else -1 if e == p - 1 else 0 for e in expo] for k in range(p - 1)]
+    return Rows(p, 1, rows)
 
 
-def psi_linear(field: FqField, dim: int, digits: Sequence[int], conj: bool = False) -> Table:
-    """Table of psi(sum_r digits[r] * v_r) over all v (or its conjugate)."""
-    q = field.q
-    out = []
-    for idx in range(q**dim):
-        v = decode(idx, q, dim)
-        t = field.dot_idx(digits, v)
-        out.append(field.conj_psi(t) if conj else field.psi_idx(t))
-    return tuple(out)
+# ---------------------------------------------------------------------------
+# the edge: entries to rows and back
+# ---------------------------------------------------------------------------
 
 
-def is_zero(table: Table) -> bool:
-    return all(c.is_zero() for c in table)
+def _rows(table: Sequence[CycNum], p: int) -> tuple[int, list[list[int]]]:
+    """Common denominator den and integer coefficient rows of a sequence of entries.
 
-
-def _rows(table: Table, p: int) -> tuple[int, list[list[int]]]:
-    """Common denominator den and integer coefficient rows of a table.
-
-    rows[k][i] is den times the coefficient of zeta^k in entry i, so sums and
-    rational scalings of entries become integer work on the rows.
+    rows[k][i] is den times the coefficient of zeta^k in entry i.
     """
     if any(c.prime != p for c in table):
         raise DomainError("mixed cyclotomic fields")
@@ -226,8 +392,8 @@ def _rows(table: Table, p: int) -> tuple[int, list[list[int]]]:
     return den, [[n * (den // d) for n, d in row] for row in ratios]
 
 
-def _cycs(rows: Sequence[Sequence[int]], den: int, p: int) -> Table:
-    """The table whose entry i has the coefficients rows[k][i] / den.
+def _cycs(rows: Sequence[Sequence[int]], den: int, p: int) -> tuple[CycNum, ...]:
+    """The entries whose entry i has the coefficients rows[k][i] / den.
 
     Each nonzero coefficient is one Fraction; zero coefficients share one
     Fraction(0), and equal entries share one CycNum.

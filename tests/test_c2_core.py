@@ -204,7 +204,7 @@ def test_elem_outer_push_volume():
     pushed = x.at(BiWindow(0, 0, -1, 0))
     # kernel column a=-1 with inner cut m=-1: sigma = -1, factor 1/2; the
     # fiber sum adds the two values
-    assert pushed.table == (CycNum.from_rational(2, Fraction(2, 2)),)
+    assert tuple(pushed.table) == (CycNum.from_rational(2, Fraction(2, 2)),)
 
 
 def test_pairing_contracts_twists():

@@ -104,14 +104,14 @@ def test_scale_matches_entrywise_product(q):
         for _ in range(5):
             table = rand_table(rng, p, q**dim)
             for c in (1, 0, -1, Fraction(2, 3), 5):
-                got = tables.scale(table, c)
-                assert got == tuple(naive_scale(x, c) for x in table)
+                got = tables.scale(tables.Rows.of(table, p), c)
+                assert tuple(got) == tuple(naive_scale(x, c) for x in table)
                 assert all_fractions(got)
             factor = rand_table(rng, p, 1)[0]
-            got = tables.scale(table, factor)
-            assert got == tuple(naive_mul(x, factor) for x in table)
+            got = tables.scale(tables.Rows.of(table, p), factor)
+            assert tuple(got) == tuple(naive_mul(x, factor) for x in table)
             assert all_fractions(got)
-    assert tables.scale((), Fraction(1, 2)) == ()
+    assert tuple(tables.scale(tables.Rows.of((), 2), Fraction(1, 2))) == ()
 
 
 @pytest.mark.parametrize("p", PRIMES)

@@ -197,7 +197,7 @@ def test_csv_round_trip():
     f = Fn0.delta(sp, (1, 2)) * Fraction(5, 3)
     text = render_table(3, f.table, window=(-1, 1))
     q, dim, table = parse_table(text, 3)
-    assert (q, dim) == (3, 2) and table == f.table
+    assert (q, dim) == (3, 2) and table == tuple(f.table)
 
 
 def test_cli_transform_fourier0(tmp_path):
@@ -212,7 +212,7 @@ def test_cli_transform_fourier0(tmp_path):
     out = tmp_path / "out.csv"
     assert cli_main(["transform", str(cfg_path), "--op", "fourier0", "--input", str(mid), "--out", str(out)]) == 0
     _, _, table = parse_table(out.read_text(), 2)
-    assert table == (f.check() * sp.size).table
+    assert table == tuple((f.check() * sp.size).table)
 
 
 def test_cli_transform_fourier1(tmp_path):

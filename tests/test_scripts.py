@@ -1,0 +1,36 @@
+"""The two end-to-end scripts run to completion with every check passing.
+
+``scripts/poisson_windows.py`` sweeps both two-dimensional summation
+identities over F_2 at ranges +-1, +-2 and +-3, and ``scripts/verify_all.py``
+runs every suite of the bundled example config.  Each runs as its own
+process, the way a user runs it.
+"""
+
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def run(name):
+    return subprocess.run(
+        [sys.executable, str(SCRIPTS / name)], capture_output=True, text=True, timeout=300
+    )
+
+
+def test_poisson_windows_certifies_every_sweep():
+    out = run("poisson_windows.py")
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    for identity in ("twist-free", "twisted"):
+        for rng, count in ((1, 36), (2, 216), (3, 588)):
+            prefix = f"[ok] {identity} range +-{rng}: {count} bi-windows"
+            assert any(line.startswith(prefix) for line in lines), (prefix, out.stdout)
+    assert not any(line.startswith("[FAIL") for line in lines)
+
+
+def test_verify_all_passes():
+    out = run("verify_all.py")
+    assert out.returncode == 0, out.stderr
+    assert "24 suites, 0 failing checks" in out.stdout

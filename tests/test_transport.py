@@ -14,7 +14,7 @@ import pytest
 
 from fqharmonic import tables
 from fqharmonic.exactnum import CycNum, DomainError, field_for
-from fqharmonic.tables import decode, encode
+from fqharmonic.tables import Rows, decode, encode
 
 ROLES = ("shared", "summed", "sliced", "zeroed", "pulled")
 
@@ -71,8 +71,8 @@ def test_transport_matches_oracle_on_every_split(q, n, extra):
             summed = summed + labels["shared"] + labels["zeroed"] + labels["pulled"]
             zeroed = zeroed + labels["shared"] + labels["summed"] + labels["sliced"]
         table = rand_table(rng, q, len(src))
-        got = tables.transport(table, q, src, dst, summed, zeroed)
-        assert got == slow_transport(table, q, src, dst, summed, zeroed), roles
+        got = tables.transport(Rows.of(table, field_for(q).p), q, src, dst, summed, zeroed)
+        assert tuple(got) == slow_transport(table, q, src, dst, summed, zeroed), roles
         assert len(got) == q ** len(dst)
 
 
@@ -81,19 +81,20 @@ def test_expand_contract_apply_perm_match_oracle(q):
     rng = random.Random(q)
     for old_dim in range(4):
         table = rand_table(rng, q, old_dim)
+        rows = Rows.of(table, field_for(q).p)
         for new_dim in range(old_dim, 4):
             embed = rng.sample(range(new_dim), old_dim)
             for mode, zeroed in (("zero", range(new_dim)), ("pullback", ())):
                 expect = slow_transport(table, q, embed, list(range(new_dim)), (), zeroed)
-                assert tables.expand(table, q, new_dim, embed, mode) == expect
+                assert tuple(tables.expand(rows, q, new_dim, embed, mode)) == expect
         for k in range(old_dim + 1):
             keep = rng.sample(range(old_dim), k)
             for mode, summed in (("slice", ()), ("sum", range(old_dim))):
                 expect = slow_transport(table, q, list(range(old_dim)), keep, summed, ())
-                assert tables.contract(table, q, old_dim, keep, mode) == expect
+                assert tuple(tables.contract(rows, q, old_dim, keep, mode)) == expect
         perm = rng.sample(range(old_dim), old_dim)
-        permuted = tables.apply_perm(table, q, perm)
-        assert permuted == slow_transport(table, q, list(range(old_dim)), perm)
+        permuted = tables.apply_perm(rows, q, perm)
+        assert tuple(permuted) == slow_transport(table, q, list(range(old_dim)), perm)
         for idx in range(len(table)):
             digs = decode(idx, q, old_dim)
             assert permuted[encode([digs[perm[j]] for j in range(old_dim)], q)] == table[idx]
