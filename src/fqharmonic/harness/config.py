@@ -25,8 +25,7 @@ The format is deliberately minimal so that configs diff cleanly:
     [suite poisson1]
     run = poisson1
     triple = T
-    mu1 = 1
-    mu2 = 1/2
+    cut_hi = 2
 
 Unknown keys, unresolved names and cap violations are reported with line
 numbers.
@@ -35,7 +34,6 @@ numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from fqharmonic.c1 import C1Model, laurent_model, lattice_model, colattice_model, segment_model
@@ -76,9 +74,8 @@ _RUN_KEYS = {"seed", "table_cap", "out"}
 _MODEL_KEYS = {"c1", "c2"}
 _TRIPLE_KEYS = {"mid", "sub", "quot", "outer_cut", "inner_cut"}
 _SUITE_KEYS = {
-    "run", "corrupt", "triple", "mu1", "mu2", "mu", "nu", "cut_lo", "cut_hi",
-    "deep_cut", "max_points", "cases", "rep_cases", "qs", "max_dim", "i_lo",
-    "i_hi", "basepoint",
+    "run", "corrupt", "triple", "cut_lo", "cut_hi", "deep_cut", "max_points",
+    "cases", "rep_cases", "max_dim", "i_lo", "i_hi", "basepoint",
 }
 
 
@@ -103,13 +100,6 @@ def _parse_sections(text: str, errors):
         key, _, val = line.partition("=")
         current["items"].append((ln, key.strip(), val.strip()))
     return sections
-
-
-def _fraction(val: str) -> Fraction:
-    if "/" in val:
-        num, den = val.split("/", 1)
-        return Fraction(int(num), int(den))
-    return Fraction(int(val))
 
 
 def _c1_model(field: FqField, spec: str, name: str) -> C1Model:
@@ -256,11 +246,6 @@ def parse_config(text: str) -> SuiteConfig:
                     errors.append((ln, f"undeclared triple {val!r}"))
                     continue
                 resolved[key] = triples[val]
-            elif key in ("mu1", "mu2", "mu", "nu"):
-                try:
-                    resolved[key] = _fraction(val)
-                except ValueError:
-                    errors.append((ln, f"bad rational {val!r}"))
             else:
                 try:
                     resolved[key] = int(val)

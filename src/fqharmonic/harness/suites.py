@@ -4,6 +4,13 @@ Every suite draws its randomness from the documented generator, runs a set
 of exact identities, and reports each violation under a stable identity tag.
 The registry doubles as the machine-checkable inventory of which identities
 the artifact covers.
+
+The image-law suites (compose1, base_change1, base_change2) state each law
+as a commuting square: two paths of (kind, triple, measure) steps, run by the
+one square runner ``_square``. A function square and its distribution square
+come in pairs; ``_twin`` derives the second from the first by reversing both
+paths and swapping every kind through ``CONJUGATE``, with the measures
+unchanged.
 """
 
 from __future__ import annotations
@@ -39,7 +46,6 @@ from fqharmonic.c1 import (
     laurent_model,
     colattice_model,
     mul_dist,
-    pairing1,
     segment_model,
     shift_model,
     translate_dist,
@@ -47,7 +53,8 @@ from fqharmonic.c1 import (
     window_dim,
 )
 from fqharmonic.c1_triples import (
-    TripleC1,
+    CONJUGATE,
+    IMAGE_KINDS,
     direct_sum_triple,
     dual_triple,
     images1,
@@ -79,10 +86,8 @@ from fqharmonic.c2 import (
 from fqharmonic.c2_aut import (
     AutElem,
     AutHatElem,
-    authat_identity,
     authat_inverse,
     authat_mul,
-    measure_transport,
     rep_act,
 )
 from fqharmonic.c2_triples import (
@@ -102,7 +107,6 @@ from fqharmonic.dim0 import (
     FinSpace,
     Fn0,
     LinMap,
-    Subspace0,
     all_subspaces,
     annihilator0,
     fibered_square,
@@ -119,8 +123,6 @@ from fqharmonic.harness.rng import LCG
 @dataclass
 class SuiteContext:
     field: FqField
-    models: dict
-    triples: dict
     params: dict
     rng: LCG
     corrupt: Optional[str] = None
@@ -200,6 +202,57 @@ def _merge(rep: Report, subs) -> Report:
         rep.cases += sub.cases
         rep.failures.extend(sub.failures)
     return rep
+
+
+def _c1_draws(rng: LCG, w: Window):
+    """Drawers at w of D-functions, E-germs, distributions and ETp-distributions."""
+    return (
+        lambda m: _rand_c1fn(rng, m, w),
+        lambda m: _rand_c1fn(rng, m, w, tag="E"),
+        lambda m: _rand_c1dist(rng, m, w),
+        lambda m: _rand_c1dist(rng, m, w, tag="ETp"),
+    )
+
+
+def _d2_draws(rng: LCG, bw: BiWindow):
+    """Drawers on bw, at basepoint 0, of C_2 functions and distributions."""
+    return lambda m: _rand_d2elem(rng, m, 0, bw), lambda m: _rand_d2dist(rng, m, 0, bw)
+
+
+# ---------------------------------------------------------------------------
+# commuting squares of images
+# ---------------------------------------------------------------------------
+
+
+def _twin(a, b):
+    """The distribution twin of the square (a, b): paths reversed, kinds conjugated."""
+
+    def flip(path):
+        return [(CONJUGATE[kind], T, mu) for kind, T, mu in reversed(path)]
+
+    return flip(a), flip(b)
+
+
+def _walk(x, path):
+    for kind, T, mu in path:
+        x = (images1 if isinstance(x, (C1Fn, C1Dist)) else images2)(kind, T, x, mu)
+    return x
+
+
+def _same(x, y) -> bool:
+    """Exact equality of two representatives, chosen by their type."""
+    if isinstance(x, C1Fn):
+        return fn_equal(x, y)
+    if isinstance(x, C1Dist):
+        return (x.model, x.window, x.table) == (y.model, y.window, y.table)
+    return (d2_equal if isinstance(x, D2Elem) else d2dist_equal)(x, y)
+
+
+def _square(rep: Report, identity: str, draw, a, b, context: str = "") -> None:
+    """Draw x on the source model of a's first step; book a(x) == b(x)."""
+    kind, T, _mu = a[0]
+    x = draw(getattr(T, IMAGE_KINDS[kind][0]))
+    _check(rep, identity, _same(_walk(x, a), _walk(x, b)), context)
 
 
 # ---------------------------------------------------------------------------
@@ -548,6 +601,7 @@ def compose1(ctx: SuiteContext) -> Report:
     rep = _report("compose1", ctx)
     K = laurent_model(ctx.field)
     w = Window(-1, 2)
+    fn, germ, dist, etp = _c1_draws(ctx.rng, w)
     for _ in range(ctx.params.get("cases", 100)):
         c1_, c2_ = ctx.rng.randint(-1, 1), ctx.rng.randint(-1, 1)
         T1 = interval_triple(K, lattice_model(ctx.field, c1_))
@@ -557,74 +611,27 @@ def compose1(ctx: SuiteContext) -> Report:
         nu = HaarMeasure(L, 0, abs(ctx.rng.fraction()))
         mu = HaarMeasure(T1.sub, 0, abs(ctx.rng.fraction()))
         numu = HaarMeasure(Tc.sub, 0, nu.value_at(0) * mu.value_at(0))
-        f = _rand_c1fn(ctx.rng, Tb.mid, w)
-        lhs = images1("beta_push", Tc, f, numu)
-        rhs = images1("beta_push", T1, images1("beta_push", Tb, f, nu), mu)
-        _check(rep, "compose_epi_functions", lhs.table == rhs.table, "")
-        fe = _rand_c1fn(ctx.rng, Tb.mid, w, tag="E")
-        _check(
-            rep, "compose_epi_germs",
-            images1("beta_push", Tc, fe, numu).table
-            == images1("beta_push", T1, images1("beta_push", Tb, fe, nu), mu).table,
-            "",
-        )
-        g = _rand_c1fn(ctx.rng, T1.quot, w, tag="E")
-        _check(
-            rep, "compose_epi_pullbacks",
-            fn_equal(
-                images1("beta_pull", Tc, g),
-                images1("beta_pull", Tb, images1("beta_pull", T1, g)),
-            ),
-            "",
-        )
-        G = _rand_c1dist(ctx.rng, T1.quot, w)
-        _check(
-            rep, "compose_epi_distributions",
-            images1("beta_pull", Tc, G, numu).table
-            == images1("beta_pull", Tb, images1("beta_pull", T1, G, mu), nu).table,
-            "",
-        )
-        H = _rand_c1dist(ctx.rng, Tb.mid, w, tag="ETp")
-        _check(
-            rep, "compose_epi_distributions",
-            images1("beta_push", Tc, H).table
-            == images1("beta_push", T1, images1("beta_push", Tb, H)).table,
-            "",
-        )
+        epi = [("beta_push", Tb, nu), ("beta_push", T1, mu)], [("beta_push", Tc, numu)]
+        pull = [("beta_pull", T1, None), ("beta_pull", Tb, None)], [("beta_pull", Tc, None)]
+        _square(rep, "compose_epi_functions", fn, *epi)
+        _square(rep, "compose_epi_germs", germ, *epi)
+        _square(rep, "compose_epi_pullbacks", germ, *pull)
+        _square(rep, "compose_epi_distributions", dist, *_twin(*epi))
+        _square(rep, "compose_epi_distributions", etp, *_twin(*pull))
         T = interval_triple(K, lattice_model(ctx.field, c1_))
         Lp = colattice_model(ctx.field, c2_, label="L'")
         T2 = direct_sum_triple(K, Lp)
         Tcm = compose_mono(T, T2)
-        fm = _rand_c1fn(ctx.rng, T2.mid, w)
-        _check(
-            rep, "compose_mono_functions",
-            images1("alpha_pull", Tcm, fm).table
-            == images1("alpha_pull", T, images1("alpha_pull", T2, fm)).table,
-            "",
+        mono_pull = (
+            [("alpha_pull", T2, None), ("alpha_pull", T, None)], [("alpha_pull", Tcm, None)]
         )
-        gs = _rand_c1fn(ctx.rng, T.sub, w)
-        _check(
-            rep, "compose_mono_functions",
-            fn_equal(
-                images1("alpha_push", Tcm, gs),
-                images1("alpha_push", T2, images1("alpha_push", T, gs)),
-            ),
-            "",
+        mono_push = (
+            [("alpha_push", T, None), ("alpha_push", T2, None)], [("alpha_push", Tcm, None)]
         )
-        Gs = _rand_c1dist(ctx.rng, T.sub, w)
-        _check(
-            rep, "compose_mono_distributions",
-            images1("alpha_push", Tcm, Gs).table
-            == images1("alpha_push", T2, images1("alpha_push", T, Gs)).table,
-            "",
-        )
-        Gm = _rand_c1dist(ctx.rng, T2.mid, w)
-        _check(
-            rep, "compose_mono_distributions",
-            images1("alpha_pull", Tcm, Gm).table
-            == images1("alpha_pull", T, images1("alpha_pull", T2, Gm)).table,
-            "",
-        )
+        _square(rep, "compose_mono_functions", fn, *mono_pull)
+        _square(rep, "compose_mono_functions", fn, *mono_push)
+        _square(rep, "compose_mono_distributions", dist, *_twin(*mono_pull))
+        _square(rep, "compose_mono_distributions", dist, *_twin(*mono_push))
     return rep
 
 
@@ -643,6 +650,7 @@ def base_change1(ctx: SuiteContext) -> Report:
     rep = _report("base_change1", ctx)
     K = laurent_model(ctx.field)
     w = Window(-1, 2)
+    fn, germ, dist, _etp = _c1_draws(ctx.rng, w)
     for _ in range(ctx.params.get("cases", 100)):
         c1_ = ctx.rng.randint(-1, 0)
         c2_ = ctx.rng.randint(0, 1)
@@ -651,59 +659,29 @@ def base_change1(ctx: SuiteContext) -> Report:
         Tg = interval_triple(T.quot, D)
         T_fiber, T_mono = base_change(T, Tg)
         mu = HaarMeasure(T.sub, 0, abs(ctx.rng.fraction()))
-        f = _rand_c1fn(ctx.rng, T.mid, w)
-        _check(
-            rep, "base_change_push_pull",
-            images1("alpha_pull", Tg, images1("beta_push", T, f, mu)).table
-            == images1("beta_push", T_fiber, images1("alpha_pull", T_mono, f), mu).table,
-            "",
+        push_pull = (
+            [("beta_push", T, mu), ("alpha_pull", Tg, None)],
+            [("alpha_pull", T_mono, None), ("beta_push", T_fiber, mu)],
         )
-        G = _rand_c1dist(ctx.rng, Tg.sub, w)
-        _check(
-            rep, "base_change_dist_push_pull",
-            images1("beta_pull", T, images1("alpha_push", Tg, G), mu).table
-            == images1("alpha_push", T_mono, images1("beta_pull", T_fiber, G, mu)).table,
-            "",
+        germ_square = (
+            [("beta_pull", T, None), ("alpha_pull", T_mono, None)],
+            [("alpha_pull", Tg, None), ("beta_pull", T_fiber, None)],
         )
-        fe = _rand_c1fn(ctx.rng, T.quot, w, tag="E")
-        _check(
-            rep, "base_change_germ_square",
-            images1("beta_pull", T_fiber, images1("alpha_pull", Tg, fe)).table
-            == images1("alpha_pull", T_mono, images1("beta_pull", T, fe)).table,
-            "",
+        discrete = (
+            [("alpha_push", T_mono, None), ("beta_push", T, mu)],
+            [("beta_push", T_fiber, mu), ("alpha_push", Tg, None)],
         )
-        fd = _rand_c1fn(ctx.rng, T.quot, w)
-        _check(
-            rep, "base_change_compact_square",
-            images1("beta_pull", T_fiber, images1("alpha_pull", Tg, fd)).table
-            == images1("alpha_pull", T_mono, images1("beta_pull", T, fd)).table,
-            "",
+        double = (
+            [("alpha_push", Tg, None), ("beta_pull", T, None)],
+            [("beta_pull", T_fiber, None), ("alpha_push", T_mono, None)],
         )
-        fx = _rand_c1fn(ctx.rng, T_mono.sub, w)
-        _check(
-            rep, "base_change_discrete_square",
-            fn_equal(
-                images1("beta_push", T, images1("alpha_push", T_mono, fx), mu),
-                images1("alpha_push", Tg, images1("beta_push", T_fiber, fx, mu)),
-            ),
-            "",
-        )
-        fD = _rand_c1fn(ctx.rng, Tg.sub, w)
-        _check(
-            rep, "base_change_double_square",
-            fn_equal(
-                images1("beta_pull", T, images1("alpha_push", Tg, fD)),
-                images1("alpha_push", T_mono, images1("beta_pull", T_fiber, fD)),
-            ),
-            "",
-        )
-        G2 = _rand_c1dist(ctx.rng, T.mid, w)
-        _check(
-            rep, "base_change_double_square",
-            images1("alpha_pull", Tg, images1("beta_push", T, G2)).table
-            == images1("beta_push", T_fiber, images1("alpha_pull", T_mono, G2)).table,
-            "",
-        )
+        _square(rep, "base_change_push_pull", fn, *push_pull)
+        _square(rep, "base_change_dist_push_pull", dist, *_twin(*push_pull))
+        _square(rep, "base_change_germ_square", germ, *germ_square)
+        _square(rep, "base_change_compact_square", fn, *germ_square)
+        _square(rep, "base_change_discrete_square", fn, *discrete)
+        _square(rep, "base_change_double_square", fn, *double)
+        _square(rep, "base_change_double_square", dist, *_twin(*double))
     return rep
 
 
@@ -1153,137 +1131,60 @@ def base_change2(ctx: SuiteContext) -> Report:
     for _ in range(ctx.params.get("cases", 6)):
         c1_ = ctx.rng.randint(-1, 0)
         c2_ = ctx.rng.randint(c1_, 1)
+        at = f"{c1_},{c2_}"
         # twisted base change through outer cuts
         T, Tg, T_fiber, T_mono = _zvezda(ctx, "cc_dd", c1_, c2_)
         mu = VirtualMeasure(T.sub, 0, c1_, abs(ctx.rng.fraction()))
         nu = VirtualMeasure(Tg.quot, 0, c2_, abs(ctx.rng.fraction()))
-        bw = BiWindow(min(-1, c2_), max(1, c1_), -1, 1)
-        f = _rand_d2elem(ctx.rng, T.mid, 0, bw)
-        _check(
-            rep, "base_change2_twisted",
-            d2_equal(
-                images2("alpha_pull", Tg, images2("beta_push", T, f, mu), nu),
-                images2("beta_push", T_fiber, images2("alpha_pull", T_mono, f, nu), mu),
-            ),
-            f"{c1_},{c2_}",
+        fn, dist = _d2_draws(ctx.rng, BiWindow(min(-1, c2_), max(1, c1_), -1, 1))
+        twisted = (
+            [("beta_push", T, mu), ("alpha_pull", Tg, nu)],
+            [("alpha_pull", T_mono, nu), ("beta_push", T_fiber, mu)],
         )
-        G = _rand_d2dist(ctx.rng, Tg.sub, 0, bw)
-        _check(
-            rep, "base_change2_twisted",
-            d2dist_equal(
-                images2("beta_pull", T, images2("alpha_push", Tg, G, nu), mu),
-                images2("alpha_push", T_mono, images2("beta_pull", T_fiber, G, mu), nu),
-            ),
-            f"{c1_},{c2_}",
-        )
+        _square(rep, "base_change2_twisted", fn, *twisted, at)
+        _square(rep, "base_change2_twisted", dist, *_twin(*twisted), at)
         # fiberwise base change through inner cuts
         T, Tg, T_fiber, T_mono = _zvezda(ctx, "cf_df", c1_, c2_)
-        bwi = BiWindow(-1, 1, min(-1, c1_), max(1, c2_))
-        fi = _rand_d2elem(ctx.rng, Tg.sub, 0, bwi)
-        _check(
-            rep, "base_change2_fiberwise",
-            d2_equal(
-                images2("beta_pull", T, images2("alpha_push", Tg, fi)),
-                images2("alpha_push", T_mono, images2("beta_pull", T_fiber, fi)),
-            ),
-            f"{c1_},{c2_}",
+        fn, dist = _d2_draws(ctx.rng, BiWindow(-1, 1, min(-1, c1_), max(1, c2_)))
+        fiberwise = (
+            [("alpha_push", Tg, None), ("beta_pull", T, None)],
+            [("beta_pull", T_fiber, None), ("alpha_push", T_mono, None)],
         )
-        Gi = _rand_d2dist(ctx.rng, T.mid, 0, bwi)
-        _check(
-            rep, "base_change2_fiberwise",
-            d2dist_equal(
-                images2("alpha_pull", Tg, images2("beta_push", T, Gi)),
-                images2("beta_push", T_fiber, images2("alpha_pull", T_mono, Gi)),
-            ),
-            f"{c1_},{c2_}",
-        )
+        _square(rep, "base_change2_fiberwise", fn, *fiberwise, at)
+        _square(rep, "base_change2_fiberwise", dist, *_twin(*fiberwise), at)
         # mixed classes
         T, Tg, T_fiber, T_mono = _zvezda(ctx, "cc_df", c1_, c2_)
         mu = VirtualMeasure(T.sub, 0, c1_, abs(ctx.rng.fraction()))
-        bwm = BiWindow(-1, max(1, c1_), -1, max(1, c2_))
-        fm = _rand_d2elem(ctx.rng, T_mono.sub, 0, bwm)
-        _check(
-            rep, "base_change2_mixed",
-            d2_equal(
-                images2("beta_push", T, images2("alpha_push", T_mono, fm), mu),
-                images2("alpha_push", Tg, images2("beta_push", T_fiber, fm, mu)),
-            ),
-            f"{c1_},{c2_}",
+        fn, dist = _d2_draws(ctx.rng, BiWindow(-1, max(1, c1_), -1, max(1, c2_)))
+        mixed = (
+            [("alpha_push", T_mono, None), ("beta_push", T, mu)],
+            [("beta_push", T_fiber, mu), ("alpha_push", Tg, None)],
         )
-        Gm = _rand_d2dist(ctx.rng, T.quot, 0, bwm)
-        _check(
-            rep, "base_change2_mixed",
-            d2dist_equal(
-                images2("beta_pull", T_fiber, images2("alpha_pull", Tg, Gm), mu),
-                images2("alpha_pull", T_mono, images2("beta_pull", T, Gm, mu)),
-            ),
-            f"{c1_},{c2_}",
-        )
+        _square(rep, "base_change2_mixed", fn, *mixed, at)
+        _square(rep, "base_change2_mixed", dist, *_twin(*mixed), at)
         T, Tg, T_fiber, T_mono = _zvezda(ctx, "cf_dc", c1_, c2_)
         nu = VirtualMeasure(Tg.quot, 0, c2_, abs(ctx.rng.fraction()))
-        bwx = BiWindow(min(-1, c2_), 1, min(-1, c1_), max(1, c1_))
-        fx = _rand_d2elem(ctx.rng, T.quot, 0, bwx)
-        _check(
-            rep, "base_change2_mixed",
-            d2_equal(
-                images2("beta_pull", T_fiber, images2("alpha_pull", Tg, fx, nu)),
-                images2("alpha_pull", T_mono, images2("beta_pull", T, fx), nu),
-            ),
-            f"{c1_},{c2_}",
+        fn, dist = _d2_draws(ctx.rng, BiWindow(min(-1, c2_), 1, min(-1, c1_), max(1, c1_)))
+        mixed = (
+            [("beta_pull", T, None), ("alpha_pull", T_mono, nu)],
+            [("alpha_pull", Tg, nu), ("beta_pull", T_fiber, None)],
         )
-        Gx = _rand_d2dist(ctx.rng, T_mono.sub, 0, bwx)
-        _check(
-            rep, "base_change2_mixed",
-            d2dist_equal(
-                images2("beta_push", T, images2("alpha_push", T_mono, Gx, nu)),
-                images2("alpha_push", Tg, images2("beta_push", T_fiber, Gx), nu),
-            ),
-            f"{c1_},{c2_}",
-        )
+        _square(rep, "base_change2_mixed", fn, *mixed, at)
+        _square(rep, "base_change2_mixed", dist, *_twin(*mixed), at)
         # compositions of epimorphisms, twisted and fiberwise
         T, Tg, T_fiber, T_mono = _zvezda(ctx, "cc_dd", c1_, c2_)
         mu = VirtualMeasure(T.sub, 0, c1_, abs(ctx.rng.fraction()))
         nug = VirtualMeasure(Tg.sub, 0, c2_, abs(ctx.rng.fraction()))
         munu = VirtualMeasure(T_mono.sub, 0, c2_, mu.scalar * nug.scalar)
-        bw = BiWindow(min(-1, c2_), max(1, c2_), -1, 1)
-        f = _rand_d2elem(ctx.rng, T.mid, 0, bw)
-        _check(
-            rep, "composition2_epis",
-            d2_equal(
-                images2("beta_push", T_mono, f, munu),
-                images2("beta_push", Tg, images2("beta_push", T, f, mu), nug),
-            ),
-            f"{c1_},{c2_}",
-        )
-        Gq = _rand_d2dist(ctx.rng, Tg.quot, 0, bw)
-        _check(
-            rep, "composition2_epis",
-            d2dist_equal(
-                images2("beta_pull", T_mono, Gq, munu),
-                images2("beta_pull", T, images2("beta_pull", Tg, Gq, nug), mu),
-            ),
-            f"{c1_},{c2_}",
-        )
+        fn, dist = _d2_draws(ctx.rng, BiWindow(min(-1, c2_), max(1, c2_), -1, 1))
+        epis = [("beta_push", T, mu), ("beta_push", Tg, nug)], [("beta_push", T_mono, munu)]
+        _square(rep, "composition2_epis", fn, *epis, at)
+        _square(rep, "composition2_epis", dist, *_twin(*epis), at)
         T, Tg, T_fiber, T_mono = _zvezda(ctx, "cf_df", c1_, c2_)
-        bwi = BiWindow(-1, 1, min(-1, c1_), max(1, c2_))
-        fq = _rand_d2elem(ctx.rng, Tg.quot, 0, bwi)
-        _check(
-            rep, "composition2_epis",
-            d2_equal(
-                images2("beta_pull", T_mono, fq),
-                images2("beta_pull", T, images2("beta_pull", Tg, fq)),
-            ),
-            f"{c1_},{c2_}",
-        )
-        Gm2 = _rand_d2dist(ctx.rng, T.mid, 0, bwi)
-        _check(
-            rep, "composition2_epis",
-            d2dist_equal(
-                images2("beta_push", T_mono, Gm2),
-                images2("beta_push", Tg, images2("beta_push", T, Gm2)),
-            ),
-            f"{c1_},{c2_}",
-        )
+        fn, dist = _d2_draws(ctx.rng, BiWindow(-1, 1, min(-1, c1_), max(1, c2_)))
+        epis = [("beta_pull", Tg, None), ("beta_pull", T, None)], [("beta_pull", T_mono, None)]
+        _square(rep, "composition2_epis", fn, *epis, at)
+        _square(rep, "composition2_epis", dist, *_twin(*epis), at)
         # compositions of monomorphisms through enlargements
         T2o = outer_cut_triple(K2, c2_)
         E1 = box_model(F, None, c1_, None, None, "E1")
@@ -1294,50 +1195,20 @@ def base_change2(ctx: SuiteContext) -> Report:
         mu3 = VirtualMeasure(E3, 0, c1_, abs(ctx.rng.fraction()))
         nul = VirtualMeasure(T2o.quot, 0, c2_, abs(ctx.rng.fraction()))
         mn = VirtualMeasure(coker, 0, c1_, mu3.scalar * nul.scalar)
-        bwc = BiWindow(min(-1, c1_), 1, -1, 1)
-        fc = _rand_d2elem(ctx.rng, K2, 0, bwc)
-        _check(
-            rep, "composition2_monos",
-            d2_equal(
-                images2("alpha_pull", Tc, fc, mn),
-                images2("alpha_pull", Tin, images2("alpha_pull", T2o, fc, nul), mu3),
-            ),
-            f"{c1_},{c2_}",
-        )
-        Gc = _rand_d2dist(ctx.rng, E1, 0, bwc)
-        _check(
-            rep, "composition2_monos",
-            d2dist_equal(
-                images2("alpha_push", Tc, Gc, mn),
-                images2("alpha_push", T2o, images2("alpha_push", Tin, Gc, mu3), nul),
-            ),
-            f"{c1_},{c2_}",
-        )
+        fn, dist = _d2_draws(ctx.rng, BiWindow(min(-1, c1_), 1, -1, 1))
+        monos = [("alpha_pull", T2o, nul), ("alpha_pull", Tin, mu3)], [("alpha_pull", Tc, mn)]
+        _square(rep, "composition2_monos", fn, *monos, at)
+        _square(rep, "composition2_monos", dist, *_twin(*monos), at)
         T2i = inner_cut_triple(K2, c2_)
         E1i = box_model(F, None, None, None, c1_, "E1i")
         E3i = box_model(F, None, None, c1_, c2_, "E3i")
         Tini = GradedC2Triple(T2i.sub, E1i, E3i, "ini")
         cokeri = box_model(F, None, None, c1_, None, "cokeri")
         Tci = GradedC2Triple(K2, E1i, cokeri, "compi")
-        bwci = BiWindow(-1, 1, min(-1, c1_), max(1, c2_))
-        fci = _rand_d2elem(ctx.rng, E1i, 0, bwci)
-        _check(
-            rep, "composition2_monos",
-            d2_equal(
-                images2("alpha_push", Tci, fci),
-                images2("alpha_push", T2i, images2("alpha_push", Tini, fci)),
-            ),
-            f"{c1_},{c2_}",
-        )
-        Gci = _rand_d2dist(ctx.rng, K2, 0, bwci)
-        _check(
-            rep, "composition2_monos",
-            d2dist_equal(
-                images2("alpha_pull", Tci, Gci),
-                images2("alpha_pull", Tini, images2("alpha_pull", T2i, Gci)),
-            ),
-            f"{c1_},{c2_}",
-        )
+        fn, dist = _d2_draws(ctx.rng, BiWindow(-1, 1, min(-1, c1_), max(1, c2_)))
+        monos = [("alpha_push", Tini, None), ("alpha_push", T2i, None)], [("alpha_push", Tci, None)]
+        _square(rep, "composition2_monos", fn, *monos, at)
+        _square(rep, "composition2_monos", dist, *_twin(*monos), at)
     return rep
 
 
@@ -1455,9 +1326,7 @@ def run_suites(cfg, only=None, seed=None) -> list:
             raise ValueError(f"unknown suite kind {spec.kind!r}")
         fn, _tags = SUITES[spec.kind]
         suite_seed = _suite_seed(seed if seed is not None else cfg.seed, spec.kind)
-        ctx = SuiteContext(
-            cfg.field, cfg.models, cfg.triples, spec.params, LCG(suite_seed), spec.corrupt
-        )
+        ctx = SuiteContext(cfg.field, spec.params, LCG(suite_seed), spec.corrupt)
         t0 = time.monotonic()
         rep = fn(ctx)
         rep.suite = spec.name

@@ -14,7 +14,7 @@ from fqharmonic.harness.suites import DEFAULT_CONFIG
 
 
 def _ctx(q=2, params=None, corrupt=None, seed=20260808):
-    return SuiteContext(field_for(q), {}, {}, params or {}, LCG(seed), corrupt)
+    return SuiteContext(field_for(q), params or {}, LCG(seed), corrupt)
 
 
 def _run(name, ctx):

@@ -47,13 +47,21 @@ def test_parse_minimal_config():
     assert "T" in cfg.triples and len(cfg.suites) == 1
 
 
-def test_unknown_key_reports_line():
-    bad = MINIMAL + "\n[suite x]\nrun = poisson1\nbogus = 3\n"
-    with pytest.raises(ConfigError) as exc:
-        parse_config(bad)
-    lines = [ln for ln, _ in exc.value.errors]
-    assert any("bogus" in msg for _, msg in exc.value.errors)
-    assert all(isinstance(ln, int) for ln in lines)
+def test_unknown_key_reports_line(tmp_path):
+    # a key no suite reads is an error, never silently ignored
+    for key in ("bogus", "mu1", "mu2", "mu", "nu", "qs"):
+        bad = MINIMAL + f"\n[suite x]\nrun = poisson1\n{key} = 3\n"
+        with pytest.raises(ConfigError) as exc:
+            parse_config(bad)
+        lines = [ln for ln, _ in exc.value.errors]
+        assert any(key in msg for _, msg in exc.value.errors)
+        assert all(isinstance(ln, int) for ln in lines)
+        assert exc.value.errors == [(len(bad.splitlines()), f"unknown suite key {key!r}")]
+        cfg_path = tmp_path / f"{key}.cfg"
+        cfg_path.write_text(bad)
+        with pytest.raises(SystemExit) as stop:
+            cli_main(["verify", str(cfg_path)])
+        assert stop.value.code == 2
 
 
 def test_undeclared_model_reports_identifier():
