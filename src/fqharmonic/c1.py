@@ -7,21 +7,31 @@ F(hi)/F(lo) with a coordinate space over the graded slots in [lo, hi).
 
 Function representatives carry a window and a dense table.  The limit
 structure of the six functional spaces is realized by table transport between
-windows, all through the one primitive ``tables.transport``; the transport
-direction depends on the kind of representative:
+windows, all through the one primitive ``tables.transport``.  Each kind of
+representative states once which way each window edge moves canonically,
+down (v) or up (^):
 
-* compactly-supported functions (tag ``D``) move to enclosing windows by
-  pulling back below and extending by zero above;
-* locally-constant germs (tags ``E``/``ET``) move by pulling back below and
-  slicing above;
-* pairing tables of distributions move to smaller windows by slicing above
-  and summing fibers below; growth beyond the stored window requires an
-  extension rule (point masses at canonical lifts, or a Haar profile).
+    C1Fn D            lo v, hi ^    pull back below, extend by zero above
+    C1Fn E / ET       lo v, hi v    pull back below, slice above
+    C1Dist            lo ^, hi v    sum fibers below, slice above
+
+and the two-dimensional representatives of ``c2`` state theirs per axis:
+
+    D2Elem            outer as C1Dist, inner as D
+    D2Dist            outer as D, inner as C1Dist
+    E2Fn E2 / E2t     every edge v
+    E2Fn E2p / E2tp   every edge ^
+
+One rule, ``window_move``, turns the directions into the refusals and the
+transport labels of every move, and ``common_window`` into the window on
+which two representatives meet.  A distribution grows beyond its stored
+window only through an extension rule (point masses at canonical lifts, or a
+Haar profile), whose edges move freely.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -36,6 +46,55 @@ class WindowError(DomainError):
 
 class CapabilityError(DomainError):
     """A side condition of an operation is violated by the given models."""
+
+
+# ---------------------------------------------------------------------------
+# the window rule
+# ---------------------------------------------------------------------------
+#
+# A window's edges are the flat tuple (lo, hi), a bi-window's (l, i, m, n):
+# one (lower, upper) pair per axis, and label coordinate j lies on axis j.
+# A representative gives one direction per edge.
+
+DOWN, UP, FREE = -1, 1, 0
+
+
+def window_move(dirs: tuple, src, dst, src_pos, dst_pos) -> tuple[list, list]:
+    """Check the move src -> dst against dirs; the (summed, zeroed) labels of
+    ``tables.transport`` for it.
+
+    A dropped label below the target's lower edge is summed, one above its
+    upper edge sliced; a new label at or above the source's upper edge is
+    zeroed, one below its lower edge pulled back.
+    """
+    s, t = src.edges, dst.edges
+    for d, a, b in zip(dirs, s, t):
+        if (b - a) * d < 0:
+            raise WindowError(f"representative at {src} cannot move to {dst}")
+    if len(s) == 2:
+        lo, hi = t[0], s[1]
+        return [pos for pos in src_pos if pos[0] < lo], [pos for pos in dst_pos if pos[0] >= hi]
+    l, m, i, n = t[0], t[2], s[1], s[3]
+    return (
+        [pos for pos in src_pos if pos[0] < l or pos[1] < m],
+        [pos for pos in dst_pos if pos[0] >= i or pos[1] >= n],
+    )
+
+
+def common_window(dirs_a: tuple, a, dirs_b: tuple, b):
+    """The window both representatives move to: each edge at its extreme in
+    the common direction; against each other, the up side's edge, which must
+    not lie above the down side's."""
+    edges = []
+    for da, db, x, y in zip(dirs_a, dirs_b, a.edges, b.edges):
+        if da == db:
+            edges.append(min(x, y) if da == DOWN else max(x, y))
+            continue
+        up, down = (x, y) if da == UP else (y, x)
+        if up > down:
+            raise WindowError(f"representatives at {a} and {b} have no common window")
+        edges.append(up)
+    return type(a)(*edges)
 
 
 # ---------------------------------------------------------------------------
@@ -257,11 +316,9 @@ class Window:
         if self.lo > self.hi:
             raise WindowError(f"window ({self.lo},{self.hi}) has lo > hi")
 
-    def contains(self, other: "Window") -> bool:
-        return self.lo <= other.lo and self.hi >= other.hi
-
-    def union(self, other: "Window") -> "Window":
-        return Window(min(self.lo, other.lo), max(self.hi, other.hi))
+    @property
+    def edges(self) -> tuple[int, int]:
+        return self.lo, self.hi
 
 
 def dual_window(w: Window) -> Window:
@@ -299,23 +356,56 @@ FN_TAGS = ("D", "E", "ET")
 DIST_TAGS = ("Dp", "Ep", "ETp", "Haar")
 
 
-@dataclass(frozen=True, eq=False)
-class C1Fn:
-    model: C1Model
-    tag: str
-    window: Window
-    table: Rows  # a CycNum sequence is accepted and stored as Rows
+class TableRep:
+    """The table bookkeeping shared by the window representatives here and in
+    ``c2``: a frozen dataclass with a ``model``, a ``window`` and a ``table``
+    (stored as ``Rows``; a CycNum sequence is accepted) that gives its edge
+    directions as ``dirs``.  ``c2.BiWindowRep`` has a bi-window ``bw`` in
+    place of the window.
+    """
+
+    @property
+    def dim(self) -> int:
+        return window_dim(self.model, self.window)
 
     def __post_init__(self) -> None:
-        if self.tag not in FN_TAGS:
-            raise DomainError(f"bad function tag {self.tag!r}")
         object.__setattr__(self, "table", tables.as_rows(self.table, self.model.field.p))
-        if len(self.table) != self.model.field.q ** window_dim(self.model, self.window):
+        if len(self.table) != self.model.field.q ** self.dim:
             raise DomainError("table length does not match the window")
 
     @property
     def p(self) -> int:
         return self.model.field.p
+
+    def __mul__(self, c):
+        return replace(self, table=tables.scale(self.table, c))
+
+    __rmul__ = __mul__
+
+    def check(self):
+        """The table read at -v."""
+        fld = self.model.field
+        return replace(self, table=tables.check_table(self.table, fld.q, self.dim, fld))
+
+    def is_zero(self) -> bool:
+        return tables.is_zero(self.table)
+
+
+@dataclass(frozen=True, eq=False)
+class C1Fn(TableRep):
+    model: C1Model
+    tag: str
+    window: Window
+    table: Rows
+
+    def __post_init__(self) -> None:
+        if self.tag not in FN_TAGS:
+            raise DomainError(f"bad function tag {self.tag!r}")
+        super().__post_init__()
+
+    @property
+    def dirs(self) -> tuple:
+        return (DOWN, UP) if self.tag == "D" else (DOWN, DOWN)
 
     def at(self, w: Window) -> "C1Fn":
         return fn_at(self, w)
@@ -323,34 +413,20 @@ class C1Fn:
     def __add__(self, other: "C1Fn") -> "C1Fn":
         if self.model != other.model or self.tag != other.tag:
             raise DomainError("mismatched representatives")
-        w = _common_fn_window(self, other)
+        w = common_window(self.dirs, self.window, other.dirs, other.window)
         return C1Fn(self.model, self.tag, w, tables.add(fn_at(self, w).table, fn_at(other, w).table))
 
     def __mul__(self, other):
         if isinstance(other, C1Fn):
             return fn_mul(self, other)
-        return C1Fn(self.model, self.tag, self.window, tables.scale(self.table, other))
-
-    __rmul__ = __mul__
+        return super().__mul__(other)
 
     def __neg__(self) -> "C1Fn":
         return self * Fraction(-1)
 
-    def check(self) -> "C1Fn":
-        dim = window_dim(self.model, self.window)
-        return C1Fn(
-            self.model,
-            self.tag,
-            self.window,
-            tables.check_table(self.table, self.model.field.q, dim, self.model.field),
-        )
-
-    def is_zero(self) -> bool:
-        return tables.is_zero(self.table)
-
 
 @dataclass(frozen=True, eq=False)
-class C1Dist:
+class C1Dist(TableRep):
     model: C1Model
     tag: str
     window: Window
@@ -360,13 +436,12 @@ class C1Dist:
     def __post_init__(self) -> None:
         if self.tag not in DIST_TAGS:
             raise DomainError(f"bad distribution tag {self.tag!r}")
-        object.__setattr__(self, "table", tables.as_rows(self.table, self.model.field.p))
-        if len(self.table) != self.model.field.q ** window_dim(self.model, self.window):
-            raise DomainError("table length does not match the window")
+        super().__post_init__()
 
     @property
-    def p(self) -> int:
-        return self.model.field.p
+    def dirs(self) -> tuple:
+        # an extension rule covers every window
+        return (UP, DOWN) if self.extension is None else (FREE, FREE)
 
     def at(self, w: Window) -> "C1Dist":
         return dist_at(self, w)
@@ -380,26 +455,6 @@ class C1Dist:
             self.model, self.tag, self.window, tables.add(self.table, other.table)
         )
 
-    def __mul__(self, other) -> "C1Dist":
-        return C1Dist(
-            self.model, self.tag, self.window, tables.scale(self.table, other), self.extension
-        )
-
-    __rmul__ = __mul__
-
-    def check(self) -> "C1Dist":
-        dim = window_dim(self.model, self.window)
-        return C1Dist(
-            self.model,
-            self.tag,
-            self.window,
-            tables.check_table(self.table, self.model.field.q, dim, self.model.field),
-            self.extension,
-        )
-
-    def is_zero(self) -> bool:
-        return tables.is_zero(self.table)
-
 
 # -- table transport
 
@@ -407,20 +462,10 @@ class C1Dist:
 def fn_at(f: C1Fn, w: Window) -> C1Fn:
     if w == f.window:
         return f
-    src_w = f.window
-    if f.tag == "D":
-        if not (w.lo <= src_w.lo and w.hi >= src_w.hi):
-            raise WindowError(f"D representative at {src_w} cannot move to {w}")
-    else:
-        if not (w.lo <= src_w.lo and w.hi <= src_w.hi):
-            raise WindowError(f"{f.tag} representative at {src_w} cannot move to {w}")
-    model, q = f.model, f.model.field.q
-    dst_pos = positions(model, w)
-    # below the source window the value does not depend on the digit; above
-    # it a D-function vanishes; slots above the target window are sliced
-    above = [pos for pos in dst_pos if pos[0] >= src_w.hi]
-    table = tables.transport(f.table, q, positions(model, src_w), dst_pos, zeroed=above)
-    return C1Fn(model, f.tag, w, table)
+    model = f.model
+    src_pos, dst_pos = positions(model, f.window), positions(model, w)
+    summed, zeroed = window_move(f.dirs, f.window, w, src_pos, dst_pos)
+    return C1Fn(model, f.tag, w, tables.transport(f.table, model.field.q, src_pos, dst_pos, summed, zeroed))
 
 
 def dist_at(G: C1Dist, w: Window) -> C1Dist:
@@ -432,59 +477,27 @@ def dist_at(G: C1Dist, w: Window) -> C1Dist:
         const = value * Fraction(q) ** model.dim_between(ref, w.lo)
         dim = window_dim(model, w)
         return C1Dist(model, G.tag, w, tables.const_table(CycNum.from_rational(model.field.p, const), q, dim), G.extension)
-    grows = w.lo < G.window.lo or w.hi > G.window.hi
-    if grows and not (G.extension and G.extension[0] == "zero_up"):
-        raise WindowError(f"distribution at {G.window} cannot grow to {w}")
-    src_pos = positions(model, G.window)
-    dst_pos = positions(model, w)
-    # source slots below the target window are summed over and those above it
-    # sliced at zero; target slots outside the source window carry point
-    # masses at canonical lifts only (zero_up), so a nonzero digit there
-    # kills the entry
-    below = [pos for pos in src_pos if pos[0] < w.lo]
-    table = tables.transport(G.table, q, src_pos, dst_pos, summed=below, zeroed=dst_pos)
+    src_pos, dst_pos = positions(model, G.window), positions(model, w)
+    summed, _ = window_move(G.dirs, G.window, w, src_pos, dst_pos)
+    # target slots outside the source window carry point masses at canonical
+    # lifts only (zero_up), so a nonzero digit there kills the entry
+    table = tables.transport(G.table, q, src_pos, dst_pos, summed, zeroed=dst_pos)
     return C1Dist(model, G.tag, w, table, G.extension)
-
-
-def _common_fn_window(a: C1Fn, b: C1Fn) -> Window:
-    if a.tag == "D" and b.tag == "D":
-        return a.window.union(b.window)
-    lo = min(a.window.lo, b.window.lo)
-    hi = min(a.window.hi, b.window.hi)
-    if a.tag == "D" and hi < a.window.hi:
-        raise WindowError("cannot slice a compactly-supported representative")
-    if b.tag == "D" and hi < b.window.hi:
-        raise WindowError("cannot slice a compactly-supported representative")
-    return Window(lo, hi)
 
 
 def fn_mul(f: C1Fn, g: C1Fn) -> C1Fn:
     """Pointwise product; a D-factor makes the product compactly supported."""
     if f.model != g.model:
         raise DomainError("mismatched models")
-    if f.tag != "D" and g.tag == "D":
-        f, g = g, f
-    if f.tag == "D":
-        # product lives at f's support; g only needs to be defined there
-        if g.tag == "D":
-            w = f.window.union(g.window)
-        else:
-            if g.window.hi < f.window.hi:
-                raise WindowError("germ factor not defined on the support")
-            w = Window(min(f.window.lo, g.window.lo), f.window.hi)
-        tag = "D"
-    else:
-        w = _common_fn_window(f, g)
-        tag = "E" if "E" in (f.tag, g.tag) else "ET"
+    w = common_window(f.dirs, f.window, g.dirs, g.window)
+    tags = (f.tag, g.tag)
+    tag = "D" if "D" in tags else "E" if "E" in tags else "ET"
     return C1Fn(f.model, tag, w, tables.mul_pointwise(fn_at(f, w).table, fn_at(g, w).table))
 
 
 def mul_dist(f: C1Fn, G: C1Dist) -> C1Dist:
     """f . G with (f.G)(g) = G(f g), for a germ f; pointwise on pairing tables."""
-    Gw = dist_at(G, G.window)
-    w = G.window
-    fw = fn_at(f, w)
-    return C1Dist(G.model, G.tag, w, tables.mul_pointwise(fw.table, Gw.table), None)
+    return C1Dist(G.model, G.tag, G.window, tables.mul_pointwise(fn_at(f, G.window).table, G.table), None)
 
 
 def canonical_fn(f: C1Fn) -> C1Fn:
@@ -505,10 +518,7 @@ def canonical_fn(f: C1Fn) -> C1Fn:
     # raise the bottom while the table is invariant along the lowest slots
     while cur.window.lo < cur.window.hi:
         w = Window(cur.window.lo + 1, cur.window.hi)
-        low = [r for r, pos in enumerate(positions(model, cur.window)) if pos[0] < w.lo]
-        dim = window_dim(model, cur.window)
-        keep = [r for r in range(dim) if r not in low]
-        sliced = tables.contract(cur.table, q, dim, keep, "slice")
+        sliced = tables.transport(cur.table, q, positions(model, cur.window), positions(model, w))
         candidate = C1Fn(model, "D", w, sliced)
         if fn_at(candidate, cur.window).table != cur.table:
             break
@@ -519,10 +529,7 @@ def canonical_fn(f: C1Fn) -> C1Fn:
 def fn_equal(a: C1Fn, b: C1Fn) -> bool:
     if a.model != b.model:
         return False
-    if a.tag == "D" and b.tag == "D":
-        w = a.window.union(b.window)
-        return fn_at(a, w).table == fn_at(b, w).table
-    w = _common_fn_window(a, b)
+    w = common_window(a.dirs, a.window, b.dirs, b.window)
     return fn_at(a, w).table == fn_at(b, w).table
 
 
@@ -530,19 +537,14 @@ def pairing1(G: C1Dist, f: C1Fn) -> CycNum:
     """<G, f>: the distribution applied to the function."""
     if G.model != f.model:
         raise DomainError("mismatched models")
+    # the moves refuse a distribution that cannot see the function and a
+    # germ not defined far enough down
     w = f.window
-    if G.extension is None:
-        if f.tag == "D":
-            if not G.window.contains(f.window):
-                raise WindowError("fixed-window distribution cannot see the function")
-        else:
+    if f.tag != "D":
+        if G.extension is None:
             w = Window(max(G.window.lo, f.window.lo), min(G.window.hi, f.window.hi))
-            if w.lo > f.window.lo:
-                raise WindowError("germ is not defined far enough down")
-    elif G.extension[0] == "zero_up" and f.tag != "D":
-        if G.window.hi > f.window.hi:
+        elif G.extension[0] == "zero_up" and G.window.hi > f.window.hi:
             raise WindowError("support of the distribution escapes the germ window")
-        w = Window(f.window.lo, f.window.hi)
     return tables.dot(dist_at(G, w).table, fn_at(f, w).table, G.p)
 
 
@@ -578,9 +580,7 @@ def translate_fn(f: C1Fn, a) -> C1Fn:
     need = point_window(a)
     w = f.window
     if need is not None and need > w.hi:
-        if f.tag != "D":
-            raise WindowError("translation leaves the germ window")
-        w = Window(w.lo, need)
+        w = Window(w.lo, need)  # a germ refuses the move
     moved = fn_at(f, w)
     dim = window_dim(f.model, w)
     return C1Fn(

@@ -58,9 +58,10 @@ class TripleC1:
 
     def split(self, w: Window) -> tuple[list[int], list[int]]:
         """Indices of sub and quot slots inside the mid window positions."""
-        pos = positions(self.mid, w)
-        sub_idx = [r for r, (k, s) in enumerate(pos) if self.is_sub(k, s)]
-        quot_idx = [r for r in range(len(pos)) if r not in set(sub_idx)]
+        sub_idx: list[int] = []
+        quot_idx: list[int] = []
+        for r, (k, s) in enumerate(positions(self.mid, w)):
+            (sub_idx if self.is_sub(k, s) else quot_idx).append(r)
         if len(sub_idx) != window_dim(self.sub, w) or len(quot_idx) != window_dim(
             self.quot, w
         ):
@@ -379,9 +380,18 @@ def char_dist1(T: TripleC1, mu1: HaarMeasure, w: Window) -> C1Dist:
 
 @dataclass
 class CheckReport:
+    """The one failure report: cases run and failures booked under a name.
+
+    The verifiers here and in ``c2_triples`` return one; a harness suite's
+    report is one as well, with its identity tags, seed and wall time.
+    """
+
     name: str
+    identity_tags: list = field(default_factory=list)
     cases: int = 0
     failures: list = field(default_factory=list)
+    seed: int = 0
+    wall_time: float = 0.0
 
     @property
     def passed(self) -> bool:

@@ -14,17 +14,28 @@ an exactly checked identity, not an assumption.
 
 All volume bookkeeping appears as explicit powers of q computed from region
 counts; every transport rule keeps tables and twists exactly consistent.
+
+Each representative states once which way each bi-window edge (l, i | m, n)
+moves canonically, down (v) or up (^), and every move and every common
+window follows from that through the one rule of ``c1``:
+
+    D2Elem            l ^, i v  |  m v, n ^
+    D2Dist            l v, i ^  |  m ^, n v
+    E2Fn E2 / E2t     l v, i v  |  m v, n v
+    E2Fn E2p / E2tp   l ^, i ^  |  m ^, n ^
+
+The twisted moves add only their outer volume factor and their twist.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
 from fqharmonic import tables
-from fqharmonic.c1 import CapabilityError, WindowError
+from fqharmonic.c1 import DOWN, UP, CapabilityError, TableRep, WindowError, common_window, window_move
 from fqharmonic.exactnum import CycNum, DomainError, FqField
 from fqharmonic.tables import Rows
 
@@ -251,6 +262,10 @@ class BiWindow:
         if self.l > self.i or self.m > self.n:
             raise WindowError(f"bad bi-window {self}")
 
+    @property
+    def edges(self) -> tuple[int, int, int, int]:
+        return self.l, self.i, self.m, self.n
+
     def dual(self) -> "BiWindow":
         return BiWindow(-self.i, -self.l, -self.n, -self.m)
 
@@ -328,52 +343,50 @@ def vmeas_canonical(model: C2Model, i: int, j: int, kind: str) -> VirtualMeasure
 # ---------------------------------------------------------------------------
 
 
+class BiWindowRep(TableRep):
+    """A representative on the bi-window ``bw``."""
+
+    @property
+    def dim(self) -> int:
+        return bw_dim(self.model, self.bw)
+
+    def _moved(self, bw2: BiWindow) -> Rows:
+        """The table moved to bw2 by the window rule of the edge directions."""
+        model = self.model
+        src_pos, dst_pos = positions2(model, self.bw), positions2(model, bw2)
+        summed, zeroed = window_move(self.dirs, self.bw, bw2, src_pos, dst_pos)
+        return tables.transport(self.table, model.field.q, src_pos, dst_pos, summed, zeroed)
+
+
 @dataclass(frozen=True, eq=False)
-class D2Elem:
+class D2Elem(BiWindowRep):
     """Window representative of a measure-twisted test function."""
 
     model: C2Model
     o: int
     bw: BiWindow
-    table: Rows  # a CycNum sequence is accepted and stored as Rows
+    table: Rows
     twist: VirtualMeasure
+
+    dirs = (UP, DOWN, DOWN, UP)
 
     def __post_init__(self) -> None:
         if self.twist.model != self.model or self.twist.src != self.bw.l or self.twist.dst != self.o:
             raise DomainError("twist must compare the window bottom with the basepoint")
-        object.__setattr__(self, "table", tables.as_rows(self.table, self.model.field.p))
-        if len(self.table) != self.model.field.q ** bw_dim(self.model, self.bw):
-            raise DomainError("table length does not match the bi-window")
-
-    @property
-    def p(self) -> int:
-        return self.model.field.p
+        super().__post_init__()
 
     def at(self, bw2: BiWindow) -> "D2Elem":
-        """Canonical move: outer bottom up / top down, inner bottom down / top up."""
-        bw = self.bw
-        if not (bw2.l >= bw.l and bw2.i <= bw.i and bw2.m <= bw.m and bw2.n >= bw.n):
-            raise WindowError(f"representative at {bw} cannot move to {bw2}")
-        if bw2 == bw:
+        if bw2 == self.bw:
             return self
-        model, q = self.model, self.model.field.q
-        factor = Fraction(q) ** model.sigma(bw.l, bw2.l, bw.m)
-        src_pos = positions2(model, bw)
-        dst_pos = positions2(model, bw2)
-        summed = [pos for pos in src_pos if pos[0] < bw2.l]
-        zeroed = [pos for pos in dst_pos if pos[1] >= bw.n]
-        out = tables.scale(tables.transport(self.table, q, src_pos, dst_pos, summed, zeroed), factor)
+        model, bw, moved = self.model, self.bw, self._moved(bw2)
+        factor = Fraction(model.field.q) ** model.sigma(bw.l, bw2.l, bw.m)
         return D2Elem(
-            model, self.o, bw2, out, VirtualMeasure(model, bw2.l, self.o, self.twist.scalar)
+            model, self.o, bw2, tables.scale(moved, factor),
+            VirtualMeasure(model, bw2.l, self.o, self.twist.scalar),
         )
 
     def folded(self) -> Rows:
         return tables.scale(self.table, self.twist.scalar)
-
-    def __mul__(self, c) -> "D2Elem":
-        return D2Elem(self.model, self.o, self.bw, tables.scale(self.table, c), self.twist)
-
-    __rmul__ = __mul__
 
     def __add__(self, other: "D2Elem") -> "D2Elem":
         if self.model != other.model or self.o != other.o or self.bw != other.bw:
@@ -384,129 +397,65 @@ class D2Elem:
             VirtualMeasure(self.model, self.bw.l, self.o, Fraction(1)),
         )
 
-    def check(self) -> "D2Elem":
-        dim = bw_dim(self.model, self.bw)
-        return D2Elem(
-            self.model, self.o, self.bw,
-            tables.check_table(self.table, self.model.field.q, dim, self.model.field),
-            self.twist,
-        )
-
-    def is_zero(self) -> bool:
-        return tables.is_zero(self.table)
-
 
 @dataclass(frozen=True, eq=False)
-class D2Dist:
+class D2Dist(BiWindowRep):
     """Window representative of a measure-twisted distribution (pairing table)."""
 
     model: C2Model
     o: int
     bw: BiWindow
-    table: Rows  # a CycNum sequence is accepted and stored as Rows
+    table: Rows
     twist: VirtualMeasure
+
+    dirs = (DOWN, UP, UP, DOWN)
 
     def __post_init__(self) -> None:
         if self.twist.model != self.model or self.twist.src != self.o or self.twist.dst != self.bw.l:
             raise DomainError("twist must compare the basepoint with the window bottom")
-        object.__setattr__(self, "table", tables.as_rows(self.table, self.model.field.p))
-        if len(self.table) != self.model.field.q ** bw_dim(self.model, self.bw):
-            raise DomainError("table length does not match the bi-window")
-
-    @property
-    def p(self) -> int:
-        return self.model.field.p
+        super().__post_init__()
 
     def at(self, bw2: BiWindow) -> "D2Dist":
-        """Canonical move: outer grows both ways, inner shrinks both ways."""
-        bw = self.bw
-        if not (bw2.l <= bw.l and bw2.i >= bw.i and bw2.m >= bw.m and bw2.n <= bw.n):
-            raise WindowError(f"distribution at {bw} cannot move to {bw2}")
-        if bw2 == bw:
+        if bw2 == self.bw:
             return self
-        model, q = self.model, self.model.field.q
+        model, bw, moved = self.model, self.bw, self._moved(bw2)
         # the kernel pullback is scaled at the destination inner level
-        factor = Fraction(q) ** model.sigma(bw2.l, bw.l, bw2.m)
-        src_pos = positions2(model, bw)
-        dst_pos = positions2(model, bw2)
-        summed = [pos for pos in src_pos if pos[1] < bw2.m]
-        zeroed = [pos for pos in dst_pos if pos[0] >= bw.i]
-        out = tables.scale(tables.transport(self.table, q, src_pos, dst_pos, summed, zeroed), factor)
+        factor = Fraction(model.field.q) ** model.sigma(bw2.l, bw.l, bw2.m)
         return D2Dist(
-            model, self.o, bw2, out, VirtualMeasure(model, self.o, bw2.l, self.twist.scalar)
+            model, self.o, bw2, tables.scale(moved, factor),
+            VirtualMeasure(model, self.o, bw2.l, self.twist.scalar),
         )
 
     def folded(self) -> Rows:
         return tables.scale(self.table, self.twist.scalar)
 
-    def __mul__(self, c) -> "D2Dist":
-        return D2Dist(self.model, self.o, self.bw, tables.scale(self.table, c), self.twist)
-
-    __rmul__ = __mul__
-
-    def check(self) -> "D2Dist":
-        dim = bw_dim(self.model, self.bw)
-        return D2Dist(
-            self.model, self.o, self.bw,
-            tables.check_table(self.table, self.model.field.q, dim, self.model.field),
-            self.twist,
-        )
-
-    def is_zero(self) -> bool:
-        return tables.is_zero(self.table)
-
 
 E2_TAGS = ("E2", "E2t", "E2p", "E2tp")
+GERM_TAGS = ("E2", "E2t")
 
 
 @dataclass(frozen=True, eq=False)
-class E2Fn:
+class E2Fn(BiWindowRep):
     """Untwisted germ (E2/E2t) or compactly-supported dual (E2p/E2tp)."""
 
     model: C2Model
     tag: str
     bw: BiWindow
-    table: Rows  # a CycNum sequence is accepted and stored as Rows
+    table: Rows
 
     def __post_init__(self) -> None:
         if self.tag not in E2_TAGS:
             raise DomainError(f"bad tag {self.tag!r}")
-        object.__setattr__(self, "table", tables.as_rows(self.table, self.model.field.p))
-        if len(self.table) != self.model.field.q ** bw_dim(self.model, self.bw):
-            raise DomainError("table length does not match the bi-window")
+        super().__post_init__()
 
     @property
-    def p(self) -> int:
-        return self.model.field.p
+    def dirs(self) -> tuple:
+        return (DOWN,) * 4 if self.tag in GERM_TAGS else (UP,) * 4
 
     def at(self, bw2: BiWindow) -> "E2Fn":
-        bw = self.bw
-        model, q = self.model, self.model.field.q
-        src_pos = positions2(model, bw)
-        dst_pos = positions2(model, bw2)
-        if self.tag in ("E2", "E2t"):
-            # germs: everything moves down
-            if not (bw2.l <= bw.l and bw2.i <= bw.i and bw2.m <= bw.m and bw2.n <= bw.n):
-                raise WindowError(f"germ at {bw} cannot move to {bw2}")
-            return E2Fn(model, self.tag, bw2, tables.transport(self.table, q, src_pos, dst_pos))
-        # compactly-supported duals: everything moves up
-        if not (bw2.l >= bw.l and bw2.i >= bw.i and bw2.m >= bw.m and bw2.n >= bw.n):
-            raise WindowError(f"dual representative at {bw} cannot move to {bw2}")
-        summed = [(a, b) for (a, b) in src_pos if a < bw2.l or b < bw2.m]
-        zeroed = [(a, b) for (a, b) in dst_pos if a >= bw.i or b >= bw.n]
-        return E2Fn(model, self.tag, bw2, tables.transport(self.table, q, src_pos, dst_pos, summed, zeroed))
-
-    def __mul__(self, c) -> "E2Fn":
-        return E2Fn(self.model, self.tag, self.bw, tables.scale(self.table, c))
-
-    __rmul__ = __mul__
-
-    def check(self) -> "E2Fn":
-        dim = bw_dim(self.model, self.bw)
-        return E2Fn(
-            self.model, self.tag, self.bw,
-            tables.check_table(self.table, self.model.field.q, dim, self.model.field),
-        )
+        if bw2 == self.bw:
+            return self
+        return E2Fn(self.model, self.tag, bw2, self._moved(bw2))
 
 
 def e2_constant_one(model: C2Model, bw: BiWindow) -> E2Fn:
@@ -519,22 +468,15 @@ def e2_constant_one(model: C2Model, bw: BiWindow) -> E2Fn:
 # ---------------------------------------------------------------------------
 
 
-def d2_equal(x: D2Elem, y: D2Elem) -> bool:
+def d2_equal(x, y) -> bool:
+    """Equality of two D2Elem or two D2Dist, folded on their common window."""
     if x.model != y.model or x.o != y.o:
         return False
-    bw = BiWindow(
-        max(x.bw.l, y.bw.l), min(x.bw.i, y.bw.i), min(x.bw.m, y.bw.m), max(x.bw.n, y.bw.n)
-    )
+    bw = common_window(x.dirs, x.bw, y.dirs, y.bw)
     return x.at(bw).folded() == y.at(bw).folded()
 
 
-def d2dist_equal(x: D2Dist, y: D2Dist) -> bool:
-    if x.model != y.model or x.o != y.o:
-        return False
-    bw = BiWindow(
-        min(x.bw.l, y.bw.l), max(x.bw.i, y.bw.i), max(x.bw.m, y.bw.m), min(x.bw.n, y.bw.n)
-    )
-    return x.at(bw).folded() == y.at(bw).folded()
+d2dist_equal = d2_equal
 
 
 def pairing2(f: D2Elem, G: D2Dist) -> CycNum:
@@ -552,7 +494,7 @@ def pairing2_e(f: E2Fn, G: E2Fn) -> CycNum:
     """Pairing of a germ with a compactly-supported dual representative."""
     if f.model != G.model:
         raise DomainError("pairing needs a common model")
-    if f.tag not in ("E2", "E2t") or G.tag not in ("E2p", "E2tp"):
+    if f.tag not in GERM_TAGS or G.tag in GERM_TAGS:
         raise DomainError("pairing needs a germ and a dual representative")
     if not (
         f.bw.l <= G.bw.l and f.bw.i >= G.bw.i and f.bw.m <= G.bw.m and f.bw.n >= G.bw.n
@@ -564,25 +506,14 @@ def pairing2_e(f: E2Fn, G: E2Fn) -> CycNum:
 
 def module_mul(g: E2Fn, x):
     """Multiplication by a germ; twists are untouched."""
-    if g.tag not in ("E2", "E2t"):
+    if g.tag not in GERM_TAGS:
         raise DomainError("module action needs a germ factor")
-    if isinstance(x, D2Elem):
-        if not (
-            g.bw.l >= x.bw.l and g.bw.i >= x.bw.i and g.bw.m <= x.bw.m and g.bw.n >= x.bw.n
-        ):
-            raise WindowError("germ not defined on the representative's window")
-        ga = g.at(x.bw)
-        return D2Elem(x.model, x.o, x.bw, tables.mul_pointwise(ga.table, x.table), x.twist)
-    if isinstance(x, D2Dist):
-        ga = g.at(x.bw)
-        return D2Dist(x.model, x.o, x.bw, tables.mul_pointwise(ga.table, x.table), x.twist)
+    if isinstance(x, (D2Elem, D2Dist)):
+        return replace(x, table=tables.mul_pointwise(g.at(x.bw).table, x.table))
     if isinstance(x, E2Fn):
-        bw = BiWindow(
-            min(g.bw.l, x.bw.l), min(g.bw.i, x.bw.i), min(g.bw.m, x.bw.m), min(g.bw.n, x.bw.n)
-        ) if x.tag in ("E2", "E2t") else x.bw
-        ga, xa = g.at(bw), x.at(bw)
+        bw = common_window(g.dirs, g.bw, x.dirs, x.bw)
         tag = "E2" if "E2" in (g.tag, x.tag) else "E2t"
-        return E2Fn(x.model, tag, bw, tables.mul_pointwise(ga.table, xa.table))
+        return E2Fn(x.model, tag, bw, tables.mul_pointwise(g.at(bw).table, x.at(bw).table))
     raise DomainError("unsupported module target")
 
 
@@ -634,7 +565,7 @@ def fourier2(x):
         model, bw = x.model, x.bw
         q = model.field.q
         dm = dual_model2(model)
-        if x.tag in ("E2", "E2t"):
+        if x.tag in GERM_TAGS:
             dim = bw_dim(model, bw)
             out = _rev_fourier2(model, bw, x.table, Fraction(1, q**dim))
             tag = "E2tp" if x.tag == "E2" else "E2p"

@@ -61,9 +61,10 @@ class GradedC2Triple:
                     raise DomainError(f"region partition fails at {(a, b)}")
 
     def split(self, bw: BiWindow) -> tuple[list[int], list[int]]:
-        pos = positions2(self.mid, bw)
-        sub_idx = [r for r, (a, b) in enumerate(pos) if self.sub.in_region(a, b)]
-        quot_idx = [r for r in range(len(pos)) if r not in set(sub_idx)]
+        sub_idx: list[int] = []
+        quot_idx: list[int] = []
+        for r, (a, b) in enumerate(positions2(self.mid, bw)):
+            (sub_idx if self.sub.in_region(a, b) else quot_idx).append(r)
         return sub_idx, quot_idx
 
 

@@ -28,7 +28,8 @@ The format is deliberately minimal so that configs diff cleanly:
     cut_hi = 2
 
 Unknown keys, unresolved names and cap violations are reported with line
-numbers.
+numbers; a suite section accepts only the keys its suite kind reads, as
+registered in ``harness.suites``.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from fqharmonic.c1_triples import interval_triple
 from fqharmonic.c2 import C2Model, box_model, k2_model
 from fqharmonic.c2_triples import GradedC2Triple, inner_cut_triple, outer_cut_triple
 from fqharmonic.exactnum import DomainError, FqField, parse_field_spec
+from fqharmonic.harness.suites import SUITE_KEYS
 
 
 class ConfigError(ValueError):
@@ -73,10 +75,6 @@ class SuiteConfig:
 _RUN_KEYS = {"seed", "table_cap", "out"}
 _MODEL_KEYS = {"c1", "c2"}
 _TRIPLE_KEYS = {"mid", "sub", "quot", "outer_cut", "inner_cut"}
-_SUITE_KEYS = {
-    "run", "corrupt", "triple", "cut_lo", "cut_hi", "deep_cut", "max_points",
-    "cases", "rep_cases", "max_dim", "i_lo", "i_hi", "basepoint",
-}
 
 
 def _parse_sections(text: str, errors):
@@ -209,17 +207,19 @@ def parse_config(text: str) -> SuiteConfig:
                 errors.append((ln0, f"bad triple {name!r}: {exc}"))
         elif head.startswith("suite "):
             name = head.split(None, 1)[1]
+            runs = [(ln, val) for ln, key, val in items if key == "run"]
+            ln_run, kind = runs[-1] if runs else (ln0, name)
+            if kind not in SUITE_KEYS:
+                errors.append((ln_run, f"unknown suite kind {kind!r}"))
+                continue
             params: dict = {}
-            kind = name
             corrupt = None
             for ln, key, val in items:
-                if key not in _SUITE_KEYS:
+                if key not in SUITE_KEYS[kind]:
                     errors.append((ln, f"unknown suite key {key!r}"))
-                elif key == "run":
-                    kind = val
                 elif key == "corrupt":
                     corrupt = val
-                else:
+                elif key != "run":
                     params[key] = (ln, val)
             suites.append(SuiteSpec(name, kind, params, corrupt, ln0))
         else:

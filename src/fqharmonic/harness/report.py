@@ -1,4 +1,4 @@
-"""Suite reports and their text/JSON rendering.
+"""Text and JSON rendering of suite reports.
 
 The JSON rendering is byte-deterministic for a fixed config and seed: keys
 are ordered, and wall time is reported only in the human-readable format.
@@ -7,56 +7,32 @@ are ordered, and wall time is reported only in the human-readable format.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+
+from fqharmonic.c1_triples import CheckReport as Report
 
 
-@dataclass
-class Report:
-    suite: str
-    identity_tags: list
-    cases: int = 0
-    failures: list = field(default_factory=list)
-    seed: int = 0
-    wall_time: float = 0.0
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-    def fail(self, identity: str, context: str, expected: str = "", actual: str = "") -> None:
-        self.failures.append(
-            {"identity": identity, "context": context, "expected": expected, "actual": actual}
-        )
-
-    def to_obj(self) -> dict:
-        return {
-            "cases": self.cases,
-            "failures": [
-                {
-                    "actual": f["actual"],
-                    "context": f["context"],
-                    "expected": f["expected"],
-                    "identity": f["identity"],
-                }
-                for f in self.failures
-            ],
-            "identities": sorted(self.identity_tags),
-            "passed": self.passed,
-            "seed": self.seed,
-            "suite": self.suite,
-        }
+def _obj(r: Report) -> dict:
+    # every failure is the four-key dict of Report.fail; sort_keys orders it
+    return {
+        "cases": r.cases,
+        "failures": r.failures,
+        "identities": sorted(r.identity_tags),
+        "passed": r.passed,
+        "seed": r.seed,
+        "suite": r.name,
+    }
 
 
 def emit_report(reports: list, fmt: str = "text") -> str:
     if fmt == "json":
-        return json.dumps([r.to_obj() for r in reports], sort_keys=True, indent=1) + "\n"
+        return json.dumps([_obj(r) for r in reports], sort_keys=True, indent=1) + "\n"
     if fmt != "text":
         raise ValueError(f"unknown report format {fmt!r}")
     lines = []
     for r in reports:
         status = "ok" if r.passed else "FAIL"
         lines.append(
-            f"[{status}] {r.suite}: {r.cases} cases, {len(r.failures)} failures,"
+            f"[{status}] {r.name}: {r.cases} cases, {len(r.failures)} failures,"
             f" seed={r.seed}, {r.wall_time:.2f}s"
         )
         for f in r.failures[:5]:

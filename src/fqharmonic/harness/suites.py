@@ -129,11 +129,16 @@ class SuiteContext:
 
 
 SUITES: dict[str, tuple[Callable, tuple[str, ...]]] = {}
+SUITE_KEYS: dict[str, frozenset] = {}  # the config keys of each suite kind
 
 
-def register(name: str, *tags: str):
+def register(name: str, *tags: str, keys: tuple = ()):
+    """Register a suite under its identity tags; keys are the config keys it
+    reads (``run`` is a key of every suite)."""
+
     def wrap(fn):
         SUITES[name] = (fn, tags)
+        SUITE_KEYS[name] = frozenset(("run", *keys))
         return fn
 
     return wrap
@@ -245,7 +250,7 @@ def _same(x, y) -> bool:
         return fn_equal(x, y)
     if isinstance(x, C1Dist):
         return (x.model, x.window, x.table) == (y.model, y.window, y.table)
-    return (d2_equal if isinstance(x, D2Elem) else d2dist_equal)(x, y)
+    return d2_equal(x, y)
 
 
 def _square(rep: Report, identity: str, draw, a, b, context: str = "") -> None:
@@ -260,7 +265,7 @@ def _square(rep: Report, identity: str, draw, a, b, context: str = "") -> None:
 # ---------------------------------------------------------------------------
 
 
-@register("psi_character", "psi_additive", "psi_nontrivial", "conj_involution")
+@register("psi_character", "psi_additive", "psi_nontrivial", "conj_involution", keys=("corrupt",))
 def psi_character(ctx: SuiteContext) -> Report:
     rep = _report("psi_character", ctx)
     for q in (2, 3, 4, 5, 8, 9):
@@ -281,7 +286,7 @@ def psi_character(ctx: SuiteContext) -> Report:
     return rep
 
 
-@register("cyc_ring", "cyc_commutative_ring", "conj_ring_hom")
+@register("cyc_ring", "cyc_commutative_ring", "conj_ring_hom", keys=("cases",))
 def cyc_ring(ctx: SuiteContext) -> Report:
     rep = _report("cyc_ring", ctx)
     p = ctx.field.p
@@ -317,7 +322,7 @@ def fq_axioms(ctx: SuiteContext) -> Report:
 # ---------------------------------------------------------------------------
 
 
-@register("poisson0", "poisson0_subspace_transform")
+@register("poisson0", "poisson0_subspace_transform", keys=("max_dim",))
 def poisson0(ctx: SuiteContext) -> Report:
     rep = _report("poisson0", ctx)
     qs = (2, 3, 4)
@@ -344,6 +349,7 @@ def poisson0(ctx: SuiteContext) -> Report:
     "image_functoriality0",
     "base_change0",
     "fourier0_push_pull_squares",
+    keys=("cases",),
 )
 def fourier0_props(ctx: SuiteContext) -> Report:
     rep = _report("fourier0_props", ctx)
@@ -399,7 +405,7 @@ def _std_c1(ctx: SuiteContext):
     return K, O
 
 
-@register("fourier1_delta", "fourier1_lattice_indicator")
+@register("fourier1_delta", "fourier1_lattice_indicator", keys=("i_lo", "i_hi"))
 def fourier1_delta(ctx: SuiteContext) -> Report:
     rep = _report("fourier1_delta", ctx)
     K, _ = _std_c1(ctx)
@@ -423,6 +429,7 @@ def fourier1_delta(ctx: SuiteContext) -> Report:
     "haar_uniqueness",
     "hexagon_injectivity",
     "fourier1_measure_scaling",
+    keys=("cases",),
 )
 def fourier1_props(ctx: SuiteContext) -> Report:
     rep = _report("fourier1_props", ctx)
@@ -487,7 +494,10 @@ def fourier1_props(ctx: SuiteContext) -> Report:
     return rep
 
 
-@register("poisson1", "poisson1_characteristic_transform")
+@register(
+    "poisson1", "poisson1_characteristic_transform",
+    keys=("triple", "cut_hi", "deep_cut", "max_points", "corrupt"),
+)
 def poisson1(ctx: SuiteContext) -> Report:
     rep = _report("poisson1", ctx)
     K = laurent_model(ctx.field)
@@ -527,6 +537,7 @@ def poisson1(ctx: SuiteContext) -> Report:
     "projection_formula_discrete",
     "density_pullback_compat",
     "density_pushforward_compat",
+    keys=("cases",),
 )
 def fubini_projection(ctx: SuiteContext) -> Report:
     rep = _report("fubini_projection", ctx)
@@ -594,6 +605,7 @@ def fubini_projection(ctx: SuiteContext) -> Report:
     "compose_epi_distributions",
     "compose_mono_functions",
     "compose_mono_distributions",
+    keys=("cases",),
 )
 def compose1(ctx: SuiteContext) -> Report:
     from fqharmonic.c1_triples import compose_epi, compose_mono
@@ -643,6 +655,7 @@ def compose1(ctx: SuiteContext) -> Report:
     "base_change_compact_square",
     "base_change_discrete_square",
     "base_change_double_square",
+    keys=("cases",),
 )
 def base_change1(ctx: SuiteContext) -> Report:
     from fqharmonic.c1_triples import base_change
@@ -691,6 +704,7 @@ def base_change1(ctx: SuiteContext) -> Report:
     "fourier_image_restrict_push",
     "fourier_image_dist_squares",
     "fourier_image_germ_squares",
+    keys=("cases",),
 )
 def fourier_image1(ctx: SuiteContext) -> Report:
     rep = _report("fourier_image1", ctx)
@@ -745,7 +759,7 @@ def fourier_image1(ctx: SuiteContext) -> Report:
     return rep
 
 
-@register("invariance1", "reindexing_invariance")
+@register("invariance1", "reindexing_invariance", keys=("cases",))
 def invariance1(ctx: SuiteContext) -> Report:
     rep = _report("invariance1", ctx)
     O = lattice_model(ctx.field, 0)
@@ -852,6 +866,7 @@ def vmeasure(ctx: SuiteContext) -> Report:
     "fourier2_tag_exchange",
     "fourier2_lattice_block",
     "fourier2_basepoint_compat",
+    keys=("cases",),
 )
 def fourier2_props(ctx: SuiteContext) -> Report:
     rep = _report("fourier2_props", ctx)
@@ -885,7 +900,9 @@ def fourier2_props(ctx: SuiteContext) -> Report:
     return rep
 
 
-@register("module2", "module_unit", "module_associativity", "module_pairing_compat")
+@register(
+    "module2", "module_unit", "module_associativity", "module_pairing_compat", keys=("cases",)
+)
 def module2(ctx: SuiteContext) -> Report:
     rep = _report("module2", ctx)
     K2 = _std_c2(ctx)
@@ -912,6 +929,7 @@ def module2(ctx: SuiteContext) -> Report:
     "images2_inner_adjointness",
     "characteristic_two_constructions",
     "profile_transform_exchange",
+    keys=("cases",),
 )
 def images2_adjoint(ctx: SuiteContext) -> Report:
     rep = _report("images2_adjoint", ctx)
@@ -973,7 +991,10 @@ def images2_adjoint(ctx: SuiteContext) -> Report:
     return rep
 
 
-@register("poisson2_ii", "poisson2_II_characteristic_transform")
+@register(
+    "poisson2_ii", "poisson2_II_characteristic_transform",
+    keys=("triple", "basepoint", "cut_lo", "cut_hi", "max_points", "corrupt"),
+)
 def poisson2_ii(ctx: SuiteContext) -> Report:
     rep = _report("poisson2_ii", ctx)
     K2 = _std_c2(ctx)
@@ -993,6 +1014,7 @@ def poisson2_ii(ctx: SuiteContext) -> Report:
     "poisson2_i",
     "poisson2_I_characteristic_transform",
     "poisson2_I_monomial_corollary",
+    keys=("triple", "basepoint", "cut_lo", "cut_hi", "max_points", "corrupt"),
 )
 def poisson2_i(ctx: SuiteContext) -> Report:
     rep = _report("poisson2_i", ctx)
@@ -1040,6 +1062,7 @@ def poisson2_i(ctx: SuiteContext) -> Report:
     "rep_module_compat",
     "rep_pairing_invariance",
     "fourier_intertwines_action",
+    keys=("cases", "rep_cases"),
 )
 def central_ext(ctx: SuiteContext) -> Report:
     rep = _report("central_ext", ctx)
@@ -1123,6 +1146,7 @@ def _zvezda(ctx: SuiteContext, kind: str, c1_: int, c2_: int):
     "base_change2_mixed",
     "composition2_epis",
     "composition2_monos",
+    keys=("cases",),
 )
 def base_change2(ctx: SuiteContext) -> Report:
     rep = _report("base_change2", ctx)
@@ -1216,6 +1240,7 @@ def base_change2(ctx: SuiteContext) -> Report:
     "fourier_image2",
     "fourier_image2_twisted_squares",
     "fourier_image2_fiberwise_squares",
+    keys=("cases",),
 )
 def fourier_image2(ctx: SuiteContext) -> Report:
     rep = _report("fourier_image2", ctx)
@@ -1273,7 +1298,7 @@ def fourier_image2(ctx: SuiteContext) -> Report:
     return rep
 
 
-@register("dominate2", "domination_invariance", "basepoint_change_compat")
+@register("dominate2", "domination_invariance", "basepoint_change_compat", keys=("cases",))
 def dominate2(ctx: SuiteContext) -> Report:
     rep = _report("dominate2", ctx)
     K2 = _std_c2(ctx)
@@ -1329,7 +1354,7 @@ def run_suites(cfg, only=None, seed=None) -> list:
         ctx = SuiteContext(cfg.field, spec.params, LCG(suite_seed), spec.corrupt)
         t0 = time.monotonic()
         rep = fn(ctx)
-        rep.suite = spec.name
+        rep.name = spec.name
         rep.seed = suite_seed
         rep.wall_time = time.monotonic() - t0
         reports.append(rep)

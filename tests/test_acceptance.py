@@ -149,5 +149,5 @@ def test_full_default_config_is_green():
     cfg = parse_config(DEFAULT_CONFIG)
     reports = run_suites(cfg)
     assert all(r.passed for r in reports), [
-        (r.suite, r.failures[:1]) for r in reports if not r.passed
+        (r.name, r.failures[:1]) for r in reports if not r.passed
     ]

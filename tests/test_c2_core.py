@@ -11,6 +11,7 @@ from fqharmonic.c2 import (
     D2Elem,
     E2Fn,
     VirtualMeasure,
+    WindowError,
     basepoint_change,
     box_model,
     bw_dim,
@@ -330,6 +331,19 @@ def test_module_unit_and_associativity():
     lhs = module_mul(g1, module_mul(g2, x))
     rhs = module_mul(module_mul(g1, g2), x)
     assert d2_equal(lhs, rhs)
+
+
+def test_module_germ_moves_down_onto_the_representative():
+    # a germ moves every edge down, so it acts on a representative whose
+    # bi-window lies below its own on every edge, and on no other
+    rng = random.Random(14)
+    model = k2_model(F2)
+    x = rand_elem(rng, model, 0, BiWindow(-1, 1, -1, 1))
+    g = rand_e2(rng, model, BiWindow(-1, 1, 0, 1), "E2")
+    lhs, rhs = module_mul(g, x), module_mul(g.at(x.bw), x)
+    assert (lhs.bw, lhs.table, lhs.twist) == (rhs.bw, rhs.table, rhs.twist)
+    with pytest.raises(WindowError):
+        module_mul(rand_e2(rng, model, BiWindow(-1, 1, -2, 1), "E2"), x)
 
 
 def test_module_pairing_compatibility():

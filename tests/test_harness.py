@@ -48,9 +48,10 @@ def test_parse_minimal_config():
 
 
 def test_unknown_key_reports_line(tmp_path):
-    # a key no suite reads is an error, never silently ignored
-    for key in ("bogus", "mu1", "mu2", "mu", "nu", "qs"):
-        bad = MINIMAL + f"\n[suite x]\nrun = poisson1\n{key} = 3\n"
+    # a key the suite kind does not read is an error, never silently ignored
+    cases = [("poisson1", key) for key in ("bogus", "mu1", "mu2", "mu", "nu", "qs", "cases")]
+    for kind, key in cases + [("vmeasure", "cases")]:
+        bad = MINIMAL + f"\n[suite x]\nrun = {kind}\n{key} = 3\n"
         with pytest.raises(ConfigError) as exc:
             parse_config(bad)
         lines = [ln for ln, _ in exc.value.errors]
@@ -62,6 +63,26 @@ def test_unknown_key_reports_line(tmp_path):
         with pytest.raises(SystemExit) as stop:
             cli_main(["verify", str(cfg_path)])
         assert stop.value.code == 2
+
+
+def test_suite_keys_are_checked_per_kind(tmp_path):
+    # the kind decides wherever its run line stands; an unknown kind is a
+    # config error at its run line
+    bad = MINIMAL + "\n[suite x]\ncorrupt = psi\nrun = cyc_ring\ncases = 3\n"
+    with pytest.raises(ConfigError) as exc:
+        parse_config(bad)
+    assert exc.value.errors == [(len(bad.splitlines()) - 2, "unknown suite key 'corrupt'")]
+    bad = MINIMAL + "\n[suite x]\nrun = nosuch\n"
+    with pytest.raises(ConfigError) as exc:
+        parse_config(bad)
+    assert exc.value.errors == [(len(bad.splitlines()), "unknown suite kind 'nosuch'")]
+    cfg_path = tmp_path / "kind.cfg"
+    cfg_path.write_text(bad)
+    with pytest.raises(SystemExit) as stop:
+        cli_main(["verify", str(cfg_path)])
+    assert stop.value.code == 2
+    cfg = parse_config(MINIMAL + "\n[suite cyc_ring]\ncases = 3\n")
+    assert (cfg.suites[-1].kind, cfg.suites[-1].params) == ("cyc_ring", {"cases": 3})
 
 
 def test_undeclared_model_reports_identifier():
