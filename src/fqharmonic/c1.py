@@ -2,8 +2,12 @@
 
 A model describes a filtered space through the multiplicities of its graded
 pieces: filtration index i selects the span of all graded slots strictly
-below the cut i.  A window (lo, hi) identifies the finite quotient
-F(hi)/F(lo) with a coordinate space over the graded slots in [lo, hi).
+below the cut i.  The model stores them as a flat list of slot intervals
+(lo, hi), None meaning unbounded, as ``c2`` stores its regions as boxes:
+each interval puts one graded slot at every cut k with lo <= k < hi, and at
+a cut the slots come in list order.  A window (lo, hi) identifies the
+finite quotient F(hi)/F(lo) with a coordinate space over the graded slots
+in [lo, hi).
 
 Function representatives carry a window and a dense table.  The limit
 structure of the six functional spaces is realized by table transport between
@@ -98,167 +102,79 @@ def common_window(dirs_a: tuple, a, dirs_b: tuple, b):
 
 
 # ---------------------------------------------------------------------------
-# model descriptors
+# models
 # ---------------------------------------------------------------------------
-#
-# desc grammar (after normalization no 'shift' nodes remain):
-#   ('full',)            every cut has one graded slot
-#   ('empty',)
-#   ('below', c)         slots at k < c
-#   ('atleast', c)       slots at k >= c
-#   ('segment', a, b)    slots at a <= k < b
-#   ('sum', d1, d2)      slot lists concatenated per cut (d1 slots first)
 
 
-def normalize_desc(desc: tuple) -> tuple:
-    kind = desc[0]
-    if kind in ("full", "empty", "below", "atleast"):
-        return desc
-    if kind == "segment":
-        a, b = desc[1], desc[2]
-        return ("empty",) if a >= b else desc
-    if kind == "sum":
-        d1, d2 = normalize_desc(desc[1]), normalize_desc(desc[2])
-        if d1 == ("empty",):
-            return d2
-        if d2 == ("empty",):
-            return d1
-        return ("sum", d1, d2)
-    if kind == "shift":
-        inner, s = normalize_desc(desc[1]), desc[2]
-        if s == 0:
-            return inner
-        ik = inner[0]
-        if ik in ("full", "empty"):
-            return inner
-        if ik == "below":
-            return ("below", inner[1] + s)
-        if ik == "atleast":
-            return ("atleast", inner[1] + s)
-        if ik == "segment":
-            return ("segment", inner[1] + s, inner[2] + s)
-        if ik == "sum":
-            return (
-                "sum",
-                normalize_desc(("shift", inner[1], s)),
-                normalize_desc(("shift", inner[2], s)),
-            )
-    raise DomainError(f"unknown descriptor {desc!r}")
+Interval = tuple  # (lo, hi), None = unbounded
 
 
-def desc_mult(desc: tuple, k: int) -> int:
-    kind = desc[0]
-    if kind == "full":
-        return 1
-    if kind == "empty":
-        return 0
-    if kind == "below":
-        return 1 if k < desc[1] else 0
-    if kind == "atleast":
-        return 1 if k >= desc[1] else 0
-    if kind == "segment":
-        return 1 if desc[1] <= k < desc[2] else 0
-    if kind == "sum":
-        return desc_mult(desc[1], k) + desc_mult(desc[2], k)
-    raise DomainError(f"unknown descriptor {desc!r}")
-
-
-def desc_count(desc: tuple, a: int, b: int) -> int:
-    """Number of graded slots with cut in [a, b), a <= b."""
-    if a >= b:
-        return 0
-    kind = desc[0]
-    if kind == "full":
-        return b - a
-    if kind == "empty":
-        return 0
-    if kind == "below":
-        return max(0, min(b, desc[1]) - a)
-    if kind == "atleast":
-        return max(0, b - max(a, desc[1]))
-    if kind == "segment":
-        return max(0, min(b, desc[2]) - max(a, desc[1]))
-    if kind == "sum":
-        return desc_count(desc[1], a, b) + desc_count(desc[2], a, b)
-    raise DomainError(f"unknown descriptor {desc!r}")
-
-
-def desc_bounds(desc: tuple) -> tuple[Optional[int], Optional[int]]:
-    """(inf, sup): slots vanish below inf / at or above sup; None = unbounded."""
-    kind = desc[0]
-    if kind == "full":
-        return None, None
-    if kind == "empty":
-        return 0, 0
-    if kind == "below":
-        return None, desc[1]
-    if kind == "atleast":
-        return desc[1], None
-    if kind == "segment":
-        return desc[1], desc[2]
-    if kind == "sum":
-        lo1, hi1 = desc_bounds(desc[1])
-        lo2, hi2 = desc_bounds(desc[2])
-        lo = None if lo1 is None or lo2 is None else min(lo1, lo2)
-        hi = None if hi1 is None or hi2 is None else max(hi1, hi2)
-        return lo, hi
-    raise DomainError(f"unknown descriptor {desc!r}")
-
-
-def dual_desc(desc: tuple) -> tuple:
-    """Mirror of the slot set under k -> -k-1."""
-    kind = desc[0]
-    if kind in ("full", "empty"):
-        return desc
-    if kind == "below":
-        return ("atleast", -desc[1])
-    if kind == "atleast":
-        return ("below", -desc[1])
-    if kind == "segment":
-        return ("segment", -desc[2], -desc[1])
-    if kind == "sum":
-        return ("sum", dual_desc(desc[1]), dual_desc(desc[2]))
-    raise DomainError(f"unknown descriptor {desc!r}")
+def mirror(lo: Optional[int], hi: Optional[int]) -> Interval:
+    """The interval [lo, hi) mirrored under k -> -k-1."""
+    return (None if hi is None else -hi, None if lo is None else -lo)
 
 
 @dataclass(frozen=True, eq=False)
 class C1Model:
-    """Integer-indexed filtered space, described by its graded slot pattern."""
+    """Integer-indexed filtered space, described by its graded slot intervals.
+
+    Each interval (lo, hi) puts one graded slot at every cut k with
+    lo <= k < hi (None = unbounded); at a cut the slots come in list order.
+    """
 
     field: FqField
-    desc: tuple
+    intervals: tuple[Interval, ...]
     label: str = ""
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "desc", normalize_desc(self.desc))
+        keep = tuple(
+            (lo, hi) for lo, hi in self.intervals if lo is None or hi is None or lo < hi
+        )
+        object.__setattr__(self, "intervals", keep)
         if not self.label:
-            object.__setattr__(self, "label", str(self.desc))
+            object.__setattr__(self, "label", str(keep))
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, C1Model)
             and self.field == other.field
-            and self.desc == other.desc
+            and self.intervals == other.intervals
         )
 
     def __hash__(self) -> int:
-        return hash((self.field, self.desc))
+        return hash((self.field, self.intervals))
 
     def __repr__(self) -> str:
         return f"C1Model({self.label})"
 
     def mult(self, k: int) -> int:
-        return desc_mult(self.desc, k)
+        n = 0
+        for lo, hi in self.intervals:
+            if (lo is None or lo <= k) and (hi is None or k < hi):
+                n += 1
+        return n
+
+    def count(self, a: int, b: int) -> int:
+        """Number of graded slots with cut in [a, b), a <= b."""
+        n = 0
+        for lo, hi in self.intervals:
+            top = b if hi is None or hi > b else hi
+            bot = a if lo is None or lo < a else lo
+            if top > bot:
+                n += top - bot
+        return n
 
     def dim_between(self, i: int, j: int) -> int:
         """dim F(j)/F(i), signed when j < i."""
-        if i <= j:
-            return desc_count(self.desc, i, j)
-        return -desc_count(self.desc, j, i)
+        return self.count(i, j) if i <= j else -self.count(j, i)
 
     @property
     def bounds(self) -> tuple[Optional[int], Optional[int]]:
-        return desc_bounds(self.desc)
+        """(inf, sup): slots vanish below inf / at or above sup; None = unbounded."""
+        if not self.intervals:
+            return 0, 0
+        los, his = zip(*self.intervals)
+        return None if None in los else min(los), None if None in his else max(his)
 
     @property
     def is_discrete(self) -> bool:
@@ -270,36 +186,37 @@ class C1Model:
 
 
 def laurent_model(field: FqField, label: str = "K") -> C1Model:
-    return C1Model(field, ("full",), label)
+    return C1Model(field, ((None, None),), label)
 
 
 def lattice_model(field: FqField, cut: int = 0, label: str = "") -> C1Model:
     """Compact model with slots below the cut (t^{-cut} O inside K)."""
-    return C1Model(field, ("below", cut), label or f"O<{cut}")
+    return C1Model(field, ((None, cut),), label or f"O<{cut}")
 
 
 def colattice_model(field: FqField, cut: int = 0, label: str = "") -> C1Model:
     """Discrete model with slots at or above the cut (K modulo a lattice)."""
-    return C1Model(field, ("atleast", cut), label or f"Q>={cut}")
+    return C1Model(field, ((cut, None),), label or f"Q>={cut}")
 
 
 def segment_model(field: FqField, a: int, b: int, label: str = "") -> C1Model:
-    return C1Model(field, ("segment", a, b), label or f"S[{a},{b})")
+    return C1Model(field, ((a, b),), label or f"S[{a},{b})")
 
 
 def sum_model(m1: C1Model, m2: C1Model, label: str = "") -> C1Model:
     if m1.field != m2.field:
         raise DomainError("summands over different fields")
-    return C1Model(m1.field, ("sum", m1.desc, m2.desc), label or f"({m1.label}+{m2.label})")
+    return C1Model(m1.field, m1.intervals + m2.intervals, label or f"({m1.label}+{m2.label})")
 
 
 def shift_model(m: C1Model, s: int, label: str = "") -> C1Model:
-    return C1Model(m.field, ("shift", m.desc, s), label or f"{m.label}>>{s}")
+    moved = tuple((None if lo is None else lo + s, None if hi is None else hi + s) for lo, hi in m.intervals)
+    return C1Model(m.field, moved, label or f"{m.label}>>{s}")
 
 
 def dual_model(m: C1Model) -> C1Model:
     """Index-reversed dual: slots mirrored under k -> -k-1."""
-    return C1Model(m.field, dual_desc(m.desc), f"dual({m.label})")
+    return C1Model(m.field, tuple(mirror(lo, hi) for lo, hi in m.intervals), f"dual({m.label})")
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +250,7 @@ def positions(model: C1Model, w: Window) -> tuple[tuple[int, int], ...]:
 
 
 def window_dim(model: C1Model, w: Window) -> int:
-    return desc_count(model.desc, w.lo, w.hi)
+    return model.count(w.lo, w.hi)
 
 
 def dual_perm(model: C1Model, w: Window) -> list[int]:
@@ -730,13 +647,9 @@ def delta_point_dist(model: C1Model, point, w: Optional[Window] = None) -> C1Dis
     base = w or Window(min((k for (k, _s) in a), default=0), need or 0)
     if need is not None and base.hi < need:
         base = Window(base.lo, need)
-    dim = window_dim(model, base)
     q = model.field.q
-    p = model.field.p
     target = tables.encode(_shift_digits(model, base, a), q)
-    table = tuple(
-        CycNum.one(p) if i == target else CycNum.zero(p) for i in range(q**dim)
-    )
+    table = tables.indicator_table(model.field.p, q ** window_dim(model, base), [target])
     return C1Dist(model, "ETp", base, table, ("zero_up",))
 
 

@@ -70,75 +70,33 @@ class TripleC1:
 
 
 def interval_triple(mid: C1Model, sub: C1Model, label: str = "") -> TripleC1:
-    """Triple with the sub given by its own slot pattern inside the mid."""
-    quot_desc = _desc_minus(mid.desc, sub.desc)
-    quot = C1Model(mid.field, quot_desc, f"{mid.label}/{sub.label}")
+    """Triple with the sub given by its own slot interval inside the mid."""
+    # multiplicities are constant between consecutive interval endpoints, so
+    # one cut per cell decides the inclusion exactly
+    for k in cell_points(e for iv in mid.intervals + sub.intervals for e in iv):
+        if sub.mult(k) > mid.mult(k):
+            raise DomainError(f"sub pattern exceeds the mid pattern at cut {k}")
+    quot = mid.intervals
+    if sub.intervals:
+        if len(sub.intervals) > 1 or len(mid.intervals) > 1:
+            raise DomainError(f"not an interval pattern: {sub!r} inside {mid!r}")
+        ((m1, m2),), ((s1, s2),) = mid.intervals, sub.intervals
+        # the mid slots below and above the sub; an unbounded side leaves none
+        quot = [(m1, s1)] if s1 is not None else []
+        if s2 is not None:
+            quot.append((s2, m2))
 
     def is_sub(k: int, s: int) -> bool:
         return s < sub.mult(k)
 
-    # multiplicities are constant between consecutive descriptor cuts, so
-    # one cut per cell decides the inclusion exactly
-    for k in cell_points(_desc_cuts(mid.desc) | _desc_cuts(sub.desc)):
-        if sub.mult(k) > mid.mult(k):
-            raise DomainError(f"sub pattern exceeds the mid pattern at cut {k}")
-    return TripleC1(mid, sub, quot, is_sub, label or f"{sub.label}<{mid.label}")
+    quot_model = C1Model(mid.field, quot, f"{mid.label}/{sub.label}")
+    return TripleC1(mid, sub, quot_model, is_sub, label or f"{sub.label}<{mid.label}")
 
 
 def cell_points(edges: Iterable[Optional[int]]) -> list[int]:
     """One integer in each cell of the line cut at the finite edges."""
     cuts = sorted({e for e in edges if e is not None}) or [0]
     return [cuts[0] - 1] + cuts
-
-
-def _desc_cuts(desc: tuple) -> set[int]:
-    """Cuts at which the slot multiplicity of a normalized descriptor can change."""
-    if desc[0] == "sum":
-        return _desc_cuts(desc[1]) | _desc_cuts(desc[2])
-    return set(desc[1:])
-
-
-def _interval_of(desc: tuple):
-    kind = desc[0]
-    if kind == "full":
-        return (None, None)
-    if kind == "empty":
-        return (0, 0)
-    if kind == "below":
-        return (None, desc[1])
-    if kind == "atleast":
-        return (desc[1], None)
-    if kind == "segment":
-        return (desc[1], desc[2])
-    raise DomainError(f"not an interval pattern: {desc!r}")
-
-
-def _desc_of_interval(lo, hi) -> tuple:
-    if lo is None and hi is None:
-        return ("full",)
-    if lo is None:
-        return ("below", hi)
-    if hi is None:
-        return ("atleast", lo)
-    return ("segment", lo, hi) if lo < hi else ("empty",)
-
-
-def _desc_minus(mid: tuple, sub: tuple) -> tuple:
-    if sub == ("empty",):
-        return mid
-    m1, m2 = _interval_of(mid)
-    s1, s2 = _interval_of(sub)
-    left = _desc_of_interval(m1, s1) if not (m1 is None and s1 is None) and s1 is not None else ("empty",)
-    if s1 is not None and m1 is not None and s1 <= m1:
-        left = ("empty",)
-    right = _desc_of_interval(s2, m2) if s2 is not None else ("empty",)
-    if s2 is None:
-        right = ("empty",)
-    if left == ("empty",):
-        return right
-    if right == ("empty",):
-        return left
-    return ("sum", left, right)
 
 
 def direct_sum_triple(sub: C1Model, quot: C1Model, label: str = "") -> TripleC1:

@@ -35,15 +35,11 @@ from fractions import Fraction
 from typing import Optional
 
 from fqharmonic import tables
-from fqharmonic.c1 import DOWN, UP, CapabilityError, TableRep, WindowError, common_window, window_move
+from fqharmonic.c1 import DOWN, UP, CapabilityError, TableRep, WindowError, common_window, mirror, window_move
 from fqharmonic.exactnum import CycNum, DomainError, FqField
 from fqharmonic.tables import Rows
 
 Box = tuple  # (a_lo, a_hi, b_lo, b_hi), None = unbounded
-
-
-def _mirror(lo: Optional[int], hi: Optional[int]) -> tuple[Optional[int], Optional[int]]:
-    return (None if hi is None else -hi, None if lo is None else -lo)
 
 
 def _normalize_boxes(boxes) -> tuple[Box, ...]:
@@ -226,8 +222,8 @@ def dual_model2(m: C2Model) -> C2Model:
     """Region mirrored under (a, b) -> (-a-1, -b-1)."""
     boxes = []
     for (a1, a2, b1, b2) in m.boxes:
-        ma = _mirror(a1, a2)
-        mb = _mirror(b1, b2)
+        ma = mirror(a1, a2)
+        mb = mirror(b1, b2)
         boxes.append((ma[0], ma[1], mb[0], mb[1]))
     return C2Model(m.field, tuple(boxes), f"dual({m.label})")
 
@@ -496,12 +492,8 @@ def pairing2_e(f: E2Fn, G: E2Fn) -> CycNum:
         raise DomainError("pairing needs a common model")
     if f.tag not in GERM_TAGS or G.tag in GERM_TAGS:
         raise DomainError("pairing needs a germ and a dual representative")
-    if not (
-        f.bw.l <= G.bw.l and f.bw.i >= G.bw.i and f.bw.m <= G.bw.m and f.bw.n >= G.bw.n
-    ):
-        raise WindowError("germ window must cover the dual support")
-    fa = f.at(G.bw)
-    return tables.dot(fa.table, G.table, f.p)
+    # the germ's move refuses a dual support it does not reach down to
+    return tables.dot(f.at(G.bw).table, G.table, f.p)
 
 
 def module_mul(g: E2Fn, x):
@@ -511,6 +503,8 @@ def module_mul(g: E2Fn, x):
     if isinstance(x, (D2Elem, D2Dist)):
         return replace(x, table=tables.mul_pointwise(g.at(x.bw).table, x.table))
     if isinstance(x, E2Fn):
+        if x.tag not in GERM_TAGS:
+            raise DomainError("a germ times a dual representative is not defined")
         bw = common_window(g.dirs, g.bw, x.dirs, x.bw)
         tag = "E2" if "E2" in (g.tag, x.tag) else "E2t"
         return E2Fn(x.model, tag, bw, tables.mul_pointwise(g.at(bw).table, x.at(bw).table))

@@ -204,10 +204,7 @@ def delta0_fn(model: C2Model, o: int, bw: BiWindow) -> D2Elem:
     inf = model.inner_inf(bw.l, bw.i)
     if inf is not None and bw.m > inf:
         raise WindowError("window must reach below the column bottoms")
-    q = model.field.q
-    p = model.field.p
-    dim = bw_dim(model, bw)
-    table = tuple(CycNum.one(p) if i == 0 else CycNum.zero(p) for i in range(q**dim))
+    table = tables.indicator_table(model.field.p, model.field.q ** bw_dim(model, bw), [0])
     return D2Elem(model, o, bw, table, twist)
 
 
@@ -235,11 +232,7 @@ def delta_nu(model: C2Model, nu: VirtualMeasure, bw: BiWindow) -> D2Dist:
     _check_measure(nu, model, nu.src, bot, "delta_nu")
     if bw.l > bot:
         raise WindowError("window bottom must sit below the whole model")
-    q = model.field.q
-    p = model.field.p
-    dim = bw_dim(model, bw)
-    one = CycNum.from_rational(p, nu.scalar)
-    table = tuple(one if i == 0 else CycNum.zero(p) for i in range(q**dim))
+    table = tables.indicator_table(model.field.p, model.field.q ** bw_dim(model, bw), [0], nu.scalar)
     return D2Dist(model, nu.src, bw, table, VirtualMeasure(model, nu.src, bw.l, Fraction(1)))
 
 

@@ -106,12 +106,7 @@ class Fn0:
 
     @staticmethod
     def delta(space: FinSpace, vec: Sequence[int]) -> "Fn0":
-        p = space.field.p
-        idx = space.index(vec)
-        return Fn0(
-            space,
-            tuple(CycNum.one(p) if i == idx else CycNum.zero(p) for i in range(space.size)),
-        )
+        return Fn0.indicator(space, [vec])
 
     @staticmethod
     def constant(space: FinSpace, value: CycNum) -> "Fn0":
@@ -119,12 +114,7 @@ class Fn0:
 
     @staticmethod
     def indicator(space: FinSpace, points: Sequence[Sequence[int]]) -> "Fn0":
-        p = space.field.p
-        idxs = {space.index(v) for v in points}
-        return Fn0(
-            space,
-            tuple(CycNum.one(p) if i in idxs else CycNum.zero(p) for i in range(space.size)),
-        )
+        return Fn0(space, tables.indicator_table(space.field.p, space.size, map(space.index, points)))
 
     def __add__(self, other: "Fn0") -> "Fn0":
         if self.space != other.space:

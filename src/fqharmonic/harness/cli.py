@@ -126,7 +126,8 @@ def _transform(cfg, args) -> int:
 def _build_elem(model, spec: str, w: Window):
     kind, _, rest = spec.partition(":")
     if kind == "deltaF":
-        return fn_at(delta_lattice(model, int(rest)), w).table
+        (cut,) = _spec_ints(spec, rest)
+        return fn_at(delta_lattice(model, cut), w).table
     if kind == "haar":
         value, ref = _parse_measure(rest)
         return HaarMeasure(model, ref, value).as_dist(w).table
@@ -135,7 +136,8 @@ def _build_elem(model, spec: str, w: Window):
         if rest:
             for item in rest.split(";"):
                 k, _, v = item.partition("=")
-                point[int(k)] = int(v)
+                k, v = _spec_ints(spec, k, v)
+                point[k] = v
         return dist_at(delta_point_dist(model, point, w), w).table
     raise DomainError(f"unknown element spec {spec!r}")
 

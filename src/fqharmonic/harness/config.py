@@ -227,15 +227,17 @@ def parse_config(text: str) -> SuiteConfig:
 
     if field_obj is None:
         errors.append((0, "missing [field] section"))
-    seed = 1
-    table_cap = 4096
-    out = None
-    if "seed" in run_items:
-        seed = int(run_items["seed"][1])
-    if "table_cap" in run_items:
-        table_cap = int(run_items["table_cap"][1])
-    if "out" in run_items:
-        out = run_items["out"][1]
+    ints = {"seed": 1, "table_cap": 4096}
+    for key in ints:
+        if key in run_items:
+            ln, val = run_items[key]
+            try:
+                ints[key] = int(val)
+            except ValueError:
+                errors.append((ln, f"bad integer {val!r}"))
+                ints[key] = None  # no cap to compare max_points against
+    seed, table_cap = ints["seed"], ints["table_cap"]
+    out = run_items.get("out", (0, None))[1]
 
     # resolve names and caps inside suite parameters
     for spec in suites:
@@ -251,7 +253,7 @@ def parse_config(text: str) -> SuiteConfig:
                     resolved[key] = int(val)
                 except ValueError:
                     errors.append((ln, f"bad integer {val!r}"))
-        if "max_points" in resolved and resolved["max_points"] > table_cap:
+        if "max_points" in resolved and table_cap is not None and resolved["max_points"] > table_cap:
             ln = spec.params["max_points"][0]
             errors.append(
                 (ln, f"max_points {resolved['max_points']} exceeds table cap {table_cap}")

@@ -103,6 +103,16 @@ def zero_table(p: int, q: int, dim: int) -> Rows:
     return Rows(p, 1, ((0,) * q**dim,) * (p - 1))
 
 
+def indicator_table(p: int, size: int, indices: Iterable[int], value: Fraction | int = 1) -> Rows:
+    """The table of size entries that is the rational value at the given
+    indices and zero elsewhere (point masses and indicators)."""
+    value = Fraction(value)
+    row = [0] * size
+    for i in indices:
+        row[i] = value.numerator
+    return Rows(p, value.denominator, [row] + [[0] * size] * (p - 2))
+
+
 def const_table(value: CycNum, q: int, dim: int) -> Rows:
     den = math.lcm(*(c.denominator for c in value.coeffs))
     n = q**dim

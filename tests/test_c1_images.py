@@ -69,7 +69,7 @@ def test_interval_triple_decides_inclusion_at_every_cut():
     with pytest.raises(DomainError):
         interval_triple(lattice_model(F2, 30), laurent_model(F2))
     T = interval_triple(segment_model(F2, 0, 20), segment_model(F2, 5, 20))
-    assert T.quot.desc == ("segment", 0, 5)
+    assert T.quot == segment_model(F2, 0, 5)
 
 
 def test_beta_push_of_lattice_indicator():

@@ -305,6 +305,19 @@ def test_fourier2_mixed_adjointness():
     assert lhs == rhs
 
 
+def test_pairing2_e_moves_the_germ_down_onto_the_dual():
+    # a germ moves every edge down, so it pairs with a dual whose bi-window
+    # lies below its own, and with no dual whose bi-window lies above
+    rng = random.Random(15)
+    model = k2_model(F2)
+    f = rand_e2(rng, model, BiWindow(-1, 1, -1, 1), "E2")
+    G = rand_e2(rng, model, BiWindow(-2, 1, -1, 1), "E2p")
+    assert pairing2_e(f, G) == pairing2_e(f.at(G.bw), G)
+    low = rand_e2(rng, model, BiWindow(-2, 1, -1, 1), "E2")
+    with pytest.raises(WindowError):
+        pairing2_e(low, rand_e2(rng, model, BiWindow(-1, 1, -1, 1), "E2p"))
+
+
 def test_fourier2_commutes_with_basepoint_change():
     rng = random.Random(10)
     model = k2_model(F2)
@@ -344,6 +357,16 @@ def test_module_germ_moves_down_onto_the_representative():
     assert (lhs.bw, lhs.table, lhs.twist) == (rhs.bw, rhs.table, rhs.twist)
     with pytest.raises(WindowError):
         module_mul(rand_e2(rng, model, BiWindow(-1, 1, -2, 1), "E2"), x)
+
+
+def test_module_refuses_a_dual_factor():
+    rng = random.Random(16)
+    model = k2_model(F2)
+    bw = BiWindow(-1, 1, -1, 1)
+    g = rand_e2(rng, model, bw, "E2")
+    for tag in ("E2p", "E2tp"):
+        with pytest.raises(DomainError, match="dual"):
+            module_mul(g, rand_e2(rng, model, bw, tag))
 
 
 def test_module_pairing_compatibility():

@@ -2,6 +2,9 @@ import hashlib
 import importlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,6 +18,8 @@ from fqharmonic.harness.csvio import parse_table, render_table
 from fqharmonic.harness.report import emit_report
 from fqharmonic.harness.rng import LCG
 from fqharmonic.harness.suites import DEFAULT_CONFIG, SUITES, run_suites
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 MINIMAL = """\
 [field]
@@ -340,6 +345,34 @@ def test_cli_dump_over_table_cap_exits_2(tmp_path, capsys, model, window):
     assert cli_main(["dump", str(cfg_path), "--model", model, window, "--elem", elem]) == 2
     captured = capsys.readouterr()
     assert "table_cap" in captured.err and captured.out == ""
+
+
+def test_bad_table_cap_is_the_only_error():
+    # a malformed cap is reported once, not again as a cap every max_points exceeds
+    bad = MINIMAL.replace("seed = 7", "table_cap = 1e4") + "max_points = 5000\n"
+    with pytest.raises(ConfigError) as exc:
+        parse_config(bad)
+    assert exc.value.errors == [(5, "bad integer '1e4'")]
+
+
+@pytest.mark.parametrize("run_line, elem, expect", [
+    ("seed = abc", "deltaF:0", "c.cfg:5: bad integer 'abc'"),
+    ("table_cap = 1e3", "deltaF:0", "c.cfg:5: bad integer '1e3'"),
+    ("seed = 7", "deltaF:abc", "malformed spec 'deltaF:abc'"),
+    ("seed = 7", "point:x=1", "malformed spec 'point:x=1'"),
+    ("seed = 7", "point:1", "malformed spec 'point:1'"),
+])
+def test_cli_malformed_integers_exit_2(tmp_path, run_line, elem, expect):
+    # a non-integer config value or element spec is a typed error, never a traceback
+    cfg_path = tmp_path / "c.cfg"
+    cfg_path.write_text(MINIMAL.replace("seed = 7", run_line))
+    out = subprocess.run(
+        [sys.executable, "-m", "fqharmonic.harness.cli",
+         "dump", str(cfg_path), "--model", "K", "--window=-1:1", "--elem", elem],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert out.returncode == 2 and "Traceback" not in out.stderr, out.stderr
+    assert expect in out.stderr and out.stdout == ""
 
 
 def test_suite_registry_covers_expected_identities():

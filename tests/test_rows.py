@@ -16,6 +16,10 @@ from fractions import Fraction
 import pytest
 
 from fqharmonic import tables
+from fqharmonic.c1 import Window, delta_point_dist, laurent_model, positions, segment_model, window_dim
+from fqharmonic.c2 import BiWindow, VirtualMeasure, box_model, bw_dim
+from fqharmonic.c2_triples import delta0_fn, delta_nu
+from fqharmonic.dim0 import FinSpace, Fn0
 from fqharmonic.exactnum import CycNum, DomainError, field_for
 from fqharmonic.harness.rng import LCG
 from fqharmonic.harness.suites import _rand_table
@@ -337,3 +341,46 @@ def test_row_draw_keeps_the_stream(seed, q):
         table = _rand_table(new, fld, dim)
         assert tuple(table) == tuple(CycNum(p, old.cyc_coeffs(p - 1)) for _ in range(q**dim))
         assert new.state == old.state
+
+
+# ---------------------------------------------------------------------------
+# point masses and indicators
+# ---------------------------------------------------------------------------
+
+
+def ref_indicator(p, size, indices, value=1):
+    one = CycNum.from_rational(p, Fraction(value))
+    return Rows.of((one if i in set(indices) else CycNum.zero(p) for i in range(size)), p)
+
+
+@pytest.mark.parametrize("q", QS)
+def test_indicator_table(q):
+    p = field_for(q).p
+    rng = random.Random(700 + q)
+    for dim in shapes(q):
+        n = q**dim
+        for value in (1, Fraction(3, 2), Fraction(-2, 5), 0):
+            for count in (0, 1, n):
+                idx = rng.sample(range(n), count)
+                assert tables.indicator_table(p, n, idx, value) == ref_indicator(p, n, idx, value)
+
+
+def test_point_mass_builders_match_their_entries():
+    for q in (2, 3, 4):
+        fld = field_for(q)
+        p = fld.p
+        space = FinSpace(fld, 2)
+        vecs = [(1, 0), (0, q - 1), (1, 0)]
+        assert Fn0.delta(space, vecs[1]).table == ref_indicator(p, q**2, [space.index(vecs[1])])
+        assert Fn0.indicator(space, vecs).table == ref_indicator(p, q**2, [space.index(v) for v in vecs])
+        for model in (laurent_model(fld), segment_model(fld, -1, 1)):
+            w = Window(-2, 2)
+            G = delta_point_dist(model, {(0, 0): 1}, w)
+            digits = [1 if pos == (0, 0) else 0 for pos in positions(model, w)]
+            assert G.table == ref_indicator(p, q ** window_dim(model, w), [encode(digits, q)])
+        bw = BiWindow(-1, 1, -1, 1)
+        Q = box_model(fld, None, None, 0, None, "Q")
+        assert delta0_fn(Q, 0, bw).table == ref_indicator(p, q ** bw_dim(Q, bw), [0])
+        D = box_model(fld, 0, None, None, None, "D")
+        nu = VirtualMeasure(D, 0, 0, Fraction(5, 3))
+        assert delta_nu(D, nu, bw).table == ref_indicator(p, q ** bw_dim(D, bw), [0], Fraction(5, 3))
