@@ -114,6 +114,33 @@ def mirror(lo: Optional[int], hi: Optional[int]) -> Interval:
     return (None if hi is None else -hi, None if lo is None else -lo)
 
 
+def shifted(lo: Optional[int], hi: Optional[int], s: int) -> Interval:
+    """The interval [lo, hi) translated by s."""
+    return (None if lo is None else lo + s, None if hi is None else hi + s)
+
+
+def nonempty(lo: Optional[int], hi: Optional[int]) -> bool:
+    return lo is None or hi is None or lo < hi
+
+
+def overlap(lo: Optional[int], hi: Optional[int], a: Optional[int], b: Optional[int]) -> int:
+    """Number of integers in [lo, hi) and [a, b); each side needs one finite edge."""
+    if lo is None or (a is not None and a > lo):
+        lo = a
+    if hi is None or (b is not None and b < hi):
+        hi = b
+    return hi - lo if hi > lo else 0
+
+
+def hull(intervals) -> tuple[Optional[int], Optional[int]]:
+    """(inf, sup) over the intervals, read from the first two entries of each
+    item: None where some interval is unbounded, (0, 0) for no interval."""
+    if not intervals:
+        return 0, 0
+    los, his, *_ = zip(*intervals)
+    return None if None in los else min(los), None if None in his else max(his)
+
+
 @dataclass(frozen=True, eq=False)
 class C1Model:
     """Integer-indexed filtered space, described by its graded slot intervals.
@@ -127,9 +154,7 @@ class C1Model:
     label: str = ""
 
     def __post_init__(self) -> None:
-        keep = tuple(
-            (lo, hi) for lo, hi in self.intervals if lo is None or hi is None or lo < hi
-        )
+        keep = tuple((lo, hi) for lo, hi in self.intervals if nonempty(lo, hi))
         object.__setattr__(self, "intervals", keep)
         if not self.label:
             object.__setattr__(self, "label", str(keep))
@@ -158,10 +183,7 @@ class C1Model:
         """Number of graded slots with cut in [a, b), a <= b."""
         n = 0
         for lo, hi in self.intervals:
-            top = b if hi is None or hi > b else hi
-            bot = a if lo is None or lo < a else lo
-            if top > bot:
-                n += top - bot
+            n += overlap(lo, hi, a, b)
         return n
 
     def dim_between(self, i: int, j: int) -> int:
@@ -171,10 +193,7 @@ class C1Model:
     @property
     def bounds(self) -> tuple[Optional[int], Optional[int]]:
         """(inf, sup): slots vanish below inf / at or above sup; None = unbounded."""
-        if not self.intervals:
-            return 0, 0
-        los, his = zip(*self.intervals)
-        return None if None in los else min(los), None if None in his else max(his)
+        return hull(self.intervals)
 
     @property
     def is_discrete(self) -> bool:
@@ -210,7 +229,7 @@ def sum_model(m1: C1Model, m2: C1Model, label: str = "") -> C1Model:
 
 
 def shift_model(m: C1Model, s: int, label: str = "") -> C1Model:
-    moved = tuple((None if lo is None else lo + s, None if hi is None else hi + s) for lo, hi in m.intervals)
+    moved = tuple(shifted(lo, hi, s) for lo, hi in m.intervals)
     return C1Model(m.field, moved, label or f"{m.label}>>{s}")
 
 
@@ -476,7 +495,7 @@ def normalize_point(model: C1Model, a) -> Point:
     out: Point = {}
     for key, v in dict(a).items():
         pos = (key, 0) if isinstance(key, int) else tuple(key)
-        if model.mult(pos[0]) <= pos[1]:
+        if pos[1] < 0 or model.mult(pos[0]) <= pos[1]:
             raise DomainError(f"point component at missing slot {pos}")
         if v % model.field.q:
             out[pos] = v % model.field.q

@@ -2,9 +2,17 @@
 two-dimensional function/distribution representatives.
 
 A model is a region of monomial slots (a, b) in the integer plane, with the
-outer filtration cutting on a and the inner one on b; each column of the
-region must be a b-interval.  This family covers iterated Laurent/power
-series models, their quotients, and everything the verification suites need.
+outer filtration cutting on a and the inner one on b.  The region is a
+sorted list of boxes with disjoint column ranges, each box a pair of slot
+intervals (a_lo, a_hi, b_lo, b_hi), None meaning unbounded: the 2d form of
+``c1``'s interval models.  This family covers iterated Laurent/power series
+models, their quotients, and everything the verification suites need.
+
+Every region query is one loop over the boxes that meet its column range,
+counting each axis with ``c1.overlap``, the count ``C1Model`` uses.  A
+rectangle count is signed in each axis like ``C1Model.dim_between``: a
+reversed range counts negatively, so a volume between two cuts needs no
+case split on their order.
 
 Virtual measures comparing two outer filtration members are scalars in the
 reference basis whose basis element converts the Haar measure normalized to 1
@@ -35,7 +43,9 @@ from fractions import Fraction
 from typing import Optional
 
 from fqharmonic import tables
-from fqharmonic.c1 import DOWN, UP, CapabilityError, TableRep, WindowError, common_window, mirror, window_move
+from fqharmonic.c1 import (
+    DOWN, UP, CapabilityError, TableRep, WindowError, common_window, hull, mirror, nonempty, overlap, shifted, window_move,
+)
 from fqharmonic.exactnum import CycNum, DomainError, FqField
 from fqharmonic.tables import Rows
 
@@ -43,13 +53,7 @@ Box = tuple  # (a_lo, a_hi, b_lo, b_hi), None = unbounded
 
 
 def _normalize_boxes(boxes) -> tuple[Box, ...]:
-    keep = []
-    for (a1, a2, b1, b2) in boxes:
-        if a1 is not None and a2 is not None and a1 >= a2:
-            continue
-        if b1 is not None and b2 is not None and b1 >= b2:
-            continue
-        keep.append((a1, a2, b1, b2))
+    keep = [(a1, a2, b1, b2) for (a1, a2, b1, b2) in boxes if nonempty(a1, a2) and nonempty(b1, b2)]
     keep.sort(key=lambda bx: (bx[0] is not None, bx[0] if bx[0] is not None else 0))
     for (x, y) in itertools.combinations(keep, 2):
         lo1, hi1, lo2, hi2 = x[0], x[1], y[0], y[1]
@@ -89,61 +93,42 @@ class C2Model:
 
     # -- region queries
 
-    def col_interval(self, a: int) -> Optional[tuple[Optional[int], Optional[int]]]:
-        for (a1, a2, b1, b2) in self.boxes:
-            if (a1 is None or a >= a1) and (a2 is None or a < a2):
-                return (b1, b2)
-        return None
-
     def in_region(self, a: int, b: int) -> bool:
-        col = self.col_interval(a)
-        if col is None:
-            return False
-        b1, b2 = col
-        return (b1 is None or b >= b1) and (b2 is None or b < b2)
+        for (a1, a2, b1, b2) in self.boxes:
+            if overlap(a1, a2, a, a + 1):
+                return overlap(b1, b2, b, b + 1) == 1
+        return False
 
     def count_rect(self, a1: int, a2: int, b1: int, b2: int) -> int:
+        """Slots in [a1, a2) x [b1, b2), signed in each axis like
+        ``C1Model.dim_between``: a reversed range counts negatively."""
+        sign = 1
+        if a2 < a1:
+            a1, a2, sign = a2, a1, -sign
+        if b2 < b1:
+            b1, b2, sign = b2, b1, -sign
         total = 0
-        for a in range(a1, a2):
-            col = self.col_interval(a)
-            if col is None:
-                continue
-            lo = b1 if col[0] is None else max(b1, col[0])
-            hi = b2 if col[1] is None else min(b2, col[1])
-            total += max(0, hi - lo)
-        return total
+        for (x1, x2, y1, y2) in self.boxes:
+            total += overlap(x1, x2, a1, a2) * overlap(y1, y2, b1, b2)
+        return sign * total
 
     def sigma(self, a1: int, a2: int, m: int) -> int:
         """Reference-lattice volume exponent of the inner cut m over [a1, a2)."""
-        if m >= 0:
-            return self.count_rect(a1, a2, 0, m)
-        return -self.count_rect(a1, a2, m, 0)
+        return self.count_rect(a1, a2, 0, m)
 
     def count_above(self, a1: int, a2: int) -> int:
         """Slots with b >= 0 over the column range; needs bounded columns."""
-        total = 0
-        for a in range(a1, a2):
-            col = self.col_interval(a)
-            if col is None:
-                continue
-            if col[1] is None:
-                raise CapabilityError("column unbounded above; not fiberwise compact")
-            lo = 0 if col[0] is None else max(0, col[0])
-            total += max(0, col[1] - lo)
-        return total
+        sup = self._inner_hull(min(a1, a2), max(a1, a2))[1]
+        if sup is None:
+            raise CapabilityError("column unbounded above; not fiberwise compact")
+        return self.count_rect(a1, a2, 0, sup)
 
     def count_below(self, a1: int, a2: int) -> int:
         """Slots with b < 0 over the column range; needs bounded-below columns."""
-        total = 0
-        for a in range(a1, a2):
-            col = self.col_interval(a)
-            if col is None:
-                continue
-            if col[0] is None:
-                raise CapabilityError("column unbounded below; not fiberwise discrete")
-            hi = 0 if col[1] is None else min(0, col[1])
-            total += max(0, hi - col[0])
-        return total
+        inf = self._inner_hull(min(a1, a2), max(a1, a2))[0]
+        if inf is None:
+            raise CapabilityError("column unbounded below; not fiberwise discrete")
+        return self.count_rect(a1, a2, inf, 0)
 
     # -- classification
 
@@ -154,21 +139,11 @@ class C2Model:
     @property
     def outer_sup(self) -> Optional[int]:
         """Cut at/above which all columns are empty (compact outer type)."""
-        sup = None
-        for (a1, a2, _b1, _b2) in self.boxes:
-            if a2 is None:
-                return None
-            sup = a2 if sup is None else max(sup, a2)
-        return 0 if sup is None else sup
+        return hull(self.boxes)[1]
 
     @property
     def outer_inf(self) -> Optional[int]:
-        inf = None
-        for (a1, a2, _b1, _b2) in self.boxes:
-            if a1 is None:
-                return None
-            inf = a1 if inf is None else min(inf, a1)
-        return 0 if inf is None else inf
+        return hull(self.boxes)[0]
 
     @property
     def is_c(self) -> bool:
@@ -186,28 +161,20 @@ class C2Model:
     def is_df(self) -> bool:
         return all(b1 is not None for (_a1, _a2, b1, _b2) in self.boxes)
 
+    def _inner_hull(self, a1: int, a2: int) -> tuple[Optional[int], Optional[int]]:
+        """``c1.hull`` of the b-intervals of the columns in [a1, a2)."""
+        met = []
+        for (x1, x2, y1, y2) in self.boxes:
+            if overlap(x1, x2, a1, a2):
+                met.append((y1, y2))
+        return hull(met)
+
     def inner_sup(self, a1: int, a2: int) -> Optional[int]:
         """Largest column top over the range (None if some column is unbounded)."""
-        sup = None
-        for a in range(a1, a2):
-            col = self.col_interval(a)
-            if col is None:
-                continue
-            if col[1] is None:
-                return None
-            sup = col[1] if sup is None else max(sup, col[1])
-        return sup if sup is not None else 0
+        return self._inner_hull(a1, a2)[1]
 
     def inner_inf(self, a1: int, a2: int) -> Optional[int]:
-        inf = None
-        for a in range(a1, a2):
-            col = self.col_interval(a)
-            if col is None:
-                continue
-            if col[0] is None:
-                return None
-            inf = col[0] if inf is None else min(inf, col[0])
-        return inf if inf is not None else 0
+        return self._inner_hull(a1, a2)[0]
 
 
 def k2_model(field: FqField, label: str = "K2") -> C2Model:
@@ -220,26 +187,13 @@ def box_model(field: FqField, a_lo, a_hi, b_lo, b_hi, label: str = "") -> C2Mode
 
 def dual_model2(m: C2Model) -> C2Model:
     """Region mirrored under (a, b) -> (-a-1, -b-1)."""
-    boxes = []
-    for (a1, a2, b1, b2) in m.boxes:
-        ma = mirror(a1, a2)
-        mb = mirror(b1, b2)
-        boxes.append((ma[0], ma[1], mb[0], mb[1]))
-    return C2Model(m.field, tuple(boxes), f"dual({m.label})")
+    boxes = tuple((*mirror(a1, a2), *mirror(b1, b2)) for (a1, a2, b1, b2) in m.boxes)
+    return C2Model(m.field, boxes, f"dual({m.label})")
 
 
 def shift_region(m: C2Model, da: int, db: int, label: str = "") -> C2Model:
-    boxes = []
-    for (a1, a2, b1, b2) in m.boxes:
-        boxes.append(
-            (
-                None if a1 is None else a1 + da,
-                None if a2 is None else a2 + da,
-                None if b1 is None else b1 + db,
-                None if b2 is None else b2 + db,
-            )
-        )
-    return C2Model(m.field, tuple(boxes), label or f"{m.label}+({da},{db})")
+    boxes = tuple((*shifted(a1, a2, da), *shifted(b1, b2, db)) for (a1, a2, b1, b2) in m.boxes)
+    return C2Model(m.field, boxes, label or f"{m.label}+({da},{db})")
 
 
 # ---------------------------------------------------------------------------
@@ -270,16 +224,19 @@ class BiWindow:
 
 
 def positions2(model: C2Model, bw: BiWindow) -> tuple[tuple[int, int], ...]:
-    return tuple(
-        (a, b)
-        for a in range(bw.l, bw.i)
-        for b in range(bw.m, bw.n)
-        if model.in_region(a, b)
-    )
+    """The region slots (a, b) of the bi-window, a-major: the boxes are sorted
+    by column and disjoint, so box by box is column by column."""
+    out: list = []
+    for (a1, a2, b1, b2) in model.boxes:
+        na, nb = overlap(a1, a2, bw.l, bw.i), overlap(b1, b2, bw.m, bw.n)
+        a0 = bw.l if a1 is None else max(a1, bw.l)
+        b0 = bw.m if b1 is None else max(b1, bw.m)
+        out += [(a, b) for a in range(a0, a0 + na) for b in range(b0, b0 + nb)]
+    return tuple(out)
 
 
 def bw_dim(model: C2Model, bw: BiWindow) -> int:
-    return len(positions2(model, bw))
+    return model.count_rect(bw.l, bw.i, bw.m, bw.n)
 
 
 # ---------------------------------------------------------------------------
@@ -324,13 +281,11 @@ def vmeas_canonical(model: C2Model, i: int, j: int, kind: str) -> VirtualMeasure
     if kind == "one":
         if not model.is_cf:
             raise CapabilityError("canonical mass-1 elements need a fiberwise compact model")
-        w = model.count_above(i, j) if i <= j else -model.count_above(j, i)
-        return VirtualMeasure(model, i, j, Fraction(model.field.q) ** (-w))
+        return VirtualMeasure(model, i, j, Fraction(model.field.q) ** (-model.count_above(i, j)))
     if kind == "delta":
         if not model.is_df:
             raise CapabilityError("canonical point-mass elements need a fiberwise discrete model")
-        v = model.count_below(i, j) if i <= j else -model.count_below(j, i)
-        return VirtualMeasure(model, i, j, Fraction(model.field.q) ** v)
+        return VirtualMeasure(model, i, j, Fraction(model.field.q) ** model.count_below(i, j))
     raise DomainError(f"unknown canonical kind {kind!r}")
 
 

@@ -87,18 +87,12 @@ def measure_transport(g: AutElem, vm: VirtualMeasure) -> VirtualMeasure:
     In reference coordinates the basis element between cuts f and t picks up
     the volume by which the shift moves standard lattices: a power of q
     counting the region slots between inner levels 0 and u_shift over the
-    outer range [f, t).
+    outer range [f, t), signed when t < f.
     """
     if vm.model != g.model:
         raise DomainError("measure and automorphism on different models")
-    f, t = vm.src, vm.dst
-    if f <= t:
-        exp = g.model.sigma(f, t, g.u_shift)
-    else:
-        exp = -g.model.sigma(t, f, g.u_shift)
-    return VirtualMeasure(
-        g.model, g.apply_cut(f), g.apply_cut(t), vm.scalar * Fraction(g.model.field.q) ** exp
-    )
+    factor = Fraction(g.model.field.q) ** g.model.sigma(vm.src, vm.dst, g.u_shift)
+    return VirtualMeasure(g.model, g.apply_cut(vm.src), g.apply_cut(vm.dst), vm.scalar * factor)
 
 
 @dataclass(frozen=True)
@@ -176,25 +170,15 @@ def rep_act(x, target):
         return E2Fn(target.model, target.tag, bw_out, table)
     if not isinstance(x, AutHatElem):
         raise DomainError("twisted representatives need a lifted automorphism")
-    g, q = x.g, x.g.model.field.q
+    if not isinstance(target, (D2Elem, D2Dist)):
+        raise DomainError("unsupported representation target")
+    if target.o != x.o:
+        raise DomainError("basepoint mismatch")
+    g, model = x.g, target.model
+    vol = Fraction(g.model.field.q) ** g.model.sigma(target.bw.l, x.o, g.u_shift)
+    bw_out, table = _relabel(g, target.bw, target.table)
     if isinstance(target, D2Elem):
-        if target.o != x.o:
-            raise DomainError("basepoint mismatch")
-        sig = g.model.sigma(target.bw.l, x.o, g.u_shift) if target.bw.l <= x.o else -g.model.sigma(x.o, target.bw.l, g.u_shift)
-        scalar = target.twist.scalar * Fraction(q) ** sig / x.mu.scalar
-        bw_out, table = _relabel(g, target.bw, target.table)
-        return D2Elem(
-            target.model, x.o, bw_out, table,
-            VirtualMeasure(target.model, bw_out.l, x.o, scalar),
-        )
-    if isinstance(target, D2Dist):
-        if target.o != x.o:
-            raise DomainError("basepoint mismatch")
-        sig = g.model.sigma(target.bw.l, x.o, g.u_shift) if target.bw.l <= x.o else -g.model.sigma(x.o, target.bw.l, g.u_shift)
-        scalar = target.twist.scalar * Fraction(q) ** (-sig) * x.mu.scalar
-        bw_out, table = _relabel(g, target.bw, target.table)
-        return D2Dist(
-            target.model, x.o, bw_out, table,
-            VirtualMeasure(target.model, x.o, bw_out.l, scalar),
-        )
-    raise DomainError("unsupported representation target")
+        scalar = target.twist.scalar * vol / x.mu.scalar
+        return D2Elem(model, x.o, bw_out, table, VirtualMeasure(model, bw_out.l, x.o, scalar))
+    scalar = target.twist.scalar / vol * x.mu.scalar
+    return D2Dist(model, x.o, bw_out, table, VirtualMeasure(model, x.o, bw_out.l, scalar))

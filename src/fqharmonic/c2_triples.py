@@ -77,8 +77,7 @@ def dual_triple2(T: GradedC2Triple) -> GradedC2Triple:
 def outer_cut_triple(mid: C2Model, cut: int, label: str = "") -> GradedC2Triple:
     sub_boxes, quot_boxes = [], []
     for (a1, a2, b1, b2) in mid.boxes:
-        lo = a1 if a1 is not None else None
-        sub_boxes.append((lo, cut if a2 is None else min(a2, cut), b1, b2))
+        sub_boxes.append((a1, cut if a2 is None else min(a2, cut), b1, b2))
         quot_boxes.append((cut if a1 is None else max(a1, cut), a2, b1, b2))
     sub = C2Model(mid.field, tuple(sub_boxes), f"{mid.label}|a<{cut}")
     quot = C2Model(mid.field, tuple(quot_boxes), f"{mid.label}|a>={cut}")

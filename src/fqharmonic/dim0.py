@@ -32,7 +32,10 @@ class FinSpace:
         return tables.decode(index, self.field.q, self.dim)
 
     def index(self, vec: Sequence[int]) -> int:
-        return tables.encode(vec, self.field.q)
+        q = self.field.q
+        if len(vec) != self.dim or not all(0 <= d < q for d in vec):
+            raise DomainError(f"{tuple(vec)} is not a vector of F_{q}^{self.dim}")
+        return tables.encode(vec, q)
 
     def vectors(self) -> Iterator[tuple[int, ...]]:
         return (self.vec(i) for i in range(self.size))
@@ -166,7 +169,8 @@ def pull0(pi: LinMap, g: Fn0) -> Fn0:
 
 def _image_index(pi: LinMap) -> list[int]:
     """The target index of the image of every source point."""
-    return [pi.target.index(pi.apply(v)) for v in pi.source.vectors()]
+    q = pi.target.field.q
+    return [tables.encode(pi.apply(v), q) for v in pi.source.vectors()]
 
 
 def fourier0(f: Fn0) -> Fn0:

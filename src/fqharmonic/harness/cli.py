@@ -10,6 +10,7 @@ from typing import Optional
 
 from fqharmonic.c1 import (
     C1Fn,
+    C1Model,
     HaarMeasure,
     Window,
     delta_lattice,
@@ -19,7 +20,7 @@ from fqharmonic.c1 import (
     fourier1,
     window_dim,
 )
-from fqharmonic.c2 import BiWindow, D2Elem, VirtualMeasure, fourier2
+from fqharmonic.c2 import BiWindow, C2Model, D2Elem, VirtualMeasure, bw_dim, e2_constant_one, fourier2
 from fqharmonic.dim0 import FinSpace, Fn0, fourier0
 from fqharmonic.exactnum import DomainError
 from fqharmonic.harness.config import ConfigError, parse_config
@@ -97,9 +98,8 @@ def _transform(cfg, args) -> int:
         out_fn = fourier0(Fn0(FinSpace(cfg.field, dim), table))
         text = render_table(q, out_fn.table)
     elif args.op == "fourier1":
-        model = cfg.models.get(args.model)
+        model = _op_model(cfg, args, C1Model, "one-dimensional")
         if model is None:
-            print(f"unknown model {args.model!r}", file=sys.stderr)
             return 2
         w = _parse_window(args.window)
         value, ref = _parse_measure(args.measure or "1@0")
@@ -107,9 +107,8 @@ def _transform(cfg, args) -> int:
         out_f = fourier1(f, HaarMeasure(model, ref, value))
         text = render_table(q, out_f.table, window=(out_f.window.lo, out_f.window.hi))
     elif args.op == "fourier2":
-        model = cfg.models.get(args.model)
+        model = _op_model(cfg, args, C2Model, "two-dimensional")
         if model is None:
-            print(f"unknown model {args.model!r}", file=sys.stderr)
             return 2
         bw = _parse_biwindow(args.biwindow)
         o = args.basepoint
@@ -121,6 +120,18 @@ def _transform(cfg, args) -> int:
         return 2
     Path(args.out).write_text(text)
     return 0
+
+
+def _op_model(cfg, args, cls, kind: str):
+    """The named model if it is a ``cls``; else None, after a message."""
+    model = cfg.models.get(args.model)
+    if model is None:
+        print(f"unknown model {args.model!r}", file=sys.stderr)
+    elif not isinstance(model, cls):
+        print(f"{args.op} needs a {kind} model; {args.model!r} is not one", file=sys.stderr)
+    else:
+        return model
+    return None
 
 
 def _build_elem(model, spec: str, w: Window):
@@ -152,10 +163,7 @@ def _check_table_cap(cfg, dim: int) -> None:
 
 
 def cmd_dump(args) -> int:
-    from fqharmonic.c2 import C2Model, bw_dim
     from fqharmonic.c2_triples import delta0_fn, one_fn
-    from fqharmonic.exactnum import CycNum
-    from fqharmonic.tables import const_table
 
     cfg = _load_config(args.config)
     model = cfg.models.get(args.model)
@@ -168,12 +176,8 @@ def cmd_dump(args) -> int:
             _check_table_cap(cfg, bw_dim(model, bw))
             kind = args.elem.partition(":")[0]
             if kind == "ones":
-                if model.is_cf:
-                    table = one_fn(model, args.basepoint, bw).table
-                else:
-                    table = const_table(
-                        CycNum.one(cfg.field.p), cfg.field.q, bw_dim(model, bw)
-                    )
+                ones = one_fn(model, args.basepoint, bw) if model.is_cf else e2_constant_one(model, bw)
+                table = ones.table
             elif kind == "delta0":
                 table = delta0_fn(model, args.basepoint, bw).table
             else:

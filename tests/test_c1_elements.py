@@ -34,7 +34,7 @@ from fqharmonic.c1 import (
     translate_fn,
     window_dim,
 )
-from fqharmonic.exactnum import CycNum, field_for
+from fqharmonic.exactnum import CycNum, DomainError, field_for
 
 
 def rand_cyc(rng, p):
@@ -309,3 +309,25 @@ def test_translate_dispatch():
     assert isinstance(translate(f, {}), C1Fn)
     mu = HaarMeasure(K, 0, Fraction(1))
     assert isinstance(translate(mu.as_dist(Window(0, 1)), {}), C1Dist)
+
+
+def test_negative_slot_index_is_refused():
+    # slot -1 does not exist; it must not be read as the origin
+    K = laurent_model(F2)
+    f = delta_lattice(K, 0)
+    G = HaarMeasure(K, 0, Fraction(1)).as_dist(Window(-1, 1))
+    bad = {(0, -1): 1}
+    calls = [
+        lambda: delta_point_dist(K, bad, Window(-1, 1)),
+        lambda: translate_fn(f, bad),
+        lambda: translate_dist(G, bad),
+        lambda: eval_fn_at(f, bad),
+        lambda: dist_vanishes_at(G, bad),
+        lambda: character_fn(K, Window(-1, 1), bad),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match="missing slot"):
+            call()
+    # the slots that exist still work: slot 1 of a two-slot cut
+    K2s = sum_model(K, K)
+    assert eval_fn_at(delta_lattice(K2s, 0), {(-1, 1): 1}) == CycNum.one(2)

@@ -62,6 +62,16 @@ def test_pairing_evaluates():
         assert pairing0(f, Fn0.delta(sp, v)) == f.table[sp.index(v)]
 
 
+@pytest.mark.parametrize("vec", [(2, 0), (1, 1, 1), (0, 2), (0, -1), (1,)])
+def test_vectors_outside_the_space_are_refused(vec):
+    # a digit outside [0, q) or a wrong length names no point of F_2^2
+    sp = FinSpace(field_for(2), 2)
+    with pytest.raises(DomainError, match="not a vector of F_2"):
+        sp.index(vec)
+    with pytest.raises(DomainError, match="not a vector of F_2"):
+        Fn0.delta(sp, vec)
+
+
 def test_pairing_space_mismatch():
     f2 = field_for(2)
     with pytest.raises(DomainError):

@@ -314,6 +314,26 @@ def test_cli_transform_misfit_table_exits_2(tmp_path, capsys, extra):
     assert code == 2 and "bad.csv" in err
 
 
+@pytest.mark.parametrize("op, model, window, expect", [
+    ("fourier1", "K2", "--window=0:1", "fourier1 needs a one-dimensional model; 'K2'"),
+    ("fourier2", "K", "--biwindow=0:1,0:1", "fourier2 needs a two-dimensional model; 'K'"),
+    ("fourier1", "X", "--window=0:1", "unknown model 'X'"),
+])
+def test_cli_transform_wrong_model_dimension_exits_2(tmp_path, op, model, window, expect):
+    # a model of the other dimension is named in the message, never a traceback
+    cfg_path = tmp_path / "c.cfg"
+    cfg_path.write_text(MINIMAL + "\n[model K2]\nc2 = full\n")
+    src = tmp_path / "in.csv"
+    src.write_text(render_table(2, (CycNum.one(2), CycNum.zero(2))))
+    out = subprocess.run(
+        [sys.executable, "-m", "fqharmonic.harness.cli", "transform", str(cfg_path), "--op", op,
+         "--model", model, window, "--input", str(src), "--out", str(tmp_path / "out.csv")],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert out.returncode == 2 and "Traceback" not in out.stderr, out.stderr
+    assert expect in out.stderr and not (tmp_path / "out.csv").exists()
+
+
 def test_cli_dump(tmp_path, capsys):
     cfg_path = tmp_path / "c.cfg"
     cfg_path.write_text(MINIMAL)
