@@ -1,6 +1,8 @@
 """The commuting-square runner of the image-law suites.
 
-The draw stream of compose1, base_change1 and base_change2 is pinned here by
+The draw stream of every suite that states its laws as squares (compose1,
+base_change1, base_change2, fubini_projection, fourier_image1,
+images2_adjoint, fourier_image2 and fourier1_props) is pinned here by
 (cases, failures, final generator state): a JSON digest cannot see a change
 in draw order while every check passes, this can. The negative controls make
 sure the runner's type-chosen equality sees a square that does not commute.
@@ -26,8 +28,8 @@ from fqharmonic.harness.suites import (
     _twin,
 )
 
-# (suite, q, seed) -> (cases, failures, final LCG state), with
-# cases = 10 for compose1 and base_change1 and 4 for base_change2
+# (suite, q, seed) -> (cases, failures, final LCG state), at the case counts
+# of CASES
 STREAMS = {
     ("compose1", 2, 1): (90, 0, 9488883691750860723),
     ("compose1", 2, 5): (90, 0, 15541648833647212945),
@@ -47,8 +49,47 @@ STREAMS = {
     ("base_change2", 3, 1): (64, 0, 5066498319642300897),
     ("base_change2", 3, 5): (64, 0, 14350360423289578369),
     ("base_change2", 3, 20260808): (64, 0, 1476880624219375850),
+    ("fubini_projection", 2, 1): (60, 0, 14274426015358261843),
+    ("fubini_projection", 2, 5): (60, 0, 7855014282129460683),
+    ("fubini_projection", 2, 20260808): (60, 0, 4708812338162250801),
+    ("fubini_projection", 3, 1): (60, 0, 16890599171456180257),
+    ("fubini_projection", 3, 5): (60, 0, 7461925204308956613),
+    ("fubini_projection", 3, 20260808): (60, 0, 16816954129735646980),
+    ("fourier_image1", 2, 1): (40, 0, 239200235066674875),
+    ("fourier_image1", 2, 5): (40, 0, 10487032333029643242),
+    ("fourier_image1", 2, 20260808): (40, 0, 12070458443216507159),
+    ("fourier_image1", 3, 1): (40, 0, 16500114473574273437),
+    ("fourier_image1", 3, 5): (40, 0, 8506158634100199515),
+    ("fourier_image1", 3, 20260808): (40, 0, 14494229113732865894),
+    ("images2_adjoint", 2, 1): (24, 0, 11321866598777739805),
+    ("images2_adjoint", 2, 5): (24, 0, 4972621784443787283),
+    ("images2_adjoint", 2, 20260808): (24, 0, 17044159485714034532),
+    ("images2_adjoint", 3, 1): (24, 0, 7750440037883691647),
+    ("images2_adjoint", 3, 5): (24, 0, 6123315992131199649),
+    ("images2_adjoint", 3, 20260808): (24, 0, 13973083209731219692),
+    ("fourier_image2", 2, 1): (8, 0, 11321866598777739805),
+    ("fourier_image2", 2, 5): (8, 0, 12974114783119746379),
+    ("fourier_image2", 2, 20260808): (8, 0, 8701408613143025292),
+    ("fourier_image2", 3, 1): (8, 0, 7750440037883691647),
+    ("fourier_image2", 3, 5): (8, 0, 10959782623802771011),
+    ("fourier_image2", 3, 20260808): (8, 0, 13973083209731219692),
+    ("fourier1_props", 2, 1): (83, 0, 2659154849870269759),
+    ("fourier1_props", 2, 5): (83, 0, 6114462731960355873),
+    ("fourier1_props", 2, 20260808): (83, 0, 2400967294424965114),
+    ("fourier1_props", 3, 1): (83, 0, 11973449475569090881),
+    ("fourier1_props", 3, 5): (83, 0, 15446996860599662393),
+    ("fourier1_props", 3, 20260808): (83, 0, 12589511275948846870),
 }
-CASES = {"compose1": 10, "base_change1": 10, "base_change2": 4}
+CASES = {
+    "compose1": 10,
+    "base_change1": 10,
+    "base_change2": 4,
+    "fubini_projection": 10,
+    "fourier_image1": 10,
+    "images2_adjoint": 4,
+    "fourier_image2": 4,
+    "fourier1_props": 10,
+}
 
 
 @pytest.mark.parametrize("name,q,seed", sorted(STREAMS))
