@@ -677,52 +677,37 @@ def delta_point_dist(model: C1Model, point, w: Optional[Window] = None) -> C1Dis
 # ---------------------------------------------------------------------------
 
 
-def _rev_fourier(model: C1Model, w: Window, table: Rows, factor: Fraction = Fraction(1)) -> Rows:
-    """Dot-pairing transform times factor, then the dual-window slot matching."""
-    q = model.field.q
-    dim = window_dim(model, w)
-    ft = tables.fourier(table, q, dim, model.field, factor)
-    return tables.apply_perm(ft, q, dual_perm(model, w))
+GERM_DUAL_TAGS = {"E": "ETp", "ET": "Ep", "Ep": "ET", "ETp": "E"}
 
 
-def fourier1(f: C1Fn, mu: HaarMeasure) -> C1Fn:
-    """F_mu on compactly-supported functions; lands on the dual model."""
-    if f.tag != "D":
-        raise CapabilityError("fourier1 applies to compactly-supported functions")
-    if f.model != mu.model:
-        raise DomainError("measure on a different model")
-    out_table = _rev_fourier(f.model, f.window, f.table, mu.value_at(f.window.lo))
-    return C1Fn(dual_model(f.model), "D", dual_window(f.window), out_table)
+def fourier1(x, mu: Optional[HaarMeasure] = None):
+    """The transform of a function or distribution; lands on the dual model.
 
-
-def fourier1_dist(G: C1Dist, mu: HaarMeasure) -> C1Dist:
-    """F_{mu^{-1}} on distributions, via adjointness on pairing tables."""
-    if G.model != mu.model:
-        raise DomainError("measure on a different model")
-    out_table = _rev_fourier(G.model, G.window, G.table, Fraction(1) / mu.value_at(G.window.hi))
-    ext = ("zero_up",) if G.tag == "Haar" else None
-    return C1Dist(dual_model(G.model), "Dp", dual_window(G.window), out_table, ext)
-
-
-def fourier_e(f: C1Fn) -> C1Dist:
-    """F on locally-constant germs, landing in compact-dual pairing tables.
-
-    Measure-independent: the density and inverse-measure scalings cancel to
-    1/q^dim on the window.
+    A measure is given exactly for the measure-dependent transforms: F_mu on
+    compactly-supported functions and F_{mu^{-1}} on any distribution, the
+    latter via adjointness on pairing tables.  Without one, locally-constant
+    germs go to compact-dual pairing tables (the density and inverse-measure
+    scalings cancel to 1/q^dim on the window) and compactly-supported
+    distributions go to germs, unscaled.
     """
-    if f.tag not in ("E", "ET"):
-        raise CapabilityError("fourier_e applies to locally-constant germs")
-    q = f.model.field.q
-    dim = window_dim(f.model, f.window)
-    out_table = _rev_fourier(f.model, f.window, f.table, Fraction(1, q**dim))
-    tag = "ETp" if f.tag == "E" else "Ep"
-    return C1Dist(dual_model(f.model), tag, dual_window(f.window), out_table, None)
-
-
-def fourier_ep(G: C1Dist) -> C1Fn:
-    """F on compactly-supported distributions, landing in germs (unscaled)."""
-    if G.tag not in ("Ep", "ETp"):
-        raise CapabilityError("fourier_ep applies to compactly-supported distributions")
-    out_table = _rev_fourier(G.model, G.window, G.table)
-    tag = "E" if G.tag == "ETp" else "ET"
-    return C1Fn(dual_model(G.model), tag, dual_window(G.window), out_table)
+    q = x.model.field.q
+    if mu is None:
+        if x.tag not in GERM_DUAL_TAGS:
+            raise CapabilityError(f"the transform of a {x.tag} representative needs a measure")
+        tag = GERM_DUAL_TAGS[x.tag]
+        factor = Fraction(1, q**x.dim) if isinstance(x, C1Fn) else Fraction(1)
+    elif x.tag in ("E", "ET"):
+        raise CapabilityError("the transform of a germ takes no measure")
+    elif x.model != mu.model:
+        raise DomainError("measure on a different model")
+    elif x.tag == "D":
+        tag, factor = "D", mu.value_at(x.window.lo)
+    else:
+        tag, factor = "Dp", Fraction(1) / mu.value_at(x.window.hi)
+    # the dot-pairing transform, then the dual-window slot matching
+    ft = tables.fourier(x.table, q, x.dim, x.model.field, factor)
+    table = tables.apply_perm(ft, q, dual_perm(x.model, x.window))
+    dm, dw = dual_model(x.model), dual_window(x.window)
+    if tag in FN_TAGS:
+        return C1Fn(dm, tag, dw, table)
+    return C1Dist(dm, tag, dw, table, ("zero_up",) if x.tag == "Haar" else None)

@@ -34,7 +34,7 @@ from fqharmonic.c1 import (
     C1Model,
     dual_model,
     dual_window,
-    fourier1_dist,
+    fourier1,
     positions,
     sum_model,
     window_dim,
@@ -398,7 +398,7 @@ def poisson1_verify(
                 )
             delta = images1("alpha_push", T, haar)
             mu2_used = mu2.scaled(Fraction(q)) if corrupt == "measure" else mu2
-            lhs = fourier1_dist(delta, mu2_used)
+            lhs = fourier1(delta, mu2_used)
             # independent oracle on the dual window
             wd = dual_window(w)
             val = mu1.value_at(b) / mu2.value_at(b)

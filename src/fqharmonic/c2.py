@@ -427,9 +427,6 @@ def d2_equal(x, y) -> bool:
     return x.at(bw).folded() == y.at(bw).folded()
 
 
-d2dist_equal = d2_equal
-
-
 def pairing2(f: D2Elem, G: D2Dist) -> CycNum:
     """<f, G>: twists contract through the basepoint."""
     if f.model != G.model or f.o != G.o:

@@ -26,7 +26,6 @@ from fqharmonic.c2 import (
     VirtualMeasure,
     bw_dim,
     d2_equal,
-    d2dist_equal,
     dual_model2,
     fourier2,
     positions2,
@@ -324,7 +323,7 @@ def poisson2_verify(
                 delta = delta * Fraction(q)
             lhs = fourier2(delta)
             rhs = char_dist(Td, nu.on_dual(), mu.on_dual(), bw_adj)
-            same = d2dist_equal(lhs, rhs)
+            same = d2_equal(lhs, rhs)
         if not same:
             report.fail(
                 f"poisson2_{which}_characteristic_transform",

@@ -29,6 +29,8 @@ class FinSpace:
         return self.field.q**self.dim
 
     def vec(self, index: int) -> tuple[int, ...]:
+        if not 0 <= index < self.size:
+            raise DomainError(f"{index} indexes no point of F_{self.field.q}^{self.dim}")
         return tables.decode(index, self.field.q, self.dim)
 
     def index(self, vec: Sequence[int]) -> int:
@@ -38,7 +40,8 @@ class FinSpace:
         return tables.encode(vec, q)
 
     def vectors(self) -> Iterator[tuple[int, ...]]:
-        return (self.vec(i) for i in range(self.size))
+        q, dim = self.field.q, self.dim
+        return (tables.decode(i, q, dim) for i in range(self.size))
 
 
 @dataclass(frozen=True)

@@ -151,3 +151,16 @@ def test_full_default_config_is_green():
     assert all(r.passed for r in reports), [
         (r.name, r.failures[:1]) for r in reports if not r.passed
     ]
+
+
+def test_default_config_is_green_over_f4():
+    # over a non-prime field an element's index is not its integer value, so
+    # a sign or a sum taken on indices instead of in the field shows up here
+    from fqharmonic.harness.suites import run_suites
+
+    cfg = parse_config(DEFAULT_CONFIG.replace("spec = 2,1,[0,1]", "spec = 2,2,[1,1,1]"))
+    assert cfg.field.q == 4
+    reports = run_suites(cfg)
+    assert all(r.passed for r in reports), [
+        (r.name, r.failures[:1]) for r in reports if not r.passed
+    ]

@@ -11,9 +11,6 @@ from fqharmonic.c1 import (
     dual_window,
     fn_equal,
     fourier1,
-    fourier1_dist,
-    fourier_e,
-    fourier_ep,
     lattice_model,
     laurent_model,
     shift_model,
@@ -260,13 +257,13 @@ def test_transform_image_exchange_compact_support():
         assert fn_equal(lhs, rhs)
         # conjugate square on distributions along the mono
         G3 = rand_dist(rng, T.quot, w)
-        lhs = fourier1_dist(images1("beta_pull", T, G3, mu1), mu2)
-        rhs = images1("alpha_push", Td, fourier1_dist(G3, mu3))
+        lhs = fourier1(images1("beta_pull", T, G3, mu1), mu2)
+        rhs = images1("alpha_push", Td, fourier1(G3, mu3))
         assert lhs.table == rhs.table
         # conjugate square on distributions along the epi
         G1 = rand_dist(rng, T.sub, w)
-        lhs = fourier1_dist(images1("alpha_push", T, G1), mu2)
-        rhs = images1("beta_pull", Td, fourier1_dist(G1, mu1), mu3.inverse_on_dual())
+        lhs = fourier1(images1("alpha_push", T, G1), mu2)
+        rhs = images1("beta_pull", Td, fourier1(G1, mu1), mu3.inverse_on_dual())
         assert lhs.table == rhs.table
 
 
@@ -279,20 +276,20 @@ def test_transform_image_exchange_germs():
         Td = dual_triple(T)
         w = Window(-2, 2)
         f3 = rand_fn(rng, T.quot, w, tag="E")
-        lhs = fourier_e(images1("beta_pull", T, f3))
-        rhs = images1("alpha_push", Td, fourier_e(f3))
+        lhs = fourier1(images1("beta_pull", T, f3))
+        rhs = images1("alpha_push", Td, fourier1(f3))
         assert lhs.table == rhs.table
         G1 = rand_dist(rng, T.sub, w, tag="ETp")
-        lhs = fourier_ep(images1("alpha_push", T, G1))
-        rhs = images1("beta_pull", Td, fourier_ep(G1))
+        lhs = fourier1(images1("alpha_push", T, G1))
+        rhs = images1("beta_pull", Td, fourier1(G1))
         assert fn_equal(lhs, rhs)
         f2 = rand_fn(rng, T.mid, w, tag="E")
-        lhs = fourier_e(images1("alpha_pull", T, f2))
-        rhs = images1("beta_push", Td, fourier_e(f2))
+        lhs = fourier1(images1("alpha_pull", T, f2))
+        rhs = images1("beta_push", Td, fourier1(f2))
         assert lhs.table == rhs.table
         G2 = rand_dist(rng, T.mid, w, tag="ETp")
-        lhs = fourier_ep(images1("beta_push", T, G2))
-        rhs = images1("alpha_pull", Td, fourier_ep(G2))
+        lhs = fourier1(images1("beta_push", T, G2))
+        rhs = images1("alpha_pull", Td, fourier1(G2))
         assert fn_equal(lhs, rhs)
 
 

@@ -1,9 +1,14 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from fqharmonic.c1 import (
+    DIST_TAGS,
+    FN_TAGS,
     C1Dist,
     C1Fn,
+    CapabilityError,
     HaarMeasure,
     Window,
     character_fn,
@@ -16,9 +21,6 @@ from fqharmonic.c1 import (
     fn_equal,
     fn_mul,
     fourier1,
-    fourier1_dist,
-    fourier_e,
-    fourier_ep,
     i_mu,
     laurent_model,
     lattice_model,
@@ -28,7 +30,7 @@ from fqharmonic.c1 import (
     translate_fn,
     window_dim,
 )
-from fqharmonic.exactnum import CycNum, field_for
+from fqharmonic.exactnum import CycNum, DomainError, field_for
 
 F2 = field_for(2)
 F3 = field_for(3)
@@ -119,7 +121,7 @@ def test_dist_transform_by_adjointness_oracle():
     mu = HaarMeasure(K, 0, Fraction(1, 3))
     for _ in range(5):
         G = rand_dist(rng, K, Window(-1, 1))
-        FG = fourier1_dist(G, mu)
+        FG = fourier1(G, mu)
         for _ in range(3):
             f = rand_fn(rng, dK, Window(-1, 1))
             assert pairing1(FG, f) == pairing1(G, fourier1(f, mu.inverse_on_dual()))
@@ -131,7 +133,7 @@ def test_dist_double_transform_is_check():
     mu = HaarMeasure(K, 0, Fraction(1))
     for _ in range(5):
         G = rand_dist(rng, K, Window(-1, 2))
-        twice = fourier1_dist(fourier1_dist(G, mu), mu.inverse_on_dual())
+        twice = fourier1(fourier1(G, mu), mu.inverse_on_dual())
         assert twice.table == G.check().table
 
 
@@ -139,7 +141,7 @@ def test_transform_of_haar_is_point_mass():
     K = laurent_model(F2)
     mu = HaarMeasure(K, 0, Fraction(1))
     nu = mu.scaled(Fraction(5))
-    G = fourier1_dist(nu.as_dist(Window(-1, 1)), mu)
+    G = fourier1(nu.as_dist(Window(-1, 1)), mu)
     # constant-ratio point mass at the zero coset on every window
     for w in [Window(-1, 1), Window(-2, 2)]:
         T = dist_at(G, w).table
@@ -153,9 +155,9 @@ def test_dist_transform_translation_lemma():
     mu = HaarMeasure(K, 0, Fraction(1))
     G = rand_dist(rng, K, Window(-2, 2))
     a = {(0, 0): 1}
-    lhs = fourier1_dist(translate_dist(G, a), mu)
+    lhs = fourier1(translate_dist(G, a), mu)
     chi = character_fn(dual_model(K), Window(-2, 2), a)
-    rhs = mul_dist(chi, fourier1_dist(G, mu))
+    rhs = mul_dist(chi, fourier1(G, mu))
     assert lhs.table == rhs.table
 
 
@@ -164,7 +166,7 @@ def test_germ_transform_round_trip():
     K = laurent_model(F3)
     for tag in ("E", "ET"):
         f = rand_fn(rng, K, Window(-1, 1), tag=tag)
-        back = fourier_ep(fourier_e(f))
+        back = fourier1(fourier1(f))
         assert back.window == f.window
         assert back.table == f.check().table
 
@@ -176,7 +178,7 @@ def test_germ_transform_mixed_adjointness():
     w = Window(-1, 1)
     f = rand_fn(rng, K, w, tag="E")
     g = rand_fn(rng, dK, dual_window(w), tag="ET")
-    assert pairing1(fourier_e(f), g) == pairing1(fourier_e(g), f)
+    assert pairing1(fourier1(f), g) == pairing1(fourier1(g), f)
 
 
 def test_germ_inverse_via_characters():
@@ -185,7 +187,7 @@ def test_germ_inverse_via_characters():
     rng = random.Random(10)
     K = laurent_model(F2)
     f = rand_fn(rng, K, Window(-1, 1), tag="E")
-    G = fourier_e(f)
+    G = fourier1(f)
     for point in [{}, {(-1, 0): 1}, {(0, 0): 1}, {(-1, 0): 1, (0, 0): 1}]:
         chi = character_fn(dual_model(K), G.window, point)
         assert pairing1(G, chi) == eval_fn_at(f, point)
@@ -197,7 +199,7 @@ def test_density_transform_compatibility():
     K = laurent_model(F3)
     mu = HaarMeasure(K, 0, Fraction(1))
     f = rand_fn(rng, K, Window(-1, 1))
-    lhs = fourier1_dist(i_mu(f, mu), mu)
+    lhs = fourier1(i_mu(f, mu), mu)
     rhs = i_mu(fourier1(f, mu), mu.inverse_on_dual())
     assert lhs.window == rhs.window and lhs.table == rhs.table
 
@@ -212,3 +214,31 @@ def test_fourier_on_compact_and_discrete_models():
     assert dual_model(O).is_discrete
     # it transforms to the delta at zero of the discrete dual
     assert fn_equal(out, delta_lattice(dual_model(O), 0))
+
+
+@pytest.mark.parametrize("tag", FN_TAGS + DIST_TAGS)
+def test_fourier1_refuses_what_its_measure_does_not_serve(tag):
+    # a measure serves D functions and every distribution; no measure serves
+    # the germs and the compactly-supported distributions
+    rng = random.Random(12)
+    K = laurent_model(F3)
+    mu = HaarMeasure(K, 0, Fraction(1, 3))
+    draw = rand_fn if tag in FN_TAGS else rand_dist
+    x = draw(rng, K, Window(-1, 1), tag=tag)
+    for m, served in ((mu, tag == "D" or tag in DIST_TAGS), (None, tag in ("E", "ET", "Ep", "ETp"))):
+        if served:
+            assert fourier1(x, m).model == dual_model(K)
+        else:
+            with pytest.raises(CapabilityError):
+                fourier1(x, m)
+
+
+@pytest.mark.parametrize("tag", ["D", "Dp", "Ep", "Haar"])
+def test_fourier1_refuses_a_measure_on_another_model(tag):
+    rng = random.Random(13)
+    K = laurent_model(F2)
+    draw = rand_fn if tag in FN_TAGS else rand_dist
+    x = draw(rng, K, Window(-1, 1), tag=tag)
+    with pytest.raises(DomainError) as err:
+        fourier1(x, HaarMeasure(lattice_model(F2, 0), 0, Fraction(1)))
+    assert type(err.value) is DomainError

@@ -15,7 +15,7 @@ from fqharmonic.c1 import (
     fn_at,
     fn_equal,
     fn_mul,
-    fourier1_dist,
+    fourier1,
     i_mu,
     integrate,
     lattice_model,

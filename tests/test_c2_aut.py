@@ -11,7 +11,6 @@ from fqharmonic.c2 import (
     VirtualMeasure,
     bw_dim,
     d2_equal,
-    d2dist_equal,
     fourier2,
     k2_model,
     module_mul,
@@ -165,7 +164,7 @@ def test_action_is_a_homomorphism():
         G = rand_dist(rng, K2, 0, BW)
         lhsd = rep_act(x, rep_act(y, G))
         rhsd = rep_act(authat_mul(x, y), G)
-        assert d2dist_equal(lhsd, rhsd)
+        assert d2_equal(lhsd, rhsd)
 
 
 def test_identity_lift_acts_trivially():
@@ -216,7 +215,7 @@ def test_module_compatibility():
         G = rand_dist(rng, K2, 0, BW)
         lhsd = rep_act(x, module_mul(f, G))
         rhsd = module_mul(rep_act(x.g, f), rep_act(x, G))
-        assert d2dist_equal(lhsd, rhsd)
+        assert d2_equal(lhsd, rhsd)
 
 
 def test_transform_intertwines_the_action():
@@ -231,7 +230,7 @@ def test_transform_intertwines_the_action():
         G = rand_dist(rng, K2, 0, BW)
         lhsd = fourier2(rep_act(x, G))
         rhsd = rep_act(x.dual_lift(), fourier2(G))
-        assert d2dist_equal(lhsd, rhsd)
+        assert d2_equal(lhsd, rhsd)
     # germ action intertwines without a lift
     g = AutElem(K2, 1, -1, 1)
     e = rand_e2(rng, K2, BW)
@@ -275,12 +274,12 @@ def test_shifted_characteristic_distribution():
         # transform of the dual characteristic distribution
         lhs = fourier2(moved)
         rhs = rep_act(ghat.dual_lift(), fourier2(delta))
-        assert d2dist_equal(lhs, rhs)
+        assert d2_equal(lhs, rhs)
         rhs2 = rep_act(
             ghat.dual_lift(),
             char_dist(Td, nu.on_dual(), mu.on_dual(), BiWindow(-1, 1, -1, 1)),
         )
-        assert d2dist_equal(lhs, rhs2)
+        assert d2_equal(lhs, rhs2)
 
 
 def test_shifted_characteristic_function():

@@ -16,7 +16,6 @@ from fqharmonic.c2 import (
     box_model,
     bw_dim,
     d2_equal,
-    d2dist_equal,
     dual_model2,
     e2_constant_one,
     fourier2,
@@ -268,7 +267,7 @@ def test_fourier2_double_is_check():
             assert d2_equal(twice, x.check())
             G = rand_dist(rng, model, 0, BiWindow(-1, 1, -1, 1))
             gtwice = fourier2(fourier2(G))
-            assert d2dist_equal(gtwice, G.check())
+            assert d2_equal(gtwice, G.check())
 
 
 def test_fourier2_adjoint():

@@ -13,7 +13,6 @@ from fqharmonic.c2 import (
     box_model,
     bw_dim,
     d2_equal,
-    d2dist_equal,
     dual_model2,
     fourier2,
     k2_model,
@@ -205,7 +204,7 @@ def test_char_dist_matches_both_constructions():
         bw = BiWindow(min(-1, T.quot.outer_inf), max(1, T.sub.outer_sup), -1, 1)
         via_alpha = char_dist(T, mu, nu, bw)
         via_beta = images2("beta_pull", T, delta_nu(T.quot, nu, bw), mu)
-        assert d2dist_equal(via_alpha, via_beta)
+        assert d2_equal(via_alpha, via_beta)
 
 
 def test_char_fn_matches_both_constructions():
@@ -241,12 +240,12 @@ def test_transform_exchanges_profiles():
     lhs = fourier2(one_mu(T.sub, mu, bw))
     dual_sub = dual_model2(T.sub)
     rhs = delta_nu(dual_sub, mu.on_dual(), bw.dual())
-    assert d2dist_equal(lhs, rhs)
+    assert d2_equal(lhs, rhs)
     nu = quot_measure(T, scalar=Fraction(1, 2))
     bwq = BiWindow(T.quot.outer_inf, 1, -1, 1)
     lhs2 = fourier2(delta_nu(T.quot, nu, bwq))
     rhs2 = one_mu(dual_model2(T.quot), nu.on_dual(), bwq.dual())
-    assert d2dist_equal(lhs2, rhs2)
+    assert d2_equal(lhs2, rhs2)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +360,7 @@ def test_base_change_outer_outer():
         G = rand_dist(rng, Tg.sub, 0, bw)
         lhs = images2("beta_pull", T, images2("alpha_push", Tg, G, nu), mu)
         rhs = images2("alpha_push", T_mono, images2("beta_pull", T_fiber, G, mu), nu)
-        assert d2dist_equal(lhs, rhs)
+        assert d2_equal(lhs, rhs)
 
 
 def test_base_change_inner_inner():
@@ -376,7 +375,7 @@ def test_base_change_inner_inner():
         G = rand_dist(rng, T.mid, 0, bw)
         lhs = images2("alpha_pull", Tg, images2("beta_push", T, G))
         rhs = images2("beta_push", T_fiber, images2("alpha_pull", T_mono, G))
-        assert d2dist_equal(lhs, rhs)
+        assert d2_equal(lhs, rhs)
 
 
 def test_base_change_mixed_cc_df():
@@ -392,7 +391,7 @@ def test_base_change_mixed_cc_df():
         G = rand_dist(rng, T.quot, 0, bw)
         lhs = images2("beta_pull", T_fiber, images2("alpha_pull", Tg, G), mu)
         rhs = images2("alpha_pull", T_mono, images2("beta_pull", T, G, mu))
-        assert d2dist_equal(lhs, rhs)
+        assert d2_equal(lhs, rhs)
 
 
 def test_base_change_mixed_cf_dc():
@@ -408,7 +407,7 @@ def test_base_change_mixed_cf_dc():
         G = rand_dist(rng, T_mono.sub, 0, bw)
         lhs = images2("beta_push", T, images2("alpha_push", T_mono, G, nu))
         rhs = images2("alpha_push", Tg, images2("beta_push", T_fiber, G), nu)
-        assert d2dist_equal(lhs, rhs)
+        assert d2_equal(lhs, rhs)
 
 
 def test_composition_outer_epis():
@@ -426,7 +425,7 @@ def test_composition_outer_epis():
         G = rand_dist(rng, Tg.quot, 0, bw)
         lhs = images2("beta_pull", T_mono, G, munu)
         rhs = images2("beta_pull", T, images2("beta_pull", Tg, G, nu), mu)
-        assert d2dist_equal(lhs, rhs)
+        assert d2_equal(lhs, rhs)
 
 
 def test_composition_inner_epis():
@@ -441,7 +440,7 @@ def test_composition_inner_epis():
         G = rand_dist(rng, T.mid, 0, bw)
         lhs = images2("beta_push", T_mono, G)
         rhs = images2("beta_push", Tg, images2("beta_push", T, G))
-        assert d2dist_equal(lhs, rhs)
+        assert d2_equal(lhs, rhs)
 
 
 def trizvezda_outer(c1, c2):
@@ -484,7 +483,7 @@ def test_composition_outer_monos():
         G = rand_dist(rng, T.sub, 0, bw)
         lhs = images2("alpha_push", Tc, G, munu)
         rhs = images2("alpha_push", T2, images2("alpha_push", T, G, mu), nu)
-        assert d2dist_equal(lhs, rhs)
+        assert d2_equal(lhs, rhs)
 
 
 def test_composition_inner_monos():
@@ -499,7 +498,7 @@ def test_composition_inner_monos():
         G = rand_dist(rng, T2.mid, 0, bw)
         lhs = images2("alpha_pull", Tc, G)
         rhs = images2("alpha_pull", T, images2("alpha_pull", T2, G))
-        assert d2dist_equal(lhs, rhs)
+        assert d2_equal(lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -525,11 +524,11 @@ def test_transform_image_diagrams_outer():
         G3 = rand_dist(rng, T.quot, 0, bw)
         lhs = fourier2(images2("beta_pull", T, G3, mu))
         rhs = images2("alpha_push", Td, fourier2(G3), mu.on_dual())
-        assert d2dist_equal(lhs, rhs)
+        assert d2_equal(lhs, rhs)
         G1 = rand_dist(rng, T.sub, 0, bw)
         lhs = fourier2(images2("alpha_push", T, G1, nu))
         rhs = images2("beta_pull", Td, fourier2(G1), nu.on_dual())
-        assert d2dist_equal(lhs, rhs)
+        assert d2_equal(lhs, rhs)
 
 
 def test_transform_image_diagrams_inner():
@@ -549,10 +548,10 @@ def test_transform_image_diagrams_inner():
         G2 = rand_dist(rng, T.mid, 0, bw)
         lhs = fourier2(images2("beta_push", T, G2))
         rhs = images2("alpha_pull", Td, fourier2(G2))
-        assert d2dist_equal(lhs, rhs)
+        assert d2_equal(lhs, rhs)
         lhs = fourier2(images2("alpha_pull", T, G2))
         rhs = images2("beta_push", Td, fourier2(G2))
-        assert d2dist_equal(lhs, rhs)
+        assert d2_equal(lhs, rhs)
 
 
 # ---------------------------------------------------------------------------

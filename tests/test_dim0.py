@@ -72,6 +72,15 @@ def test_vectors_outside_the_space_are_refused(vec):
         Fn0.delta(sp, vec)
 
 
+@pytest.mark.parametrize("index", [-1, 4, 5])
+def test_indices_outside_the_space_are_refused(index):
+    # decoding alone would wrap an index outside [0, q^dim) onto some point
+    sp = FinSpace(field_for(2), 2)
+    with pytest.raises(DomainError, match="indexes no point of F_2"):
+        sp.vec(index)
+    assert [sp.index(sp.vec(i)) for i in range(sp.size)] == [0, 1, 2, 3]
+
+
 def test_pairing_space_mismatch():
     f2 = field_for(2)
     with pytest.raises(DomainError):

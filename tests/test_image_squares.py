@@ -5,17 +5,19 @@ base_change1, base_change2, fubini_projection, fourier_image1,
 images2_adjoint, fourier_image2 and fourier1_props) is pinned here by
 (cases, failures, final generator state): a JSON digest cannot see a change
 in draw order while every check passes, this can. The negative controls make
-sure the runner's type-chosen equality sees a square that does not commute.
+sure the runner's type-chosen equality sees a square that does not commute,
+for every kind of step.
 """
 
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
 from fqharmonic.c1 import HaarMeasure, Window, laurent_model, lattice_model
-from fqharmonic.c1_triples import interval_triple
+from fqharmonic.c1_triples import IMAGE_KINDS, dual_triple, interval_triple, tensor_haar
 from fqharmonic.c2 import BiWindow, VirtualMeasure, k2_model
-from fqharmonic.c2_triples import outer_cut_triple
+from fqharmonic.c2_triples import dual_triple2, outer_cut_triple
 from fqharmonic.exactnum import field_for
 from fqharmonic.harness.report import Report
 from fqharmonic.harness.rng import LCG
@@ -23,8 +25,9 @@ from fqharmonic.harness.suites import (
     SUITES,
     SuiteContext,
     _c1_draws,
+    _commutes,
     _d2_draws,
-    _square,
+    _projection,
     _twin,
 )
 
@@ -105,8 +108,8 @@ def _c1_square(q, kind, dist):
     T = interval_triple(laurent_model(F), lattice_model(F, 0))
     mu = HaarMeasure(T.sub, 0, Fraction(1, 2))
     fn, _germ, dist_draw, _etp = _c1_draws(LCG(7), Window(-1, 2))
-    draw = dist_draw if dist else fn
-    return draw, [(kind, T, mu)], [(kind, T, mu)], [(kind, T, mu.scaled(Fraction(2)))]
+    x = (dist_draw if dist else fn)(getattr(T, IMAGE_KINDS[kind][0]))
+    return x, [(kind, T, mu)], [(kind, T, mu)], [(kind, T, mu.scaled(Fraction(2)))]
 
 
 def _c2_square(q, kind, dist):
@@ -114,30 +117,95 @@ def _c2_square(q, kind, dist):
     T = outer_cut_triple(k2_model(field_for(q)), 0)
     mu = VirtualMeasure(T.sub, 0, 0, Fraction(1, 2))
     fn, dist_draw = _d2_draws(LCG(7), BiWindow(-1, 1, -1, 1))
-    draw = dist_draw if dist else fn
-    twice = VirtualMeasure(T.sub, 0, 0, Fraction(1))
-    return draw, [(kind, T, mu)], [(kind, T, mu)], [(kind, T, twice)]
+    x = (dist_draw if dist else fn)(getattr(T, IMAGE_KINDS[kind][0]))
+    return x, [(kind, T, mu)], [(kind, T, mu)], [(kind, T, mu.scaled(Fraction(2)))]
 
 
-# the kind that consumes the measure: beta_push for functions, beta_pull for
-# distributions (which follow the conjugate kind's side conditions)
+def _c1_triple(q):
+    """A C_1 triple with measures mu1, mu3 and their product mu2, and drawers."""
+    F = field_for(q)
+    T = interval_triple(laurent_model(F), lattice_model(F, 0))
+    mu1 = HaarMeasure(T.sub, 0, Fraction(1, 2))
+    mu3 = HaarMeasure(T.quot, 0, Fraction(3))
+    return T, mu1, mu3, tensor_haar(T, mu1, mu3), _c1_draws(LCG(7), Window(-1, 2))
+
+
+def _c1_transform_square(q):
+    """fourier_image_push_restrict, and the same square with mu2 doubled."""
+    T, mu1, mu3, mu2, (fn, *_draws) = _c1_triple(q)
+    Td = dual_triple(T)
+    a = [("beta_push", T, mu1), ("fourier", mu3)]
+    b = [("fourier", mu2), ("alpha_pull", Td, None)]
+    return fn(T.mid), a, b, [("fourier", mu2.scaled(Fraction(2))), ("alpha_pull", Td, None)]
+
+
+def _germ_transform_square(q):
+    """The measure-free transform of a germ is F_{mu^-1} after the density of
+    mu, for every mu; and the same square with the density's mu doubled."""
+    T, _mu1, mu3, _mu2, (_fn, germ, *_draws) = _c1_triple(q)
+    b = [("density", mu3), ("fourier", mu3)]
+    return germ(T.quot), [("fourier", None)], b, [("density", mu3.scaled(Fraction(2))), ("fourier", mu3)]
+
+
+def _c2_transform_square(q):
+    """fourier_image2's twisted beta_push square; the dual measure doubled."""
+    T = outer_cut_triple(k2_model(field_for(q)), 0)
+    Td, F = dual_triple2(T), ("fourier", None)
+    mu = VirtualMeasure(T.sub, 0, 0, Fraction(1, 2))
+    fn, _dist = _d2_draws(LCG(7), BiWindow(-1, 1, -1, 1))
+    b = [F, ("alpha_pull", Td, mu.on_dual())]
+    return fn(T.mid), [("beta_push", T, mu), F], b, [F, ("alpha_pull", Td, mu.on_dual().scaled(Fraction(2)))]
+
+
+def _density_square(q):
+    """density_pullback_compat, and the same square with mu3 doubled."""
+    T, mu1, mu3, mu2, (_fn, germ, *_draws) = _c1_triple(q)
+    a = [("beta_pull", T, None), ("density", mu2)]
+    b = [("density", mu3), ("beta_pull", T, mu1)]
+    return germ(T.quot), a, b, [("density", mu3.scaled(Fraction(2))), ("beta_pull", T, mu1)]
+
+
+def _product_square(q):
+    """The compact-support projection formula; the germ factor doubled."""
+    T, mu1, _mu3, _mu2, (fn, germ, *_draws) = _c1_triple(q)
+    f, g, push = fn(T.mid), germ(T.quot), ("beta_push", T, mu1)
+    x, a, b = _projection(f, g, push, ("beta_pull", T, None))
+    return x, a, b, [push, ("mul", g * Fraction(2))]
+
+
+def _integral_square(q):
+    """Fubini, and the same square with the product measure doubled."""
+    T, mu1, mu3, mu2, (fn, *_draws) = _c1_triple(q)
+    a = [("beta_push", T, mu1), ("integrate", mu3)]
+    return fn(T.mid), a, [("integrate", mu2)], [("integrate", mu2.scaled(Fraction(2)))]
+
+
+# the image squares double the measure of the kind that consumes it:
+# beta_push for functions, beta_pull for distributions (which follow the
+# conjugate kind's side conditions)
 @pytest.mark.parametrize("q", [2, 3])
 @pytest.mark.parametrize(
-    "build,kind,dist",
+    "build",
     [
-        (_c1_square, "beta_push", False),
-        (_c1_square, "beta_pull", True),
-        (_c2_square, "beta_push", False),
-        (_c2_square, "beta_pull", True),
+        partial(_c1_square, kind="beta_push", dist=False),
+        partial(_c1_square, kind="beta_pull", dist=True),
+        partial(_c2_square, kind="beta_push", dist=False),
+        partial(_c2_square, kind="beta_pull", dist=True),
+        _c1_transform_square,
+        _germ_transform_square,
+        _c2_transform_square,
+        _density_square,
+        _product_square,
+        _integral_square,
     ],
-    ids=["C1Fn", "C1Dist", "D2Elem", "D2Dist"],
+    ids=["C1Fn", "C1Dist", "D2Elem", "D2Dist", "fourier1", "fourier1-germ", "fourier2", "density", "mul", "integrate"],
 )
-def test_square_books_one_failure_when_it_does_not_commute(build, kind, dist, q):
-    draw, a, same, doubled = build(q, kind, dist)
+def test_square_books_one_failure_when_it_does_not_commute(build, q):
+    x, a, same, doubled = build(q)
     rep = Report("squares", ["law"])
-    _square(rep, "law", draw, a, same, "ok")
+    _commutes(rep, "law", "ok", (x, a, same))
     assert (rep.cases, rep.failures) == (1, [])
-    _square(rep, "law", draw, a, doubled, "c=2")
+    _commutes(rep, "law", "c=2", (x, a, doubled))
     assert rep.cases == 2
     assert [(f["identity"], f["context"]) for f in rep.failures] == [("law", "c=2")]
 

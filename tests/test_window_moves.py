@@ -40,7 +40,6 @@ from fqharmonic.c2 import (
     box_model,
     bw_dim,
     d2_equal,
-    d2dist_equal,
     k2_model,
     positions2,
 )
@@ -306,7 +305,7 @@ def test_c2_meets_match_the_reference():
     elems, dists = ([rep(cls, bw) for bw in BIWINDOWS] for cls in (D2Elem, D2Dist))
     for reps, ref, equal, ref_at in (
         (elems, ref_d2_window, d2_equal, ref_d2elem_at),
-        (dists, ref_d2dist_window, d2dist_equal, ref_d2dist_at),
+        (dists, ref_d2dist_window, d2_equal, ref_d2dist_at),
     ):
         for x, y in itertools.product(reps, repeat=2):
             meet = outcome(ref, x, y)
