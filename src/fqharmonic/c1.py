@@ -677,7 +677,7 @@ def delta_point_dist(model: C1Model, point, w: Optional[Window] = None) -> C1Dis
 # ---------------------------------------------------------------------------
 
 
-GERM_DUAL_TAGS = {"E": "ETp", "ET": "Ep", "Ep": "ET", "ETp": "E"}
+_GERM_DUAL_TAGS = {"E": "ETp", "ET": "Ep", "Ep": "ET", "ETp": "E"}
 
 
 def fourier1(x, mu: Optional[HaarMeasure] = None):
@@ -692,9 +692,9 @@ def fourier1(x, mu: Optional[HaarMeasure] = None):
     """
     q = x.model.field.q
     if mu is None:
-        if x.tag not in GERM_DUAL_TAGS:
+        if x.tag not in _GERM_DUAL_TAGS:
             raise CapabilityError(f"the transform of a {x.tag} representative needs a measure")
-        tag = GERM_DUAL_TAGS[x.tag]
+        tag = _GERM_DUAL_TAGS[x.tag]
         factor = Fraction(1, q**x.dim) if isinstance(x, C1Fn) else Fraction(1)
     elif x.tag in ("E", "ET"):
         raise CapabilityError("the transform of a germ takes no measure")

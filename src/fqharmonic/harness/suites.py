@@ -9,14 +9,15 @@ The image-law suites (compose1, base_change1, base_change2,
 fubini_projection, fourier_image1, fourier_image2 and the density checks of
 fourier1_props) state each law as a commuting square (x, a, b): two paths a
 and b of steps from one input x, run by ``_walk`` and compared by ``_same``.
-A step is an image (kind, triple, measure), ("fourier", measure),
-("density", measure), ("mul", factor) or, last on a path, ("integrate",
-measure). ``_commutes`` books one case over one or more squares, and
-``_square`` draws x on the source model of a path's first image. A function
-square and its distribution square come in pairs; ``_twin`` derives the
-second from the first by reversing both paths and swapping every kind through
-``CONJUGATE``, with the measures unchanged. ``_adjoint`` derives the pairing
-check of a conjugate pair of images (images2_adjoint) the same way.
+A step is an image (kind, triple, measure), ("fourier", measure) (just
+("fourier",) on C_2, whose transform takes none), ("density", measure),
+("mul", factor) or, last on a path, ("integrate", measure). ``_commutes``
+books one case over one or more squares, and ``_square`` draws x on the
+source model of a path's first image. A function square and its distribution
+square come in pairs; ``_twin`` derives the second from the first by
+reversing both paths and swapping every kind through ``CONJUGATE``, with the
+measures unchanged. ``_adjoint`` derives the pairing check of a conjugate
+pair of images (images2_adjoint) the same way.
 """
 
 from __future__ import annotations
@@ -246,7 +247,7 @@ def _walk(x, path):
     for kind, *args in path:
         c1 = isinstance(x, (C1Fn, C1Dist))
         if kind == "fourier":
-            x = fourier1(x, *args) if c1 else fourier2(x)
+            x = (fourier1 if c1 else fourier2)(x, *args)
         elif kind == "density":
             x = i_mu(x, *args)
         elif kind == "mul":
@@ -1193,7 +1194,7 @@ def base_change2(ctx: SuiteContext) -> Report:
 def fourier_image2(ctx: SuiteContext) -> Report:
     rep = _report("fourier_image2", ctx)
     K2 = _std_c2(ctx)
-    F = ("fourier", None)
+    F = ("fourier",)
     for _ in range(ctx.params.get("cases", 6)):
         cut = ctx.rng.randint(-1, 1)
         T, Ti = outer_cut_triple(K2, cut), inner_cut_triple(K2, cut)

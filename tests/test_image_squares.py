@@ -15,7 +15,7 @@ from functools import partial
 import pytest
 
 from fqharmonic.c1 import HaarMeasure, Window, laurent_model, lattice_model
-from fqharmonic.c1_triples import IMAGE_KINDS, dual_triple, interval_triple, tensor_haar
+from fqharmonic.c1_triples import dual_triple, interval_triple, tensor_haar
 from fqharmonic.c2 import BiWindow, VirtualMeasure, k2_model
 from fqharmonic.c2_triples import dual_triple2, outer_cut_triple
 from fqharmonic.exactnum import field_for
@@ -28,6 +28,7 @@ from fqharmonic.harness.suites import (
     _commutes,
     _d2_draws,
     _projection,
+    _square,
     _twin,
 )
 
@@ -108,8 +109,8 @@ def _c1_square(q, kind, dist):
     T = interval_triple(laurent_model(F), lattice_model(F, 0))
     mu = HaarMeasure(T.sub, 0, Fraction(1, 2))
     fn, _germ, dist_draw, _etp = _c1_draws(LCG(7), Window(-1, 2))
-    x = (dist_draw if dist else fn)(getattr(T, IMAGE_KINDS[kind][0]))
-    return x, [(kind, T, mu)], [(kind, T, mu)], [(kind, T, mu.scaled(Fraction(2)))]
+    draw = dist_draw if dist else fn
+    return draw, [(kind, T, mu)], [(kind, T, mu)], [(kind, T, mu.scaled(Fraction(2)))]
 
 
 def _c2_square(q, kind, dist):
@@ -117,8 +118,9 @@ def _c2_square(q, kind, dist):
     T = outer_cut_triple(k2_model(field_for(q)), 0)
     mu = VirtualMeasure(T.sub, 0, 0, Fraction(1, 2))
     fn, dist_draw = _d2_draws(LCG(7), BiWindow(-1, 1, -1, 1))
-    x = (dist_draw if dist else fn)(getattr(T, IMAGE_KINDS[kind][0]))
-    return x, [(kind, T, mu)], [(kind, T, mu)], [(kind, T, mu.scaled(Fraction(2)))]
+    draw = dist_draw if dist else fn
+    twice = VirtualMeasure(T.sub, 0, 0, Fraction(1))
+    return draw, [(kind, T, mu)], [(kind, T, mu)], [(kind, T, twice)]
 
 
 def _c1_triple(q):
@@ -150,7 +152,7 @@ def _germ_transform_square(q):
 def _c2_transform_square(q):
     """fourier_image2's twisted beta_push square; the dual measure doubled."""
     T = outer_cut_triple(k2_model(field_for(q)), 0)
-    Td, F = dual_triple2(T), ("fourier", None)
+    Td, F = dual_triple2(T), ("fourier",)
     mu = VirtualMeasure(T.sub, 0, 0, Fraction(1, 2))
     fn, _dist = _d2_draws(LCG(7), BiWindow(-1, 1, -1, 1))
     b = [F, ("alpha_pull", Td, mu.on_dual())]
@@ -180,32 +182,38 @@ def _integral_square(q):
     return fn(T.mid), a, [("integrate", mu2)], [("integrate", mu2.scaled(Fraction(2)))]
 
 
-# the image squares double the measure of the kind that consumes it:
-# beta_push for functions, beta_pull for distributions (which follow the
-# conjugate kind's side conditions)
+def _one_square(rep, identity, x, a, b, context):
+    """Book a(x) == b(x) for an x already drawn, as the step squares are."""
+    _commutes(rep, identity, context, (x, a, b))
+
+
+# the image squares go through _square, which draws x itself, and double the
+# measure of the kind that consumes it: beta_push for functions, beta_pull for
+# distributions (which follow the conjugate kind's side conditions); the
+# squares of the other step kinds are built on a drawn x
 @pytest.mark.parametrize("q", [2, 3])
 @pytest.mark.parametrize(
-    "build",
+    "build,book",
     [
-        partial(_c1_square, kind="beta_push", dist=False),
-        partial(_c1_square, kind="beta_pull", dist=True),
-        partial(_c2_square, kind="beta_push", dist=False),
-        partial(_c2_square, kind="beta_pull", dist=True),
-        _c1_transform_square,
-        _germ_transform_square,
-        _c2_transform_square,
-        _density_square,
-        _product_square,
-        _integral_square,
+        (partial(_c1_square, kind="beta_push", dist=False), _square),
+        (partial(_c1_square, kind="beta_pull", dist=True), _square),
+        (partial(_c2_square, kind="beta_push", dist=False), _square),
+        (partial(_c2_square, kind="beta_pull", dist=True), _square),
+        (_c1_transform_square, _one_square),
+        (_germ_transform_square, _one_square),
+        (_c2_transform_square, _one_square),
+        (_density_square, _one_square),
+        (_product_square, _one_square),
+        (_integral_square, _one_square),
     ],
     ids=["C1Fn", "C1Dist", "D2Elem", "D2Dist", "fourier1", "fourier1-germ", "fourier2", "density", "mul", "integrate"],
 )
-def test_square_books_one_failure_when_it_does_not_commute(build, q):
-    x, a, same, doubled = build(q)
+def test_square_books_one_failure_when_it_does_not_commute(build, book, q):
+    source, a, same, doubled = build(q)
     rep = Report("squares", ["law"])
-    _commutes(rep, "law", "ok", (x, a, same))
+    book(rep, "law", source, a, same, "ok")
     assert (rep.cases, rep.failures) == (1, [])
-    _commutes(rep, "law", "c=2", (x, a, doubled))
+    book(rep, "law", source, a, doubled, "c=2")
     assert rep.cases == 2
     assert [(f["identity"], f["context"]) for f in rep.failures] == [("law", "c=2")]
 
