@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 from fqharmonic import tables
@@ -261,8 +262,15 @@ def dual_window(w: Window) -> Window:
     return Window(-w.hi, -w.lo)
 
 
+POSITION_CACHE = 1024  # (model, window) pairs whose slot labels are kept
+
+
+@lru_cache(maxsize=POSITION_CACHE)
 def positions(model: C1Model, w: Window) -> tuple[tuple[int, int], ...]:
-    """Graded slots (cut, slot) of the window quotient, in cut-major order."""
+    """Graded slots (cut, slot) of the window quotient, in cut-major order.
+
+    Kept by value: equal models (labels aside) share one entry.
+    """
     return tuple(
         (k, s) for k in range(w.lo, w.hi) for s in range(model.mult(k))
     )

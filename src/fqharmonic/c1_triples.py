@@ -51,22 +51,28 @@ class TripleC1:
     quot: C1Model
     is_sub: Callable[[int, int], bool]
     label: str = ""
+    # split by window: is_sub is a closure, so a split is kept on the triple
+    # and not by value
+    _splits: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not (self.mid.field == self.sub.field == self.quot.field):
             raise DomainError("triple members over different fields")
 
-    def split(self, w: Window) -> tuple[list[int], list[int]]:
+    def split(self, w: Window) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Indices of sub and quot slots inside the mid window positions."""
-        sub_idx: list[int] = []
-        quot_idx: list[int] = []
-        for r, (k, s) in enumerate(positions(self.mid, w)):
-            (sub_idx if self.is_sub(k, s) else quot_idx).append(r)
-        if len(sub_idx) != window_dim(self.sub, w) or len(quot_idx) != window_dim(
-            self.quot, w
-        ):
-            raise DomainError(f"graded split inconsistent on window {w}")
-        return sub_idx, quot_idx
+        got = self._splits.get(w)
+        if got is None:
+            sub_idx, quot_idx = split_flags([self.is_sub(k, s) for k, s in positions(self.mid, w)])
+            if len(sub_idx) != window_dim(self.sub, w) or len(quot_idx) != window_dim(self.quot, w):
+                raise DomainError(f"graded split inconsistent on window {w}")
+            got = self._splits[w] = sub_idx, quot_idx
+        return got
+
+
+def split_flags(in_sub: list[bool]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The indices of the true flags (sub slots) and of the false ones."""
+    return tuple(r for r, s in enumerate(in_sub) if s), tuple(r for r, s in enumerate(in_sub) if not s)
 
 
 def interval_triple(mid: C1Model, sub: C1Model, label: str = "") -> TripleC1:

@@ -40,11 +40,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 from fqharmonic import tables
 from fqharmonic.c1 import (
-    DOWN, UP, CapabilityError, TableRep, WindowError, common_window, hull, mirror, nonempty, overlap, shifted, window_move,
+    DOWN, UP, POSITION_CACHE, CapabilityError, TableRep, WindowError, common_window, hull, mirror, nonempty, overlap,
+    shifted, window_move,
 )
 from fqharmonic.exactnum import CycNum, DomainError, FqField
 from fqharmonic.tables import Rows
@@ -223,9 +225,11 @@ class BiWindow:
         return f"BW({self.l},{self.i}|{self.m},{self.n})"
 
 
+@lru_cache(maxsize=POSITION_CACHE)
 def positions2(model: C2Model, bw: BiWindow) -> tuple[tuple[int, int], ...]:
     """The region slots (a, b) of the bi-window, a-major: the boxes are sorted
-    by column and disjoint, so box by box is column by column."""
+    by column and disjoint, so box by box is column by column.  Kept by value,
+    as ``c1.positions`` is."""
     out: list = []
     for (a1, a2, b1, b2) in model.boxes:
         na, nb = overlap(a1, a2, bw.l, bw.i), overlap(b1, b2, bw.m, bw.n)

@@ -12,7 +12,7 @@ point-mass elements) shows up as an explicit power of q on the twist.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -31,7 +31,9 @@ from fqharmonic.c2 import (
     positions2,
     vmeas_canonical,
 )
-from fqharmonic.c1_triples import CONJUGATE, IMAGE_KINDS, CheckReport, cell_points, image_table, image_target
+from fqharmonic.c1_triples import (
+    CONJUGATE, IMAGE_KINDS, CheckReport, cell_points, image_table, image_target, split_flags,
+)
 from fqharmonic.exactnum import CycNum, DomainError
 
 
@@ -41,6 +43,7 @@ class GradedC2Triple:
     sub: C2Model
     quot: C2Model
     label: str = ""
+    _splits: dict = field(default_factory=dict, init=False, repr=False)  # split by bi-window
 
     def __post_init__(self) -> None:
         if not (self.mid.field == self.sub.field == self.quot.field):
@@ -59,12 +62,11 @@ class GradedC2Triple:
                 if in_mid != (in_sub or in_quot):
                     raise DomainError(f"region partition fails at {(a, b)}")
 
-    def split(self, bw: BiWindow) -> tuple[list[int], list[int]]:
-        sub_idx: list[int] = []
-        quot_idx: list[int] = []
-        for r, (a, b) in enumerate(positions2(self.mid, bw)):
-            (sub_idx if self.sub.in_region(a, b) else quot_idx).append(r)
-        return sub_idx, quot_idx
+    def split(self, bw: BiWindow) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        got = self._splits.get(bw)
+        if got is None:
+            got = self._splits[bw] = split_flags([self.sub.in_region(a, b) for a, b in positions2(self.mid, bw)])
+        return got
 
 
 def dual_triple2(T: GradedC2Triple) -> GradedC2Triple:

@@ -21,6 +21,7 @@ from fqharmonic.c1 import (
     window_dim,
 )
 from fqharmonic.c2 import BiWindow, C2Model, D2Elem, VirtualMeasure, bw_dim, e2_constant_one, fourier2
+from fqharmonic.c2_triples import delta0_fn, one_fn
 from fqharmonic.dim0 import FinSpace, Fn0, fourier0
 from fqharmonic.exactnum import DomainError
 from fqharmonic.harness.config import ConfigError, parse_config
@@ -163,8 +164,6 @@ def _check_table_cap(cfg, dim: int) -> None:
 
 
 def cmd_dump(args) -> int:
-    from fqharmonic.c2_triples import delta0_fn, one_fn
-
     cfg = _load_config(args.config)
     model = cfg.models.get(args.model)
     if model is None:

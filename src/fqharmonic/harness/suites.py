@@ -35,6 +35,7 @@ from fqharmonic.c1 import (
     Window,
     character_fn,
     delta_lattice,
+    delta_point_dist,
     dist_at,
     dist_vanishes_at,
     dual_model,
@@ -59,6 +60,9 @@ from fqharmonic.c1 import (
 from fqharmonic.c1_triples import (
     CONJUGATE,
     IMAGE_KINDS,
+    base_change,
+    compose_epi,
+    compose_mono,
     direct_sum_triple,
     dual_triple,
     images1,
@@ -601,8 +605,6 @@ def fubini_projection(ctx: SuiteContext) -> Report:
     keys=("cases",),
 )
 def compose1(ctx: SuiteContext) -> Report:
-    from fqharmonic.c1_triples import compose_epi, compose_mono
-
     rep = _report("compose1", ctx)
     K = laurent_model(ctx.field)
     w = Window(-1, 2)
@@ -651,8 +653,6 @@ def compose1(ctx: SuiteContext) -> Report:
     keys=("cases",),
 )
 def base_change1(ctx: SuiteContext) -> Report:
-    from fqharmonic.c1_triples import base_change
-
     rep = _report("base_change1", ctx)
     K = laurent_model(ctx.field)
     w = Window(-1, 2)
@@ -764,8 +764,6 @@ def characterization1(ctx: SuiteContext) -> Report:
         rep, "compact_support_profile",
         eval_fn_at(f, {(-2, 0): 1}) == eval_fn_at(f, {}), "coset constancy",
     )
-    from fqharmonic.c1 import delta_point_dist
-
     d = delta_point_dist(K, {(0, 0): 1})
     _check(rep, "support_detection", dist_vanishes_at(d, {}) and not dist_vanishes_at(d, {(0, 0): 1}), "")
     return rep

@@ -13,9 +13,18 @@ between windows with four moves: pull back along a coordinate projection,
 extend by zero into new coordinates, slice onto a coordinate subspace, and
 sum over dropped coordinates.  ``transport`` is the one primitive that makes
 all four at once, on digits named by labels; function tables and pairing
-(distribution) tables use it in opposite directions.  Each index move
-(transport, translation, the sign flip, relabellings) builds its source-index
-list once, digit by digit, and applies it to every row through ``gather``.
+(distribution) tables use it in opposite directions.
+
+Every index move is a ``MovePlan``, its index work, applied by
+``apply_plan``, its table work: the size check, the fiber sums and one
+gather per row.  Transport, translation and the sign flip build their plan
+digit by digit once per distinct move, reused across calls: plans are kept
+by value (q and the labels, or the field and the shift or dimension) in one
+least-recently-used cache of ``PLAN_CACHE`` moves.  A move with more than
+``PLAN_POINTS`` source and destination entries is planned afresh on every
+call, so the cache holds at most ``PLAN_CACHE * PLAN_POINTS`` indices.
+``gather`` applies a one-off index (relabellings, pullbacks along linear
+maps).
 """
 
 from __future__ import annotations
@@ -24,6 +33,7 @@ import math
 from collections.abc import Hashable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from operator import add as _add, mul as _mul
 
 from fqharmonic.exactnum import _ZERO, CycNum, DomainError, FqField
@@ -136,20 +146,60 @@ def digit_index(digits: Sequence[Sequence[int]]) -> list[int]:
     return index
 
 
-def gather(table: Rows, index: Sequence[int]) -> Rows:
-    """out[j] = table[index[j]]; a negative index reads zero.
+PLAN_CACHE = 256  # distinct moves kept; a pass of scripts/example.cfg makes 97
+PLAN_POINTS = 4096  # source plus destination entries of the largest move kept
 
-    The final step of every index move: one source-index list applied to
-    every row.
+
+@dataclass(frozen=True)
+class MovePlan:
+    """The index work of one table move, applied to any table of ``size`` entries.
+
+    ``fibers[o][j]`` is the source index of fiber offset o at kept index j;
+    the fiber sums run first, and no fiber means nothing is summed.  Then
+    ``index[j]`` is the (summed) source index of destination entry j, where
+    the index one past the end reads zero; None means every entry stays put.
     """
-    return Rows(table.p, table.den, _gathered(table.rows, index))
+
+    size: int
+    fibers: tuple[tuple[int, ...], ...]
+    index: tuple[int, ...] | None
 
 
-def _gathered(rows, index: Sequence[int]) -> list[tuple[int, ...]]:
-    n = len(rows[0])
-    if index and min(index) < 0:
-        index = [i if i >= 0 else n for i in index]
-    return [tuple(map((*row, 0).__getitem__, index)) for row in rows]
+def apply_plan(table: Rows, plan: MovePlan) -> Rows:
+    """The table work of a move: the size check, the fiber sums, one gather."""
+    n = len(table)
+    if n != plan.size:
+        raise DomainError(f"table has {n} entries, expected {plan.size}")
+    if not plan.fibers and plan.index is None:
+        return table
+    rows = table.rows
+    if plan.fibers:
+        rows = [tuple(map(sum, zip(*[map(row.__getitem__, f) for f in plan.fibers]))) for row in rows]
+    if plan.index is not None:
+        rows = [tuple(map((*row, 0).__getitem__, plan.index)) for row in rows]
+    return Rows(table.p, table.den, rows)
+
+
+def _plan(q: int, points: int, build, *key) -> MovePlan:
+    """build(q, *key): cached by value when the move touches at most
+    PLAN_POINTS entries, built afresh otherwise."""
+    return _cached_plan(build, q, *key) if points <= PLAN_POINTS else build(q, *key)
+
+
+@lru_cache(maxsize=PLAN_CACHE)
+def _cached_plan(build, q: int, *key) -> MovePlan:
+    return build(q, *key)
+
+
+def _gather_plan(size: int, index: Sequence[int]) -> MovePlan:
+    """The plan that reads index[j] at j; a negative index reads zero."""
+    index = tuple(i if i >= 0 else size for i in index)
+    return MovePlan(size, (), None if index == tuple(range(size)) else index)
+
+
+def gather(table: Rows, index: Sequence[int]) -> Rows:
+    """out[j] = table[index[j]]; a negative index reads zero."""
+    return apply_plan(table, _gather_plan(len(table), index))
 
 
 def scatter(table: Rows, index: Sequence[int], size: int) -> Rows:
@@ -162,6 +212,30 @@ def scatter(table: Rows, index: Sequence[int], size: int) -> Rows:
                 acc[i] += x
         out.append(acc)
     return Rows(table.p, table.den, out)
+
+
+def _transport_plan(q: int, src_pos: tuple, dst_pos: tuple, summed: tuple, zeroed: tuple) -> MovePlan:
+    weight = {pos: q**r for r, pos in enumerate(src_pos)}
+    summed = set(summed)
+    fiber = [pos for pos in src_pos if pos in summed and pos not in dst_pos]
+    n, fibers = q ** len(src_pos), ()
+    if fiber:
+        # sum the fibers first: the summed digits leave the source labels
+        kept = [pos for pos in src_pos if pos not in fiber]
+        bases = digit_index([range(0, q * weight[pos], weight[pos]) for pos in kept])
+        offsets = digit_index([range(0, q * weight[pos], weight[pos]) for pos in fiber])
+        fibers = tuple(tuple(b + o for b in bases) for o in offsets)
+        n = len(bases)
+        weight = {pos: q**r for r, pos in enumerate(kept)}
+    zeroed = set(zeroed)
+    dead = [0] + [-n] * (q - 1)  # a nonzero digit of a zeroed label makes the index negative
+    pulled = [0] * q
+    digits = [
+        range(0, q * weight[pos], weight[pos]) if pos in weight else dead if pos in zeroed else pulled
+        for pos in dst_pos
+    ]
+    plan = _gather_plan(n, digit_index(digits))
+    return MovePlan(q ** len(src_pos), fibers, plan.index)
 
 
 def transport(
@@ -180,29 +254,9 @@ def transport(
     ``zeroed``, where the entry vanishes whenever that digit is nonzero
     (extension by zero).
     """
-    n = len(table)
-    if n != q ** len(src_pos):
-        raise DomainError(f"table has {n} entries, expected {q}^{len(src_pos)}")
-    rows = table.rows
-    weight = {pos: q**r for r, pos in enumerate(src_pos)}
-    summed = set(summed)
-    fiber = [pos for pos in src_pos if pos in summed and pos not in dst_pos]
-    if fiber:
-        # sum the fibers first: the summed digits leave the source labels
-        kept = [pos for pos in src_pos if pos not in fiber]
-        bases = digit_index([range(0, q * weight[pos], weight[pos]) for pos in kept])
-        offsets = digit_index([range(0, q * weight[pos], weight[pos]) for pos in fiber])
-        rows = [tuple(map(sum, zip(*([row[b + o] for b in bases] for o in offsets)))) for row in rows]
-        n = len(bases)
-        weight = {pos: q**r for r, pos in enumerate(kept)}
-    zeroed = set(zeroed)
-    dead = [0] + [-n] * (q - 1)  # a nonzero digit of a zeroed label makes the index negative
-    pulled = [0] * q
-    digits = [
-        range(0, q * weight[pos], weight[pos]) if pos in weight else dead if pos in zeroed else pulled
-        for pos in dst_pos
-    ]
-    return Rows(table.p, table.den, _gathered(rows, digit_index(digits)))
+    src_pos, dst_pos = tuple(src_pos), tuple(dst_pos)
+    points = q ** len(src_pos) + q ** len(dst_pos)
+    return apply_plan(table, _plan(q, points, _transport_plan, src_pos, dst_pos, tuple(summed), tuple(zeroed)))
 
 
 def expand(table: Rows, q: int, new_dim: int, embed: Sequence[int], mode: str) -> Rows:
@@ -230,17 +284,31 @@ def apply_perm(table: Rows, q: int, perm: Sequence[int]) -> Rows:
 
 
 def reverse_positions(table: Rows, q: int, dim: int) -> Rows:
-    return apply_perm(table, q, list(reversed(range(dim))))
+    return apply_perm(table, q, range(dim - 1, -1, -1))
+
+
+def _digit_map_plan(q: int, maps: Sequence[Sequence[int]]) -> MovePlan:
+    """out(v) = table(w), where digit r of w is maps[r][digit r of v]."""
+    return _gather_plan(q ** len(maps), digit_index([[m[d] * q**r for d in range(q)] for r, m in enumerate(maps)]))
+
+
+def _translation_plan(q: int, field: FqField, shift: tuple) -> MovePlan:
+    return _digit_map_plan(q, [[field.add_idx(d, s) for d in range(q)] for s in shift])
+
+
+def _negation_plan(q: int, field: FqField, dim: int) -> MovePlan:
+    return _digit_map_plan(q, [[field.neg_idx(d) for d in range(q)]] * dim)
 
 
 def translate(table: Rows, q: int, dim: int, shift: Sequence[int], field: FqField) -> Rows:
     """out(v) = table(v + shift), coordinatewise field addition."""
-    return gather(table, digit_index([[field.add_idx(d, shift[r]) * q**r for d in range(q)] for r in range(dim)]))
+    shift = tuple(shift[r] for r in range(dim))
+    return apply_plan(table, _plan(q, 2 * q**dim, _translation_plan, field, shift))
 
 
 def check_table(table: Rows, q: int, dim: int, field: FqField) -> Rows:
     """out(v) = table(-v)."""
-    return gather(table, digit_index([[field.neg_idx(d) * q**r for d in range(q)] for r in range(dim)]))
+    return apply_plan(table, _plan(q, 2 * q**dim, _negation_plan, field, dim))
 
 
 # ---------------------------------------------------------------------------

@@ -277,7 +277,7 @@ def test_direct_sum_triple_split():
     T = direct_sum_triple(O, laurent_model(F2))
     sub_idx, quot_idx = T.split(Window(-1, 1))
     # positions: (-1,0) O-slot, (-1,1) K-slot, (0,0) K-slot
-    assert sub_idx == [0] and quot_idx == [1, 2]
+    assert sub_idx == (0,) and quot_idx == (1, 2)
 
 
 def test_dual_triple_shapes():

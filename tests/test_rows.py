@@ -260,8 +260,11 @@ def test_translate_and_check_table(q):
     rng = random.Random(300 + q)
     for dim, entries, rows in cases(q, 300 + q):
         shift = [rng.randrange(q) for _ in range(dim)]
-        assert tuple(tables.translate(rows, q, dim, shift, fld)) == ref_translate(entries, q, dim, shift, fld)
-        assert tuple(tables.check_table(rows, q, dim, fld)) == ref_check(entries, q, dim, fld)
+        # the second table reuses the plans the first one built
+        for table in (entries, entries[::-1]):
+            rows = Rows.of(table, fld.p)
+            assert tuple(tables.translate(rows, q, dim, shift, fld)) == ref_translate(table, q, dim, shift, fld)
+            assert tuple(tables.check_table(rows, q, dim, fld)) == ref_check(table, q, dim, fld)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,15 @@
-"""tables.transport against a per-entry oracle.
+"""tables.transport against a per-entry oracle, and the move caches.
 
 The oracle decodes every destination index, classifies each label and sums
-the fiber explicitly; transport builds one index map per call.  Both must
-agree exactly on every split of a small label set into shared, summed,
-sliced, zeroed and pulled-back labels, in any digit order.
+the fiber explicitly; transport plans each distinct move once and reuses the
+plan.  Both must agree exactly on every split of a small label set into
+shared, summed, sliced, zeroed and pulled-back labels, in any digit order,
+on the call that builds the plan and on a later call that reuses it.  The
+caches of slot labels and splits are checked here too: they key by value,
+and every check of a move still runs once its plan is kept.
 """
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -13,6 +17,10 @@ from fractions import Fraction
 import pytest
 
 from fqharmonic import tables
+from fqharmonic.c1 import C1Fn, C1Model, Window, WindowError, laurent_model, lattice_model, positions, window_move
+from fqharmonic.c1_triples import direct_sum_triple
+from fqharmonic.c2 import BiWindow, C2Model, E2Fn, box_model, positions2
+from fqharmonic.c2_triples import outer_cut_triple
 from fqharmonic.exactnum import CycNum, DomainError, field_for
 from fqharmonic.tables import Rows, decode, encode
 
@@ -70,10 +78,15 @@ def test_transport_matches_oracle_on_every_split(q, n, extra):
             # summed only acts on source-only labels, zeroed on destination-only ones
             summed = summed + labels["shared"] + labels["zeroed"] + labels["pulled"]
             zeroed = zeroed + labels["shared"] + labels["summed"] + labels["sliced"]
-        table = rand_table(rng, q, len(src))
-        got = tables.transport(Rows.of(table, field_for(q).p), q, src, dst, summed, zeroed)
-        assert tuple(got) == slow_transport(table, q, src, dst, summed, zeroed), roles
-        assert len(got) == q ** len(dst)
+        # the first call plans the move, the second reuses the plan on a new table
+        for call in range(2):
+            hits = tables._cached_plan.cache_info().hits
+            table = rand_table(rng, q, len(src))
+            got = tables.transport(Rows.of(table, field_for(q).p), q, src, dst, summed, zeroed)
+            assert tuple(got) == slow_transport(table, q, src, dst, summed, zeroed), (roles, call)
+            assert len(got) == q ** len(dst)
+            if call:
+                assert tables._cached_plan.cache_info().hits == hits + 1
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
@@ -104,3 +117,85 @@ def test_transport_rejects_a_table_of_the_wrong_size():
     one = CycNum.one(2)
     with pytest.raises(DomainError):
         tables.transport((one,) * 4, 2, ["a"], ["a"])
+
+
+# ---------------------------------------------------------------------------
+# the move caches
+# ---------------------------------------------------------------------------
+
+F2 = field_for(2)
+
+
+def test_positions_are_kept_by_model_value():
+    w, bw = Window(-2, 2), BiWindow(-2, 2, -1, 2)
+    a = C1Model(F2, ((None, 0), (-1, None)), "a")
+    b = C1Model(F2, ((None, 0), (-1, None)), "b")
+    other = C1Model(F2, ((None, 1), (-1, None)), "a")
+    assert a is not b and a == b and a.label != b.label
+    assert positions(a, w) == positions(b, w) == positions.__wrapped__(b, w)
+    assert positions(other, w) != positions(a, w)
+    assert positions(other, w) == positions.__wrapped__(other, w)
+    m = box_model(F2, -1, 1, None, 0, "m")
+    n = C2Model(F2, ((-1, 1, None, 0),), "n")
+    wider = box_model(F2, -1, 2, None, 0, "m")
+    assert m is not n and m == n
+    assert positions2(m, bw) == positions2(n, bw) == positions2.__wrapped__(n, bw)
+    assert positions2(wider, bw) != positions2(m, bw)
+    assert positions2(wider, bw) == positions2.__wrapped__(wider, bw)
+
+
+def test_a_kept_plan_still_checks_the_table_size():
+    one = CycNum.one(2)
+    src, dst = ["a", "b"], ["b", "c"]
+    tables.transport(Rows.of((one,) * 4, 2), 2, src, dst)
+    tables.transport(Rows.of((one,) * 4, 2), 2, src, dst)
+    assert tables._cached_plan.cache_info().hits > 0
+    with pytest.raises(DomainError):
+        tables.transport(Rows.of((one,) * 8, 2), 2, src, dst)
+    # the size check comes before the table's rows are read
+    with pytest.raises(DomainError):
+        tables.transport((one,) * 2, 2, src, dst)
+
+
+def test_a_refused_move_is_refused_again_after_the_legal_reverse_is_kept():
+    K = laurent_model(F2)
+    small, big = Window(-1, 1), Window(-2, 2)
+    # a compactly supported function moves its lower edge down and its upper edge up
+    g = C1Fn(K, "D", big, (CycNum.one(2),) * 16)
+    f = C1Fn(K, "D", small, (CycNum.one(2),) * 4)
+    for _ in range(2):
+        with pytest.raises(WindowError):
+            g.at(small)
+    assert f.at(big).at(big).window == big  # the legal move, planned and kept
+    for _ in range(2):
+        with pytest.raises(WindowError):
+            g.at(small)
+        with pytest.raises(WindowError):
+            window_move(g.dirs, big, small, positions(K, big), positions(K, small))
+    # a germ on a bi-window moves every edge down only
+    M = box_model(F2, -2, 2, -2, 2)
+    inner, outer = BiWindow(0, 1, 0, 1), BiWindow(-1, 1, -1, 1)
+    germ = E2Fn(M, "E2", inner, (CycNum.one(2),) * 2)
+    wide = germ.at(outer)
+    for _ in range(2):
+        with pytest.raises(WindowError):
+            wide.at(inner)
+        assert germ.at(outer).table == wide.table
+
+
+def test_kept_splits_and_plans_are_tuples():
+    T = direct_sum_triple(lattice_model(F2, 0), laurent_model(F2))
+    w = Window(-1, 1)
+    split = T.split(w)
+    assert T.split(w) is split
+    assert isinstance(split, tuple) and all(isinstance(part, tuple) for part in split)
+    T2 = outer_cut_triple(box_model(F2, -2, 2, -2, 2), 0)
+    bw = BiWindow(-1, 1, -1, 1)
+    split2 = T2.split(bw)
+    assert T2.split(bw) is split2
+    assert isinstance(split2, tuple) and all(isinstance(part, tuple) for part in split2)
+    plan = tables._cached_plan(tables._transport_plan, 2, (0, 1, 2), (2, 0), (1,), ())
+    assert plan.fibers and all(isinstance(f, tuple) for f in plan.fibers)
+    assert isinstance(plan.fibers, tuple) and isinstance(plan.index, tuple)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        plan.index = ()
