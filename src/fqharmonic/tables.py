@@ -284,7 +284,7 @@ def apply_perm(table: Rows, q: int, perm: Sequence[int]) -> Rows:
 
 
 def reverse_positions(table: Rows, q: int, dim: int) -> Rows:
-    return apply_perm(table, q, range(dim - 1, -1, -1))
+    return apply_perm(table, q, list(reversed(range(dim))))
 
 
 def _digit_map_plan(q: int, maps: Sequence[Sequence[int]]) -> MovePlan:

@@ -78,7 +78,7 @@ def test_transport_matches_oracle_on_every_split(q, n, extra):
             # summed only acts on source-only labels, zeroed on destination-only ones
             summed = summed + labels["shared"] + labels["zeroed"] + labels["pulled"]
             zeroed = zeroed + labels["shared"] + labels["summed"] + labels["sliced"]
-        # the first call plans the move, the second reuses the plan on a new table
+        # the second call reuses the plan of the first, on a new table
         for call in range(2):
             hits = tables._cached_plan.cache_info().hits
             table = rand_table(rng, q, len(src))
