@@ -15,6 +15,10 @@ Functions and distributions are conjugate realizations of the same images:
 both make the kind's one table move (``image_table``), and a distribution
 meets the side conditions (capability, window widening, measure factor) of
 the ``CONJUGATE`` kind, which swaps push and pull.
+
+``poisson1_verify`` is one loop over windows that builds both sides of the
+summation identity through ``char_dist1``.  No side widens and a window has
+the dim of its dual, so the one cap rule reads the middle window.
 """
 
 from __future__ import annotations
@@ -377,52 +381,33 @@ def poisson1_verify(
     corrupt: Optional[str] = None,
 ) -> CheckReport:
     """Check that the transform of the sub's characteristic distribution is
-    the dual quotient's characteristic distribution, window by window.
-
-    The right-hand side is built from the independent profile formula
-    value(j) = mu1(F1(j)) / mu2(F2(j)) on the dual-sub lattice.
-    """
+    the dual triple's characteristic distribution, window by window, and
+    against the independent profile formula value(j) = mu1(F1(j)) / mu2(F2(j))
+    on the dual-sub lattice.  ``transition`` pins the sub measure one cut too
+    high, and ``measure`` scales the transform's measure by q."""
     report = CheckReport("poisson1")
     if mu1.model != T.sub or mu2.model != T.mid:
         raise DomainError("measures on the wrong models")
     q = T.mid.field.q
-    p = T.mid.field.p
     Td = dual_triple(T)
-    for a in range(cut_lo, cut_hi + 1):
-        for b in range(a, cut_hi + 1):
-            w = Window(a, b)
-            if q ** window_dim(T.mid, w) > max_points:
-                continue
-            report.cases += 1
-            haar = mu1.as_dist(w)
-            if corrupt == "transition":
-                bad = mu1.value_at(w.lo + 1)
-                haar = C1Dist(
-                    T.sub, "Haar", w,
-                    tables.const_table(CycNum.from_rational(p, bad), q, window_dim(T.sub, w)),
-                    ("haar", mu1.value, mu1.ref),
-                )
-            delta = images1("alpha_push", T, haar)
-            mu2_used = mu2.scaled(Fraction(q)) if corrupt == "measure" else mu2
-            lhs = fourier1(delta, mu2_used)
-            # independent oracle on the dual window
-            wd = dual_window(w)
-            val = mu1.value_at(b) / mu2.value_at(b)
-            sub_idx, _ = Td.split(wd)
-            dim = window_dim(Td.mid, wd)
-            const = tables.const_table(CycNum.from_rational(p, val), q, len(sub_idx))
-            expect = tables.expand(const, q, dim, sub_idx, "zero")
-            if lhs.table != expect:
-                report.fail(
-                    "poisson1_characteristic_transform",
-                    f"window {w}",
-                    str(tuple(expect[:4])),
-                    str(tuple(lhs.table[:4])),
-                )
-            else:
-                # cross-check the oracle against the dual-side pipeline
-                nu = HaarMeasure(Td.sub, wd.lo, val)
-                rhs = images1("alpha_push", Td, nu.as_dist(wd))
-                if rhs.table != expect:
-                    report.fail("poisson1_dual_pipeline", f"window {w}")
+    mu2_used = mu2.scaled(Fraction(q)) if corrupt == "measure" else mu2
+    cuts = range(cut_lo, cut_hi + 1)
+    for w in [Window(a, b) for a in cuts for b in cuts if a <= b]:
+        if q ** window_dim(T.mid, w) > max_points:
+            continue
+        report.cases += 1
+        mu = mu1.scaled(mu1.value_at(w.lo + 1) / mu1.value_at(w.lo)) if corrupt == "transition" else mu1
+        lhs = fourier1(char_dist1(T, mu, w), mu2_used)
+        wd = dual_window(w)
+        val = mu1.value_at(w.hi) / mu2.value_at(w.hi)
+        sub_idx, _ = Td.split(wd)
+        const = tables.const_table(CycNum.from_rational(T.mid.field.p, val), q, len(sub_idx))
+        expect = tables.expand(const, q, window_dim(Td.mid, wd), sub_idx, "zero")
+        if lhs.table != expect:
+            report.fail(
+                "poisson1_characteristic_transform", f"window {w}",
+                str(tuple(expect[:4])), str(tuple(lhs.table[:4])),
+            )
+        elif char_dist1(Td, HaarMeasure(Td.sub, wd.lo, val), wd).table != expect:
+            report.fail("poisson1_dual_pipeline", f"window {w}")
     return report

@@ -8,12 +8,19 @@ of the conjugate kind (push and pull swapped).  Every measure identification
 required by the class hypotheses (fiberwise compact or discrete sides
 trivialize their virtual-measure factors through the canonical mass-1 or
 point-mass elements) shows up as an explicit power of q on the twist.
+
+``poisson2_verify`` runs both summation identities in one loop: each side
+of a bi-window is widened by the identity's rule until it carries its
+characteristic object, and a bi-window is certified exactly when both
+widened sides have at most ``max_points`` entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
+from itertools import product
 from typing import Optional
 
 from fqharmonic import tables
@@ -115,6 +122,18 @@ def _check_measure(vm: Optional[VirtualMeasure], model: C2Model, src: int, dst: 
 # the four images on twisted functions and their four conjugates
 # ---------------------------------------------------------------------------
 
+
+def raise_outer_top(model: C2Model, bw: BiWindow) -> BiWindow:
+    """bw with its outer top raised over the outer top of an outer-compact model."""
+    return BiWindow(bw.l, max(bw.i, model.outer_sup), bw.m, bw.n)
+
+
+def raise_inner_top(model: C2Model, bw: BiWindow) -> BiWindow:
+    """bw with its inner top raised over the model's column tops on the outer window."""
+    sup = model.inner_sup(bw.l, bw.i)
+    return BiWindow(bw.l, bw.i, bw.m, bw.n if sup is None else max(bw.n, sup))
+
+
 # side-condition rules, named by the kind of twisted function that follows
 # them and shared with the conjugate kind of distribution; each gives the
 # bi-window to move to, the measure factor of the table and that of the twist
@@ -124,7 +143,7 @@ def _outer_compact_sub(kind: str, T: GradedC2Triple, x, aux) -> tuple[BiWindow, 
     top = T.sub.outer_sup
     _require(top is not None, f"{kind} needs an outer-compact sub")
     mu = _check_measure(aux, T.sub, x.o, top, kind)
-    bw = BiWindow(x.bw.l, max(x.bw.i, top), x.bw.m, x.bw.n)
+    bw = raise_outer_top(T.sub, x.bw)
     return bw, Fraction(T.mid.field.q) ** T.sub.sigma(bw.l, bw.i, bw.m), mu.scalar
 
 
@@ -137,11 +156,8 @@ def _outer_discrete_quot(kind: str, T: GradedC2Triple, x, aux) -> tuple[BiWindow
 
 
 def _fiberwise_compact_sub(kind: str, T: GradedC2Triple, x, aux) -> tuple[BiWindow, Fraction, Fraction]:
-    bw = x.bw
-    canonical = vmeas_canonical(T.sub, bw.l, x.o, "one")
-    sup = T.sub.inner_sup(bw.l, bw.i)
-    bw = BiWindow(bw.l, bw.i, bw.m, bw.n if sup is None else max(bw.n, sup))
-    return bw, Fraction(1), canonical.scalar
+    canonical = vmeas_canonical(T.sub, x.bw.l, x.o, "one")
+    return raise_inner_top(T.sub, x.bw), Fraction(1), canonical.scalar
 
 
 def _fiberwise_discrete_quot(kind: str, T: GradedC2Triple, x, aux) -> tuple[BiWindow, Fraction, Fraction]:
@@ -191,8 +207,7 @@ def images2(kind: str, T: GradedC2Triple, x, aux: Optional[VirtualMeasure] = Non
 def one_fn(model: C2Model, o: int, bw: BiWindow) -> D2Elem:
     """The constant 1 of a fiberwise compact model, canonically twisted."""
     twist = vmeas_canonical(model, bw.l, o, "one")
-    sup = model.inner_sup(bw.l, bw.i)
-    if sup is not None and bw.n < sup:
+    if raise_inner_top(model, bw) != bw:
         raise WindowError("window must contain the column tops")
     table = tables.const_table(CycNum.one(model.field.p), model.field.q, bw_dim(model, bw))
     return D2Elem(model, o, bw, table, twist)
@@ -251,15 +266,16 @@ def char_fn(T: GradedC2Triple, o: int, bw: BiWindow) -> D2Elem:
 # ---------------------------------------------------------------------------
 
 
-def _sweep(T: GradedC2Triple, cut_lo: int, cut_hi: int, max_points: int):
-    q = T.mid.field.q
-    for l in range(cut_lo, cut_hi + 1):
-        for i in range(l, cut_hi + 1):
-            for m in range(cut_lo, cut_hi + 1):
-                for n in range(m, cut_hi + 1):
-                    bw = BiWindow(l, i, m, n)
-                    if q ** bw_dim(T.mid, bw) <= max_points:
-                        yield bw
+def poisson2_conditions(which: str, T: GradedC2Triple) -> None:
+    """Refuse a triple outside the class of identity I (twisted) or II (twist-free)."""
+    if which == "II":
+        _require(T.sub.is_cf, "the twist-free identity needs a fiberwise compact sub")
+        _require(T.quot.is_df, "the twist-free identity needs a fiberwise discrete quotient")
+    elif which == "I":
+        _require(T.sub.is_c, "the twisted identity needs an outer-compact sub")
+        _require(T.quot.is_d, "the twisted identity needs an outer-discrete quotient")
+    else:
+        raise DomainError("which must be 'I' or 'II'")
 
 
 def poisson2_verify(
@@ -274,61 +290,34 @@ def poisson2_verify(
     corrupt: Optional[str] = None,
 ) -> CheckReport:
     """Check the transform of the sub's characteristic object against the
-    dual quotient's, bi-window by bi-window, through two independent
+    dual triple's, bi-window by bi-window, through two independent
     pipelines (the primal construction transformed, and the dual-triple
-    construction built directly)."""
-    report = CheckReport(f"poisson2_{which}")
+    construction built directly).  The identity's corruption (``transition``
+    for II, ``measure`` for I) scales the primal object by q before the
+    transform."""
+    poisson2_conditions(which, T)
     Td = dual_triple2(T)
     q = T.mid.field.q
     if which == "II":
-        _require(T.sub.is_cf, "the twist-free identity needs a fiberwise compact sub")
-        _require(T.quot.is_df, "the twist-free identity needs a fiberwise discrete quotient")
-    elif which == "I":
-        _require(T.sub.is_c, "the twisted identity needs an outer-compact sub")
-        _require(T.quot.is_d, "the twisted identity needs an outer-discrete quotient")
+        widen, fault = raise_inner_top, "transition"
+        primal, dual = partial(char_fn, T, o), partial(char_fn, Td, -o)
+    else:
         if mu is None or nu is None:
             raise DomainError("the twisted identity consumes both measures")
-    else:
-        raise DomainError("which must be 'I' or 'II'")
-    for bw in _sweep(T, cut_lo, cut_hi, max_points):
-        primal = bw.dual()
-        if which == "II":
-            # enlarge to the smallest windows carrying both representatives
-            sup = T.sub.inner_sup(primal.l, primal.i)
-            primal_adj = BiWindow(
-                primal.l, primal.i, primal.m, primal.n if sup is None else max(primal.n, sup)
-            )
-            dsup = Td.sub.inner_sup(bw.l, bw.i)
-            bw_adj = BiWindow(bw.l, bw.i, bw.m, bw.n if dsup is None else max(bw.n, dsup))
-            if q ** bw_dim(T.mid, primal_adj) > max_points:
-                continue
-            if q ** bw_dim(Td.mid, bw_adj) > max_points:
-                continue
-            report.cases += 1
-            lhs = fourier2(char_fn(T, o, primal_adj))
-            if corrupt == "transition":
-                lhs = lhs * Fraction(q)
-            rhs = char_fn(Td, -o, bw_adj)
-            same = d2_equal(lhs, rhs)
-        else:
-            top = T.sub.outer_sup
-            primal_adj = BiWindow(primal.l, max(primal.i, top), primal.m, primal.n)
-            dtop = Td.sub.outer_sup
-            bw_adj = BiWindow(bw.l, max(bw.i, dtop), bw.m, bw.n)
-            if q ** bw_dim(T.mid, primal_adj) > max_points:
-                continue
-            if q ** bw_dim(Td.mid, bw_adj) > max_points:
-                continue
-            report.cases += 1
-            delta = char_dist(T, mu, nu, primal_adj)
-            if corrupt == "measure":
-                delta = delta * Fraction(q)
-            lhs = fourier2(delta)
-            rhs = char_dist(Td, nu.on_dual(), mu.on_dual(), bw_adj)
-            same = d2_equal(lhs, rhs)
-        if not same:
-            report.fail(
-                f"poisson2_{which}_characteristic_transform",
-                f"bi-window {bw}",
-            )
+        widen, fault = raise_outer_top, "measure"
+        primal, dual = partial(char_dist, T, mu, nu), partial(char_dist, Td, nu.on_dual(), mu.on_dual())
+    report = CheckReport(f"poisson2_{which}")
+    cuts = range(cut_lo, cut_hi + 1)
+    windows = [(a, b) for a in cuts for b in cuts if a <= b]
+    for (l, i), (m, n) in product(windows, windows):
+        bw = BiWindow(l, i, m, n)
+        primal_bw, dual_bw = widen(T.sub, bw.dual()), widen(Td.sub, bw)
+        if q ** bw_dim(T.mid, primal_bw) > max_points or q ** bw_dim(Td.mid, dual_bw) > max_points:
+            continue
+        report.cases += 1
+        x = primal(primal_bw)
+        if corrupt == fault:
+            x = x * Fraction(q)
+        if not d2_equal(fourier2(x), dual(dual_bw)):
+            report.fail(f"poisson2_{which}_characteristic_transform", f"bi-window {bw}")
     return report

@@ -445,17 +445,21 @@ def field_for(q: int) -> FqField:
     return FqField(p, n, mod)
 
 
-def parse_field_spec(text: str) -> FqField:
-    """Parse a field descriptor of the form ``p,n,[c0,...,cn]``."""
+def split_field_spec(text: str) -> tuple[int, int, tuple[int, ...]]:
+    """The p, n and modulus coefficients of a descriptor ``p,n,[c0,...,cn]``,
+    read without building the field."""
     head, _, tail = text.partition("[")
     if not tail.endswith("]"):
         raise DomainError(f"malformed field spec: {text!r}")
     parts = [s for s in head.split(",") if s.strip()]
     if len(parts) != 2:
         raise DomainError(f"malformed field spec: {text!r}")
-    p, n = int(parts[0]), int(parts[1])
-    coeffs = tuple(int(s) for s in tail[:-1].split(","))
-    return FqField(p, n, coeffs)
+    return int(parts[0]), int(parts[1]), tuple(int(s) for s in tail[:-1].split(","))
+
+
+def parse_field_spec(text: str) -> FqField:
+    """Parse a field descriptor of the form ``p,n,[c0,...,cn]``."""
+    return FqField(*split_field_spec(text))
 
 
 def psi(x: FqElem) -> CycNum:

@@ -70,6 +70,10 @@ def _parse_measure(spec: str) -> tuple[Fraction, int]:
 def cmd_verify(args) -> int:
     cfg = _load_config(args.config)
     only = set(args.suite) if args.suite else None
+    unknown = sorted((only or set()) - {name for s in cfg.suites for name in (s.name, s.kind)})
+    if unknown:
+        print(f"{args.config}: no suite named or of kind {', '.join(map(repr, unknown))}", file=sys.stderr)
+        return 2
     reports = run_suites(cfg, only=only, seed=args.seed)
     text = emit_report(reports, args.format)
     out = args.out or cfg.out

@@ -28,8 +28,10 @@ The format is deliberately minimal so that configs diff cleanly:
     cut_hi = 2
 
 Unknown keys, unresolved names and cap violations are reported with line
-numbers; a suite section accepts only the keys its suite kind reads, as
-registered in ``harness.suites``.
+numbers; a suite section accepts only the keys its suite kind reads, and a
+``triple`` only when it passes the suite kind's triple check, both as
+registered in ``harness.suites``.  ``table_cap`` also bounds the field: a
+spec whose q x q tables would exceed it is refused before the field is built.
 """
 
 from __future__ import annotations
@@ -41,8 +43,8 @@ from fqharmonic.c1 import C1Model, laurent_model, lattice_model, colattice_model
 from fqharmonic.c1_triples import interval_triple
 from fqharmonic.c2 import C2Model, box_model, k2_model
 from fqharmonic.c2_triples import GradedC2Triple, inner_cut_triple, outer_cut_triple
-from fqharmonic.exactnum import DomainError, FqField, parse_field_spec
-from fqharmonic.harness.suites import SUITE_KEYS
+from fqharmonic.exactnum import DomainError, FqField, split_field_spec
+from fqharmonic.harness.suites import SUITE_KEYS, SUITE_TRIPLES
 
 
 class ConfigError(ValueError):
@@ -50,6 +52,9 @@ class ConfigError(ValueError):
         self.errors = list(errors)
         msg = "; ".join(f"line {ln}: {m}" for ln, m in self.errors)
         super().__init__(msg or "invalid configuration")
+
+
+_DEFAULT_TABLE_CAP = 4096
 
 
 @dataclass
@@ -68,7 +73,7 @@ class SuiteConfig:
     triples: dict
     suites: list
     seed: int = 1
-    table_cap: int = 4096
+    table_cap: int = _DEFAULT_TABLE_CAP
     out: Optional[str] = None
 
 
@@ -114,6 +119,17 @@ def _c1_model(field: FqField, spec: str, name: str) -> C1Model:
     raise DomainError(f"unknown c1 model kind {kind!r}")
 
 
+def _field(spec: str, table_cap: int) -> FqField:
+    """The field of a spec, refused before it is built when a q x q table
+    (the field's own addition and multiplication tables) exceeds the cap."""
+    p, n, coeffs = split_field_spec(spec)
+    # for p >= 2 an n past half the cap's bit length is over the cap, so a
+    # huge q is never formed; any other p or n is left to FqField to refuse
+    if p >= 2 and n >= 1 and (2 * n > table_cap.bit_length() or p ** (2 * n) > table_cap):
+        raise DomainError(f"the field has q^2 = {p}^{2 * n} table entries, more than table_cap = {table_cap}")
+    return FqField(p, n, coeffs)
+
+
 def _bound(tok: str) -> Optional[int]:
     return None if tok == "*" else int(tok)
 
@@ -136,6 +152,26 @@ def parse_config(text: str) -> SuiteConfig:
     triples: dict = {}
     suites: list = []
 
+    # the run settings come first: the table cap bounds the field
+    for sec in sections:
+        if sec["head"] == "run":
+            for ln, key, val in sec["items"]:
+                if key not in _RUN_KEYS:
+                    errors.append((ln, f"unknown run key {key!r}"))
+                else:
+                    run_items[key] = (ln, val)
+    ints = {"seed": 1, "table_cap": _DEFAULT_TABLE_CAP}
+    for key in ints:
+        if key in run_items:
+            ln, val = run_items[key]
+            try:
+                ints[key] = int(val)
+            except ValueError:
+                errors.append((ln, f"bad integer {val!r}"))
+                ints[key] = None  # no cap to compare max_points against
+    seed, table_cap = ints["seed"], ints["table_cap"]
+    out = run_items.get("out", (0, None))[1]
+
     for sec in sections:
         head, ln0, items = sec["head"], sec["line"], sec["items"]
         if head == "field":
@@ -144,15 +180,13 @@ def parse_config(text: str) -> SuiteConfig:
                     errors.append((ln, f"unknown field key {key!r}"))
                     continue
                 try:
-                    field_obj = parse_field_spec(val)
+                    # a malformed cap leaves the default one bounding the field
+                    field_obj = _field(val, _DEFAULT_TABLE_CAP if table_cap is None else table_cap)
                 except (DomainError, ValueError) as exc:
-                    errors.append((ln, str(exc)))
+                    # every later section needs the field: stop at its line
+                    raise ConfigError(sorted(errors + [(ln, str(exc))])) from None
         elif head == "run":
-            for ln, key, val in items:
-                if key not in _RUN_KEYS:
-                    errors.append((ln, f"unknown run key {key!r}"))
-                else:
-                    run_items[key] = (ln, val)
+            pass  # read above
         elif head.startswith("model "):
             name = head.split(None, 1)[1]
             if field_obj is None:
@@ -227,17 +261,6 @@ def parse_config(text: str) -> SuiteConfig:
 
     if field_obj is None:
         errors.append((0, "missing [field] section"))
-    ints = {"seed": 1, "table_cap": 4096}
-    for key in ints:
-        if key in run_items:
-            ln, val = run_items[key]
-            try:
-                ints[key] = int(val)
-            except ValueError:
-                errors.append((ln, f"bad integer {val!r}"))
-                ints[key] = None  # no cap to compare max_points against
-    seed, table_cap = ints["seed"], ints["table_cap"]
-    out = run_items.get("out", (0, None))[1]
 
     # resolve names and caps inside suite parameters
     for spec in suites:
@@ -246,6 +269,11 @@ def parse_config(text: str) -> SuiteConfig:
             if key == "triple":
                 if val not in triples:
                     errors.append((ln, f"undeclared triple {val!r}"))
+                    continue
+                try:
+                    SUITE_TRIPLES[spec.kind](triples[val])
+                except DomainError as exc:
+                    errors.append((ln, f"triple {val!r} cannot run {spec.kind}: {exc}"))
                     continue
                 resolved[key] = triples[val]
             else:

@@ -7,11 +7,11 @@ The recurrence is
     state <- (6364136223846793005 * state + 1442695040888963407) mod 2^64
 
 and each draw returns the top 32 bits of the new state.  ``fraction`` picks
-from a fixed 6 x 3 grid of rationals, and ``cyc_coeffs`` draws all the
-coefficients of a cyclotomic number in one call, with the same stream as
-drawing them one at a time.  ``coeff_rows`` draws a whole table of such
-numbers straight into integer rows over the denominator 6, which every grid
-value divides, with the same stream as one ``cyc_coeffs`` call per entry.
+from a fixed 6 x 3 grid of rationals.  ``coeff_rows`` is the one draw of
+random cyclotomic numbers, a single one or a whole table: each coefficient
+is 0 when ``randint(0, 3)`` draws 0 and ``fraction()`` otherwise, drawn
+straight into integer rows over the denominator 6, which every grid value
+divides, with the same stream as drawing the coefficients one at a time.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ _MASK = (1 << 64) - 1
 
 # fraction() draws a numerator from (1, 2, 3, -1, -2, 5), then a denominator from (1, 2, 3)
 _FRACTIONS = tuple(tuple(Fraction(num, den) for den in (1, 2, 3)) for num in (1, 2, 3, -1, -2, 5))
-_ZERO = Fraction(0)
 # 6 * fraction(): every grid denominator divides 6
 _SIXTHS = tuple(tuple(6 * num // den for den in (1, 2, 3)) for num in (1, 2, 3, -1, -2, 5))
 
@@ -51,33 +50,13 @@ class LCG:
         row = _FRACTIONS[self.next_u32() % 6]
         return row[self.next_u32() % 3]
 
-    def cyc_coeffs(self, n: int) -> tuple[Fraction, ...]:
-        """n power-basis coefficients of a random cyclotomic number.
-
-        Each coefficient is 0 when randint(0, 3) draws 0 and fraction()
-        otherwise; the recurrence runs inline on a local copy of the state,
-        so the draws and the final state are those of that loop.
-        """
-        s = self.state
-        out = []
-        for _ in range(n):
-            s = (_MUL * s + _INC) & _MASK
-            if (s >> 32) % 4:
-                s = (_MUL * s + _INC) & _MASK
-                row = _FRACTIONS[(s >> 32) % 6]
-                s = (_MUL * s + _INC) & _MASK
-                out.append(row[(s >> 32) % 3])
-            else:
-                out.append(_ZERO)
-        self.state = s
-        return tuple(out)
-
     def coeff_rows(self, n: int, width: int) -> list[list[int]]:
         """6 times the coefficients of n random cyclotomic numbers, as rows.
 
         rows[k][i] is 6 times coefficient k of entry i; entry i draws its
-        width coefficients in order exactly as ``cyc_coeffs(width)`` does, so
-        the draws and the final state are those of n such calls.
+        width coefficients in order, and the recurrence runs inline on a
+        local copy of the state, so the draws and the final state are those
+        of the per-coefficient loop.
         """
         s = self.state
         rows = [[0] * n for _ in range(width)]

@@ -60,6 +60,7 @@ from fqharmonic.c1 import (
 from fqharmonic.c1_triples import (
     CONJUGATE,
     IMAGE_KINDS,
+    TripleC1,
     base_change,
     compose_epi,
     compose_mono,
@@ -108,6 +109,7 @@ from fqharmonic.c2_triples import (
     inner_cut_triple,
     one_mu,
     outer_cut_triple,
+    poisson2_conditions,
     poisson2_verify,
 )
 from fqharmonic.dim0 import (
@@ -122,7 +124,7 @@ from fqharmonic.dim0 import (
     pull0,
     push0,
 )
-from fqharmonic.exactnum import CycNum, FqField, field_for, psi
+from fqharmonic.exactnum import CycNum, DomainError, FqField, field_for, psi
 from fqharmonic.harness.report import Report
 from fqharmonic.harness.rng import LCG
 
@@ -137,18 +139,41 @@ class SuiteContext:
 
 SUITES: dict[str, tuple[Callable, tuple[str, ...]]] = {}
 SUITE_KEYS: dict[str, frozenset] = {}  # the config keys of each suite kind
+SUITE_TRIPLES: dict[str, Optional[Callable]] = {}  # what each kind's ``triple`` must satisfy
 
 
-def register(name: str, *tags: str, keys: tuple = ()):
+def register(name: str, *tags: str, keys: tuple = (), triple: Optional[Callable] = None):
     """Register a suite under its identity tags; keys are the config keys it
-    reads (``run`` is a key of every suite)."""
+    reads (``run`` is a key of every suite).  A suite that reads a ``triple``
+    gives the check it puts on one, which raises DomainError on a triple the
+    suite cannot take."""
+
+    if ("triple" in keys) != (triple is not None):
+        raise ValueError(f"suite {name!r} reads a triple exactly when it gives a triple check")
 
     def wrap(fn):
         SUITES[name] = (fn, tags)
         SUITE_KEYS[name] = frozenset(("run", *keys))
+        SUITE_TRIPLES[name] = triple
         return fn
 
     return wrap
+
+
+def _c1_triple(T) -> None:
+    if not isinstance(T, TripleC1):
+        raise DomainError("the one-dimensional identity needs a C_1 triple")
+
+
+def _identity_triple(which: str) -> Callable:
+    """The check of a triple for the two-dimensional identity I or II."""
+
+    def check(T) -> None:
+        if not isinstance(T, GradedC2Triple):
+            raise DomainError(f"identity {which} needs a C_2 triple")
+        poisson2_conditions(which, T)
+
+    return check
 
 
 def _report(name: str, ctx: SuiteContext) -> Report:
@@ -156,7 +181,7 @@ def _report(name: str, ctx: SuiteContext) -> Report:
 
 
 def _rand_cyc(rng: LCG, p: int) -> CycNum:
-    return CycNum(p, rng.cyc_coeffs(p - 1))
+    return tables.Rows(p, 6, rng.coeff_rows(1, p - 1))[0]
 
 
 def _rand_table(rng: LCG, field, dim: int) -> tables.Rows:
@@ -524,6 +549,7 @@ def fourier1_props(ctx: SuiteContext) -> Report:
 @register(
     "poisson1", "poisson1_characteristic_transform",
     keys=("triple", "cut_hi", "deep_cut", "max_points", "corrupt"),
+    triple=_c1_triple,
 )
 def poisson1(ctx: SuiteContext) -> Report:
     rep = _report("poisson1", ctx)
@@ -941,6 +967,7 @@ def images2_adjoint(ctx: SuiteContext) -> Report:
 @register(
     "poisson2_ii", "poisson2_II_characteristic_transform",
     keys=("triple", "basepoint", "cut_lo", "cut_hi", "max_points", "corrupt"),
+    triple=_identity_triple("II"),
 )
 def poisson2_ii(ctx: SuiteContext) -> Report:
     rep = _report("poisson2_ii", ctx)
@@ -962,6 +989,7 @@ def poisson2_ii(ctx: SuiteContext) -> Report:
     "poisson2_I_characteristic_transform",
     "poisson2_I_monomial_corollary",
     keys=("triple", "basepoint", "cut_lo", "cut_hi", "max_points", "corrupt"),
+    triple=_identity_triple("I"),
 )
 def poisson2_i(ctx: SuiteContext) -> Report:
     rep = _report("poisson2_i", ctx)

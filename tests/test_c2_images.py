@@ -298,6 +298,30 @@ def test_poisson_negative_controls():
     Ti = inner_cut_triple(k2_model(F2), 0)
     rep2 = poisson2_verify("II", Ti, o=0, cut_lo=-1, cut_hi=1, max_points=64, corrupt="transition")
     assert not rep2.passed
+    assert rep2.failures[0]["identity"] == "poisson2_II_characteristic_transform"
+
+
+@pytest.mark.parametrize("fld, cases_ii, cases_i", [(F2, 219, 189), (F3, 196, 144)])
+def test_poisson_sweep_on_a_box_middle(fld, cases_ii, cases_i):
+    # the dual middle differs from the middle here, so a cap read on the
+    # wrong model would drop bi-windows whose widened sides both fit
+    T = inner_cut_triple(box_model(fld, -1, 2, None, None), 0)
+    assert dual_triple2(T).mid != T.mid
+    rep = poisson2_verify("II", T, o=0, cut_lo=-2, cut_hi=2, max_points=256)
+    assert (rep.cases, rep.failures) == (cases_ii, [])
+    rep = poisson2_verify("I", T, sub_measure(T), quot_measure(T, scalar=Fraction(fld.q)), cut_lo=-2, cut_hi=2)
+    assert (rep.cases, rep.failures) == (cases_i, [])
+
+
+@pytest.mark.parametrize("fld", [F2, F3])
+@pytest.mark.parametrize("which, fault", [("II", "transition"), ("I", "measure")])
+def test_poisson_corruption_fails_every_bi_window(fld, which, fault):
+    box_triple = inner_cut_triple(box_model(fld, -1, 2, None, None), 0)
+    k2_triple = (inner_cut_triple if which == "II" else outer_cut_triple)(k2_model(fld), 0)
+    for T in (box_triple, k2_triple):
+        rep = poisson2_verify(which, T, sub_measure(T), quot_measure(T), cut_lo=-1, cut_hi=1, corrupt=fault)
+        assert rep.cases > 0 and len(rep.failures) == rep.cases
+        assert {f["identity"] for f in rep.failures} == {f"poisson2_{which}_characteristic_transform"}
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 ``CycNum.__mul__``/``__add__`` skip work for zero, one and rational
 operands and multiply on integers otherwise; ``tables.scale`` works on
-integer coefficient rows; ``LCG.cyc_coeffs`` draws a whole coefficient
-vector in one call.  Each is checked for exact equality with the plain
+integer coefficient rows; one random cyclotomic number is drawn as a
+one-entry table by ``LCG.coeff_rows``.  Each is checked for exact equality with the plain
 loop it replaced, and every coefficient must stay a Fraction.
 """
 
@@ -16,6 +16,7 @@ import pytest
 from fqharmonic import tables
 from fqharmonic.exactnum import CycNum, DomainError, _reduce_cyclotomic, field_for
 from fqharmonic.harness.rng import LCG
+from fqharmonic.harness.suites import _rand_cyc
 
 PRIMES = [2, 3, 5]
 
@@ -129,7 +130,7 @@ def test_integer_rows_round_trip(p):
 
 
 def old_cyc_coeffs(rng, n):
-    """The per-coefficient draw loop that cyc_coeffs replaces."""
+    """The per-coefficient draw loop of one random cyclotomic number."""
     return tuple(old_fraction(rng) if rng.randint(0, 3) else Fraction(0) for _ in range(n))
 
 
@@ -142,11 +143,16 @@ def old_fraction(rng):
 @pytest.mark.parametrize("seed", [0, 1, 20260808])
 @pytest.mark.parametrize("p", PRIMES)
 def test_cyc_coeffs_keeps_the_draw_stream(seed, p):
+    # one number, drawn by _rand_cyc or as a one-entry coeff_rows table,
+    # keeps the per-coefficient stream
     new, old = LCG(seed), LCG(seed)
     for _ in range(200):
-        got = new.cyc_coeffs(p - 1)
+        got = _rand_cyc(new, p).coeffs
         assert got == old_cyc_coeffs(old, p - 1)
         assert all(type(x) is Fraction for x in got)
+        assert new.state == old.state
+        rows = new.coeff_rows(1, p - 1)
+        assert tuple(Fraction(row[0], 6) for row in rows) == old_cyc_coeffs(old, p - 1)
         assert new.state == old.state
         # interleave other draws so a stream offset would show at once
         assert new.fraction() == old_fraction(old)

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -373,6 +374,93 @@ def test_bad_table_cap_is_the_only_error():
     with pytest.raises(ConfigError) as exc:
         parse_config(bad)
     assert exc.value.errors == [(5, "bad integer '1e4'")]
+
+
+def _verify_subprocess(cfg_path, *extra, timeout=60):
+    return subprocess.run(
+        [sys.executable, "-m", "fqharmonic.harness.cli", "verify", str(cfg_path), *extra],
+        capture_output=True, text=True, timeout=timeout, env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+
+
+def test_verify_unknown_suite_name_exits_2(tmp_path):
+    # a --suite that names no suite and no suite kind of the config runs nothing
+    cfg_path = tmp_path / "c.cfg"
+    cfg_path.write_text(MINIMAL)
+    out = _verify_subprocess(cfg_path, "--suite", "nosuch", "--suite", "poisson1", "--format", "json")
+    assert out.returncode == 2 and out.stdout == ""
+    assert "'nosuch'" in out.stderr and "Traceback" not in out.stderr, out.stderr
+    # a suite kind selects as well as a suite name
+    named = MINIMAL.replace("[suite poisson1]", "[suite mine]")
+    assert parse_config(named).suites[0].name == "mine"
+    cfg_path.write_text(named)
+    for name in ("mine", "poisson1"):
+        out = _verify_subprocess(cfg_path, "--suite", name, "--format", "json")
+        assert out.returncode == 0 and json.loads(out.stdout)[0]["suite"] == "mine"
+
+
+TRIPLES_2D = """
+[model K2]
+c2 = full
+
+[triple T2t]
+mid = K2
+outer_cut = 0
+
+[triple T2u]
+mid = K2
+inner_cut = 0
+"""
+
+
+@pytest.mark.parametrize("kind, triple, expect", [
+    ("poisson1", "T2t", "needs a C_1 triple"),
+    ("poisson2_ii", "T", "identity II needs a C_2 triple"),
+    ("poisson2_i", "T2u", "the twisted identity needs an outer-compact sub"),
+    ("poisson2_ii", "T2t", "the twist-free identity needs a fiberwise compact sub"),
+])
+def test_suite_triple_its_identity_cannot_take(tmp_path, kind, triple, expect):
+    # the registry states what a suite's triple must satisfy; a triple that
+    # fails it is a config error at the triple line, never a traceback
+    bad = MINIMAL + TRIPLES_2D + f"\n[suite x]\nrun = {kind}\ntriple = {triple}\n"
+    with pytest.raises(ConfigError) as exc:
+        parse_config(bad)
+    ((ln, msg),) = exc.value.errors
+    assert ln == len(bad.splitlines()) and expect in msg and f"{triple!r}" in msg
+    cfg_path = tmp_path / "c.cfg"
+    cfg_path.write_text(bad)
+    out = _verify_subprocess(cfg_path)
+    assert out.returncode == 2 and out.stdout == ""
+    assert f"c.cfg:{ln}: " in out.stderr and "Traceback" not in out.stderr, out.stderr
+    # each suite still takes a triple its identity accepts
+    good = {"poisson1": "T", "poisson2_i": "T2t", "poisson2_ii": "T2u"}[kind]
+    parse_config(MINIMAL + TRIPLES_2D + f"\n[suite x]\nrun = {kind}\ntriple = {good}\n")
+
+
+@pytest.mark.parametrize("spec", ["101,2,[2,0,1]", "1000000000000000003,1,[0,1]"])
+def test_field_over_table_cap_is_refused_at_once(tmp_path, spec):
+    # q x q field tables past table_cap are refused at the spec line, before
+    # the field or its primality test runs; the subprocess bounds a hang
+    bad = MINIMAL.replace("spec = 2,1,[0,1]", f"spec = {spec}")
+    cfg_path = tmp_path / "c.cfg"
+    cfg_path.write_text(bad)
+    out = _verify_subprocess(cfg_path, timeout=10)
+    assert out.returncode == 2 and out.stdout == "", out.stderr
+    assert out.stderr.startswith(f"{cfg_path}:2: ") and "Traceback" not in out.stderr
+    t0 = time.monotonic()
+    with pytest.raises(ConfigError) as exc:
+        parse_config(bad)
+    assert time.monotonic() - t0 < 1.0
+    ((ln, msg),) = exc.value.errors
+    assert ln == 2 and "table_cap = 4096" in msg
+
+
+def test_field_table_cap_decides():
+    f9 = MINIMAL.replace("spec = 2,1,[0,1]", "spec = 3,2,[1,0,1]")
+    assert parse_config(f9.replace("seed = 7", "table_cap = 81")).field.q == 9
+    with pytest.raises(ConfigError) as exc:
+        parse_config(f9.replace("seed = 7", "table_cap = 80"))
+    assert exc.value.errors == [(2, "the field has q^2 = 3^4 table entries, more than table_cap = 80")]
 
 
 @pytest.mark.parametrize("run_line, elem, expect", [
