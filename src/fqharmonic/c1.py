@@ -41,7 +41,7 @@ from functools import lru_cache
 from typing import Optional
 
 from fqharmonic import tables
-from fqharmonic.exactnum import CycNum, DomainError, FqField
+from fqharmonic.exactnum import CycNum, DomainError, FqField, q_power
 from fqharmonic.tables import Rows
 
 
@@ -161,7 +161,7 @@ class C1Model:
             object.__setattr__(self, "label", str(keep))
 
     def __eq__(self, other: object) -> bool:
-        return (
+        return self is other or (
             isinstance(other, C1Model)
             and self.field == other.field
             and self.intervals == other.intervals
@@ -277,7 +277,7 @@ def positions(model: C1Model, w: Window) -> tuple[tuple[int, int], ...]:
 
 
 def window_dim(model: C1Model, w: Window) -> int:
-    return model.count(w.lo, w.hi)
+    return len(positions(model, w))
 
 
 def dual_perm(model: C1Model, w: Window) -> list[int]:
@@ -303,9 +303,9 @@ DIST_TAGS = ("Dp", "Ep", "ETp", "Haar")
 class TableRep:
     """The table bookkeeping shared by the window representatives here and in
     ``c2``: a frozen dataclass with a ``model``, a ``window`` and a ``table``
-    (stored as ``Rows``; a CycNum sequence is accepted) that gives its edge
-    directions as ``dirs``.  ``c2.BiWindowRep`` has a bi-window ``bw`` in
-    place of the window.
+    (a ``Rows`` or a factored ``Kron``; a CycNum sequence is accepted) that
+    gives its edge directions as ``dirs``.  ``c2.BiWindowRep`` has a
+    bi-window ``bw`` in place of the window.
     """
 
     @property
@@ -313,8 +313,11 @@ class TableRep:
         return window_dim(self.model, self.window)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "table", tables.as_rows(self.table, self.model.field.p))
-        if len(self.table) != self.model.field.q ** self.dim:
+        field = self.model.field
+        table = tables.as_rows(self.table, field.p)
+        if table is not self.table:
+            object.__setattr__(self, "table", table)
+        if not tables.has_shape(table, field.q, self.dim):
             raise DomainError("table length does not match the window")
 
     @property
@@ -418,7 +421,7 @@ def dist_at(G: C1Dist, w: Window) -> C1Dist:
     model, q = G.model, G.model.field.q
     if G.extension and G.extension[0] == "haar":
         _, value, ref = G.extension
-        const = value * Fraction(q) ** model.dim_between(ref, w.lo)
+        const = value * q_power(q, model.dim_between(ref, w.lo))
         dim = window_dim(model, w)
         return C1Dist(model, G.tag, w, tables.const_table(CycNum.from_rational(model.field.p, const), q, dim), G.extension)
     src_pos, dst_pos = positions(model, G.window), positions(model, w)
@@ -618,7 +621,7 @@ class HaarMeasure:
             raise DomainError("the zero measure is not allowed here")
 
     def value_at(self, i: int) -> Fraction:
-        return self.value * Fraction(self.model.field.q) ** self.model.dim_between(self.ref, i)
+        return self.value * q_power(self.model.field.q, self.model.dim_between(self.ref, i))
 
     def as_dist(self, w: Window) -> C1Dist:
         const = CycNum.from_rational(self.model.field.p, self.value_at(w.lo))

@@ -18,7 +18,9 @@ the ``CONJUGATE`` kind, which swaps push and pull.
 
 ``poisson1_verify`` is one loop over windows that builds both sides of the
 summation identity through ``char_dist1``.  No side widens and a window has
-the dim of its dual, so the one cap rule reads the middle window.
+the dim of its dual, so the one cap rule reads the middle window; with no
+cap, every window is certified.  Both sides and the profile oracle are
+factored tables (``tables.Kron``) from end to end.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from fqharmonic.c1 import (
     sum_model,
     window_dim,
 )
-from fqharmonic.exactnum import CycNum, DomainError
+from fqharmonic.exactnum import DomainError
 
 
 @dataclass(frozen=True, eq=False)
@@ -337,8 +339,11 @@ def tensor_haar(T: TripleC1, mu1: HaarMeasure, mu3: HaarMeasure, ref: int = 0) -
 
 
 def char_dist1(T: TripleC1, mu1: HaarMeasure, w: Window) -> C1Dist:
-    """The characteristic distribution of the sub: push forward its measure."""
-    return images1("alpha_push", T, mu1.as_dist(w))
+    """The characteristic distribution of the sub: push forward its measure,
+    whose constant table is built factored."""
+    model = mu1.model
+    table = tables.const_kron(model.field.p, mu1.value_at(w.lo), model.field.q, window_dim(model, w))
+    return images1("alpha_push", T, C1Dist(model, "Haar", w, table, ("haar", mu1.value, mu1.ref)))
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +382,7 @@ def poisson1_verify(
     mu2: HaarMeasure,
     cut_lo: int = -3,
     cut_hi: int = 3,
-    max_points: int = 256,
+    max_points: Optional[int] = 256,
     corrupt: Optional[str] = None,
 ) -> CheckReport:
     """Check that the transform of the sub's characteristic distribution is
@@ -393,7 +398,7 @@ def poisson1_verify(
     mu2_used = mu2.scaled(Fraction(q)) if corrupt == "measure" else mu2
     cuts = range(cut_lo, cut_hi + 1)
     for w in [Window(a, b) for a in cuts for b in cuts if a <= b]:
-        if q ** window_dim(T.mid, w) > max_points:
+        if max_points is not None and q ** window_dim(T.mid, w) > max_points:
             continue
         report.cases += 1
         mu = mu1.scaled(mu1.value_at(w.lo + 1) / mu1.value_at(w.lo)) if corrupt == "transition" else mu1
@@ -401,7 +406,7 @@ def poisson1_verify(
         wd = dual_window(w)
         val = mu1.value_at(w.hi) / mu2.value_at(w.hi)
         sub_idx, _ = Td.split(wd)
-        const = tables.const_table(CycNum.from_rational(T.mid.field.p, val), q, len(sub_idx))
+        const = tables.const_kron(T.mid.field.p, val, q, len(sub_idx))
         expect = tables.expand(const, q, window_dim(Td.mid, wd), sub_idx, "zero")
         if lhs.table != expect:
             report.fail(

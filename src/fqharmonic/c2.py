@@ -48,7 +48,7 @@ from fqharmonic.c1 import (
     DOWN, UP, POSITION_CACHE, CapabilityError, TableRep, WindowError, common_window, hull, mirror, nonempty, overlap,
     shifted, window_move,
 )
-from fqharmonic.exactnum import CycNum, DomainError, FqField
+from fqharmonic.exactnum import CycNum, DomainError, FqField, q_power
 from fqharmonic.tables import Rows
 
 Box = tuple  # (a_lo, a_hi, b_lo, b_hi), None = unbounded
@@ -81,7 +81,7 @@ class C2Model:
             object.__setattr__(self, "label", str(self.boxes))
 
     def __eq__(self, other: object) -> bool:
-        return (
+        return self is other or (
             isinstance(other, C2Model)
             and self.field == other.field
             and self.boxes == other.boxes
@@ -285,11 +285,11 @@ def vmeas_canonical(model: C2Model, i: int, j: int, kind: str) -> VirtualMeasure
     if kind == "one":
         if not model.is_cf:
             raise CapabilityError("canonical mass-1 elements need a fiberwise compact model")
-        return VirtualMeasure(model, i, j, Fraction(model.field.q) ** (-model.count_above(i, j)))
+        return VirtualMeasure(model, i, j, q_power(model.field.q, -model.count_above(i, j)))
     if kind == "delta":
         if not model.is_df:
             raise CapabilityError("canonical point-mass elements need a fiberwise discrete model")
-        return VirtualMeasure(model, i, j, Fraction(model.field.q) ** model.count_below(i, j))
+        return VirtualMeasure(model, i, j, q_power(model.field.q, model.count_below(i, j)))
     raise DomainError(f"unknown canonical kind {kind!r}")
 
 
@@ -334,7 +334,7 @@ class D2Elem(BiWindowRep):
         if bw2 == self.bw:
             return self
         model, bw, moved = self.model, self.bw, self._moved(bw2)
-        factor = Fraction(model.field.q) ** model.sigma(bw.l, bw2.l, bw.m)
+        factor = q_power(model.field.q, model.sigma(bw.l, bw2.l, bw.m))
         return D2Elem(
             model, self.o, bw2, tables.scale(moved, factor),
             VirtualMeasure(model, bw2.l, self.o, self.twist.scalar),
@@ -375,7 +375,7 @@ class D2Dist(BiWindowRep):
             return self
         model, bw, moved = self.model, self.bw, self._moved(bw2)
         # the kernel pullback is scaled at the destination inner level
-        factor = Fraction(model.field.q) ** model.sigma(bw2.l, bw.l, bw2.m)
+        factor = q_power(model.field.q, model.sigma(bw2.l, bw.l, bw2.m))
         return D2Dist(
             model, self.o, bw2, tables.scale(moved, factor),
             VirtualMeasure(model, self.o, bw2.l, self.twist.scalar),
@@ -498,7 +498,7 @@ def fourier2(x):
     if isinstance(x, D2Elem):
         model, bw = x.model, x.bw
         q = model.field.q
-        out = _rev_fourier2(model, bw, x.table, Fraction(q) ** model.sigma(bw.l, bw.i, bw.m))
+        out = _rev_fourier2(model, bw, x.table, q_power(q, model.sigma(bw.l, bw.i, bw.m)))
         dm = dual_model2(model)
         return D2Elem(
             dm, -x.o, bw.dual(), out, VirtualMeasure(dm, -bw.i, -x.o, x.twist.scalar)
@@ -506,7 +506,7 @@ def fourier2(x):
     if isinstance(x, D2Dist):
         model, bw = x.model, x.bw
         q = model.field.q
-        out = _rev_fourier2(model, bw, x.table, Fraction(q) ** (-model.sigma(bw.l, bw.i, bw.n)))
+        out = _rev_fourier2(model, bw, x.table, q_power(q, -model.sigma(bw.l, bw.i, bw.n)))
         dm = dual_model2(model)
         return D2Dist(
             dm, -x.o, bw.dual(), out, VirtualMeasure(dm, -x.o, -bw.i, x.twist.scalar)

@@ -12,7 +12,9 @@ point-mass elements) shows up as an explicit power of q on the twist.
 ``poisson2_verify`` runs both summation identities in one loop: each side
 of a bi-window is widened by the identity's rule until it carries its
 characteristic object, and a bi-window is certified exactly when both
-widened sides have at most ``max_points`` entries.
+widened sides have at most ``max_points`` entries (every one, for None).
+The characteristic objects are factored tables (``tables.Kron``), and every
+step of the loop keeps them factored, so no table of q^dim entries is built.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from fqharmonic.c2 import (
 from fqharmonic.c1_triples import (
     CONJUGATE, IMAGE_KINDS, CheckReport, cell_points, image_table, image_target, split_flags,
 )
-from fqharmonic.exactnum import CycNum, DomainError
+from fqharmonic.exactnum import DomainError, q_power
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,7 +74,9 @@ class GradedC2Triple:
     def split(self, bw: BiWindow) -> tuple[tuple[int, ...], tuple[int, ...]]:
         got = self._splits.get(bw)
         if got is None:
-            got = self._splits[bw] = split_flags([self.sub.in_region(a, b) for a, b in positions2(self.mid, bw)])
+            # the sub's slots of the bi-window are its region slots there
+            sub = set(positions2(self.sub, bw))
+            got = self._splits[bw] = split_flags([pos in sub for pos in positions2(self.mid, bw)])
         return got
 
 
@@ -144,7 +148,7 @@ def _outer_compact_sub(kind: str, T: GradedC2Triple, x, aux) -> tuple[BiWindow, 
     _require(top is not None, f"{kind} needs an outer-compact sub")
     mu = _check_measure(aux, T.sub, x.o, top, kind)
     bw = raise_outer_top(T.sub, x.bw)
-    return bw, Fraction(T.mid.field.q) ** T.sub.sigma(bw.l, bw.i, bw.m), mu.scalar
+    return bw, q_power(T.mid.field.q, T.sub.sigma(bw.l, bw.i, bw.m)), mu.scalar
 
 
 def _outer_discrete_quot(kind: str, T: GradedC2Triple, x, aux) -> tuple[BiWindow, Fraction, Fraction]:
@@ -209,7 +213,7 @@ def one_fn(model: C2Model, o: int, bw: BiWindow) -> D2Elem:
     twist = vmeas_canonical(model, bw.l, o, "one")
     if raise_inner_top(model, bw) != bw:
         raise WindowError("window must contain the column tops")
-    table = tables.const_table(CycNum.one(model.field.p), model.field.q, bw_dim(model, bw))
+    table = tables.const_kron(model.field.p, 1, model.field.q, bw_dim(model, bw))
     return D2Elem(model, o, bw, table, twist)
 
 
@@ -232,10 +236,10 @@ def one_mu(model: C2Model, mu: VirtualMeasure, bw: BiWindow) -> D2Dist:
         raise WindowError("window top must cover the whole model")
     q = model.field.q
     dim = bw_dim(model, bw)
-    value = mu.scalar * Fraction(q) ** model.sigma(bw.l, bw.i, bw.m)
+    value = mu.scalar * q_power(q, model.sigma(bw.l, bw.i, bw.m))
     return D2Dist(
         model, mu.src, bw,
-        tables.const_table(CycNum.from_rational(model.field.p, value), q, dim),
+        tables.const_kron(model.field.p, value, q, dim),
         VirtualMeasure(model, mu.src, bw.l, Fraction(1)),
     )
 
@@ -286,7 +290,7 @@ def poisson2_verify(
     o: int = 0,
     cut_lo: int = -2,
     cut_hi: int = 2,
-    max_points: int = 256,
+    max_points: Optional[int] = 256,
     corrupt: Optional[str] = None,
 ) -> CheckReport:
     """Check the transform of the sub's characteristic object against the
@@ -312,7 +316,9 @@ def poisson2_verify(
     for (l, i), (m, n) in product(windows, windows):
         bw = BiWindow(l, i, m, n)
         primal_bw, dual_bw = widen(T.sub, bw.dual()), widen(Td.sub, bw)
-        if q ** bw_dim(T.mid, primal_bw) > max_points or q ** bw_dim(Td.mid, dual_bw) > max_points:
+        if max_points is not None and (
+            q ** bw_dim(T.mid, primal_bw) > max_points or q ** bw_dim(Td.mid, dual_bw) > max_points
+        ):
             continue
         report.cases += 1
         x = primal(primal_bw)

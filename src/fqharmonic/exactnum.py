@@ -22,6 +22,17 @@ class DomainError(ValueError):
     """An operand is outside the domain of the operation (e.g. inverting 0)."""
 
 
+class CapacityError(DomainError):
+    """A table would be built with more entries than the fixed dense bound."""
+
+
+@lru_cache(maxsize=1024)
+def q_power(q: int, e: int) -> Fraction:
+    """q^e as a Fraction, for an exponent of either sign: the volume factors
+    of the window moves, kept by value."""
+    return Fraction(q) ** e
+
+
 # ---------------------------------------------------------------------------
 # cyclotomic numbers
 # ---------------------------------------------------------------------------
@@ -285,7 +296,7 @@ class FqField:
 
     # identity is (p, n, modulus)
     def __eq__(self, other: object) -> bool:
-        return (
+        return self is other or (
             isinstance(other, FqField)
             and (self.p, self.n, self.modulus) == (other.p, other.n, other.modulus)
         )
@@ -336,6 +347,9 @@ class FqField:
         object.__setattr__(self, "_neg", neg)
         object.__setattr__(self, "_inv", inv)
         object.__setattr__(self, "_trace", trace)
+        # conj_expo[u][v] = -Tr(u v) mod p, the power of zeta in conj psi(u v)
+        conj_expo = tuple(tuple(-trace[mul[u][v]] % p for v in range(q)) for u in range(q))
+        object.__setattr__(self, "conj_expo", conj_expo)
 
     # -- index-level arithmetic (used by all table machinery)
 

@@ -18,7 +18,6 @@ from fqharmonic.c1 import (
     dist_at,
     fn_at,
     fourier1,
-    window_dim,
 )
 from fqharmonic.c2 import BiWindow, C2Model, D2Elem, VirtualMeasure, bw_dim, e2_constant_one, fourier2
 from fqharmonic.c2_triples import delta0_fn, one_fn
@@ -108,6 +107,10 @@ def _transform(cfg, args) -> int:
             return 2
         w = _parse_window(args.window)
         value, ref = _parse_measure(args.measure or "1@0")
+        # counted, not listed: a window's slot labels are listed only once
+        # the table is known to fit it
+        if model.count(w.lo, w.hi) != dim:
+            raise DomainError("table length does not match the window")
         f = C1Fn(model, "D", w, table)
         out_f = fourier1(f, HaarMeasure(model, ref, value))
         text = render_table(q, out_f.table, window=(out_f.window.lo, out_f.window.hi))
@@ -188,7 +191,7 @@ def cmd_dump(args) -> int:
             text = render_table(cfg.field.q, table, biwindow=(bw.l, bw.i, bw.m, bw.n))
         else:
             w = _parse_window(args.window)
-            _check_table_cap(cfg, window_dim(model, w))
+            _check_table_cap(cfg, model.count(w.lo, w.hi))
             table = _build_elem(model, args.elem, w)
             text = render_table(cfg.field.q, table, window=(w.lo, w.hi))
     except DomainError as exc:

@@ -281,6 +281,10 @@ def parse_config(text: str) -> SuiteConfig:
                     resolved[key] = int(val)
                 except ValueError:
                     errors.append((ln, f"bad integer {val!r}"))
+        if spec.kind == "poisson1" and "triple" in resolved and not resolved.get("deep_cut"):
+            # the triple runs only in the deep sweep, so without it the triple is ignored
+            ln = spec.params["triple"][0]
+            errors.append((ln, "poisson1 runs its triple only in the deep_cut sweep; set deep_cut"))
         if "max_points" in resolved and table_cap is not None and resolved["max_points"] > table_cap:
             ln = spec.params["max_points"][0]
             errors.append(

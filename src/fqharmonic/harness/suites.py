@@ -111,6 +111,7 @@ from fqharmonic.c2_triples import (
     outer_cut_triple,
     poisson2_conditions,
     poisson2_verify,
+    raise_outer_top,
 )
 from fqharmonic.dim0 import (
     FinSpace,
@@ -174,6 +175,19 @@ def _identity_triple(which: str) -> Callable:
         poisson2_conditions(which, T)
 
     return check
+
+
+# the monomial automorphisms (t_shift, u_shift) of poisson2_i's corollary
+_COROLLARY_SHIFTS = ((1, 0), (0, 1), (-1, 1))
+
+
+def _corollary_triple(T) -> None:
+    """The check of poisson2_i's triple: identity I, and a middle every
+    automorphism of the corollary acts on."""
+    _identity_triple("I")(T)
+    for t_shift, u_shift in _COROLLARY_SHIFTS:
+        if shift_region(T.mid, -t_shift, -u_shift) != T.mid:
+            raise DomainError(f"the monomial corollary needs a middle the shift {(t_shift, u_shift)} preserves")
 
 
 def _report(name: str, ctx: SuiteContext) -> Report:
@@ -989,13 +1003,12 @@ def poisson2_ii(ctx: SuiteContext) -> Report:
     "poisson2_I_characteristic_transform",
     "poisson2_I_monomial_corollary",
     keys=("triple", "basepoint", "cut_lo", "cut_hi", "max_points", "corrupt"),
-    triple=_identity_triple("I"),
+    triple=_corollary_triple,
 )
 def poisson2_i(ctx: SuiteContext) -> Report:
     rep = _report("poisson2_i", ctx)
-    K2 = _std_c2(ctx)
     q = ctx.field.q
-    triple = ctx.params.get("triple") or outer_cut_triple(K2, 0)
+    triple = ctx.params.get("triple") or outer_cut_triple(_std_c2(ctx), 0)
     values = (Fraction(1), Fraction(q), Fraction(1, q))
     _merge(rep, (
         poisson2_verify(
@@ -1012,15 +1025,16 @@ def poisson2_i(ctx: SuiteContext) -> Report:
         for s_mu in values
         for s_nu in values
     ))
-    # the corollary under monomial automorphisms
-    Td = dual_triple2(triple)
+    # the corollary under monomial automorphisms of the middle, on one
+    # bi-window widened over both subs as the verifier widens each side
+    mid, Td = triple.mid, dual_triple2(triple)
     mu = VirtualMeasure(triple.sub, 0, triple.sub.outer_sup, Fraction(1))
     nu = VirtualMeasure(triple.quot, 0, triple.quot.outer_inf, Fraction(1))
-    bw = BiWindow(-1, 1, -1, 1)
+    bw = raise_outer_top(Td.sub, raise_outer_top(triple.sub, BiWindow(-1, 1, -1, 1)))
     delta = char_dist(triple, mu, nu, bw)
-    for shifts in [(1, 0), (0, 1), (-1, 1)]:
-        g = AutElem(K2, shifts[0], shifts[1], 1)
-        ghat = AutHatElem(g, VirtualMeasure(K2, 0, g.apply_cut(0), Fraction(1)))
+    for shifts in _COROLLARY_SHIFTS:
+        g = AutElem(mid, shifts[0], shifts[1], 1)
+        ghat = AutHatElem(g, VirtualMeasure(mid, 0, g.apply_cut(0), Fraction(1)))
         lhs = fourier2(rep_act(ghat, delta))
         rhs = rep_act(ghat.dual_lift(), char_dist(Td, nu.on_dual(), mu.on_dual(), bw))
         _check(rep, "poisson2_I_monomial_corollary", d2_equal(lhs, rhs), f"g={shifts}")

@@ -1,12 +1,22 @@
-"""Dense tables of cyclotomic numbers over mixed positions with radix q.
+"""Tables of cyclotomic numbers over mixed positions with radix q.
 
-A table is a ``Rows`` value: q^D entries in Q(zeta_p) indexed by D coordinate
-digits, least-significant digit = position 0, stored as integer coefficient
-rows over one common denominator.  ``rows[k][i]`` is ``den`` times the
-coefficient of zeta^k in entry i.  The form is canonical (``den > 0`` and
-coprime to every numerator), so table equality is structural and exact.
-``Rows`` is a sequence of ``CycNum`` only at its edge: ``len``, iteration
-and integer indexing build entries, for CSV, pairings and scalar results.
+A table holds q^D entries in Q(zeta_p) indexed by D coordinate digits, least
+significant digit = position 0.  It comes in two forms:
+
+* ``Rows``, the dense form: integer coefficient rows over one common
+  denominator.  ``rows[k][i]`` is ``den`` times the coefficient of zeta^k in
+  entry i.  The form is canonical (``den > 0`` and coprime to every
+  numerator), so table equality is structural and exact.
+* ``Kron``, the factored form: a one-entry ``Rows`` scalar times one q-entry
+  ``Rows`` factor per digit, a tensor product.  The characteristic functions
+  and measure profiles of monomial regions are such products, and the
+  summation identities compare nothing else.
+
+Both forms are sequences of ``CycNum`` only at their edge: ``len``,
+iteration and integer indexing build entries, for CSV, pairings, scalar
+results and failure texts.  Indexing a ``Kron`` reads one entry from its
+factors; ``Kron.dense()`` builds the ``Rows`` and refuses more than
+``DENSE_POINTS`` entries with ``CapacityError``.
 
 Every operation here works on the rows.  The window layers move tables
 between windows with four moves: pull back along a coordinate projection,
@@ -15,7 +25,13 @@ sum over dropped coordinates.  ``transport`` is the one primitive that makes
 all four at once, on digits named by labels; function tables and pairing
 (distribution) tables use it in opposite directions.
 
-Every index move is a ``MovePlan``, its index work, applied by
+Native to ``Kron``, each in O(D*q): ``transport`` (so ``expand``,
+``contract``, ``apply_perm`` and ``reverse_positions``), ``scale``,
+``fourier`` (one q-point transform per factor), ``is_zero`` and ``==`` (an
+exact comparison of factors and one entry, with no division).  Every other
+operation, and a comparison with a ``Rows``, works on ``Kron.dense()``.
+
+Every dense index move is a ``MovePlan``, its index work, applied by
 ``apply_plan``, its table work: the size check, the fiber sums and one
 gather per row.  Transport, translation and the sign flip build their plan
 digit by digit once per distinct move, reused across calls: plans are kept
@@ -36,7 +52,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import add as _add, mul as _mul
 
-from fqharmonic.exactnum import _ZERO, CycNum, DomainError, FqField
+from fqharmonic.exactnum import _ZERO, CapacityError, CycNum, DomainError, FqField
 
 
 @dataclass(frozen=True)
@@ -70,6 +86,15 @@ class Rows(Sequence):
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "rows", rows)
 
+    @classmethod
+    def _of(cls, p: int, den: int, rows: tuple[tuple[int, ...], ...]) -> "Rows":
+        """The table of rows already in canonical form, built without the checks."""
+        table = object.__new__(cls)
+        object.__setattr__(table, "p", p)
+        object.__setattr__(table, "den", den)
+        object.__setattr__(table, "rows", rows)
+        return table
+
     @staticmethod
     def of(entries: Iterable[CycNum], p: int) -> "Rows":
         """The table of a sequence of entries (the edge: CSV, builders, tests)."""
@@ -92,9 +117,10 @@ class Rows(Sequence):
         return CycNum(self.p, tuple(Fraction(row[i], den) if row[i] else _ZERO for row in self.rows))
 
 
-def as_rows(table, p: int) -> Rows:
-    """table itself when it is a table over Q(zeta_p), else the table of its entries."""
-    if isinstance(table, Rows):
+def as_rows(table, p: int):
+    """table itself when it is a table (``Rows`` or ``Kron``) over Q(zeta_p),
+    else the ``Rows`` of its entries."""
+    if isinstance(table, (Rows, Kron)):
         if table.p != p:
             raise DomainError("mixed cyclotomic fields")
         return table
@@ -124,9 +150,268 @@ def indicator_table(p: int, size: int, indices: Iterable[int], value: Fraction |
 
 
 def const_table(value: CycNum, q: int, dim: int) -> Rows:
-    den = math.lcm(*(c.denominator for c in value.coeffs))
+    nums, den = _cyc_ints(value)
     n = q**dim
-    return Rows(value.prime, den, [(c.numerator * (den // c.denominator),) * n for c in value.coeffs])
+    return Rows(value.prime, den, [(x,) * n for x in nums])
+
+
+# ---------------------------------------------------------------------------
+# factored tables
+# ---------------------------------------------------------------------------
+
+
+DENSE_POINTS = 1 << 20  # entries of the largest table Kron.dense builds
+
+
+@dataclass(frozen=True, eq=False)
+class Kron:
+    """A table held as a scalar times one q-entry factor per digit.
+
+    The entry at the digits (d_0, ..., d_{D-1}) is ``scalar * factors[0][d_0]
+    * ... * factors[D-1][d_{D-1}]``.  ``scalar`` is a one-entry ``Rows`` (a
+    rational or a ``CycNum`` is accepted) and every factor is a ``Rows`` of
+    the same length q.  Equal tables may hold different factors, so a
+    ``Kron`` is compared by value and is not hashable.
+    """
+
+    p: int
+    scalar: Rows
+    factors: tuple[Rows, ...]
+
+    __hash__ = None
+
+    def __post_init__(self) -> None:
+        scalar = self.scalar if isinstance(self.scalar, Rows) else _scalar(self.p, self.scalar)
+        if scalar.p != self.p or len(scalar) != 1:
+            raise DomainError(f"the scalar of a factored table is one entry over Q(zeta_{self.p})")
+        factors = tuple(as_rows(f, self.p) for f in self.factors)
+        if len({len(f) for f in factors}) > 1:
+            raise DomainError("the factors of a factored table need one length")
+        object.__setattr__(self, "scalar", scalar)
+        object.__setattr__(self, "factors", factors)
+
+    @classmethod
+    def _of(cls, p: int, scalar: Rows, factors: tuple[Rows, ...]) -> "Kron":
+        """The table of parts already checked, built without the checks."""
+        table = object.__new__(cls)
+        object.__setattr__(table, "p", p)
+        object.__setattr__(table, "scalar", scalar)
+        object.__setattr__(table, "factors", factors)
+        return table
+
+    @property
+    def dim(self) -> int:
+        return len(self.factors)
+
+    @property
+    def size(self) -> int:
+        return len(self.factors[0]) ** len(self.factors) if self.factors else 1
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __iter__(self) -> Iterator[CycNum]:
+        return iter(self.dense())
+
+    def __getitem__(self, i):
+        """One entry read from the factors, or the ``Rows`` of a slice of them."""
+        size = self.size
+        if isinstance(i, slice):
+            return Rows.of((self[j] for j in range(*i.indices(size))), self.p)
+        if i < 0:
+            i += size
+        if not 0 <= i < size:
+            raise IndexError("table index out of range")
+        value, den = _column(self.scalar, 0), self.scalar.den
+        for f in self.factors:
+            i, d = divmod(i, len(f))
+            value, den = _cyc_product(value, _column(f, d), self.p), den * f.den
+        return CycNum(self.p, tuple(Fraction(x, den) if x else _ZERO for x in value))
+
+    def is_zero(self) -> bool:
+        return is_zero(self.scalar) or any(map(is_zero, self.factors))
+
+    def dense(self) -> Rows:
+        """The ``Rows`` of every entry; more than ``DENSE_POINTS`` are refused."""
+        size = self.size
+        if size > DENSE_POINTS:
+            raise CapacityError(f"a dense table of {size} entries exceeds {DENSE_POINTS}")
+        p, values, den = self.p, [_column(self.scalar, 0)], self.scalar.den
+        for f in self.factors:
+            # digit r has weight q^r: its value d repeats the table built so far
+            values = [_cyc_product(v, col, p) for col in zip(*f.rows) for v in values]
+            den *= f.den
+        return Rows(p, den, list(zip(*values)))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, Kron):
+            return _kron_equal(self, other)
+        if isinstance(other, Rows):
+            return other.p == self.p and len(other) == self.size and self.dense() == other
+        return NotImplemented
+
+
+def const_kron(p: int, value, q: int, dim: int) -> Kron:
+    """The constant table of ``const_table`` in factored form; value is a
+    rational or a ``CycNum``."""
+    return Kron._of(p, _scalar(p, value), (_unit_factors(p, q)[0],) * dim)
+
+
+def _scalar(p: int, value) -> Rows:
+    """The one-entry table of a rational or a ``CycNum``."""
+    if isinstance(value, CycNum):
+        if value.prime != p:
+            raise DomainError("mixed cyclotomic fields")
+        return _entry(p, *_cyc_ints(value))
+    if not isinstance(value, (int, Fraction)):
+        value = Fraction(value)
+    return _entry(p, (value.numerator,) + (0,) * (p - 2), value.denominator)
+
+
+def _cyc_ints(value: CycNum) -> tuple[tuple[int, ...], int]:
+    """The power-basis numerators of a ``CycNum`` over their common denominator."""
+    den = math.lcm(*(c.denominator for c in value.coeffs))
+    return tuple(c.numerator * (den // c.denominator) for c in value.coeffs), den
+
+
+def _entry(p: int, value: Sequence[int], den: int) -> Rows:
+    """The one-entry table value / den, made canonical by one gcd."""
+    g = math.gcd(den, *value)
+    if den < 0:
+        g = -g
+    return Rows._of(p, den // g, tuple((x // g,) for x in value))
+
+
+def _column(table: Rows, i: int) -> tuple[int, ...]:
+    """The power-basis numerators of entry i."""
+    return tuple(row[i] for row in table.rows)
+
+
+def _cyc_product(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, ...]:
+    """The power-basis coefficients of the product of two elements of Z[zeta_p]."""
+    if not any(b[1:]):
+        c = b[0]
+        return tuple(x * c for x in a)
+    if not any(a[1:]):
+        c = a[0]
+        return tuple(c * y for y in b)
+    acc = [0] * p
+    for j, x in enumerate(a):
+        if x:
+            for k, y in enumerate(b):
+                acc[(j + k) % p] += x * y
+    top = acc.pop()  # zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2))
+    return tuple(x - top for x in acc)
+
+
+@lru_cache(maxsize=None)
+def _unit_factors(p: int, q: int) -> tuple[Rows, Rows]:
+    """The all-ones factor and the delta at 0, on q entries."""
+    zeros = [(0,) * q] * (p - 2)
+    return Rows(p, 1, [(1,) * q, *zeros]), Rows(p, 1, [(1,) + (0,) * (q - 1), *zeros])
+
+
+def has_shape(table, q: int, dim: int) -> bool:
+    """Whether table holds q^dim entries; a ``Kron`` needs dim factors of q entries."""
+    if isinstance(table, Kron):
+        return len(table.factors) == dim and (not dim or len(table.factors[0]) == q)
+    return len(table) == q**dim
+
+
+def _check_kron(table: Kron, q: int, dim: int) -> None:
+    if not has_shape(table, q, dim):
+        raise DomainError(f"table has {table.size} entries, expected {q ** dim}")
+
+
+def _kron_equal(a: Kron, b: Kron) -> bool:
+    """Exact equality with no division.
+
+    Both tables zero, or neither: then every pair of factors is proportional
+    (by cross-multiplication against a pivot where a's factor is nonzero) and
+    the tables agree at the pivot point.  A factor both tables share is
+    proportional and a common nonzero multiplier of that point, so it is
+    skipped.
+    """
+    if a.p != b.p or a.dim != b.dim or a.size != b.size:
+        return False
+    pairs = [(fa, fb) for fa, fb in zip(a.factors, b.factors) if fa is not fb and fa != fb]
+    if not pairs:
+        # one factor list: equal scalars, or a zero factor in both
+        return a.scalar == b.scalar or any(map(is_zero, a.factors))
+    zero_a, zero_b = a.is_zero(), b.is_zero()
+    if zero_a or zero_b:
+        return zero_a and zero_b
+    p = a.p
+    va, da, vb, db = _column(a.scalar, 0), a.scalar.den, _column(b.scalar, 0), b.scalar.den
+    for fa, fb in pairs:
+        cols_a, cols_b = list(zip(*fa.rows)), list(zip(*fb.rows))
+        j = next(i for i, col in enumerate(cols_a) if any(col))
+        for xa, xb in zip(cols_a, cols_b):
+            if _cyc_product(xa, cols_b[j], p) != _cyc_product(cols_a[j], xb, p):
+                return False
+        va, da = _cyc_product(va, cols_a[j], p), da * fa.den
+        vb, db = _cyc_product(vb, cols_b[j], p), db * fb.den
+    return all(x * db == y * da for x, y in zip(va, vb))
+
+
+def _transport_kron(table: Kron, q: int, src_pos: tuple, dst_pos: tuple, summed, zeroed) -> Kron:
+    """``transport`` on the factors: a kept label keeps its factor, a dropped
+    one multiplies the scalar by its factor's sum (summed) or entry 0
+    (sliced), and a new one gets the delta at 0 (zeroed) or all ones."""
+    _check_kron(table, q, len(src_pos))
+    if src_pos == dst_pos:
+        return table
+    p, by_label, zeroed = table.p, dict(zip(src_pos, table.factors)), set(zeroed)
+    ones, delta = _unit_factors(p, q)
+    # taking the kept factors out leaves the dropped ones
+    factors = tuple([by_label.pop(pos) if pos in by_label else delta if pos in zeroed else ones for pos in dst_pos])
+    scalar = table.scalar
+    if by_label:
+        summed = set(summed)
+        value, den = _column(scalar, 0), scalar.den
+        for pos, f in by_label.items():
+            value = _cyc_product(value, tuple(map(sum, f.rows)) if pos in summed else _column(f, 0), p)
+            den *= f.den
+        scalar = _entry(p, value, den)
+    return Kron._of(p, scalar, factors)
+
+
+FACTOR_CACHE = 256  # distinct (factor, field) transforms kept; the sweeps use a few
+
+
+@lru_cache(maxsize=FACTOR_CACHE)
+def _fourier_factor(f: Rows, field: FqField) -> tuple[int, int, Rows]:
+    """The q-point transform out(u) = sum_v f(v) conj psi(u v) of one factor,
+    as a content n / d and a factor g with out = (n / d) * g.
+
+    A multiple of the all-ones factor or of the delta at 0 comes back as
+    that unit factor, so that transformed tables share their factors.
+    """
+    p, q, expo = f.p, field.q, field.conj_expo
+    acc = [[0] * q for _ in range(p)]
+    for k, row in enumerate(f.rows):
+        for v, x in enumerate(row):
+            if x:
+                for u in range(q):
+                    acc[(k + expo[u][v]) % p][u] += x
+    top = acc.pop()  # zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2))
+    rows = [[x - t for x, t in zip(row, top)] for row in acc]
+    for unit in _unit_factors(p, q):
+        c = rows[0][0]
+        if c and rows == [[c * x for x in row] for row in unit.rows]:
+            return c, f.den, unit
+    return 1, 1, Rows(p, f.den, rows)
+
+
+def _rescaled(table: Kron, num: int, den: int) -> Kron:
+    """table times num / den, on its scalar."""
+    scalar = table.scalar
+    value = tuple(x * num for x in _column(scalar, 0))
+    return Kron._of(table.p, _entry(table.p, value, scalar.den * den), table.factors)
+
+
+def _dense(table) -> Rows:
+    return table.dense() if isinstance(table, Kron) else table
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +452,7 @@ class MovePlan:
 
 def apply_plan(table: Rows, plan: MovePlan) -> Rows:
     """The table work of a move: the size check, the fiber sums, one gather."""
+    table = _dense(table)
     n = len(table)
     if n != plan.size:
         raise DomainError(f"table has {n} entries, expected {plan.size}")
@@ -204,6 +490,7 @@ def gather(table: Rows, index: Sequence[int]) -> Rows:
 
 def scatter(table: Rows, index: Sequence[int], size: int) -> Rows:
     """out[j] = sum of table[i] over index[i] = j, on a table of the given size."""
+    table = _dense(table)
     out = []
     for row in table.rows:
         acc = [0] * size
@@ -255,6 +542,8 @@ def transport(
     (extension by zero).
     """
     src_pos, dst_pos = tuple(src_pos), tuple(dst_pos)
+    if isinstance(table, Kron):
+        return _transport_kron(table, q, src_pos, dst_pos, summed, zeroed)
     points = q ** len(src_pos) + q ** len(dst_pos)
     return apply_plan(table, _plan(q, points, _transport_plan, src_pos, dst_pos, tuple(summed), tuple(zeroed)))
 
@@ -284,6 +573,9 @@ def apply_perm(table: Rows, q: int, perm: Sequence[int]) -> Rows:
 
 
 def reverse_positions(table: Rows, q: int, dim: int) -> Rows:
+    if isinstance(table, Kron):
+        _check_kron(table, q, dim)
+        return Kron._of(table.p, table.scalar, table.factors[::-1])
     return apply_perm(table, q, list(reversed(range(dim))))
 
 
@@ -316,15 +608,27 @@ def check_table(table: Rows, q: int, dim: int, field: FqField) -> Rows:
 # ---------------------------------------------------------------------------
 
 
-def _same_shape(a: Rows, b: Rows) -> None:
+def _same_shape(a, b) -> tuple[Rows, Rows]:
+    """Both tables dense, after checking that they have one field and size."""
     if a.p != b.p:
         raise DomainError("mixed cyclotomic fields")
     if len(a) != len(b):
         raise DomainError(f"tables of {len(a)} and {len(b)} entries")
+    return _dense(a), _dense(b)
 
 
 def scale(table: Rows, c) -> Rows:
     """c times every entry; c is a rational or a CycNum."""
+    if isinstance(table, Kron):
+        p, scalar = table.p, table.scalar
+        if isinstance(c, CycNum):
+            value, den = _cyc_ints(c)
+            value, den = _cyc_product(_column(scalar, 0), value, p), scalar.den * den
+            return Kron._of(p, _entry(p, value, den), table.factors)
+        if c == 1:
+            return table
+        c = c if isinstance(c, (int, Fraction)) else Fraction(c)
+        return _rescaled(table, c.numerator, c.denominator)
     if isinstance(c, CycNum):
         if any(c.coeffs[1:]):
             return mul_pointwise(table, const_table(c, len(table), 1))  # len(table) copies of c
@@ -337,7 +641,7 @@ def scale(table: Rows, c) -> Rows:
 
 
 def add(a: Rows, b: Rows) -> Rows:
-    _same_shape(a, b)
+    a, b = _same_shape(a, b)
     den = math.lcm(a.den, b.den)
     fa, fb = den // a.den, den // b.den
     if fa == fb == 1:
@@ -365,7 +669,7 @@ def mul_pointwise(a: Rows, b: Rows) -> Rows:
 
     zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2)) folds the top power away.
     """
-    _same_shape(a, b)
+    a, b = _same_shape(a, b)
     n = len(a)
     sums = [
         list(map(sum, zip(*t))) if len(t) > 1 else (t[0] if t else [0] * n)
@@ -379,7 +683,7 @@ def mul_pointwise(a: Rows, b: Rows) -> Rows:
 
 def dot(a: Rows, b: Rows, p: int) -> CycNum:
     """sum_i a[i] b[i], as one CycNum."""
-    _same_shape(a, b)
+    a, b = _same_shape(a, b)
     if a.p != p:
         raise DomainError("mixed cyclotomic fields")
     sums = [sum(t) for t in _products(a, b, lambda ra, rb: sum(map(_mul, ra, rb)))]
@@ -389,11 +693,14 @@ def dot(a: Rows, b: Rows, p: int) -> CycNum:
 
 def total(table: Rows) -> CycNum:
     """The sum of all entries."""
+    table = _dense(table)
     den = table.den
     return CycNum(table.p, tuple(Fraction(sum(row), den) if any(row) else _ZERO for row in table.rows))
 
 
-def is_zero(table: Rows) -> bool:
+def is_zero(table) -> bool:
+    if isinstance(table, Kron):
+        return table.is_zero()
     return not any(map(any, table.rows))
 
 
@@ -410,8 +717,23 @@ def fourier(table: Rows, q: int, dim: int, field: FqField, factor: Fraction | in
     integer adds where the direct sum costs N^2 cyclotomic products.  The
     factor rides on the denominator and on the final fold of zeta^(p-1), so
     it costs no pass of its own.  The output is exact and equal to the direct
-    sum.
+    sum.  A ``Kron`` transforms factor by factor, the factor on its scalar.
     """
+    if isinstance(table, Kron):
+        _check_kron(table, q, dim)
+        if table.p != field.p:
+            raise DomainError("mixed cyclotomic fields")
+        num, den, factors, seen = 1, 1, [], {}
+        for f in table.factors:
+            # the factors are mostly a few shared objects: look each up once
+            got = seen.get(id(f))
+            if got is None:
+                got = seen[id(f)] = _fourier_factor(f, field)
+            n, d, g = got
+            num, den = num * n, den * d
+            factors.append(g)
+        factor = factor if isinstance(factor, (int, Fraction)) else Fraction(factor)
+        return _rescaled(Kron._of(table.p, table.scalar, tuple(factors)), factor.numerator * num, factor.denominator * den)
     n = len(table)
     if n != q**dim:
         raise DomainError(f"table has {n} entries, expected q^dim = {q**dim}")
@@ -419,13 +741,11 @@ def fourier(table: Rows, q: int, dim: int, field: FqField, factor: Fraction | in
     if table.p != p:
         raise DomainError("mixed cyclotomic fields")
     rows = [*table.rows, (0,) * n]  # the coefficient of zeta^(p-1), folded away at the end
-    # expo[u][v] = -Tr(u v) mod p, the power of zeta in conj psi(u v)
-    expo = [[-field.trace_idx(field.mul_idx(u, v)) % p for v in range(q)] for u in range(q)]
     m = n // q
     for _ in range(dim):
         top = [[row[a * m:(a + 1) * m] for a in range(q)] for row in rows]
         new = [[0] * n for _ in range(p)]
-        for u, shifts in enumerate(expo):
+        for u, shifts in enumerate(field.conj_expo):
             for k in range(p):
                 terms = [top[(k - e) % p][a] for a, e in enumerate(shifts)]
                 new[k][u::q] = map(sum, zip(*terms))

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from fqharmonic import c1
 from fqharmonic.dim0 import FinSpace, Fn0, fourier0
 from fqharmonic.exactnum import CycNum, DomainError, field_for
 from fqharmonic.harness.cli import main as cli_main
@@ -42,6 +43,7 @@ sub = O
 [suite poisson1]
 run = poisson1
 triple = T
+deep_cut = 1
 cut_hi = 1
 """
 
@@ -368,6 +370,29 @@ def test_cli_dump_over_table_cap_exits_2(tmp_path, capsys, model, window):
     assert "table_cap" in captured.err and captured.out == ""
 
 
+def test_cli_wide_window_is_counted_not_listed(tmp_path, capsys, monkeypatch):
+    # a window from the command line is refused by its slot count before
+    # its slot labels (one per slot) are listed
+    cfg_path = tmp_path / "c.cfg"
+    cfg_path.write_text(MINIMAL)
+    src = tmp_path / "in.csv"
+    src.write_text(render_table(2, (CycNum.one(2),) * 8))
+
+    def listed(model, w):
+        raise AssertionError(f"slot labels listed for {w}")
+
+    monkeypatch.setattr(c1, "positions", listed)
+    wide = "--window=-1000000000:1000000000"
+    dump = ["dump", str(cfg_path), "--model", "K", wide, "--elem", "deltaF:0"]
+    transform = ["transform", str(cfg_path), "--op", "fourier1", "--model", "K", wide,
+                 "--input", str(src), "--out", str(tmp_path / "out.csv")]
+    for argv, expect in ((dump, "more than table_cap"), (transform, "does not match the window")):
+        code = cli_main(argv)
+        err = capsys.readouterr().err
+        assert code == 2 and expect in err, err
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_bad_table_cap_is_the_only_error():
     # a malformed cap is reported once, not again as a cap every max_points exceeds
     bad = MINIMAL.replace("seed = 7", "table_cap = 1e4") + "max_points = 5000\n"
@@ -433,8 +458,49 @@ def test_suite_triple_its_identity_cannot_take(tmp_path, kind, triple, expect):
     assert out.returncode == 2 and out.stdout == ""
     assert f"c.cfg:{ln}: " in out.stderr and "Traceback" not in out.stderr, out.stderr
     # each suite still takes a triple its identity accepts
-    good = {"poisson1": "T", "poisson2_i": "T2t", "poisson2_ii": "T2u"}[kind]
+    good = {"poisson1": "T\ndeep_cut = 1", "poisson2_i": "T2t", "poisson2_ii": "T2u"}[kind]
     parse_config(MINIMAL + TRIPLES_2D + f"\n[suite x]\nrun = {kind}\ntriple = {good}\n")
+
+
+def test_poisson2_i_refuses_a_middle_its_corollary_cannot_act_on(tmp_path):
+    # identity I takes the inner cut of a box middle, but the corollary's
+    # monomial automorphisms do not preserve the box: a config error at the
+    # triple line, exit 2, where the corollary used to die in a traceback
+    box = "\n[model B]\nc2 = box -1 2 * *\n\n[triple TB]\nmid = B\ninner_cut = 0\n"
+    bad = MINIMAL + box + "\n[suite x]\nrun = poisson2_i\ntriple = TB\n"
+    with pytest.raises(ConfigError) as exc:
+        parse_config(bad)
+    ((ln, msg),) = exc.value.errors
+    assert ln == len(bad.splitlines()) and "the monomial corollary needs a middle" in msg
+    cfg_path = tmp_path / "c.cfg"
+    cfg_path.write_text(bad)
+    out = _verify_subprocess(cfg_path)
+    assert out.returncode == 2 and out.stdout == ""
+    assert f"c.cfg:{ln}: " in out.stderr and "Traceback" not in out.stderr, out.stderr
+    # a K2 middle whose sub reaches above the corollary's bi-window runs it
+    # on the bi-window widened over both subs
+    shifted = MINIMAL + TRIPLES_2D + "\n[triple T3]\nmid = K2\nouter_cut = 3\n"
+    cfg = parse_config(shifted + "\n[suite x]\nrun = poisson2_i\ntriple = T3\ncut_lo = 0\ncut_hi = 0\n")
+    (rep,) = run_suites(cfg, only=["x"])
+    assert rep.passed and rep.cases > 3
+
+
+def test_poisson1_triple_needs_the_deep_sweep(tmp_path):
+    # poisson1 runs its config triple only in the deep_cut sweep, so a triple
+    # without deep_cut would be ignored: refused at the triple line, exit 2
+    bad = MINIMAL.replace("deep_cut = 1\n", "")
+    ln = bad.splitlines().index("triple = T") + 1
+    for text in (bad, bad.replace("cut_hi = 1", "deep_cut = 0\ncut_hi = 1")):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text)
+        assert exc.value.errors == [(ln, "poisson1 runs its triple only in the deep_cut sweep; set deep_cut")]
+    cfg_path = tmp_path / "c.cfg"
+    cfg_path.write_text(bad)
+    out = _verify_subprocess(cfg_path)
+    assert out.returncode == 2 and out.stdout == ""
+    assert f"c.cfg:{ln}: " in out.stderr and "Traceback" not in out.stderr, out.stderr
+    # without a triple the suite runs its own default sweeps
+    parse_config(bad.replace("triple = T\n", ""))
 
 
 @pytest.mark.parametrize("spec", ["101,2,[2,0,1]", "1000000000000000003,1,[0,1]"])

@@ -17,6 +17,7 @@ import random
 import pytest
 
 from fqharmonic.c1 import (
+    Window,
     colattice_model,
     dual_model,
     laurent_model,
@@ -24,6 +25,7 @@ from fqharmonic.c1 import (
     segment_model,
     shift_model,
     sum_model,
+    window_dim,
 )
 from fqharmonic.c1_triples import interval_triple
 from fqharmonic.exactnum import DomainError, field_for
@@ -271,3 +273,13 @@ def test_interval_triple_quotients(q):
     for mid, sub in ((laurent_model(fld), two), (two, lattice_model(fld, -2))):
         with pytest.raises(DomainError, match="not an interval pattern"):
             interval_triple(mid, sub)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_window_dim_is_the_slot_count(q):
+    # window_dim reads the length of the cached slot labels; it must be the
+    # count of graded slots the interval loop gives, on every window
+    windows = [Window(lo, hi) for lo, hi in itertools.product(range(-3, 4), repeat=2) if lo <= hi]
+    for _desc, model in family(field_for(q)):
+        for w in windows:
+            assert window_dim(model, w) == model.count(w.lo, w.hi), (model, w)

@@ -1,7 +1,8 @@
 """The two end-to-end scripts run to completion with every check passing.
 
 ``scripts/poisson_windows.py`` sweeps both two-dimensional summation
-identities over F_2 at ranges +-1, +-2 and +-3, and ``scripts/verify_all.py``
+identities over F_2 at ranges +-1, +-2 and +-3 under the default cap, and
+uncapped at +-6 over F_2, F_3 and F_4, and ``scripts/verify_all.py``
 runs every suite of the bundled example config.  Each runs as its own
 process, the way a user runs it.
 """
@@ -26,6 +27,9 @@ def test_poisson_windows_certifies_every_sweep():
     for identity in ("twist-free", "twisted"):
         for rng, count in ((1, 36), (2, 216), (3, 588)):
             prefix = f"[ok] {identity} range +-{rng}: {count} bi-windows"
+            assert any(line.startswith(prefix) for line in lines), (prefix, out.stdout)
+        for q in (2, 3, 4):
+            prefix = f"[ok] {identity} range +-6 over F_{q} uncapped: 8281 bi-windows"
             assert any(line.startswith(prefix) for line in lines), (prefix, out.stdout)
     assert not any(line.startswith("[FAIL") for line in lines)
 
