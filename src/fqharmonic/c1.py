@@ -35,7 +35,7 @@ Haar profile), whose edges move freely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field as dataclass_field, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
@@ -142,7 +142,7 @@ def hull(intervals) -> tuple[Optional[int], Optional[int]]:
     return None if None in los else min(los), None if None in his else max(his)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class C1Model:
     """Integer-indexed filtered space, described by its graded slot intervals.
 
@@ -152,23 +152,18 @@ class C1Model:
 
     field: FqField
     intervals: tuple[Interval, ...]
-    label: str = ""
+    label: str = dataclass_field(default="", compare=False)
 
     def __post_init__(self) -> None:
         keep = tuple((lo, hi) for lo, hi in self.intervals if nonempty(lo, hi))
         object.__setattr__(self, "intervals", keep)
         if not self.label:
             object.__setattr__(self, "label", str(keep))
-
-    def __eq__(self, other: object) -> bool:
-        return self is other or (
-            isinstance(other, C1Model)
-            and self.field == other.field
-            and self.intervals == other.intervals
-        )
+        # computed once: every cached lookup keyed by the model takes it
+        object.__setattr__(self, "_hash", hash((self.field, keep)))
 
     def __hash__(self) -> int:
-        return hash((self.field, self.intervals))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"C1Model({self.label})"

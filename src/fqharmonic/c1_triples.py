@@ -7,6 +7,12 @@ pre-normalized so that filtration index = cut).  Each window of the middle
 model then induces an exact sequence of finite quotients, and the direct
 and inverse images act by slot bookkeeping on tables.
 
+A triple is a value.  ``TripleC1`` keeps its slot assignment as cells of
+the cut line, each with the sub flags of the middle slots at its cuts, and
+each constructor computes its cells from its parts' cells.  Triples compare
+and hash on their members, the label excluded, and ``triple_split`` keeps
+splits by value in one bounded cache, shared with ``c2_triples``.
+
 ``IMAGE_KINDS`` is the one table of image kinds, shared with ``c2_triples``:
 alpha_pull (alpha^*) slices a middle table onto the sub, alpha_push
 (alpha_*) zero-extends a sub table, beta_pull (beta^*) pulls a quotient
@@ -27,10 +33,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
+from functools import lru_cache
+from typing import Iterable, Optional
 
 from fqharmonic import tables
 from fqharmonic.c1 import (
+    POSITION_CACHE,
     C1Dist,
     C1Fn,
     CapabilityError,
@@ -41,68 +49,65 @@ from fqharmonic.c1 import (
     dual_model,
     dual_window,
     fourier1,
-    positions,
     sum_model,
     window_dim,
 )
 from fqharmonic.exactnum import DomainError
 
+Cell = tuple  # (start, tuple of flags); the unbounded first cell starts at None
 
-@dataclass(frozen=True, eq=False)
+
+@lru_cache(maxsize=POSITION_CACHE)
+def triple_split(T, w) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The split of the (bi-)window w of a triple of either dimension: the
+    indices of the sub and the quotient slots among the middle ones."""
+    return T.make_split(w)
+
+
+@dataclass(frozen=True)
 class TripleC1:
-    """Graded short exact sequence sub -> mid -> quot."""
+    """Graded short exact sequence sub -> mid -> quot; ``cells`` has
+    increasing starts, and adjacent cells with equal flags are merged."""
 
     mid: C1Model
     sub: C1Model
     quot: C1Model
-    is_sub: Callable[[int, int], bool]
-    label: str = ""
-    # split by window: is_sub is a closure, so a split is kept on the triple
-    # and not by value
-    _splits: dict = field(default_factory=dict, init=False, repr=False)
+    cells: tuple[Cell, ...]
+    label: str = field(default="", compare=False)
 
     def __post_init__(self) -> None:
         if not (self.mid.field == self.sub.field == self.quot.field):
             raise DomainError("triple members over different fields")
+        cells = tuple(self.cells)
+        starts = [c for c, _ in cells[1:]]
+        if not cells or cells[0][0] is not None or None in starts or starts != sorted(set(starts)):
+            raise DomainError("cells start at None and then at increasing cuts")
+        cells = cells[:1] + tuple(b for a, b in zip(cells, cells[1:]) if a[1] != b[1])
+        object.__setattr__(self, "cells", cells)
+        # computed once: every split lookup takes it
+        object.__setattr__(self, "_hash", hash((self.mid, self.sub, self.quot, cells)))
 
-    def split(self, w: Window) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Indices of sub and quot slots inside the mid window positions."""
-        got = self._splits.get(w)
-        if got is None:
-            sub_idx, quot_idx = split_flags([self.is_sub(k, s) for k, s in positions(self.mid, w)])
-            if len(sub_idx) != window_dim(self.sub, w) or len(quot_idx) != window_dim(self.quot, w):
-                raise DomainError(f"graded split inconsistent on window {w}")
-            got = self._splits[w] = sub_idx, quot_idx
-        return got
+    def __hash__(self) -> int:
+        return self._hash
+
+    def flags_at(self, k: Optional[int]) -> tuple[bool, ...]:
+        """The sub flags of the mid slots at cut k (None: the first cell)."""
+        return next(f for c, f in reversed(self.cells) if c is None or (k is not None and c <= k))
+
+    split = triple_split
+
+    def make_split(self, w: Window) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        flags = [f for k in range(w.lo, w.hi) for f in self.flags_at(k)]
+        sub_idx, quot_idx = split_flags(flags)
+        dims = tuple(window_dim(m, w) for m in (self.mid, self.sub, self.quot))
+        if (len(flags), len(sub_idx), len(quot_idx)) != dims:
+            raise DomainError(f"graded split inconsistent on window {w}")
+        return sub_idx, quot_idx
 
 
 def split_flags(in_sub: list[bool]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The indices of the true flags (sub slots) and of the false ones."""
     return tuple(r for r, s in enumerate(in_sub) if s), tuple(r for r, s in enumerate(in_sub) if not s)
-
-
-def interval_triple(mid: C1Model, sub: C1Model, label: str = "") -> TripleC1:
-    """Triple with the sub given by its own slot interval inside the mid."""
-    # multiplicities are constant between consecutive interval endpoints, so
-    # one cut per cell decides the inclusion exactly
-    for k in cell_points(e for iv in mid.intervals + sub.intervals for e in iv):
-        if sub.mult(k) > mid.mult(k):
-            raise DomainError(f"sub pattern exceeds the mid pattern at cut {k}")
-    quot = mid.intervals
-    if sub.intervals:
-        if len(sub.intervals) > 1 or len(mid.intervals) > 1:
-            raise DomainError(f"not an interval pattern: {sub!r} inside {mid!r}")
-        ((m1, m2),), ((s1, s2),) = mid.intervals, sub.intervals
-        # the mid slots below and above the sub; an unbounded side leaves none
-        quot = [(m1, s1)] if s1 is not None else []
-        if s2 is not None:
-            quot.append((s2, m2))
-
-    def is_sub(k: int, s: int) -> bool:
-        return s < sub.mult(k)
-
-    quot_model = C1Model(mid.field, quot, f"{mid.label}/{sub.label}")
-    return TripleC1(mid, sub, quot_model, is_sub, label or f"{sub.label}<{mid.label}")
 
 
 def cell_points(edges: Iterable[Optional[int]]) -> list[int]:
@@ -111,47 +116,62 @@ def cell_points(edges: Iterable[Optional[int]]) -> list[int]:
     return [cuts[0] - 1] + cuts
 
 
+def _leading(mid: C1Model, sub: C1Model) -> list[Cell]:
+    """The cells on which the first sub.mult(k) mid slots at each cut k are the sub's."""
+    # multiplicities are constant between consecutive interval endpoints, so
+    # one cut per cell decides the inclusion and the flags exactly
+    cells = []
+    for i, k in enumerate(cell_points(e for iv in mid.intervals + sub.intervals for e in iv)):
+        n, m = sub.mult(k), mid.mult(k)
+        if n > m:
+            raise DomainError(f"sub pattern exceeds the mid pattern at cut {k}")
+        cells.append((None if i == 0 else k, (True,) * n + (False,) * (m - n)))
+    return cells
+
+
+def interval_triple(mid: C1Model, sub: C1Model, label: str = "") -> TripleC1:
+    """Triple with the sub given by its own slot interval inside the mid."""
+    cells, quot = _leading(mid, sub), mid.intervals
+    if sub.intervals:
+        if len(sub.intervals) > 1 or len(mid.intervals) > 1:
+            raise DomainError(f"not an interval pattern: {sub!r} inside {mid!r}")
+        ((m1, m2),), ((s1, s2),) = mid.intervals, sub.intervals
+        # the mid slots below and above the sub; an unbounded side leaves none
+        quot = [(m1, s1)] if s1 is not None else []
+        if s2 is not None:
+            quot.append((s2, m2))
+    quot_model = C1Model(mid.field, quot, f"{mid.label}/{sub.label}")
+    return TripleC1(mid, sub, quot_model, cells, label or f"{sub.label}<{mid.label}")
+
+
 def direct_sum_triple(sub: C1Model, quot: C1Model, label: str = "") -> TripleC1:
     """Split extension with the sub slots listed first at every cut."""
     mid = sum_model(sub, quot)
-
-    def is_sub(k: int, s: int) -> bool:
-        return s < sub.mult(k)
-
-    return TripleC1(mid, sub, quot, is_sub, label or f"{sub.label}(+){quot.label}")
+    return TripleC1(mid, sub, quot, _leading(mid, sub), label or f"{sub.label}(+){quot.label}")
 
 
 def dual_triple(T: TripleC1) -> TripleC1:
-    """0 -> quot* -> mid* -> sub* -> 0 with mirrored slot assignment."""
-
-    def is_sub(k: int, s: int) -> bool:
-        return not T.is_sub(-k - 1, s)
-
-    return TripleC1(
-        dual_model(T.mid),
-        dual_model(T.quot),
-        dual_model(T.sub),
-        is_sub,
-        f"dual({T.label})",
-    )
+    """0 -> quot* -> mid* -> sub* -> 0: the cell [a, b) mirrors to [-b, -a), its flags negated."""
+    ends = [c for c, _ in T.cells[1:]] + [None]
+    cells = [(None if e is None else -e, tuple(not f for f in flags)) for (_, flags), e in zip(T.cells, ends)]
+    return TripleC1(dual_model(T.mid), dual_model(T.quot), dual_model(T.sub), cells[::-1], f"dual({T.label})")
 
 
 # -- composition and base-change plumbing
 
 
-def _slot_within(pred: Callable[[int, int], bool], mid: C1Model, k: int, s: int, value: bool) -> int:
-    """Index of slot (k, s) within the slots of the same truth value at cut k."""
-    return sum(1 for s2 in range(s) if pred(k, s2) == value)
+def _joint_cells(*triples: TripleC1) -> list[tuple[Optional[int], list]]:
+    """Each start of the triples' common cells, with the flags of every triple there."""
+    starts = sorted({c for T in triples for c, _ in T.cells[1:]})
+    return [(c, [T.flags_at(c) for T in triples]) for c in [None] + starts]
 
 
-def _nth_slot(pred: Callable[[int, int], bool], mid: C1Model, k: int, j: int, value: bool) -> int:
-    cnt = 0
-    for s in range(mid.mult(k)):
-        if pred(k, s) == value:
-            if cnt == j:
-                return s
-            cnt += 1
-    raise DomainError("slot index out of range")
+def _nest(outer: tuple, inner: tuple, at: bool) -> tuple:
+    """outer's flags with its ``at`` slots, in order, flagged as inner flags them."""
+    if outer.count(at) != len(inner):
+        raise DomainError("the slots of the composed triples do not match")
+    it = iter(inner)
+    return tuple(next(it) if f == at else f for f in outer)
 
 
 def compose_epi(T_inner: TripleC1, T_outer: TripleC1, label: str = "") -> TripleC1:
@@ -163,14 +183,8 @@ def compose_epi(T_inner: TripleC1, T_outer: TripleC1, label: str = "") -> Triple
     if T_outer.quot != T_inner.mid:
         raise DomainError("outer quotient must be the inner middle model")
     ker = sum_model(T_outer.sub, T_inner.sub, label=f"ker({label})" if label else "")
-
-    def is_sub(k: int, s: int) -> bool:
-        if T_outer.is_sub(k, s):
-            return True
-        j = _slot_within(T_outer.is_sub, T_outer.mid, k, s, False)
-        return T_inner.is_sub(k, j)
-
-    return TripleC1(T_outer.mid, ker, T_inner.quot, is_sub, label or "compose_epi")
+    cells = [(c, _nest(fo, fi, False)) for c, (fo, fi) in _joint_cells(T_outer, T_inner)]
+    return TripleC1(T_outer.mid, ker, T_inner.quot, cells, label or "compose_epi")
 
 
 def compose_mono(T_inner: TripleC1, T_outer: TripleC1, label: str = "") -> TripleC1:
@@ -182,14 +196,8 @@ def compose_mono(T_inner: TripleC1, T_outer: TripleC1, label: str = "") -> Tripl
     if T_outer.sub != T_inner.mid:
         raise DomainError("outer sub must be the inner middle model")
     coker = sum_model(T_inner.quot, T_outer.quot, label=f"coker({label})" if label else "")
-
-    def is_sub(k: int, s: int) -> bool:
-        if not T_outer.is_sub(k, s):
-            return False
-        j = _slot_within(T_outer.is_sub, T_outer.mid, k, s, True)
-        return T_inner.is_sub(k, j)
-
-    return TripleC1(T_outer.mid, T_inner.sub, coker, is_sub, label or "compose_mono")
+    cells = [(c, _nest(fo, fi, True)) for c, (fo, fi) in _joint_cells(T_outer, T_inner)]
+    return TripleC1(T_outer.mid, T_inner.sub, coker, cells, label or "compose_mono")
 
 
 def base_change(T: TripleC1, Tg: TripleC1, label: str = ""):
@@ -202,19 +210,14 @@ def base_change(T: TripleC1, Tg: TripleC1, label: str = ""):
     if Tg.mid != T.quot:
         raise DomainError("the mono must land in the quotient of the triple")
     X = sum_model(T.sub, Tg.sub, label=f"fib({label})" if label else "")
-
-    def in_x(k: int, s: int) -> bool:
-        if T.is_sub(k, s):
-            return True
-        j = _slot_within(T.is_sub, T.mid, k, s, False)
-        return Tg.is_sub(k, j)
-
-    def fiber_is_sub(k: int, s: int) -> bool:
-        mid_slot = _nth_slot(in_x, T.mid, k, s, True)
-        return T.is_sub(k, mid_slot)
-
-    T_mono = TripleC1(T.mid, X, Tg.quot, in_x, (label or "bc") + ":mono")
-    T_fiber = TripleC1(X, T.sub, Tg.sub, fiber_is_sub, (label or "bc") + ":fiber")
+    mono, fiber = [], []
+    for c, (ft, fg) in _joint_cells(T, Tg):
+        in_x = _nest(ft, fg, False)
+        mono.append((c, in_x))
+        # the slots of X are the mid slots in X, in order
+        fiber.append((c, tuple(t for x, t in zip(in_x, ft) if x)))
+    T_mono = TripleC1(T.mid, X, Tg.quot, mono, (label or "bc") + ":mono")
+    T_fiber = TripleC1(X, T.sub, Tg.sub, fiber, (label or "bc") + ":fiber")
     return T_fiber, T_mono
 
 

@@ -38,7 +38,7 @@ The twisted moves add only their outer volume factor and their twist.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field as dataclass_field, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
@@ -67,28 +67,23 @@ def _normalize_boxes(boxes) -> tuple[Box, ...]:
     return tuple(keep)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class C2Model:
     """Monomial region model: column a carries the b-interval of its box."""
 
     field: FqField
     boxes: tuple[Box, ...]
-    label: str = ""
+    label: str = dataclass_field(default="", compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "boxes", _normalize_boxes(self.boxes))
         if not self.label:
             object.__setattr__(self, "label", str(self.boxes))
-
-    def __eq__(self, other: object) -> bool:
-        return self is other or (
-            isinstance(other, C2Model)
-            and self.field == other.field
-            and self.boxes == other.boxes
-        )
+        # computed once, as ``C1Model`` computes its hash
+        object.__setattr__(self, "_hash", hash((self.field, self.boxes)))
 
     def __hash__(self) -> int:
-        return hash((self.field, self.boxes))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"C2Model({self.label})"
@@ -187,8 +182,10 @@ def box_model(field: FqField, a_lo, a_hi, b_lo, b_hi, label: str = "") -> C2Mode
     return C2Model(field, ((a_lo, a_hi, b_lo, b_hi),), label)
 
 
+@lru_cache(maxsize=POSITION_CACHE)
 def dual_model2(m: C2Model) -> C2Model:
-    """Region mirrored under (a, b) -> (-a-1, -b-1)."""
+    """Region mirrored under (a, b) -> (-a-1, -b-1); kept by value, as
+    ``positions2`` is, for the transform, the dual triple and the dual measure."""
     boxes = tuple((*mirror(a1, a2), *mirror(b1, b2)) for (a1, a2, b1, b2) in m.boxes)
     return C2Model(m.field, boxes, f"dual({m.label})")
 
@@ -495,32 +492,17 @@ def _rev_fourier2(model: C2Model, bw: BiWindow, table: Rows, factor: Fraction = 
 
 def fourier2(x):
     """Levelwise transform with exact reference-volume bookkeeping."""
+    if not isinstance(x, (D2Elem, D2Dist, E2Fn)):
+        raise DomainError("unsupported transform input")
+    model, bw = x.model, x.bw
+    q, dm = model.field.q, dual_model2(model)
     if isinstance(x, D2Elem):
-        model, bw = x.model, x.bw
-        q = model.field.q
         out = _rev_fourier2(model, bw, x.table, q_power(q, model.sigma(bw.l, bw.i, bw.m)))
-        dm = dual_model2(model)
-        return D2Elem(
-            dm, -x.o, bw.dual(), out, VirtualMeasure(dm, -bw.i, -x.o, x.twist.scalar)
-        )
+        return D2Elem(dm, -x.o, bw.dual(), out, VirtualMeasure(dm, -bw.i, -x.o, x.twist.scalar))
     if isinstance(x, D2Dist):
-        model, bw = x.model, x.bw
-        q = model.field.q
         out = _rev_fourier2(model, bw, x.table, q_power(q, -model.sigma(bw.l, bw.i, bw.n)))
-        dm = dual_model2(model)
-        return D2Dist(
-            dm, -x.o, bw.dual(), out, VirtualMeasure(dm, -x.o, -bw.i, x.twist.scalar)
-        )
-    if isinstance(x, E2Fn):
-        model, bw = x.model, x.bw
-        q = model.field.q
-        dm = dual_model2(model)
-        if x.tag in GERM_TAGS:
-            dim = bw_dim(model, bw)
-            out = _rev_fourier2(model, bw, x.table, Fraction(1, q**dim))
-            tag = "E2tp" if x.tag == "E2" else "E2p"
-        else:
-            out = _rev_fourier2(model, bw, x.table)
-            tag = "E2" if x.tag == "E2tp" else "E2t"
-        return E2Fn(dm, tag, bw.dual(), out)
-    raise DomainError("unsupported transform input")
+        return D2Dist(dm, -x.o, bw.dual(), out, VirtualMeasure(dm, -x.o, -bw.i, x.twist.scalar))
+    if x.tag in GERM_TAGS:
+        out = _rev_fourier2(model, bw, x.table, Fraction(1, q ** bw_dim(model, bw)))
+        return E2Fn(dm, "E2tp" if x.tag == "E2" else "E2p", bw.dual(), out)
+    return E2Fn(dm, "E2" if x.tag == "E2tp" else "E2t", bw.dual(), _rev_fourier2(model, bw, x.table))

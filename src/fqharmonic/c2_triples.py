@@ -9,6 +9,10 @@ required by the class hypotheses (fiberwise compact or discrete sides
 trivialize their virtual-measure factors through the canonical mass-1 or
 point-mass elements) shows up as an explicit power of q on the twist.
 
+A triple is a value, as in ``c1_triples``: it compares and hashes on its
+three models, the label excluded, and ``c1_triples.triple_split`` keeps its
+splits by value, so a dual triple rebuilt on each verifier call finds them.
+
 ``poisson2_verify`` runs both summation identities in one loop: each side
 of a bi-window is widened by the identity's rule until it carries its
 characteristic object, and a bi-window is certified exactly when both
@@ -26,7 +30,7 @@ from itertools import product
 from typing import Optional
 
 from fqharmonic import tables
-from fqharmonic.c1 import CapabilityError, WindowError
+from fqharmonic.c1 import WindowError
 from fqharmonic.c2 import (
     BiWindow,
     C2Model,
@@ -41,18 +45,18 @@ from fqharmonic.c2 import (
     vmeas_canonical,
 )
 from fqharmonic.c1_triples import (
-    CONJUGATE, IMAGE_KINDS, CheckReport, cell_points, image_table, image_target, split_flags,
+    CONJUGATE, IMAGE_KINDS, CheckReport, _require, cell_points, image_table, image_target, split_flags,
+    triple_split,
 )
 from fqharmonic.exactnum import DomainError, q_power
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class GradedC2Triple:
     mid: C2Model
     sub: C2Model
     quot: C2Model
-    label: str = ""
-    _splits: dict = field(default_factory=dict, init=False, repr=False)  # split by bi-window
+    label: str = field(default="", compare=False)
 
     def __post_init__(self) -> None:
         if not (self.mid.field == self.sub.field == self.quot.field):
@@ -70,14 +74,17 @@ class GradedC2Triple:
                     raise DomainError(f"sub and quot overlap at {(a, b)}")
                 if in_mid != (in_sub or in_quot):
                     raise DomainError(f"region partition fails at {(a, b)}")
+        object.__setattr__(self, "_hash", hash((self.mid, self.sub, self.quot)))
 
-    def split(self, bw: BiWindow) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        got = self._splits.get(bw)
-        if got is None:
-            # the sub's slots of the bi-window are its region slots there
-            sub = set(positions2(self.sub, bw))
-            got = self._splits[bw] = split_flags([pos in sub for pos in positions2(self.mid, bw)])
-        return got
+    def __hash__(self) -> int:
+        return self._hash
+
+    split = triple_split
+
+    def make_split(self, bw: BiWindow) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        # the sub's slots of the bi-window are its region slots there
+        sub = set(positions2(self.sub, bw))
+        return split_flags([pos in sub for pos in positions2(self.mid, bw)])
 
 
 def dual_triple2(T: GradedC2Triple) -> GradedC2Triple:
@@ -104,11 +111,6 @@ def inner_cut_triple(mid: C2Model, cut: int, label: str = "") -> GradedC2Triple:
     sub = C2Model(mid.field, tuple(sub_boxes), f"{mid.label}|b<{cut}")
     quot = C2Model(mid.field, tuple(quot_boxes), f"{mid.label}|b>={cut}")
     return GradedC2Triple(mid, sub, quot, label or f"inner@{cut}")
-
-
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise CapabilityError(msg)
 
 
 def _check_measure(vm: Optional[VirtualMeasure], model: C2Model, src: int, dst: Optional[int], what: str) -> VirtualMeasure:

@@ -30,8 +30,11 @@ The format is deliberately minimal so that configs diff cleanly:
 Unknown keys, unresolved names and cap violations are reported with line
 numbers; a suite section accepts only the keys its suite kind reads, and a
 ``triple`` only when it passes the suite kind's triple check, both as
-registered in ``harness.suites``.  ``table_cap`` also bounds the field: a
-spec whose q x q tables would exceed it is refused before the field is built.
+registered in ``harness.suites``.  A value that leaves a suite nothing to
+check (a case count or point cap below 1, a range given with its ends in
+reverse order, a negative poisson1 reach) is refused at its line.
+``table_cap`` also bounds the field: a spec whose q x q tables would exceed
+it is refused before the field is built.
 """
 
 from __future__ import annotations
@@ -141,6 +144,24 @@ def _c2_model(field: FqField, spec: str, name: str) -> C2Model:
     if parts[0] == "full":
         return k2_model(field, name)
     raise DomainError(f"unknown c2 model kind {spec!r}")
+
+
+def _value_errors(spec: SuiteSpec, got: dict, table_cap: Optional[int]) -> list:
+    """The errors of suite values that break the table cap or leave the suite nothing to check."""
+    line = {key: ln for key, (ln, _val) in spec.params.items()}
+    errors = [(line[k], f"{k} = {got[k]} leaves the suite nothing to check; give at least 1")
+              for k in ("cases", "rep_cases", "max_points") if got.get(k, 1) < 1]
+    errors += [(line[lo], f"{lo} = {got[lo]} is above {hi} = {got[hi]} (line {line[hi]}): the range is empty")
+               for lo, hi in (("cut_lo", "cut_hi"), ("i_lo", "i_hi")) if lo in got and hi in got and got[lo] > got[hi]]
+    if table_cap is not None and got.get("max_points", 0) > table_cap:
+        errors.append((line["max_points"], f"max_points {got['max_points']} exceeds table cap {table_cap}"))
+    if spec.kind == "poisson1":
+        if "triple" in got and not got.get("deep_cut"):
+            # the triple runs only in the deep sweep, so without it the triple is ignored
+            errors.append((line["triple"], "poisson1 runs its triple only in the deep_cut sweep; set deep_cut"))
+        errors += [(line[k], f"{k} = {got[k]} is a sweep's reach and must not be negative")
+                   for k in ("cut_hi", "deep_cut") if got.get(k, 0) < 0]
+    return errors
 
 
 def parse_config(text: str) -> SuiteConfig:
@@ -281,15 +302,7 @@ def parse_config(text: str) -> SuiteConfig:
                     resolved[key] = int(val)
                 except ValueError:
                     errors.append((ln, f"bad integer {val!r}"))
-        if spec.kind == "poisson1" and "triple" in resolved and not resolved.get("deep_cut"):
-            # the triple runs only in the deep sweep, so without it the triple is ignored
-            ln = spec.params["triple"][0]
-            errors.append((ln, "poisson1 runs its triple only in the deep_cut sweep; set deep_cut"))
-        if "max_points" in resolved and table_cap is not None and resolved["max_points"] > table_cap:
-            ln = spec.params["max_points"][0]
-            errors.append(
-                (ln, f"max_points {resolved['max_points']} exceeds table cap {table_cap}")
-            )
+        errors += _value_errors(spec, resolved, table_cap)
         spec.params = resolved
 
     if errors:

@@ -1,11 +1,11 @@
 """The value-keyed move caches stay bounded and see one copy of the library.
 
-The caches in ``tables``, ``c1`` and ``c2`` key by value (field, labels,
-windows).  A second run of the same config must therefore add no entry.  A
-module that imports the library inside a function binds to whatever copy
-``sys.modules`` holds at call time, so after a fresh import of the library
-one run would mix two copies: their models compare unequal, every lookup
-misses and each copy's caches keep growing.
+The caches in ``tables``, ``c1``, ``c2`` and ``c1_triples`` key by value
+(field, labels, windows, triples).  A second run of the same config must
+therefore add no entry.  A module that imports the library inside a
+function binds to whatever copy ``sys.modules`` holds at call time, so after
+a fresh import of the library one run would mix two copies: their models
+compare unequal, every lookup misses and each copy's caches keep growing.
 """
 
 import ast
@@ -39,6 +39,25 @@ def test_no_library_import_inside_a_function():
     assert not found, found
 
 
+def test_no_per_object_cache():
+    # a cache kept on each object (a dict field the constructor does not
+    # take) has no bound and is not shared between equal objects; the
+    # library keeps its caches by value, in bounded module-level LRUs
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not (isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", "")) == "field"):
+                continue
+            kw = {k.arg: k.value for k in node.keywords}
+            factory, init = kw.get("default_factory"), kw.get("init")
+            if (
+                getattr(factory, "id", None) == "dict"
+                and isinstance(init, ast.Constant) and init.value is False
+            ):
+                found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert not found, found
+
+
 def _library_modules() -> dict:
     return {k: m for k, m in sys.modules.items() if k == "fqharmonic" or k.startswith("fqharmonic.")}
 
@@ -56,7 +75,10 @@ def _caches() -> dict:
 def test_caches_do_not_grow_on_a_second_run():
     cfg = parse_config((ROOT / "scripts" / "example.cfg").read_text())
     caches = _caches()
-    assert {"fqharmonic.tables._cached_plan", "fqharmonic.c1.positions", "fqharmonic.c2.positions2"} <= set(caches)
+    assert {
+        "fqharmonic.tables._cached_plan", "fqharmonic.c1.positions", "fqharmonic.c2.positions2",
+        "fqharmonic.c1_triples.triple_split", "fqharmonic.c2.dual_model2",
+    } <= set(caches)
     for cache in caches.values():
         cache.cache_clear()
     run_suites(cfg, seed=1)
@@ -66,6 +88,7 @@ def test_caches_do_not_grow_on_a_second_run():
         maxsize = cache.cache_info().maxsize
         assert maxsize is None or first[name] < maxsize, name
     assert first["fqharmonic.tables._cached_plan"] > 0
+    assert first["fqharmonic.c1_triples.triple_split"] > 0 and first["fqharmonic.c2.dual_model2"] > 0
     # a fresh copy of the library, loaded as a benchmark set-up loads it
     # between two runs, takes no part in the next run of the first copy
     saved = _library_modules()

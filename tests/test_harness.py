@@ -485,6 +485,31 @@ def test_poisson2_i_refuses_a_middle_its_corollary_cannot_act_on(tmp_path):
     assert rep.passed and rep.cases > 3
 
 
+@pytest.mark.parametrize("suite, key, expect", [
+    ("run = poisson2_ii\ntriple = T2u\ncut_lo = 2\ncut_hi = -2", "cut_lo", "is above cut_hi = -2"),
+    ("run = fourier1_delta\ni_lo = 1\ni_hi = 0", "i_lo", "is above i_hi = 0"),
+    ("run = fubini_projection\ncases = 0", "cases", "nothing to check"),
+    ("run = central_ext\nrep_cases = -1", "rep_cases", "nothing to check"),
+    ("run = poisson2_i\nmax_points = 0", "max_points", "nothing to check"),
+    ("run = poisson1\ncut_hi = -1", "cut_hi", "must not be negative"),
+])
+def test_suite_left_nothing_to_check_exits_2(tmp_path, suite, key, expect):
+    # a value that leaves a suite no case to run used to pass it as
+    # "[ok] x: 0 cases": refused at the key's line, exit 2, no traceback
+    bad = MINIMAL + TRIPLES_2D + f"\n[suite x]\n{suite}\n"
+    lines = bad.splitlines()
+    ln = max(i for i, line in enumerate(lines, start=1) if line.startswith(f"{key} ="))
+    with pytest.raises(ConfigError) as exc:
+        parse_config(bad)
+    ((got_ln, msg),) = exc.value.errors
+    assert got_ln == ln and expect in msg
+    cfg_path = tmp_path / "c.cfg"
+    cfg_path.write_text(bad)
+    out = _verify_subprocess(cfg_path)
+    assert out.returncode == 2 and out.stdout == ""
+    assert f"c.cfg:{ln}: " in out.stderr and "Traceback" not in out.stderr, out.stderr
+
+
 def test_poisson1_triple_needs_the_deep_sweep(tmp_path):
     # poisson1 runs its config triple only in the deep_cut sweep, so a triple
     # without deep_cut would be ignored: refused at the triple line, exit 2
