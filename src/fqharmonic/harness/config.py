@@ -29,10 +29,12 @@ The format is deliberately minimal so that configs diff cleanly:
 
 Unknown keys, unresolved names and cap violations are reported with line
 numbers; a suite section accepts only the keys its suite kind reads, and a
-``triple`` only when it passes the suite kind's triple check, both as
-registered in ``harness.suites``.  A value that leaves a suite nothing to
-check (a case count or point cap below 1, a range given with its ends in
-reverse order, a negative poisson1 reach) is refused at its line.
+``triple`` only when it passes the suite kind's triple check.  The keys and
+their defaults come from the suite registry in ``harness.suites``, and a
+suite's values are checked with the defaults filled in.  A value that leaves
+a suite nothing to check (a case count or point cap below 1, a range whose
+ends are in reverse order, with one end given or both, a negative poisson1
+reach) is refused at its line.
 ``table_cap`` also bounds the field: a spec whose q x q tables would exceed
 it is refused before the field is built.
 """
@@ -47,7 +49,7 @@ from fqharmonic.c1_triples import interval_triple
 from fqharmonic.c2 import C2Model, box_model, k2_model
 from fqharmonic.c2_triples import GradedC2Triple, inner_cut_triple, outer_cut_triple
 from fqharmonic.exactnum import DomainError, FqField, split_field_spec
-from fqharmonic.harness.suites import SUITE_KEYS, SUITE_TRIPLES
+from fqharmonic.harness.suites import SUITE_KEYS, SUITE_TRIPLES, with_defaults
 
 
 class ConfigError(ValueError):
@@ -146,21 +148,28 @@ def _c2_model(field: FqField, spec: str, name: str) -> C2Model:
     raise DomainError(f"unknown c2 model kind {spec!r}")
 
 
-def _value_errors(spec: SuiteSpec, got: dict, table_cap: Optional[int]) -> list:
-    """The errors of suite values that break the table cap or leave the suite nothing to check."""
+def _value_errors(spec: SuiteSpec, given: dict, table_cap: Optional[int]) -> list:
+    """The errors of suite values that break the table cap or leave the suite
+    nothing to check, read with the suite's defaults filled in; a default is
+    named as one, and is never compared with the table cap."""
     line = {key: ln for key, (ln, _val) in spec.params.items()}
+    got = with_defaults(spec.kind, given)
     errors = [(line[k], f"{k} = {got[k]} leaves the suite nothing to check; give at least 1")
-              for k in ("cases", "rep_cases", "max_points") if got.get(k, 1) < 1]
-    errors += [(line[lo], f"{lo} = {got[lo]} is above {hi} = {got[hi]} (line {line[hi]}): the range is empty")
-               for lo, hi in (("cut_lo", "cut_hi"), ("i_lo", "i_hi")) if lo in got and hi in got and got[lo] > got[hi]]
-    if table_cap is not None and got.get("max_points", 0) > table_cap:
+              for k in ("cases", "rep_cases", "max_points") if k in given and got[k] < 1]
+    for lo, hi in (("cut_lo", "cut_hi"), ("i_lo", "i_hi")):
+        if lo in got and (lo in given or hi in given) and got[lo] > got[hi]:
+            at, other, side = (lo, hi, "above") if lo in given else (hi, lo, "below")
+            where = f"line {line[other]}" if other in given else "the default"
+            msg = f"{at} = {got[at]} is {side} {other} = {got[other]} ({where}): the range is empty"
+            errors.append((line[at], msg))
+    if table_cap is not None and given.get("max_points", 0) > table_cap:
         errors.append((line["max_points"], f"max_points {got['max_points']} exceeds table cap {table_cap}"))
     if spec.kind == "poisson1":
-        if "triple" in got and not got.get("deep_cut"):
+        if got["triple"] is not None and not got["deep_cut"]:
             # the triple runs only in the deep sweep, so without it the triple is ignored
             errors.append((line["triple"], "poisson1 runs its triple only in the deep_cut sweep; set deep_cut"))
         errors += [(line[k], f"{k} = {got[k]} is a sweep's reach and must not be negative")
-                   for k in ("cut_hi", "deep_cut") if got.get(k, 0) < 0]
+                   for k in ("cut_hi", "deep_cut") if got[k] < 0]
     return errors
 
 

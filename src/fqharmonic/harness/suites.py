@@ -1,30 +1,36 @@
 """Named verification suites driven by the harness.
 
-Every suite draws its randomness from the documented generator, runs a set
-of exact identities, and reports each violation under a stable identity tag.
-The registry doubles as the machine-checkable inventory of which identities
-the artifact covers.
+Every suite is declared once, by ``register``: its identity tags, each config
+key it reads with its default, and the check it puts on a ``triple``.  The
+config checks a suite's values, and the suite runs, with the defaults filled
+in.  Every suite draws its randomness from the documented generator, runs a
+set of exact identities, and reports each violation under a stable identity
+tag; the registry is the machine-checkable inventory of the identities.
 
-The image-law suites (compose1, base_change1, base_change2,
-fubini_projection, fourier_image1, fourier_image2 and the density checks of
-fourier1_props) state each law as a commuting square (x, a, b): two paths a
-and b of steps from one input x, run by ``_walk`` and compared by ``_same``.
-A step is an image (kind, triple, measure), ("fourier", measure) (just
-("fourier",) on C_2, whose transform takes none), ("density", measure),
-("mul", factor) or, last on a path, ("integrate", measure). ``_commutes``
-books one case over one or more squares, and ``_square`` draws x on the
-source model of a path's first image. A function square and its distribution
-square come in pairs; ``_twin`` derives the second from the first by
-reversing both paths and swapping every kind through ``CONJUGATE``, with the
-measures unchanged. ``_adjoint`` derives the pairing check of a conjugate
-pair of images (images2_adjoint) the same way.
+The table laws are commuting squares (x, a, b): two paths a and b of steps
+from one input x, run by ``_walk`` and compared by ``_same``.  A step is an
+image (kind, triple, measure); ("fourier", measure) on C_1, ("fourier",) on
+C_0 and C_2; ("density", measure), ("mul", factor) or ("integrate", measure)
+on C_1; ("check",), the reflection, or ("scale", c); ("push0", map) or
+("pull0", map) on C_0; ("module", germ), ("act", lift) of the central
+extension, or ("basepoint", measure) on C_2; or, last on a path, ("pair", y),
+the pairing with y on C_0 or C_2.  ``_commutes`` books one case over one or
+more squares, and ``_square`` draws x on the source model of a path's first
+image.  A function square and its distribution square come in pairs; ``_twin``
+derives the second by reversing both paths and swapping every kind through
+``CONJUGATE``, with the measures unchanged.  ``_adjoint`` builds the square of
+<a(f), G> == <f, b(G)>; the image pairings take b from a through
+``CONJUGATE``.  Checks that are no square (group laws, tag exchange, lattice
+block, domination invariance, two constructions compared) are direct
+``_check``s.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import wraps
 from typing import Callable, Optional
 
 from fqharmonic import tables
@@ -139,26 +145,38 @@ class SuiteContext:
 
 
 SUITES: dict[str, tuple[Callable, tuple[str, ...]]] = {}
-SUITE_KEYS: dict[str, frozenset] = {}  # the config keys of each suite kind
+SUITE_DEFAULTS: dict[str, dict] = {}  # each config key of a suite kind, with its default
+SUITE_KEYS: dict[str, frozenset] = {}  # those keys and ``run``
 SUITE_TRIPLES: dict[str, Optional[Callable]] = {}  # what each kind's ``triple`` must satisfy
 
 
-def register(name: str, *tags: str, keys: tuple = (), triple: Optional[Callable] = None):
-    """Register a suite under its identity tags; keys are the config keys it
-    reads (``run`` is a key of every suite).  A suite that reads a ``triple``
-    gives the check it puts on one, which raises DomainError on a triple the
-    suite cannot take."""
-
-    if ("triple" in keys) != (triple is not None):
+def register(name: str, *tags: str, params: Optional[dict] = None, triple: Optional[Callable] = None):
+    """Register a suite under its identity tags.  params maps each config key
+    it reads (``run`` is a key of every suite) to its default, and the suite
+    runs on ``ctx.params`` with them filled in; ``corrupt`` is read from
+    ``ctx.corrupt``.  A suite that reads a ``triple`` gives the check it puts
+    on one, which raises DomainError on a triple the suite cannot take."""
+    params = params or {}
+    if ("triple" in params) != (triple is not None):
         raise ValueError(f"suite {name!r} reads a triple exactly when it gives a triple check")
 
     def wrap(fn):
-        SUITES[name] = (fn, tags)
-        SUITE_KEYS[name] = frozenset(("run", *keys))
+        @wraps(fn)
+        def run(ctx: SuiteContext) -> Report:
+            return fn(replace(ctx, params=with_defaults(name, ctx.params)))
+
+        SUITES[name] = (run, tags)
+        SUITE_DEFAULTS[name] = params
+        SUITE_KEYS[name] = frozenset(("run", *params))
         SUITE_TRIPLES[name] = triple
-        return fn
+        return run
 
     return wrap
+
+
+def with_defaults(kind: str, params: dict) -> dict:
+    """The values of a suite of this kind: the given params over its defaults."""
+    return {**SUITE_DEFAULTS[kind], **params}
 
 
 def _c1_triple(T) -> None:
@@ -286,19 +304,37 @@ def _twin(a, b):
 
 def _walk(x, path):
     # the library functions are named here, not held in a table, so that a
-    # wrapper put in their place (as perfbench/tracing.py does) sees every step
+    # wrapper put in their place (as perfbench/tracing.py does) sees every
+    # step; the image kinds are tested first, as the most frequent steps
     for kind, *args in path:
-        c1 = isinstance(x, (C1Fn, C1Dist))
-        if kind == "fourier":
-            x = (fourier1 if c1 else fourier2)(x, *args)
+        if kind in IMAGE_KINDS:
+            x = (images1 if isinstance(x, (C1Fn, C1Dist)) else images2)(kind, args[0], x, args[1])
+        elif kind == "fourier":
+            x = (fourier1 if isinstance(x, (C1Fn, C1Dist)) else fourier0 if isinstance(x, Fn0) else fourier2)(x, *args)
         elif kind == "density":
             x = i_mu(x, *args)
         elif kind == "mul":
             x = (fn_mul if isinstance(x, C1Fn) else mul_dist)(*args, x)
         elif kind == "integrate":
             x = integrate(x, *args)
+        elif kind == "check":
+            x = x.check()
+        elif kind == "scale":
+            x = x * args[0]
+        elif kind == "push0":
+            x = push0(args[0], x)
+        elif kind == "pull0":
+            x = pull0(args[0], x)
+        elif kind == "module":
+            x = module_mul(args[0], x)
+        elif kind == "act":
+            x = rep_act(args[0], x)
+        elif kind == "basepoint":
+            x = basepoint_change(x, args[0])
+        elif kind == "pair":
+            x = (pairing0 if isinstance(x, Fn0) else pairing2)(x, args[0])
         else:
-            x = (images1 if c1 else images2)(kind, args[0], x, args[1])
+            raise ValueError(f"unknown step {kind!r}")
     return x
 
 
@@ -309,7 +345,7 @@ def _projection(x, g, push, pull):
 
 def _same(x, y) -> bool:
     """Exact equality of two representatives or scalars, chosen by their type."""
-    if isinstance(x, CycNum):
+    if isinstance(x, (CycNum, Fn0)):
         return x == y
     if isinstance(x, C1Fn):
         return fn_equal(x, y)
@@ -329,9 +365,9 @@ def _square(rep: Report, identity: str, draw, a, b, context: str = "") -> None:
     _commutes(rep, identity, context, (draw(getattr(T, IMAGE_KINDS[kind][0])), a, b))
 
 
-def _adjoint(f, G, kind, T, m) -> bool:
-    """<kind(f), G> == <f, CONJUGATE[kind](G)>, both images along T with m."""
-    return pairing2(images2(kind, T, f, m), G) == pairing2(f, images2(CONJUGATE[kind], T, G, m))
+def _adjoint(f, G, a, b):
+    """The square of the pairing identity <a(f), G> == <f, b(G)>."""
+    return f, [*a, ("pair", G)], [("pair", _walk(G, b))]
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +375,7 @@ def _adjoint(f, G, kind, T, m) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@register("psi_character", "psi_additive", "psi_nontrivial", "conj_involution", keys=("corrupt",))
+@register("psi_character", "psi_additive", "psi_nontrivial", "conj_involution", params={"corrupt": None})
 def psi_character(ctx: SuiteContext) -> Report:
     rep = _report("psi_character", ctx)
     for q in (2, 3, 4, 5, 8, 9):
@@ -360,11 +396,11 @@ def psi_character(ctx: SuiteContext) -> Report:
     return rep
 
 
-@register("cyc_ring", "cyc_commutative_ring", "conj_ring_hom", keys=("cases",))
+@register("cyc_ring", "cyc_commutative_ring", "conj_ring_hom", params={"cases": 50})
 def cyc_ring(ctx: SuiteContext) -> Report:
     rep = _report("cyc_ring", ctx)
     p = ctx.field.p
-    for _ in range(ctx.params.get("cases", 50)):
+    for _ in range(ctx.params["cases"]):
         a, b, c = (_rand_cyc(ctx.rng, p) for _ in range(3))
         _check(rep, "cyc_commutative_ring", a * b == b * a and (a + b) * c == a * c + b * c, "")
         _check(rep, "cyc_commutative_ring", (a * b) * c == a * (b * c), "")
@@ -396,11 +432,11 @@ def fq_axioms(ctx: SuiteContext) -> Report:
 # ---------------------------------------------------------------------------
 
 
-@register("poisson0", "poisson0_subspace_transform", keys=("max_dim",))
+@register("poisson0", "poisson0_subspace_transform", params={"max_dim": 3})
 def poisson0(ctx: SuiteContext) -> Report:
     rep = _report("poisson0", ctx)
     qs = (2, 3, 4)
-    max_dim = ctx.params.get("max_dim", 3)
+    max_dim = ctx.params["max_dim"]
     for q in qs:
         fld = field_for(q)
         for n in range(0, max_dim + 1):
@@ -423,47 +459,41 @@ def poisson0(ctx: SuiteContext) -> Report:
     "image_functoriality0",
     "base_change0",
     "fourier0_push_pull_squares",
-    keys=("cases",),
+    params={"cases": 200},
 )
 def fourier0_props(ctx: SuiteContext) -> Report:
     rep = _report("fourier0_props", ctx)
-    cases = ctx.params.get("cases", 200)
+    F = ("fourier",)
     for q in (2, 3):
-        fld = field_for(q)
-        for _ in range(cases):
+        fld, at = field_for(q), f"q={q}"
+        for _ in range(ctx.params["cases"]):
             V = FinSpace(fld, ctx.rng.randint(0, 2))
             W = FinSpace(fld, ctx.rng.randint(0, 2))
             pi = _rand_map(ctx.rng, V, W)
             f, g = _rand_fn0(ctx.rng, V), _rand_fn0(ctx.rng, W)
-            _check(rep, "fourier0_involution", fourier0(fourier0(f)) == f.check() * V.size, f"q={q}")
+            _commutes(rep, "fourier0_involution", at, (f, [F, F], [("check",), ("scale", V.size)]))
             h = _rand_fn0(ctx.rng, V)
-            _check(
-                rep, "fourier0_selfadjoint",
-                pairing0(fourier0(f), h) == pairing0(f, fourier0(h)), f"q={q}",
-            )
-            _check(
-                rep, "image_adjointness0",
-                pairing0(pull0(pi, g), f) == pairing0(g, push0(pi, f)), f"q={q}",
-            )
+            _commutes(rep, "fourier0_selfadjoint", at, _adjoint(f, h, [F], [F]))
+            _commutes(rep, "image_adjointness0", at, _adjoint(g, f, [("pull0", pi)], [("push0", pi)]))
             S = FinSpace(fld, ctx.rng.randint(0, 2))
             p2 = _rand_map(ctx.rng, W, S)
-            _check(
-                rep, "image_functoriality0",
-                push0(p2, push0(pi, f)) == push0(p2.compose(pi), f), f"q={q}",
+            _commutes(
+                rep, "image_functoriality0", at, (f, [("push0", pi), ("push0", p2)], [("push0", p2.compose(pi))])
             )
             alpha = _rand_map(ctx.rng, W, S)
             pi_s = _rand_map(ctx.rng, V, S)
-            P, alpha_v, pi_w = fibered_square(pi_s, alpha)
-            _check(
-                rep, "base_change0",
-                pull0(pi_s, push0(alpha, g)) == push0(alpha_v, pull0(pi_w, g)), f"q={q}",
+            _P, alpha_v, pi_w = fibered_square(pi_s, alpha)
+            _commutes(
+                rep, "base_change0", at,
+                (g, [("push0", alpha), ("pull0", pi_s)], [("pull0", pi_w), ("push0", alpha_v)]),
             )
-            _check(
-                rep, "fourier0_push_pull_squares",
-                fourier0(push0(pi, f)) == pull0(pi.dual(), fourier0(f))
-                and fourier0(pull0(pi, g)) * Fraction(1, V.size)
-                == push0(pi.dual(), fourier0(g) * Fraction(1, W.size)),
-                f"q={q}",
+            _commutes(
+                rep, "fourier0_push_pull_squares", at,
+                (f, [("push0", pi), F], [F, ("pull0", pi.dual())]),
+                (
+                    g, [("pull0", pi), F, ("scale", Fraction(1, V.size))],
+                    [F, ("scale", Fraction(1, W.size)), ("push0", pi.dual())],
+                ),
             )
     return rep
 
@@ -473,18 +503,12 @@ def fourier0_props(ctx: SuiteContext) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def _std_c1(ctx: SuiteContext):
-    K = laurent_model(ctx.field)
-    O = lattice_model(ctx.field, 0)
-    return K, O
-
-
-@register("fourier1_delta", "fourier1_lattice_indicator", keys=("i_lo", "i_hi"))
+@register("fourier1_delta", "fourier1_lattice_indicator", params={"i_lo": -3, "i_hi": 3})
 def fourier1_delta(ctx: SuiteContext) -> Report:
     rep = _report("fourier1_delta", ctx)
-    K, _ = _std_c1(ctx)
+    K = laurent_model(ctx.field)
     mu = HaarMeasure(K, 0, Fraction(1))
-    for i in range(ctx.params.get("i_lo", -3), ctx.params.get("i_hi", 3) + 1):
+    for i in range(ctx.params["i_lo"], ctx.params["i_hi"] + 1):
         out = fourier1(delta_lattice(K, i), mu)
         expect = delta_lattice(dual_model(K), -i) * mu.value_at(i)
         _check(rep, "fourier1_lattice_indicator", fn_equal(out, expect), f"i={i}")
@@ -503,24 +527,22 @@ def fourier1_delta(ctx: SuiteContext) -> Report:
     "haar_uniqueness",
     "hexagon_injectivity",
     "fourier1_measure_scaling",
-    keys=("cases",),
+    params={"cases": 25},
 )
 def fourier1_props(ctx: SuiteContext) -> Report:
     rep = _report("fourier1_props", ctx)
-    K, O = _std_c1(ctx)
+    K = laurent_model(ctx.field)
     q = ctx.field.q
     mu = HaarMeasure(K, 0, Fraction(1))
     w = Window(-2, 2)
-    for _ in range(ctx.params.get("cases", 25)):
+    for _ in range(ctx.params["cases"]):
         f = _rand_c1fn(ctx.rng, K, w)
         a = {(-1, 0): ctx.rng.randint(0, q - 1), (1, 0): ctx.rng.randint(0, q - 1)}
         b = {(-1, 0): ctx.rng.randint(0, q - 1)}
         G = _rand_c1dist(ctx.rng, K, w)
         ge = _rand_c1fn(ctx.rng, K, w, tag="E")
-        _check(
-            rep, "fourier1_inversion",
-            fn_equal(fourier1(fourier1(f, mu), mu.inverse_on_dual()), f.check()), "",
-        )
+        twice = [("fourier", mu), ("fourier", mu.inverse_on_dual())]
+        _commutes(rep, "fourier1_inversion", "", (f, twice, [("check",)]))
         chi = character_fn(dual_model(K), dual_window(w), a)
         _check(
             rep, "fourier1_translation_twist",
@@ -532,8 +554,7 @@ def fourier1_props(ctx: SuiteContext) -> Report:
             rep, "fourier1_character_twist",
             fn_equal(fourier1(fn_mul(chi_b, f), mu), translate_fn(fourier1(f, mu), neg_b)), "",
         )
-        twice = fourier1(fourier1(G, mu), mu.inverse_on_dual())
-        _check(rep, "fourier1_dist_inversion", _same(twice, G.check()), "")
+        _commutes(rep, "fourier1_dist_inversion", "", (G, twice, [("check",)]))
         _commutes(
             rep, "density_transform_compat", "",
             (f, [("density", mu), ("fourier", mu)], [("fourier", mu), ("density", mu.inverse_on_dual())]),
@@ -542,11 +563,8 @@ def fourier1_props(ctx: SuiteContext) -> Report:
             rep, "density_module_rule", "", (f, [("mul", ge), ("density", mu)], [("density", mu), ("mul", ge)])
         )
         _check(rep, "hexagon_injectivity", f.is_zero() or not i_mu(f, mu).is_zero(), "")
-        nu = mu.scaled(Fraction(3, 2))
-        _check(
-            rep, "fourier1_measure_scaling",
-            fn_equal(fourier1(f, nu), fourier1(f, mu) * Fraction(3, 2)), "",
-        )
+        scaled = [("fourier", mu.scaled(Fraction(3, 2)))], [("fourier", mu), ("scale", Fraction(3, 2))]
+        _commutes(rep, "fourier1_measure_scaling", "", (f, *scaled))
     FH = fourier1(mu.scaled(Fraction(5)).as_dist(Window(-1, 1)), mu)
     T = dist_at(FH, Window(-2, 2)).table
     _check(
@@ -562,15 +580,15 @@ def fourier1_props(ctx: SuiteContext) -> Report:
 
 @register(
     "poisson1", "poisson1_characteristic_transform",
-    keys=("triple", "cut_hi", "deep_cut", "max_points", "corrupt"),
+    params={"triple": None, "cut_hi": 2, "deep_cut": 0, "max_points": 256, "corrupt": None},
     triple=_c1_triple,
 )
 def poisson1(ctx: SuiteContext) -> Report:
     rep = _report("poisson1", ctx)
     K = laurent_model(ctx.field)
     q = ctx.field.q
-    cut = ctx.params.get("cut_hi", 2)
-    deep = ctx.params.get("deep_cut", 0)
+    cut = ctx.params["cut_hi"]
+    deep = ctx.params["deep_cut"]
     values = (Fraction(1), Fraction(q), Fraction(1, q))
     sweeps = [
         (interval_triple(K, lattice_model(ctx.field, -m, label=f"shift{m}")), cut)
@@ -578,7 +596,7 @@ def poisson1(ctx: SuiteContext) -> Report:
     ]
     if deep:
         # full-depth sweep reaching the point cap, over the whole measure grid
-        T0 = ctx.params.get("triple") or interval_triple(K, lattice_model(ctx.field, 0))
+        T0 = ctx.params["triple"] or interval_triple(K, lattice_model(ctx.field, 0))
         sweeps.append((T0, deep))
     return _merge(rep, (
         poisson1_verify(
@@ -587,7 +605,7 @@ def poisson1(ctx: SuiteContext) -> Report:
             HaarMeasure(T.mid, 0, v2),
             cut_lo=-reach,
             cut_hi=reach,
-            max_points=ctx.params.get("max_points", 256),
+            max_points=ctx.params["max_points"],
             corrupt=ctx.corrupt,
         )
         for T, reach in sweeps
@@ -604,13 +622,13 @@ def poisson1(ctx: SuiteContext) -> Report:
     "projection_formula_discrete",
     "density_pullback_compat",
     "density_pushforward_compat",
-    keys=("cases",),
+    params={"cases": 100},
 )
 def fubini_projection(ctx: SuiteContext) -> Report:
     rep = _report("fubini_projection", ctx)
     K = laurent_model(ctx.field)
     fn, germ, _dist, _etp = _c1_draws(ctx.rng, Window(-1, 2))
-    for _ in range(ctx.params.get("cases", 100)):
+    for _ in range(ctx.params["cases"]):
         c = ctx.rng.randint(-1, 1)
         T = interval_triple(K, lattice_model(ctx.field, c))
         mu1 = HaarMeasure(T.sub, 0, abs(ctx.rng.fraction()))
@@ -642,14 +660,14 @@ def fubini_projection(ctx: SuiteContext) -> Report:
     "compose_epi_distributions",
     "compose_mono_functions",
     "compose_mono_distributions",
-    keys=("cases",),
+    params={"cases": 100},
 )
 def compose1(ctx: SuiteContext) -> Report:
     rep = _report("compose1", ctx)
     K = laurent_model(ctx.field)
     w = Window(-1, 2)
     fn, germ, dist, etp = _c1_draws(ctx.rng, w)
-    for _ in range(ctx.params.get("cases", 100)):
+    for _ in range(ctx.params["cases"]):
         c1_, c2_ = ctx.rng.randint(-1, 1), ctx.rng.randint(-1, 1)
         T1 = interval_triple(K, lattice_model(ctx.field, c1_))
         L = lattice_model(ctx.field, c2_, label="L")
@@ -690,14 +708,14 @@ def compose1(ctx: SuiteContext) -> Report:
     "base_change_compact_square",
     "base_change_discrete_square",
     "base_change_double_square",
-    keys=("cases",),
+    params={"cases": 100},
 )
 def base_change1(ctx: SuiteContext) -> Report:
     rep = _report("base_change1", ctx)
     K = laurent_model(ctx.field)
     w = Window(-1, 2)
     fn, germ, dist, _etp = _c1_draws(ctx.rng, w)
-    for _ in range(ctx.params.get("cases", 100)):
+    for _ in range(ctx.params["cases"]):
         c1_ = ctx.rng.randint(-1, 0)
         c2_ = ctx.rng.randint(0, 1)
         T = interval_triple(K, lattice_model(ctx.field, c1_))
@@ -737,14 +755,14 @@ def base_change1(ctx: SuiteContext) -> Report:
     "fourier_image_restrict_push",
     "fourier_image_dist_squares",
     "fourier_image_germ_squares",
-    keys=("cases",),
+    params={"cases": 100},
 )
 def fourier_image1(ctx: SuiteContext) -> Report:
     rep = _report("fourier_image1", ctx)
     K = laurent_model(ctx.field)
     fn, germ, dist, etp = _c1_draws(ctx.rng, Window(-1, 1))
     F = ("fourier", None)
-    for _ in range(ctx.params.get("cases", 100)):
+    for _ in range(ctx.params["cases"]):
         c = ctx.rng.randint(-1, 1)
         T = interval_triple(K, lattice_model(ctx.field, c))
         Td = dual_triple(T)
@@ -774,7 +792,7 @@ def fourier_image1(ctx: SuiteContext) -> Report:
     return rep
 
 
-@register("invariance1", "reindexing_invariance", keys=("cases",))
+@register("invariance1", "reindexing_invariance", params={"cases": 10})
 def invariance1(ctx: SuiteContext) -> Report:
     rep = _report("invariance1", ctx)
     O = lattice_model(ctx.field, 0)
@@ -782,7 +800,7 @@ def invariance1(ctx: SuiteContext) -> Report:
         Os = shift_model(O, s)
         mu = HaarMeasure(O, 0, Fraction(1))
         mus = HaarMeasure(Os, s, Fraction(1))
-        for _ in range(ctx.params.get("cases", 10)):
+        for _ in range(ctx.params["cases"]):
             f = _rand_c1fn(ctx.rng, O, Window(-2, 0))
             fs = C1Fn(Os, "D", Window(-2 + s, s), f.table)
             _check(
@@ -814,10 +832,6 @@ def characterization1(ctx: SuiteContext) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def _std_c2(ctx: SuiteContext) -> C2Model:
-    return k2_model(ctx.field)
-
-
 @register(
     "vmeasure",
     "vmeasure_associativity",
@@ -827,7 +841,7 @@ def _std_c2(ctx: SuiteContext) -> C2Model:
 )
 def vmeasure(ctx: SuiteContext) -> Report:
     rep = _report("vmeasure", ctx)
-    K2 = _std_c2(ctx)
+    K2 = k2_model(ctx.field)
     E1p = box_model(ctx.field, None, None, None, 0, "E1'")
     Q = dual_model2(E1p)
     rng_range = range(-4, 5)
@@ -879,20 +893,18 @@ def vmeasure(ctx: SuiteContext) -> Report:
     "fourier2_tag_exchange",
     "fourier2_lattice_block",
     "fourier2_basepoint_compat",
-    keys=("cases",),
+    params={"cases": 15},
 )
 def fourier2_props(ctx: SuiteContext) -> Report:
     rep = _report("fourier2_props", ctx)
-    K2 = _std_c2(ctx)
+    K2 = k2_model(ctx.field)
     bw = BiWindow(-1, 1, -1, 1)
-    for _ in range(ctx.params.get("cases", 15)):
+    F = ("fourier",)
+    for _ in range(ctx.params["cases"]):
         x = _rand_d2elem(ctx.rng, K2, 0, bw)
-        _check(rep, "fourier2_involution", d2_equal(fourier2(fourier2(x)), x.check()), "")
+        _commutes(rep, "fourier2_involution", "", (x, [F, F], [("check",)]))
         G = _rand_d2dist(ctx.rng, dual_model2(K2), 0, bw)
-        _check(
-            rep, "fourier2_adjoint",
-            pairing2(fourier2(x), G) == pairing2(x, fourier2(G)), "",
-        )
+        _commutes(rep, "fourier2_adjoint", "", _adjoint(x, G, [F], [F]))
         e = _rand_e2(ctx.rng, K2, bw, "E2")
         h = fourier2(e)
         _check(
@@ -902,11 +914,7 @@ def fourier2_props(ctx: SuiteContext) -> Report:
             "",
         )
         vm = VirtualMeasure(K2, 0, 1, abs(ctx.rng.fraction()))
-        _check(
-            rep, "fourier2_basepoint_compat",
-            d2_equal(fourier2(basepoint_change(x, vm)), basepoint_change(fourier2(x), vm.on_dual())),
-            "",
-        )
+        _commutes(rep, "fourier2_basepoint_compat", "", (x, [("basepoint", vm), F], [F, ("basepoint", vm.on_dual())]))
     T = inner_cut_triple(K2, 0)
     blk = char_fn(T, 0, bw)
     _check(rep, "fourier2_lattice_block", d2_equal(fourier2(blk), char_fn(dual_triple2(T), 0, bw)), "")
@@ -914,25 +922,21 @@ def fourier2_props(ctx: SuiteContext) -> Report:
 
 
 @register(
-    "module2", "module_unit", "module_associativity", "module_pairing_compat", keys=("cases",)
+    "module2", "module_unit", "module_associativity", "module_pairing_compat", params={"cases": 15}
 )
 def module2(ctx: SuiteContext) -> Report:
     rep = _report("module2", ctx)
-    K2 = _std_c2(ctx)
+    K2 = k2_model(ctx.field)
     bw = BiWindow(-1, 1, -1, 1)
-    for _ in range(ctx.params.get("cases", 15)):
+    one = ("module", e2_constant_one(K2, bw))
+    for _ in range(ctx.params["cases"]):
         x = _rand_d2elem(ctx.rng, K2, 0, bw)
-        _check(rep, "module_unit", d2_equal(module_mul(e2_constant_one(K2, bw), x), x), "")
+        _commutes(rep, "module_unit", "", (x, [one], []))
         g1, g2 = _rand_e2(ctx.rng, K2, bw), _rand_e2(ctx.rng, K2, bw)
-        _check(
-            rep, "module_associativity",
-            d2_equal(module_mul(g1, module_mul(g2, x)), module_mul(module_mul(g1, g2), x)), "",
-        )
+        by_g1 = [("module", g1)]
+        _commutes(rep, "module_associativity", "", (x, [("module", g2), *by_g1], [("module", _walk(g2, by_g1))]))
         G = _rand_d2dist(ctx.rng, K2, 0, bw)
-        _check(
-            rep, "module_pairing_compat",
-            pairing2(x, module_mul(g1, G)) == pairing2(module_mul(g1, x), G), "",
-        )
+        _commutes(rep, "module_pairing_compat", "", _adjoint(x, G, by_g1, by_g1))
     return rep
 
 
@@ -942,12 +946,12 @@ def module2(ctx: SuiteContext) -> Report:
     "images2_inner_adjointness",
     "characteristic_two_constructions",
     "profile_transform_exchange",
-    keys=("cases",),
+    params={"cases": 10},
 )
 def images2_adjoint(ctx: SuiteContext) -> Report:
     rep = _report("images2_adjoint", ctx)
-    K2 = _std_c2(ctx)
-    for _ in range(ctx.params.get("cases", 10)):
+    K2 = k2_model(ctx.field)
+    for _ in range(ctx.params["cases"]):
         cut = ctx.rng.randint(-1, 1)
         T, Ti = outer_cut_triple(K2, cut), inner_cut_triple(K2, cut)
         mu = VirtualMeasure(T.sub, 0, T.sub.outer_sup, abs(ctx.rng.fraction()))
@@ -959,10 +963,13 @@ def images2_adjoint(ctx: SuiteContext) -> Report:
         fn, dist = _d2_draws(ctx.rng, bwi)
         g, G2, f1 = fn(Ti.quot), dist(Ti.mid), fn(Ti.sub)
         at = f"cut={cut}"
-        _check(rep, "images2_outer_adjointness", _adjoint(f, G, "beta_push", T, mu), at)
-        _check(rep, "images2_outer_adjointness", _adjoint(f, G1, "alpha_pull", T, nu), at)
-        _check(rep, "images2_inner_adjointness", _adjoint(g, G2, "beta_pull", Ti, None), at)
-        _check(rep, "images2_inner_adjointness", _adjoint(f1, G2, "alpha_push", Ti, None), at)
+        for identity, x, y, (kind, *along) in (
+            ("images2_outer_adjointness", f, G, ("beta_push", T, mu)),
+            ("images2_outer_adjointness", f, G1, ("alpha_pull", T, nu)),
+            ("images2_inner_adjointness", g, G2, ("beta_pull", Ti, None)),
+            ("images2_inner_adjointness", f1, G2, ("alpha_push", Ti, None)),
+        ):
+            _commutes(rep, identity, at, _adjoint(x, y, [(kind, *along)], [(CONJUGATE[kind], *along)]))
         _check(
             rep, "characteristic_two_constructions",
             d2_equal(char_dist(T, mu, nu, bw), images2("beta_pull", T, delta_nu(T.quot, nu, bw), mu))
@@ -978,37 +985,36 @@ def images2_adjoint(ctx: SuiteContext) -> Report:
     return rep
 
 
+def _sweep2(ctx: SuiteContext) -> dict:
+    """The sweep settings of both two-dimensional identities."""
+    return dict(
+        o=ctx.params["basepoint"], cut_lo=ctx.params["cut_lo"], cut_hi=ctx.params["cut_hi"],
+        max_points=ctx.params["max_points"], corrupt=ctx.corrupt,
+    )
+
+
 @register(
     "poisson2_ii", "poisson2_II_characteristic_transform",
-    keys=("triple", "basepoint", "cut_lo", "cut_hi", "max_points", "corrupt"),
+    params={"triple": None, "basepoint": 0, "cut_lo": -2, "cut_hi": 2, "max_points": 256, "corrupt": None},
     triple=_identity_triple("II"),
 )
 def poisson2_ii(ctx: SuiteContext) -> Report:
     rep = _report("poisson2_ii", ctx)
-    K2 = _std_c2(ctx)
-    triple = ctx.params.get("triple") or inner_cut_triple(K2, 0)
-    return _merge(rep, [poisson2_verify(
-        "II",
-        triple,
-        o=ctx.params.get("basepoint", 0),
-        cut_lo=ctx.params.get("cut_lo", -2),
-        cut_hi=ctx.params.get("cut_hi", 2),
-        max_points=ctx.params.get("max_points", 256),
-        corrupt=ctx.corrupt,
-    )])
+    triple = ctx.params["triple"] or inner_cut_triple(k2_model(ctx.field), 0)
+    return _merge(rep, [poisson2_verify("II", triple, **_sweep2(ctx))])
 
 
 @register(
     "poisson2_i",
     "poisson2_I_characteristic_transform",
     "poisson2_I_monomial_corollary",
-    keys=("triple", "basepoint", "cut_lo", "cut_hi", "max_points", "corrupt"),
+    params={"triple": None, "basepoint": 0, "cut_lo": -1, "cut_hi": 1, "max_points": 256, "corrupt": None},
     triple=_corollary_triple,
 )
 def poisson2_i(ctx: SuiteContext) -> Report:
     rep = _report("poisson2_i", ctx)
     q = ctx.field.q
-    triple = ctx.params.get("triple") or outer_cut_triple(_std_c2(ctx), 0)
+    triple = ctx.params["triple"] or outer_cut_triple(k2_model(ctx.field), 0)
     values = (Fraction(1), Fraction(q), Fraction(1, q))
     _merge(rep, (
         poisson2_verify(
@@ -1016,11 +1022,7 @@ def poisson2_i(ctx: SuiteContext) -> Report:
             triple,
             VirtualMeasure(triple.sub, 0, triple.sub.outer_sup, s_mu),
             VirtualMeasure(triple.quot, 0, triple.quot.outer_inf, s_nu),
-            o=ctx.params.get("basepoint", 0),
-            cut_lo=ctx.params.get("cut_lo", -1),
-            cut_hi=ctx.params.get("cut_hi", 1),
-            max_points=ctx.params.get("max_points", 256),
-            corrupt=ctx.corrupt,
+            **_sweep2(ctx),
         )
         for s_mu in values
         for s_nu in values
@@ -1031,13 +1033,12 @@ def poisson2_i(ctx: SuiteContext) -> Report:
     mu = VirtualMeasure(triple.sub, 0, triple.sub.outer_sup, Fraction(1))
     nu = VirtualMeasure(triple.quot, 0, triple.quot.outer_inf, Fraction(1))
     bw = raise_outer_top(Td.sub, raise_outer_top(triple.sub, BiWindow(-1, 1, -1, 1)))
-    delta = char_dist(triple, mu, nu, bw)
+    delta, delta_d = char_dist(triple, mu, nu, bw), char_dist(Td, nu.on_dual(), mu.on_dual(), bw)
     for shifts in _COROLLARY_SHIFTS:
         g = AutElem(mid, shifts[0], shifts[1], 1)
         ghat = AutHatElem(g, VirtualMeasure(mid, 0, g.apply_cut(0), Fraction(1)))
-        lhs = fourier2(rep_act(ghat, delta))
-        rhs = rep_act(ghat.dual_lift(), char_dist(Td, nu.on_dual(), mu.on_dual(), bw))
-        _check(rep, "poisson2_I_monomial_corollary", d2_equal(lhs, rhs), f"g={shifts}")
+        lhs, rhs = _walk(delta, [("act", ghat), ("fourier",)]), _walk(delta_d, [("act", ghat.dual_lift())])
+        _check(rep, "poisson2_I_monomial_corollary", _same(lhs, rhs), f"g={shifts}")
     return rep
 
 
@@ -1051,14 +1052,14 @@ def poisson2_i(ctx: SuiteContext) -> Report:
     "rep_module_compat",
     "rep_pairing_invariance",
     "fourier_intertwines_action",
-    keys=("cases", "rep_cases"),
+    params={"cases": 100, "rep_cases": 10},
 )
 def central_ext(ctx: SuiteContext) -> Report:
     rep = _report("central_ext", ctx)
-    K2 = _std_c2(ctx)
+    K2 = k2_model(ctx.field)
     q = ctx.field.q
     bw = BiWindow(-1, 1, -1, 1)
-    for _ in range(ctx.params.get("cases", 100)):
+    for _ in range(ctx.params["cases"]):
         x, y, z = (_rand_lift(ctx.rng, K2) for _ in range(3))
         lhs = authat_mul(authat_mul(x, y), z)
         rhs = authat_mul(x, authat_mul(y, z))
@@ -1074,38 +1075,24 @@ def central_ext(ctx: SuiteContext) -> Report:
     u_hat = AutHatElem(AutElem(K2, 0, 1, 1), VirtualMeasure(K2, 0, 0, Fraction(1)))
     comm = authat_mul(authat_mul(t_hat, u_hat), authat_inverse(authat_mul(u_hat, t_hat)))
     _check(rep, "central_ext_commutator", comm.is_central_scalar() and comm.scalar() == q, "")
-    for _ in range(ctx.params.get("rep_cases", 10)):
+    F = ("fourier",)
+    for _ in range(ctx.params["rep_cases"]):
         x, y = _rand_lift(ctx.rng, K2), _rand_lift(ctx.rng, K2)
         f = _rand_d2elem(ctx.rng, K2, 0, bw)
-        _check(
-            rep, "rep_homomorphism",
-            d2_equal(rep_act(x, rep_act(y, f)), rep_act(authat_mul(x, y), f)), "",
-        )
+        act = ("act", x)
+        _commutes(rep, "rep_homomorphism", "", (f, [("act", y), act], [("act", authat_mul(x, y))]))
         G = _rand_d2dist(ctx.rng, K2, 0, bw)
-        _check(
-            rep, "rep_pairing_invariance",
-            pairing2(rep_act(x, f), rep_act(x, G)) == pairing2(f, G), "",
-        )
+        _commutes(rep, "rep_pairing_invariance", "", (f, [act, ("pair", _walk(G, [act]))], [("pair", G)]))
         e = _rand_e2(ctx.rng, K2, bw)
-        _check(
-            rep, "rep_module_compat",
-            d2_equal(rep_act(x, module_mul(e, f)), module_mul(rep_act(x.g, e), rep_act(x, f)))
-            and d2_equal(
-                rep_act(x, module_mul(e, G)), module_mul(rep_act(x.g, e), rep_act(x, G))
-            ),
-            "",
-        )
-        _check(
-            rep, "fourier_intertwines_action",
-            d2_equal(fourier2(rep_act(x, f)), rep_act(x.dual_lift(), fourier2(f)))
-            and d2_equal(fourier2(rep_act(x, G)), rep_act(x.dual_lift(), fourier2(G))),
-            "",
-        )
+        by_e, by_ge = ("module", e), ("module", _walk(e, [("act", x.g)]))
+        _commutes(rep, "rep_module_compat", "", (f, [by_e, act], [act, by_ge]), (G, [by_e, act], [act, by_ge]))
+        dual = ("act", x.dual_lift())
+        _commutes(rep, "fourier_intertwines_action", "", (f, [act, F], [F, dual]), (G, [act, F], [F, dual]))
     return rep
 
 
 def _zvezda(ctx: SuiteContext, kind: str, c1_: int, c2_: int):
-    K2 = _std_c2(ctx)
+    K2 = k2_model(ctx.field)
     F = ctx.field
     if kind == "cc_dd":
         T = outer_cut_triple(K2, c1_)
@@ -1135,13 +1122,13 @@ def _zvezda(ctx: SuiteContext, kind: str, c1_: int, c2_: int):
     "base_change2_mixed",
     "composition2_epis",
     "composition2_monos",
-    keys=("cases",),
+    params={"cases": 6},
 )
 def base_change2(ctx: SuiteContext) -> Report:
     rep = _report("base_change2", ctx)
-    K2 = _std_c2(ctx)
+    K2 = k2_model(ctx.field)
     F = ctx.field
-    for _ in range(ctx.params.get("cases", 6)):
+    for _ in range(ctx.params["cases"]):
         c1_ = ctx.rng.randint(-1, 0)
         c2_ = ctx.rng.randint(c1_, 1)
         at = f"{c1_},{c2_}"
@@ -1229,13 +1216,13 @@ def base_change2(ctx: SuiteContext) -> Report:
     "fourier_image2",
     "fourier_image2_twisted_squares",
     "fourier_image2_fiberwise_squares",
-    keys=("cases",),
+    params={"cases": 6},
 )
 def fourier_image2(ctx: SuiteContext) -> Report:
     rep = _report("fourier_image2", ctx)
-    K2 = _std_c2(ctx)
+    K2 = k2_model(ctx.field)
     F = ("fourier",)
-    for _ in range(ctx.params.get("cases", 6)):
+    for _ in range(ctx.params["cases"]):
         cut = ctx.rng.randint(-1, 1)
         T, Ti = outer_cut_triple(K2, cut), inner_cut_triple(K2, cut)
         Td, Tdi = dual_triple2(T), dual_triple2(Ti)
@@ -1263,13 +1250,13 @@ def fourier_image2(ctx: SuiteContext) -> Report:
     return rep
 
 
-@register("dominate2", "domination_invariance", "basepoint_change_compat", keys=("cases",))
+@register("dominate2", "domination_invariance", "basepoint_change_compat", params={"cases": 10})
 def dominate2(ctx: SuiteContext) -> Report:
     rep = _report("dominate2", ctx)
-    K2 = _std_c2(ctx)
+    K2 = k2_model(ctx.field)
     q = ctx.field.q
     bw = BiWindow(-1, 1, -1, 1)
-    for _ in range(ctx.params.get("cases", 10)):
+    for _ in range(ctx.params["cases"]):
         x = _rand_d2elem(ctx.rng, K2, 0, bw)
         # an outer reindexing computes identical transform tables; an inner
         # one renormalizes the pinned reference lattice by an explicit power
@@ -1287,12 +1274,8 @@ def dominate2(ctx: SuiteContext) -> Report:
         )
         vm = VirtualMeasure(K2, 0, ctx.rng.randint(-1, 1), abs(ctx.rng.fraction()))
         G = _rand_d2dist(ctx.rng, K2, 0, bw)
-        _check(
-            rep, "basepoint_change_compat",
-            pairing2(basepoint_change(x, vm), basepoint_change(G, vm.inverse()))
-            == pairing2(x, G),
-            "",
-        )
+        moved = _walk(G, [("basepoint", vm.inverse())])
+        _commutes(rep, "basepoint_change_compat", "", (x, [("basepoint", vm), ("pair", moved)], [("pair", G)]))
     return rep
 
 
@@ -1325,113 +1308,3 @@ def run_suites(cfg, only=None, seed=None) -> list:
         reports.append(rep)
     return reports
 
-
-DEFAULT_CONFIG = """\
-[field]
-spec = 2,1,[0,1]
-
-[run]
-seed = 20260808
-table_cap = 4096
-
-[model K]
-c1 = full
-
-[model O]
-c1 = below 0
-
-[model K2]
-c2 = full
-
-[triple T]
-mid = K
-sub = O
-
-[suite psi_character]
-run = psi_character
-
-[suite cyc_ring]
-run = cyc_ring
-
-[suite fq_axioms]
-run = fq_axioms
-
-[suite poisson0]
-run = poisson0
-
-[suite fourier0_props]
-run = fourier0_props
-cases = 40
-
-[suite fourier1_delta]
-run = fourier1_delta
-
-[suite fourier1_props]
-run = fourier1_props
-cases = 10
-
-[suite poisson1]
-run = poisson1
-cut_hi = 2
-deep_cut = 3
-
-[suite fubini_projection]
-run = fubini_projection
-cases = 25
-
-[suite compose1]
-run = compose1
-cases = 25
-
-[suite base_change1]
-run = base_change1
-cases = 25
-
-[suite fourier_image1]
-run = fourier_image1
-cases = 25
-
-[suite invariance1]
-run = invariance1
-
-[suite characterization1]
-run = characterization1
-
-[suite vmeasure]
-run = vmeasure
-
-[suite fourier2_props]
-run = fourier2_props
-cases = 8
-
-[suite module2]
-run = module2
-cases = 8
-
-[suite images2_adjoint]
-run = images2_adjoint
-cases = 5
-
-[suite poisson2_ii]
-run = poisson2_ii
-cut_lo = -1
-cut_hi = 1
-
-[suite poisson2_i]
-run = poisson2_i
-
-[suite central_ext]
-run = central_ext
-cases = 100
-
-[suite base_change2]
-run = base_change2
-cases = 4
-
-[suite fourier_image2]
-run = fourier_image2
-cases = 4
-
-[suite dominate2]
-run = dominate2
-"""

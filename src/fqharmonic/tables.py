@@ -381,26 +381,18 @@ FACTOR_CACHE = 256  # distinct (factor, field) transforms kept; the sweeps use a
 
 @lru_cache(maxsize=FACTOR_CACHE)
 def _fourier_factor(f: Rows, field: FqField) -> tuple[int, int, Rows]:
-    """The q-point transform out(u) = sum_v f(v) conj psi(u v) of one factor,
-    as a content n / d and a factor g with out = (n / d) * g.
+    """The q-point transform of one factor, as a content n / d and a factor g
+    with out = (n / d) * g.
 
     A multiple of the all-ones factor or of the delta at 0 comes back as
     that unit factor, so that transformed tables share their factors.
     """
-    p, q, expo = f.p, field.q, field.conj_expo
-    acc = [[0] * q for _ in range(p)]
-    for k, row in enumerate(f.rows):
-        for v, x in enumerate(row):
-            if x:
-                for u in range(q):
-                    acc[(k + expo[u][v]) % p][u] += x
-    top = acc.pop()  # zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2))
-    rows = [[x - t for x, t in zip(row, top)] for row in acc]
-    for unit in _unit_factors(p, q):
-        c = rows[0][0]
-        if c and rows == [[c * x for x in row] for row in unit.rows]:
-            return c, f.den, unit
-    return 1, 1, Rows(p, f.den, rows)
+    g = fourier(f, field.q, 1, field)
+    c = g.rows[0][0]
+    for unit in _unit_factors(f.p, field.q):
+        if c and g.rows == tuple(tuple(c * x for x in row) for row in unit.rows):
+            return c, g.den, unit
+    return 1, 1, g
 
 
 def _rescaled(table: Kron, num: int, den: int) -> Kron:
@@ -485,6 +477,7 @@ def _gather_plan(size: int, index: Sequence[int]) -> MovePlan:
 
 def gather(table: Rows, index: Sequence[int]) -> Rows:
     """out[j] = table[index[j]]; a negative index reads zero."""
+    table = _dense(table)
     return apply_plan(table, _gather_plan(len(table), index))
 
 
@@ -609,12 +602,17 @@ def check_table(table: Rows, q: int, dim: int, field: FqField) -> Rows:
 
 
 def _same_shape(a, b) -> tuple[Rows, Rows]:
-    """Both tables dense, after checking that they have one field and size."""
+    """Both tables dense, after checking that they have one field and size.
+
+    A ``Kron`` is made dense first, so one past ``DENSE_POINTS`` entries
+    raises ``CapacityError`` (its ``len`` overflows past 2^63 entries).
+    """
     if a.p != b.p:
         raise DomainError("mixed cyclotomic fields")
+    a, b = _dense(a), _dense(b)
     if len(a) != len(b):
         raise DomainError(f"tables of {len(a)} and {len(b)} entries")
-    return _dense(a), _dense(b)
+    return a, b
 
 
 def scale(table: Rows, c) -> Rows:

@@ -3,6 +3,7 @@ equality as the only tolerance, and prints one pass/fail line with timing."""
 
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from fqharmonic.c2 import VirtualMeasure, k2_model
 from fqharmonic.c2_triples import outer_cut_triple, poisson2_verify
@@ -10,7 +11,8 @@ from fqharmonic.exactnum import field_for
 from fqharmonic.harness.config import parse_config
 from fqharmonic.harness.rng import LCG
 from fqharmonic.harness.suites import SUITES, SuiteContext
-from fqharmonic.harness.suites import DEFAULT_CONFIG
+
+EXAMPLE = (Path(__file__).resolve().parents[1] / "scripts" / "example.cfg").read_text()
 
 
 def _ctx(q=2, params=None, corrupt=None, seed=20260808):
@@ -146,7 +148,7 @@ def test_criterion_11_negative_controls():
 def test_full_default_config_is_green():
     from fqharmonic.harness.suites import run_suites
 
-    cfg = parse_config(DEFAULT_CONFIG)
+    cfg = parse_config(EXAMPLE)
     reports = run_suites(cfg)
     assert all(r.passed for r in reports), [
         (r.name, r.failures[:1]) for r in reports if not r.passed
@@ -158,7 +160,7 @@ def test_default_config_is_green_over_f4():
     # a sign or a sum taken on indices instead of in the field shows up here
     from fqharmonic.harness.suites import run_suites
 
-    cfg = parse_config(DEFAULT_CONFIG.replace("spec = 2,1,[0,1]", "spec = 2,2,[1,1,1]"))
+    cfg = parse_config(EXAMPLE.replace("spec = 2,1,[0,1]", "spec = 2,2,[1,1,1]"))
     assert cfg.field.q == 4
     reports = run_suites(cfg)
     assert all(r.passed for r in reports), [

@@ -19,9 +19,10 @@ from fqharmonic.harness.config import ConfigError, parse_config
 from fqharmonic.harness.csvio import parse_table, render_table
 from fqharmonic.harness.report import emit_report
 from fqharmonic.harness.rng import LCG
-from fqharmonic.harness.suites import DEFAULT_CONFIG, SUITES, run_suites
+from fqharmonic.harness.suites import SUITES, run_suites
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+EXAMPLE = Path(__file__).resolve().parents[1] / "scripts" / "example.cfg"
 
 MINIMAL = """\
 [field]
@@ -492,6 +493,10 @@ def test_poisson2_i_refuses_a_middle_its_corollary_cannot_act_on(tmp_path):
     ("run = central_ext\nrep_cases = -1", "rep_cases", "nothing to check"),
     ("run = poisson2_i\nmax_points = 0", "max_points", "nothing to check"),
     ("run = poisson1\ncut_hi = -1", "cut_hi", "must not be negative"),
+    # one end given: checked against the suite's default other end
+    ("run = poisson2_ii\ntriple = T2u\ncut_lo = 3", "cut_lo", "cut_lo = 3 is above cut_hi = 2 (the default)"),
+    ("run = fourier1_delta\ni_hi = -4", "i_hi", "i_hi = -4 is below i_lo = -3 (the default)"),
+    ("run = poisson2_i\ncut_hi = -2", "cut_hi", "cut_hi = -2 is below cut_lo = -1 (the default)"),
 ])
 def test_suite_left_nothing_to_check_exits_2(tmp_path, suite, key, expect):
     # a value that leaves a suite no case to run used to pass it as
@@ -623,9 +628,11 @@ def test_suite_registry_covers_expected_identities():
 
 
 def test_default_config_parses_and_names_resolve():
-    cfg = parse_config(DEFAULT_CONFIG)
+    # scripts/example.cfg runs every suite kind, so the tests that run it
+    # green over F_2 and F_4 cover every suite
+    cfg = parse_config(EXAMPLE.read_text())
     kinds = {s.kind for s in cfg.suites}
-    assert kinds <= set(SUITES)
+    assert kinds == set(SUITES)
 
 
 def test_traced_names_resolve():

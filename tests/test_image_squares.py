@@ -2,7 +2,8 @@
 
 The draw stream of every suite that states its laws as squares (compose1,
 base_change1, base_change2, fubini_projection, fourier_image1,
-images2_adjoint, fourier_image2 and fourier1_props) is pinned here by
+images2_adjoint, fourier_image2, fourier1_props, fourier0_props,
+fourier2_props, module2, central_ext and dominate2) is pinned here by
 (cases, failures, final generator state): a JSON digest cannot see a change
 in draw order while every check passes, this can. The negative controls make
 sure the runner's type-chosen equality sees a square that does not commute,
@@ -17,19 +18,29 @@ import pytest
 from fqharmonic.c1 import HaarMeasure, Window, laurent_model, lattice_model
 from fqharmonic.c1_triples import dual_triple, interval_triple, tensor_haar
 from fqharmonic.c2 import BiWindow, VirtualMeasure, k2_model
+from fqharmonic.c2_aut import AutHatElem, authat_mul
 from fqharmonic.c2_triples import dual_triple2, outer_cut_triple
+from fqharmonic.dim0 import FinSpace
 from fqharmonic.exactnum import field_for
 from fqharmonic.harness.report import Report
 from fqharmonic.harness.rng import LCG
 from fqharmonic.harness.suites import (
     SUITES,
     SuiteContext,
+    _adjoint,
     _c1_draws,
     _commutes,
     _d2_draws,
     _projection,
+    _rand_d2dist,
+    _rand_d2elem,
+    _rand_e2,
+    _rand_fn0,
+    _rand_lift,
+    _rand_map,
     _square,
     _twin,
+    _walk,
 )
 
 # (suite, q, seed) -> (cases, failures, final LCG state), at the case counts
@@ -83,6 +94,36 @@ STREAMS = {
     ("fourier1_props", 3, 1): (83, 0, 11973449475569090881),
     ("fourier1_props", 3, 5): (83, 0, 15446996860599662393),
     ("fourier1_props", 3, 20260808): (83, 0, 12589511275948846870),
+    ("fourier0_props", 2, 1): (120, 0, 842743260478620331),
+    ("fourier0_props", 2, 5): (120, 0, 591299422664007343),
+    ("fourier0_props", 2, 20260808): (120, 0, 2253752830754369284),
+    ("fourier0_props", 3, 1): (120, 0, 842743260478620331),
+    ("fourier0_props", 3, 5): (120, 0, 591299422664007343),
+    ("fourier0_props", 3, 20260808): (120, 0, 2253752830754369284),
+    ("fourier2_props", 2, 1): (17, 0, 9182431565367127315),
+    ("fourier2_props", 2, 5): (17, 0, 6853068204126783083),
+    ("fourier2_props", 2, 20260808): (17, 0, 5329673298600578948),
+    ("fourier2_props", 3, 1): (17, 0, 5993738323352115023),
+    ("fourier2_props", 3, 5): (17, 0, 10693938659107333361),
+    ("fourier2_props", 3, 20260808): (17, 0, 11156475905613951848),
+    ("module2", 2, 1): (12, 0, 10269971625990917905),
+    ("module2", 2, 5): (12, 0, 4972621784443787283),
+    ("module2", 2, 20260808): (12, 0, 5131875017504950946),
+    ("module2", 3, 1): (12, 0, 14127595934774133961),
+    ("module2", 3, 5): (12, 0, 1483488066483747811),
+    ("module2", 3, 20260808): (12, 0, 15841458505047559604),
+    ("central_ext", 2, 1): (71, 0, 12060324723936774899),
+    ("central_ext", 2, 5): (71, 0, 984780031475954477),
+    ("central_ext", 2, 20260808): (71, 0, 4856938437913072692),
+    ("central_ext", 3, 1): (71, 0, 4268381557718856595),
+    ("central_ext", 3, 5): (71, 0, 11302908016815924755),
+    ("central_ext", 3, 20260808): (71, 0, 11848046859155798826),
+    ("dominate2", 2, 1): (8, 0, 7150242336967128527),
+    ("dominate2", 2, 5): (8, 0, 9414292445304112551),
+    ("dominate2", 2, 20260808): (8, 0, 6062714124866180828),
+    ("dominate2", 3, 1): (8, 0, 10635872358721167605),
+    ("dominate2", 3, 5): (8, 0, 1885931300116604165),
+    ("dominate2", 3, 20260808): (8, 0, 7216797542821585340),
 }
 CASES = {
     "compose1": 10,
@@ -93,6 +134,11 @@ CASES = {
     "images2_adjoint": 4,
     "fourier_image2": 4,
     "fourier1_props": 10,
+    "fourier0_props": 10,
+    "fourier2_props": 4,
+    "module2": 4,
+    "central_ext": 10,
+    "dominate2": 4,
 }
 
 
@@ -182,6 +228,64 @@ def _integral_square(q):
     return fn(T.mid), a, [("integrate", mu2)], [("integrate", mu2.scaled(Fraction(2)))]
 
 
+def _fn0_square(q):
+    """fourier0 twice is the check times |V|; and the same with 2|V|."""
+    V, F = FinSpace(field_for(q), 2), ("fourier",)
+    f = _rand_fn0(LCG(7), V)
+    return f, [F, F], [("check",), ("scale", V.size)], [("check",), ("scale", 2 * V.size)]
+
+
+def _image0_square(q):
+    """<pull0(g), f> == <g, push0(f)>; and the same with push0's side doubled."""
+    rng, fld = LCG(7), field_for(q)
+    V, W = FinSpace(fld, 2), FinSpace(fld, 1)
+    pi = _rand_map(rng, V, W)
+    f, g = _rand_fn0(rng, V), _rand_fn0(rng, W)
+    x, a, b = _adjoint(g, f, [("pull0", pi)], [("push0", pi)])
+    return x, a, b, _adjoint(g, f, [("pull0", pi)], [("push0", pi), ("scale", 2)])[2]
+
+
+def _c2_draws(q):
+    rng, K2 = LCG(7), k2_model(field_for(q))
+    return rng, K2, BiWindow(-1, 1, -1, 1)
+
+
+def _module_square(q):
+    """module_associativity; and the product germ times g1 once more."""
+    rng, K2, bw = _c2_draws(q)
+    x = _rand_d2elem(rng, K2, 0, bw)
+    g1, g2 = _rand_e2(rng, K2, bw), _rand_e2(rng, K2, bw)
+    g12 = ("module", _walk(g2, [("module", g1)]))
+    return x, [("module", g2), ("module", g1)], [g12], [g12, ("module", g1)]
+
+
+def _act_square(q):
+    """rep_homomorphism; and the product lift with its measure doubled."""
+    rng, K2, bw = _c2_draws(q)
+    x, y = _rand_lift(rng, K2), _rand_lift(rng, K2)
+    f = _rand_d2elem(rng, K2, 0, bw)
+    xy = authat_mul(x, y)
+    return f, [("act", y), ("act", x)], [("act", xy)], [("act", AutHatElem(xy.g, xy.mu.scaled(Fraction(2))))]
+
+
+def _basepoint_square(q):
+    """fourier2_basepoint_compat; and the dual comparison measure doubled."""
+    rng, K2, bw = _c2_draws(q)
+    x, F = _rand_d2elem(rng, K2, 0, bw), ("fourier",)
+    vm = VirtualMeasure(K2, 0, 1, Fraction(3, 2))
+    b = [F, ("basepoint", vm.on_dual())]
+    return x, [("basepoint", vm), F], b, [F, ("basepoint", vm.on_dual().scaled(Fraction(2)))]
+
+
+def _pair2_square(q):
+    """basepoint_change_compat; and the distribution retwisted by 2."""
+    rng, K2, bw = _c2_draws(q)
+    x, G = _rand_d2elem(rng, K2, 0, bw), _rand_d2dist(rng, K2, 0, bw)
+    vm = VirtualMeasure(K2, 0, 1, Fraction(3, 2))
+    a = [("basepoint", vm), ("pair", _walk(G, [("basepoint", vm.inverse())]))]
+    return x, a, [("pair", G)], [("pair", _walk(G, [("basepoint", VirtualMeasure(K2, 0, 0, Fraction(2)))]))]
+
+
 def _one_square(rep, identity, x, a, b, context):
     """Book a(x) == b(x) for an x already drawn, as the step squares are."""
     _commutes(rep, identity, context, (x, a, b))
@@ -205,8 +309,17 @@ def _one_square(rep, identity, x, a, b, context):
         (_density_square, _one_square),
         (_product_square, _one_square),
         (_integral_square, _one_square),
+        (_fn0_square, _one_square),
+        (_image0_square, _one_square),
+        (_module_square, _one_square),
+        (_act_square, _one_square),
+        (_basepoint_square, _one_square),
+        (_pair2_square, _one_square),
     ],
-    ids=["C1Fn", "C1Dist", "D2Elem", "D2Dist", "fourier1", "fourier1-germ", "fourier2", "density", "mul", "integrate"],
+    ids=[
+        "C1Fn", "C1Dist", "D2Elem", "D2Dist", "fourier1", "fourier1-germ", "fourier2", "density", "mul", "integrate",
+        "fourier0-check-scale", "push0-pull0-pair0", "module", "act", "basepoint", "pair2",
+    ],
 )
 def test_square_books_one_failure_when_it_does_not_commute(build, book, q):
     source, a, same, doubled = build(q)

@@ -18,7 +18,7 @@ from fractions import Fraction
 import pytest
 
 from fqharmonic import c1_triples, c2_triples, tables
-from fqharmonic.c1 import HaarMeasure, laurent_model, lattice_model
+from fqharmonic.c1 import C1Fn, HaarMeasure, Window, fn_mul, laurent_model, lattice_model, window_dim
 from fqharmonic.c1_triples import interval_triple, poisson1_verify
 from fqharmonic.c2 import VirtualMeasure, k2_model
 from fqharmonic.c2_triples import inner_cut_triple, outer_cut_triple, poisson2_verify
@@ -226,6 +226,29 @@ def test_other_operations_go_through_dense():
         index = [rng.randrange(-1, q**dim) for _ in range(q**dim)]
         assert tables.gather(a, index) == tables.gather(A, index)
         assert tables.check_table(a, q, dim, field_for(q)) == tables.check_table(A, q, dim, field_for(q))
+
+
+WIDE_OPS = {
+    "add": lambda t, f: tables.add(t, t),
+    "mul_pointwise": lambda t, f: tables.mul_pointwise(t, t),
+    "dot": lambda t, f: tables.dot(t, t, t.p),
+    "gather": lambda t, f: tables.gather(t, [0]),
+    "fn_mul": lambda t, f: fn_mul(f, f),
+}
+
+
+@pytest.mark.parametrize("op", sorted(WIDE_OPS))
+def test_dense_fallbacks_refuse_a_table_past_2_63_entries(op):
+    # len() of a Kron past 2^63 entries overflows: the dense fallbacks take
+    # dense() first, so such a table is refused with CapacityError
+    F = field_for(9)
+    K = laurent_model(F)
+    w = Window(-20, 21)
+    ones = tables._unit_factors(F.p, F.q)[0]
+    t = Kron(F.p, 1, (ones,) * window_dim(K, w))
+    assert t.size == 9**41 > 2**63
+    with pytest.raises(CapacityError, match="exceeds"):
+        WIDE_OPS[op](t, C1Fn(K, "D", w, t))
 
 
 # ---------------------------------------------------------------------------
