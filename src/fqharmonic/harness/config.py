@@ -157,7 +157,8 @@ def _value_errors(spec: SuiteSpec, given: dict, table_cap: Optional[int]) -> lis
     errors = [(line[k], f"{k} = {got[k]} leaves the suite nothing to check; give at least 1")
               for k in ("cases", "rep_cases", "max_points") if k in given and got[k] < 1]
     for lo, hi in (("cut_lo", "cut_hi"), ("i_lo", "i_hi")):
-        if lo in got and (lo in given or hi in given) and got[lo] > got[hi]:
+        ends = [k for k in (lo, hi) if k in line]  # a malformed end is its own error
+        if lo in got and ends and all(k in given for k in ends) and got[lo] > got[hi]:
             at, other, side = (lo, hi, "above") if lo in given else (hi, lo, "below")
             where = f"line {line[other]}" if other in given else "the default"
             msg = f"{at} = {got[at]} is {side} {other} = {got[other]} ({where}): the range is empty"

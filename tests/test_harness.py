@@ -515,6 +515,15 @@ def test_suite_left_nothing_to_check_exits_2(tmp_path, suite, key, expect):
     assert f"c.cfg:{ln}: " in out.stderr and "Traceback" not in out.stderr, out.stderr
 
 
+def test_malformed_range_end_is_not_compared_with_a_default():
+    # a range end that is no integer is refused as such; the other end is
+    # not then compared with the default the malformed one left in place
+    bad = MINIMAL + "\n[suite x]\nrun = poisson2_ii\ncut_lo = abc\ncut_hi = -3\n"
+    with pytest.raises(ConfigError) as exc:
+        parse_config(bad)
+    assert exc.value.errors == [(len(bad.splitlines()) - 1, "bad integer 'abc'")]
+
+
 def test_poisson1_triple_needs_the_deep_sweep(tmp_path):
     # poisson1 runs its config triple only in the deep_cut sweep, so a triple
     # without deep_cut would be ignored: refused at the triple line, exit 2
