@@ -30,7 +30,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import wraps
+from functools import partial, wraps
 from typing import Callable, Optional
 
 from fqharmonic import tables
@@ -132,6 +132,7 @@ from fqharmonic.dim0 import (
     push0,
 )
 from fqharmonic.exactnum import CycNum, DomainError, FqField, field_for, psi
+from fqharmonic.harness.fanout import fan_out
 from fqharmonic.harness.report import Report
 from fqharmonic.harness.rng import LCG
 
@@ -1291,20 +1292,34 @@ def _suite_seed(seed: int, name: str) -> int:
     return s
 
 
-def run_suites(cfg, only=None, seed=None) -> list:
-    reports = []
-    chosen = [s for s in cfg.suites if only is None or s.name in only or s.kind in only]
-    for spec in chosen:
-        if spec.kind not in SUITES:
-            raise ValueError(f"unknown suite kind {spec.kind!r}")
-        fn, _tags = SUITES[spec.kind]
-        suite_seed = _suite_seed(seed if seed is not None else cfg.seed, spec.kind)
-        ctx = SuiteContext(cfg.field, spec.params, LCG(suite_seed), spec.corrupt)
-        t0 = time.monotonic()
-        rep = fn(ctx)
-        rep.name = spec.name
-        rep.seed = suite_seed
-        rep.wall_time = time.monotonic() - t0
-        reports.append(rep)
-    return reports
+def _run_suite(field, spec, seed: int) -> dict:
+    if spec.kind not in SUITES:
+        raise ValueError(f"unknown suite kind {spec.kind!r}")
+    fn, _tags = SUITES[spec.kind]
+    suite_seed = _suite_seed(seed, spec.kind)
+    t0 = time.monotonic()
+    rep = fn(SuiteContext(field, spec.params, LCG(suite_seed), spec.corrupt))
+    rep.name = spec.name
+    rep.seed = suite_seed
+    rep.wall_time = time.monotonic() - t0
+    # a report leaves a worker as its fields, all builtins: pickling the
+    # report itself would name its class through sys.modules, which may hold
+    # another copy of the library than the one that made it
+    return vars(rep)
 
+
+def run_suites(cfg, only=None, seed=None, jobs=None) -> list:
+    """Run the config's suites (those named or of a kind in ``only``, if
+    given) and return their reports in config order.
+
+    The suites run on the CPUs this process may use, ``jobs`` workers at
+    most (see ``fanout.fan_out``); ``jobs=1`` runs them here, one after
+    another.  Each suite draws from its own generator, seeded from the run
+    seed and its kind, so the reports, and their JSON bytes, do not depend
+    on ``jobs``; only a report's wall time, that suite's own, does.  The
+    first exception in config order is raised.
+    """
+    run_seed = seed if seed is not None else cfg.seed
+    chosen = [s for s in cfg.suites if only is None or s.name in only or s.kind in only]
+    fields = fan_out([partial(_run_suite, cfg.field, spec, run_seed) for spec in chosen], jobs)
+    return [Report(**f) for f in fields]

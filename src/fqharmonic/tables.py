@@ -577,22 +577,45 @@ def _digit_map_plan(q: int, maps: Sequence[Sequence[int]]) -> MovePlan:
     return _gather_plan(q ** len(maps), digit_index([[m[d] * q**r for d in range(q)] for r, m in enumerate(maps)]))
 
 
+def _map_factors(table: Kron, q: int, maps: Sequence[Sequence[int]]) -> Kron:
+    """The move of ``_digit_map_plan(q, maps)`` on the factors: each is read
+    through its digit's map, so no index of the whole table is built."""
+    _check_kron(table, q, len(maps))
+    factors = tuple(
+        Rows._of(f.p, f.den, tuple(tuple(map(row.__getitem__, m)) for row in f.rows))
+        for f, m in zip(table.factors, maps)
+    )
+    return Kron._of(table.p, table.scalar, factors)
+
+
+def _translation_maps(q: int, field: FqField, shift: tuple) -> list:
+    return [[field.add_idx(d, s) for d in range(q)] for s in shift]
+
+
 def _translation_plan(q: int, field: FqField, shift: tuple) -> MovePlan:
-    return _digit_map_plan(q, [[field.add_idx(d, s) for d in range(q)] for s in shift])
+    return _digit_map_plan(q, _translation_maps(q, field, shift))
+
+
+def _negation_maps(q: int, field: FqField, dim: int) -> list:
+    return [[field.neg_idx(d) for d in range(q)]] * dim
 
 
 def _negation_plan(q: int, field: FqField, dim: int) -> MovePlan:
-    return _digit_map_plan(q, [[field.neg_idx(d) for d in range(q)]] * dim)
+    return _digit_map_plan(q, _negation_maps(q, field, dim))
 
 
 def translate(table: Rows, q: int, dim: int, shift: Sequence[int], field: FqField) -> Rows:
     """out(v) = table(v + shift), coordinatewise field addition."""
     shift = tuple(shift[r] for r in range(dim))
+    if isinstance(table, Kron):
+        return _map_factors(table, q, _translation_maps(q, field, shift))
     return apply_plan(table, _plan(q, 2 * q**dim, _translation_plan, field, shift))
 
 
 def check_table(table: Rows, q: int, dim: int, field: FqField) -> Rows:
     """out(v) = table(-v)."""
+    if isinstance(table, Kron):
+        return _map_factors(table, q, _negation_maps(q, field, dim))
     return apply_plan(table, _plan(q, 2 * q**dim, _negation_plan, field, dim))
 
 

@@ -73,6 +73,7 @@ def _caches() -> dict:
 
 
 def test_caches_do_not_grow_on_a_second_run():
+    # jobs=1: the suites run in this process, whose caches are measured
     cfg = parse_config((ROOT / "scripts" / "example.cfg").read_text())
     caches = _caches()
     assert {
@@ -81,7 +82,7 @@ def test_caches_do_not_grow_on_a_second_run():
     } <= set(caches)
     for cache in caches.values():
         cache.cache_clear()
-    run_suites(cfg, seed=1)
+    run_suites(cfg, seed=1, jobs=1)
     first = {name: cache.cache_info().currsize for name, cache in caches.items()}
     for name, cache in caches.items():
         # below the bound, so that a growing cache would show
@@ -97,7 +98,7 @@ def test_caches_do_not_grow_on_a_second_run():
             del sys.modules[name]
         importlib.import_module("fqharmonic.harness.suites")
         fresh = _caches()
-        run_suites(cfg, seed=1)
+        run_suites(cfg, seed=1, jobs=1)
         assert {name: cache.cache_info().currsize for name, cache in fresh.items()} == dict.fromkeys(fresh, 0)
     finally:
         for name in _library_modules():

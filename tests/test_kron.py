@@ -214,6 +214,54 @@ def test_fourier_matches_dense():
         tables.fourier(Kron(3, 1, ()), 2, 0, field_for(2))
 
 
+def test_translate_and_check_match_dense():
+    # one q-entry permutation per factor: the shift's digit map, the negation
+    for q in (2, 3, 4):
+        fld = field_for(q)
+        rng = random.Random(q)
+        for dim in range(5):
+            for _ in range(3):
+                K = rand_kron(rng, q, dim)
+                shift = [rng.randrange(q) for _ in range(dim)]
+                got = tables.translate(K, q, dim, shift, fld)
+                assert isinstance(got, Kron) and got.dense() == tables.translate(K.dense(), q, dim, shift, fld)
+                got = tables.check_table(K, q, dim, fld)
+                assert isinstance(got, Kron) and got.dense() == tables.check_table(K.dense(), q, dim, fld)
+    with pytest.raises(DomainError, match="entries, expected"):
+        tables.check_table(Kron(2, 1, (tables._unit_factors(2, 2)[0],) * 2), 2, 3, field_for(2))
+
+
+def test_wide_check_and_translation_stay_factored(monkeypatch):
+    # a move plan indexes the whole table: 9^41 entries here
+    plan = tables._digit_map_plan
+
+    def small_only(q, maps):
+        if len(maps) > 4:
+            raise AssertionError(f"a move plan of {q}^{len(maps)} entries")
+        return plan(q, maps)
+
+    monkeypatch.setattr(tables, "_digit_map_plan", small_only)
+    tables._cached_plan.cache_clear()
+    F = field_for(9)
+    with pytest.raises(AssertionError, match="a move plan"):
+        tables.check_table(rand_kron(random.Random(0), 9, 5).dense(), 9, 5, F)
+    K = laurent_model(F)
+    w = Window(-20, 21)
+    rng = random.Random(9)
+    f = C1Fn(K, "D", w, rand_kron(rng, 9, window_dim(K, w)))
+    assert f.dim == 41 and f.table.size == 9**41
+    g = f.check()
+    assert isinstance(g.table, Kron) and g.check().table == f.table
+    shift = [rng.randrange(9) for _ in range(41)]
+    moved = tables.translate(f.table, 9, 41, shift, F)
+    assert isinstance(moved, Kron)
+    for _ in range(20):
+        i = rng.randrange(9**41)
+        v = tables.decode(i, 9, 41)
+        assert g.table[i] == f.table[tables.encode([F.neg_idx(d) for d in v], 9)]
+        assert moved[i] == f.table[tables.encode([F.add_idx(d, s) for d, s in zip(v, shift)], 9)]
+
+
 def test_other_operations_go_through_dense():
     for rng, q, dim in cases(6, per_dim=1):
         p = field_for(q).p
