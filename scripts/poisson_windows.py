@@ -50,7 +50,7 @@ def main() -> int:
     runs += [(name, run, 6, None, f"range +-6 over F_{q} uncapped") for q in (2, 3, 4) for name, run in sweeps(q)]
     ok = True
     results = fan_out([partial(timed, run, r, cap) for _name, run, r, cap, _what in runs])
-    for (name, _run, _r, _cap, what), (rep, dt) in zip(runs, results):
+    for (name, *_, what), (rep, dt) in zip(runs, results):
         status = "ok" if rep.passed else "FAIL"
         print(f"[{status}] {name} {what}: {rep.cases} bi-windows in {dt:.1f}s")
         ok = ok and rep.passed
