@@ -418,7 +418,7 @@ def dist_at(G: C1Dist, w: Window) -> C1Dist:
         _, value, ref = G.extension
         const = value * q_power(q, model.dim_between(ref, w.lo))
         dim = window_dim(model, w)
-        return C1Dist(model, G.tag, w, tables.const_table(CycNum.from_rational(model.field.p, const), q, dim), G.extension)
+        return C1Dist(model, G.tag, w, tables.const_kron(model.field.p, const, q, dim), G.extension)
     src_pos, dst_pos = positions(model, G.window), positions(model, w)
     summed, _ = window_move(G.dirs, G.window, w, src_pos, dst_pos)
     # target slots outside the source window carry point masses at canonical
@@ -619,15 +619,9 @@ class HaarMeasure:
         return self.value * q_power(self.model.field.q, self.model.dim_between(self.ref, i))
 
     def as_dist(self, w: Window) -> C1Dist:
-        const = CycNum.from_rational(self.model.field.p, self.value_at(w.lo))
-        dim = window_dim(self.model, w)
-        return C1Dist(
-            self.model,
-            "Haar",
-            w,
-            tables.const_table(const, self.model.field.q, dim),
-            ("haar", self.value, self.ref),
-        )
+        field, dim = self.model.field, window_dim(self.model, w)
+        table = tables.const_kron(field.p, self.value_at(w.lo), field.q, dim)
+        return C1Dist(self.model, "Haar", w, table, ("haar", self.value, self.ref))
 
     def scaled(self, c: Fraction) -> "HaarMeasure":
         return HaarMeasure(self.model, self.ref, self.value * c)
@@ -672,9 +666,7 @@ def delta_point_dist(model: C1Model, point, w: Optional[Window] = None) -> C1Dis
     base = w or Window(min((k for (k, _s) in a), default=0), need or 0)
     if need is not None and base.hi < need:
         base = Window(base.lo, need)
-    q = model.field.q
-    target = tables.encode(_shift_digits(model, base, a), q)
-    table = tables.indicator_table(model.field.p, q ** window_dim(model, base), [target])
+    table = tables.point_kron(model.field.p, 1, model.field.q, _shift_digits(model, base, a))
     return C1Dist(model, "ETp", base, table, ("zero_up",))
 
 

@@ -411,8 +411,7 @@ class E2Fn(BiWindowRep):
 
 
 def e2_constant_one(model: C2Model, bw: BiWindow) -> E2Fn:
-    p = model.field.p
-    return E2Fn(model, "E2", bw, tables.const_table(CycNum.one(p), model.field.q, bw_dim(model, bw)))
+    return E2Fn(model, "E2", bw, tables.const_kron(model.field.p, 1, model.field.q, bw_dim(model, bw)))
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +486,7 @@ def _rev_fourier2(model: C2Model, bw: BiWindow, table: Rows, factor: Fraction = 
     q = model.field.q
     dim = bw_dim(model, bw)
     ft = tables.fourier(table, q, dim, model.field, factor)
-    return tables.reverse_positions(ft, q, dim)
+    return tables.apply_perm(ft, q, range(dim)[::-1])
 
 
 def fourier2(x):

@@ -4,7 +4,10 @@ by nonzero scalars, and the twisted representations on window tables.
 The supported automorphisms are v -> c . t^a u^b . v on models whose region
 is invariant under the slot shift; they move every filtration member to
 another member, which is exactly the hypothesis the corollaries of the
-two-dimensional summation identities need.  Measure transport along an
+two-dimensional summation identities need.  On a window table the action is
+a transport that renames the slots by the shift, then a digit map by the
+inverse unit, so a factored (``Kron``) table is acted on factor by factor
+and never made dense.  Measure transport along an
 automorphism rescales reference bases by an explicit power of q, and the
 failure of these powers to cancel is the nontriviality of the extension.
 """
@@ -145,21 +148,18 @@ def _relabel(g: AutElem, bw: BiWindow, table):
 
     The output lives on the shifted bi-window; the output digit at slot
     (A, B) reads the input digit at (A + t_shift, B + u_shift) scaled by the
-    inverse unit.
+    inverse unit.  The shift is a transport that renames every source slot,
+    the unit one digit map per slot, so a factored table stays factored.
     """
-    model = g.model
-    q = model.field.q
-    fld = model.field
-    bw_out = BiWindow(
-        bw.l - g.t_shift, bw.i - g.t_shift, bw.m - g.u_shift, bw.n - g.u_shift
-    )
-    weight = {pos: q**r for r, pos in enumerate(positions2(model, bw))}
-    cinv = fld.inv_idx(g.unit)
-    digits = [
-        [fld.mul_idx(cinv, d) * weight[(A + g.t_shift, B + g.u_shift)] for d in range(q)]
-        for (A, B) in positions2(model, bw_out)
-    ]
-    return bw_out, tables.gather(table, tables.digit_index(digits))
+    model, fld = g.model, g.model.field
+    bw_out = BiWindow(bw.l - g.t_shift, bw.i - g.t_shift, bw.m - g.u_shift, bw.n - g.u_shift)
+    src = [(A - g.t_shift, B - g.u_shift) for A, B in positions2(model, bw)]
+    dst = positions2(model, bw_out)
+    table = tables.transport(table, fld.q, src, dst)
+    if g.unit != 1:
+        cinv = fld.inv_idx(g.unit)
+        table = tables.digit_map(table, fld.q, [[fld.mul_idx(cinv, d) for d in range(fld.q)]] * len(dst))
+    return bw_out, table
 
 
 def rep_act(x, target):

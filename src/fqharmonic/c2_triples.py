@@ -225,7 +225,7 @@ def delta0_fn(model: C2Model, o: int, bw: BiWindow) -> D2Elem:
     inf = model.inner_inf(bw.l, bw.i)
     if inf is not None and bw.m > inf:
         raise WindowError("window must reach below the column bottoms")
-    table = tables.indicator_table(model.field.p, model.field.q ** bw_dim(model, bw), [0])
+    table = tables.point_kron(model.field.p, 1, model.field.q, (0,) * bw_dim(model, bw))
     return D2Elem(model, o, bw, table, twist)
 
 
@@ -253,7 +253,7 @@ def delta_nu(model: C2Model, nu: VirtualMeasure, bw: BiWindow) -> D2Dist:
     _check_measure(nu, model, nu.src, bot, "delta_nu")
     if bw.l > bot:
         raise WindowError("window bottom must sit below the whole model")
-    table = tables.indicator_table(model.field.p, model.field.q ** bw_dim(model, bw), [0], nu.scalar)
+    table = tables.point_kron(model.field.p, nu.scalar, model.field.q, (0,) * bw_dim(model, bw))
     return D2Dist(model, nu.src, bw, table, VirtualMeasure(model, nu.src, bw.l, Fraction(1)))
 
 

@@ -116,7 +116,8 @@ class Fn0:
 
     @staticmethod
     def constant(space: FinSpace, value: CycNum) -> "Fn0":
-        return Fn0(space, tables.const_table(value, space.field.q, space.dim))
+        # dense: an Fn0 hashes its table, and a Kron is not hashable
+        return Fn0(space, tables.const_kron(space.field.p, value, space.field.q, space.dim).dense())
 
     @staticmethod
     def indicator(space: FinSpace, points: Sequence[Sequence[int]]) -> "Fn0":

@@ -51,28 +51,32 @@ def _reduce_cyclotomic(coeffs: Sequence[Fraction], p: int) -> tuple[Fraction, ..
     return tuple(folded[k] - top for k in range(p - 1))
 
 
-def _cyclotomic_product(
-    a: Sequence[Fraction], b: Sequence[Fraction], p: int
-) -> tuple[Fraction, ...]:
-    """The product of two power-basis vectors, reduced like _reduce_cyclotomic.
+def _cyc_ints(value: "CycNum") -> tuple[tuple[int, ...], int]:
+    """The power-basis numerators of a ``CycNum`` over their common denominator."""
+    den = math.lcm(*(c.denominator for c in value.coeffs))
+    return tuple(c.numerator * (den // c.denominator) for c in value.coeffs), den
 
-    Both operands are scaled to integer vectors, so the convolution and the
-    fold of exponents mod p run on integers in one pass; each output
-    coefficient is then one Fraction over the product of the denominators.
+
+def _cyc_product(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, ...]:
+    """The power-basis coefficients of the product of two elements of Z[zeta_p].
+
+    The convolution folds exponents mod p, then zeta^(p-1) is eliminated
+    like in _reduce_cyclotomic; an operand with no zeta terms only scales.
     """
-    ra = [x.as_integer_ratio() for x in a]
-    rb = [y.as_integer_ratio() for y in b]
-    da = math.lcm(*(d for _, d in ra))
-    db = math.lcm(*(d for _, d in rb))
-    ib = [(j, n * (db // d)) for j, (n, d) in enumerate(rb) if n]
-    folded = [0] * p
-    for i, (n, d) in enumerate(ra):
-        if n:
-            x = n * (da // d)
-            for j, y in ib:
-                folded[(i + j) % p] += x * y
-    top, den = folded.pop(), da * db
-    return tuple(Fraction(x - top, den) if x != top else _ZERO for x in folded)
+    if not any(b[1:]):
+        c = b[0]
+        return tuple(x * c for x in a)
+    if not any(a[1:]):
+        c = a[0]
+        return tuple(c * y for y in b)
+    live_b = [(k, y) for k, y in enumerate(b) if y]
+    acc = [0] * p
+    for j, x in enumerate(a):
+        if x:
+            for k, y in live_b:
+                acc[(j + k) % p] += x * y
+    top = acc.pop()  # zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2))
+    return tuple(x - top for x in acc)
 
 
 @dataclass(frozen=True)
@@ -137,7 +141,9 @@ class CycNum:
             return self._scaled(other.coeffs[0])
         if not any(self.coeffs[1:]):
             return other._scaled(self.coeffs[0])
-        return CycNum(self.prime, _cyclotomic_product(self.coeffs, other.coeffs, self.prime))
+        (a, da), (b, db) = _cyc_ints(self), _cyc_ints(other)
+        den = da * db
+        return CycNum(self.prime, tuple(Fraction(x, den) if x else _ZERO for x in _cyc_product(a, b, self.prime)))
 
     def _scaled(self, r: "Fraction | int") -> "CycNum":
         if r == 1:

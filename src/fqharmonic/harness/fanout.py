@@ -10,6 +10,7 @@ many workers ran.
 
 from __future__ import annotations
 
+import importlib
 import os
 import pickle
 import select
@@ -132,8 +133,19 @@ def _forked(tasks: list, jobs: int) -> list:
     if failed:
         raise ChildProcessError(f"worker processes ended abnormally (pid: exit code): {failed}")
     for data in sent:
-        done += pickle.loads(data)
+        done += [(i, ok, value if ok else _named(*value)) for i, ok, value in pickle.loads(data)]
     return done
+
+
+def _named(module: str, qualname: str, args: tuple, state: dict) -> BaseException:
+    """The exception of the class that module and qualname name here, rebuilt
+    as pickle rebuilds one: from its args, then its attributes."""
+    cls = importlib.import_module(module)
+    for part in qualname.split("."):
+        cls = getattr(cls, part)
+    exc = cls(*args)
+    exc.__dict__.update(state)
+    return exc
 
 
 def _child(tasks: list, claim_r: int, w: int, mask) -> NoReturn:
@@ -149,6 +161,10 @@ def _child(tasks: list, claim_r: int, w: int, mask) -> NoReturn:
             for _i, ok, exc in done:
                 if not ok:
                     exc.add_note("raised in a worker process at\n" + "".join(traceback.format_tb(exc.__traceback__)))
+        # an exception goes by the name of its class: pickle refuses a class
+        # its name no longer reaches here, as after the library is imported
+        # again, and the parent raises the class the name reaches there
+        done = [(i, ok, v if ok else (type(v).__module__, type(v).__qualname__, v.args, vars(v))) for i, ok, v in done]
         with open(w, "wb") as out:
             pickle.dump(done, out)
         code = 0

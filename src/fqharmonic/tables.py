@@ -26,21 +26,23 @@ all four at once, on digits named by labels; function tables and pairing
 (distribution) tables use it in opposite directions.
 
 Native to ``Kron``, each in O(D*q): ``transport`` (so ``expand``,
-``contract``, ``apply_perm`` and ``reverse_positions``), ``scale``,
-``fourier`` (one q-point transform per factor), ``is_zero`` and ``==`` (an
-exact comparison of factors and one entry, with no division).  Every other
-operation, and a comparison with a ``Rows``, works on ``Kron.dense()``.
+``contract`` and ``apply_perm``), ``digit_map`` (so ``translate`` and
+``check_table``), ``scale``, ``fourier`` (one q-point transform per
+factor), ``is_zero`` and ``==`` (an exact comparison of factors and one
+entry, with no division).  Constants (``const_kron``) and point masses
+(``point_kron``) are built factored.  Every other operation, and a
+comparison with a ``Rows``, works on ``Kron.dense()``.
 
 Every dense index move is a ``MovePlan``, its index work, applied by
 ``apply_plan``, its table work: the size check, the fiber sums and one
-gather per row.  Transport, translation and the sign flip build their plan
-digit by digit once per distinct move, reused across calls: plans are kept
-by value (q and the labels, or the field and the shift or dimension) in one
-least-recently-used cache of ``PLAN_CACHE`` moves.  A move with more than
-``PLAN_POINTS`` source and destination entries is planned afresh on every
-call, so the cache holds at most ``PLAN_CACHE * PLAN_POINTS`` indices.
-``gather`` applies a one-off index (relabellings, pullbacks along linear
-maps).
+gather per row.  Transport and the digit maps build their plan digit by
+digit once per distinct move, reused across calls: plans are kept by value
+(q and the labels, or the maps) in one least-recently-used cache of
+``PLAN_CACHE`` moves.  A move with more than ``PLAN_POINTS`` source and
+destination entries is planned afresh on every call, so the cache holds at
+most ``PLAN_CACHE * PLAN_POINTS`` indices.  A dense transport refuses a
+destination of more than ``DENSE_POINTS`` entries before it plans.
+``gather`` applies a one-off index (pullbacks along linear maps).
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import add as _add, mul as _mul
 
-from fqharmonic.exactnum import _ZERO, CapacityError, CycNum, DomainError, FqField
+from fqharmonic.exactnum import _ZERO, CapacityError, CycNum, DomainError, FqField, _cyc_ints, _cyc_product
 
 
 @dataclass(frozen=True)
@@ -141,18 +143,13 @@ def zero_table(p: int, q: int, dim: int) -> Rows:
 
 def indicator_table(p: int, size: int, indices: Iterable[int], value: Fraction | int = 1) -> Rows:
     """The table of size entries that is the rational value at the given
-    indices and zero elsewhere (point masses and indicators)."""
+    indices and zero elsewhere: an indicator of many points, or one factor
+    of a point mass (``point_kron``)."""
     value = Fraction(value)
     row = [0] * size
     for i in indices:
         row[i] = value.numerator
     return Rows(p, value.denominator, [row] + [[0] * size] * (p - 2))
-
-
-def const_table(value: CycNum, q: int, dim: int) -> Rows:
-    nums, den = _cyc_ints(value)
-    n = q**dim
-    return Rows(value.prime, den, [(x,) * n for x in nums])
 
 
 # ---------------------------------------------------------------------------
@@ -252,9 +249,15 @@ class Kron:
 
 
 def const_kron(p: int, value, q: int, dim: int) -> Kron:
-    """The constant table of ``const_table`` in factored form; value is a
-    rational or a ``CycNum``."""
+    """The table of q^dim entries equal to value, a rational or a ``CycNum``:
+    the value times the all-ones factor at every digit."""
     return Kron._of(p, _scalar(p, value), (_unit_factors(p, q)[0],) * dim)
+
+
+def point_kron(p: int, value, q: int, digits: Sequence[int]) -> Kron:
+    """The table that is value (a rational or a ``CycNum``) at the point with
+    the given digits and zero elsewhere: a delta factor per digit."""
+    return Kron._of(p, _scalar(p, value), tuple(_point_factor(p, q, d) for d in digits))
 
 
 def _scalar(p: int, value) -> Rows:
@@ -266,12 +269,6 @@ def _scalar(p: int, value) -> Rows:
     if not isinstance(value, (int, Fraction)):
         value = Fraction(value)
     return _entry(p, (value.numerator,) + (0,) * (p - 2), value.denominator)
-
-
-def _cyc_ints(value: CycNum) -> tuple[tuple[int, ...], int]:
-    """The power-basis numerators of a ``CycNum`` over their common denominator."""
-    den = math.lcm(*(c.denominator for c in value.coeffs))
-    return tuple(c.numerator * (den // c.denominator) for c in value.coeffs), den
 
 
 def _entry(p: int, value: Sequence[int], den: int) -> Rows:
@@ -287,28 +284,16 @@ def _column(table: Rows, i: int) -> tuple[int, ...]:
     return tuple(row[i] for row in table.rows)
 
 
-def _cyc_product(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, ...]:
-    """The power-basis coefficients of the product of two elements of Z[zeta_p]."""
-    if not any(b[1:]):
-        c = b[0]
-        return tuple(x * c for x in a)
-    if not any(a[1:]):
-        c = a[0]
-        return tuple(c * y for y in b)
-    acc = [0] * p
-    for j, x in enumerate(a):
-        if x:
-            for k, y in enumerate(b):
-                acc[(j + k) % p] += x * y
-    top = acc.pop()  # zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2))
-    return tuple(x - top for x in acc)
-
-
 @lru_cache(maxsize=None)
 def _unit_factors(p: int, q: int) -> tuple[Rows, Rows]:
     """The all-ones factor and the delta at 0, on q entries."""
-    zeros = [(0,) * q] * (p - 2)
-    return Rows(p, 1, [(1,) * q, *zeros]), Rows(p, 1, [(1,) + (0,) * (q - 1), *zeros])
+    return Rows(p, 1, [(1,) * q] + [(0,) * q] * (p - 2)), _point_factor(p, q, 0)
+
+
+@lru_cache(maxsize=None)
+def _point_factor(p: int, q: int, d: int) -> Rows:
+    """The delta at digit d, on q entries."""
+    return indicator_table(p, q, [d])
 
 
 def has_shape(table, q: int, dim: int) -> bool:
@@ -537,7 +522,10 @@ def transport(
     src_pos, dst_pos = tuple(src_pos), tuple(dst_pos)
     if isinstance(table, Kron):
         return _transport_kron(table, q, src_pos, dst_pos, summed, zeroed)
-    points = q ** len(src_pos) + q ** len(dst_pos)
+    out = q ** len(dst_pos)
+    if out > DENSE_POINTS:
+        raise CapacityError(f"a dense table of {out} entries exceeds {DENSE_POINTS}")
+    points = q ** len(src_pos) + out
     return apply_plan(table, _plan(q, points, _transport_plan, src_pos, dst_pos, tuple(summed), tuple(zeroed)))
 
 
@@ -565,19 +553,12 @@ def apply_perm(table: Rows, q: int, perm: Sequence[int]) -> Rows:
     return transport(table, q, range(len(perm)), perm)
 
 
-def reverse_positions(table: Rows, q: int, dim: int) -> Rows:
-    if isinstance(table, Kron):
-        _check_kron(table, q, dim)
-        return Kron._of(table.p, table.scalar, table.factors[::-1])
-    return apply_perm(table, q, list(reversed(range(dim))))
-
-
-def _digit_map_plan(q: int, maps: Sequence[Sequence[int]]) -> MovePlan:
+def _digit_map_plan(q: int, maps: tuple) -> MovePlan:
     """out(v) = table(w), where digit r of w is maps[r][digit r of v]."""
     return _gather_plan(q ** len(maps), digit_index([[m[d] * q**r for d in range(q)] for r, m in enumerate(maps)]))
 
 
-def _map_factors(table: Kron, q: int, maps: Sequence[Sequence[int]]) -> Kron:
+def _map_factors(table: Kron, q: int, maps: tuple) -> Kron:
     """The move of ``_digit_map_plan(q, maps)`` on the factors: each is read
     through its digit's map, so no index of the whole table is built."""
     _check_kron(table, q, len(maps))
@@ -588,35 +569,29 @@ def _map_factors(table: Kron, q: int, maps: Sequence[Sequence[int]]) -> Kron:
     return Kron._of(table.p, table.scalar, factors)
 
 
-def _translation_maps(q: int, field: FqField, shift: tuple) -> list:
-    return [[field.add_idx(d, s) for d in range(q)] for s in shift]
+def digit_map(table: Rows, q: int, maps: Sequence[Sequence[int]]) -> Rows:
+    """out(v) = table(w), where digit r of w is maps[r][digit r of v].
 
-
-def _translation_plan(q: int, field: FqField, shift: tuple) -> MovePlan:
-    return _digit_map_plan(q, _translation_maps(q, field, shift))
-
-
-def _negation_maps(q: int, field: FqField, dim: int) -> list:
-    return [[field.neg_idx(d) for d in range(q)]] * dim
-
-
-def _negation_plan(q: int, field: FqField, dim: int) -> MovePlan:
-    return _digit_map_plan(q, _negation_maps(q, field, dim))
+    A ``Kron`` reads each factor through its digit's map; a dense table is
+    moved by one plan, kept by the value of the maps, and a table of the
+    wrong size is refused before that plan is built.
+    """
+    maps = tuple(map(tuple, maps))
+    if isinstance(table, Kron):
+        return _map_factors(table, q, maps)
+    if len(table) != q ** len(maps):
+        raise DomainError(f"table has {len(table)} entries, expected {q ** len(maps)}")
+    return apply_plan(table, _plan(q, 2 * q ** len(maps), _digit_map_plan, maps))
 
 
 def translate(table: Rows, q: int, dim: int, shift: Sequence[int], field: FqField) -> Rows:
     """out(v) = table(v + shift), coordinatewise field addition."""
-    shift = tuple(shift[r] for r in range(dim))
-    if isinstance(table, Kron):
-        return _map_factors(table, q, _translation_maps(q, field, shift))
-    return apply_plan(table, _plan(q, 2 * q**dim, _translation_plan, field, shift))
+    return digit_map(table, q, [[field.add_idx(d, shift[r]) for d in range(q)] for r in range(dim)])
 
 
 def check_table(table: Rows, q: int, dim: int, field: FqField) -> Rows:
     """out(v) = table(-v)."""
-    if isinstance(table, Kron):
-        return _map_factors(table, q, _negation_maps(q, field, dim))
-    return apply_plan(table, _plan(q, 2 * q**dim, _negation_plan, field, dim))
+    return digit_map(table, q, [tuple(field.neg_idx(d) for d in range(q))] * dim)
 
 
 # ---------------------------------------------------------------------------
@@ -652,7 +627,9 @@ def scale(table: Rows, c) -> Rows:
         return _rescaled(table, c.numerator, c.denominator)
     if isinstance(c, CycNum):
         if any(c.coeffs[1:]):
-            return mul_pointwise(table, const_table(c, len(table), 1))  # len(table) copies of c
+            value, den = _cyc_ints(c)
+            cols = [_cyc_product(col, value, table.p) for col in zip(*table.rows)]
+            return Rows(table.p, table.den * den, list(zip(*cols)))
         c = c.coeffs[0]
     if c == 1:
         return table

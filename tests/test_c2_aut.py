@@ -3,18 +3,21 @@ from fractions import Fraction
 
 import pytest
 
+from fqharmonic import tables
 from fqharmonic.c2 import (
     BiWindow,
     D2Dist,
     D2Elem,
     E2Fn,
     VirtualMeasure,
+    box_model,
     bw_dim,
     d2_equal,
     fourier2,
     k2_model,
     module_mul,
     pairing2,
+    positions2,
 )
 from fqharmonic.c2_aut import (
     AutElem,
@@ -26,8 +29,9 @@ from fqharmonic.c2_aut import (
     measure_transport,
     rep_act,
 )
-from fqharmonic.c2_triples import char_dist, char_fn, dual_triple2, inner_cut_triple, outer_cut_triple
+from fqharmonic.c2_triples import char_dist, char_fn, delta_nu, dual_triple2, inner_cut_triple, outer_cut_triple
 from fqharmonic.exactnum import CycNum, DomainError, field_for
+from fqharmonic.tables import Kron, Rows
 
 F2 = field_for(2)
 F3 = field_for(3)
@@ -293,3 +297,76 @@ def test_shifted_characteristic_function():
     lhs = fourier2(rep_act(ghat, f))
     rhs = rep_act(ghat.dual_lift(), char_fn(Td, 0, BiWindow(-1, 1, -1, 1)))
     assert d2_equal(lhs, rhs)
+
+
+def ref_relabel(g, bw, table):
+    """The action's table move as one gather, the form it had before it was a
+    transport and a digit map: the output digit at slot (A, B) reads the
+    input digit at (A + t_shift, B + u_shift) scaled by the inverse unit."""
+    model = g.model
+    q, fld = model.field.q, model.field
+    bw_out = BiWindow(bw.l - g.t_shift, bw.i - g.t_shift, bw.m - g.u_shift, bw.n - g.u_shift)
+    weight = {pos: q**r for r, pos in enumerate(positions2(model, bw))}
+    cinv = fld.inv_idx(g.unit)
+    digits = [
+        [fld.mul_idx(cinv, d) * weight[(A + g.t_shift, B + g.u_shift)] for d in range(q)]
+        for (A, B) in positions2(model, bw_out)
+    ]
+    return bw_out, tables.gather(table, tables.digit_index(digits))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_rep_act_matches_the_gather_reference(q):
+    fld = field_for(q)
+    p = fld.p
+    rng = random.Random(40 + q)
+    K2 = k2_model(fld)
+    for bw in (BiWindow(-1, 0, -1, 0), BiWindow(-1, 1, -1, 0), BiWindow(0, 1, -2, 1), BiWindow(-1, 1, -1, 1)):
+        dim = bw_dim(K2, bw)
+        for _ in range(3):
+            lift = rand_lift(rng, K2)
+            g = lift.g
+            dense = Rows.of([rand_cyc(rng, p) for _ in range(q**dim)], p)
+            factored = Kron(p, rand_cyc(rng, p), [Rows.of([rand_cyc(rng, p) for _ in range(q)], p) for _ in range(dim)])
+            for table in (dense, factored):
+                bw_out, expect = ref_relabel(g, bw, Rows.of(table, p))
+                got = rep_act(g, E2Fn(K2, "E2", bw, table))
+                assert got.bw == bw_out and got.table == expect
+                assert isinstance(got.table, Kron) == isinstance(table, Kron)
+                x = D2Elem(K2, 0, bw, table, VirtualMeasure(K2, bw.l, 0, Fraction(2)))
+                got = rep_act(lift, x)
+                assert got.bw == bw_out and got.table == expect
+                assert isinstance(got.table, Kron) == isinstance(table, Kron)
+
+
+def test_wide_action_stays_factored(monkeypatch):
+    # 9^36 entries: an index of the whole table could never be built
+    index = tables.digit_index
+
+    def small_only(digits):
+        if len(digits) > 6:
+            raise AssertionError(f"an index over {len(digits)} digits")
+        return index(digits)
+
+    monkeypatch.setattr(tables, "digit_index", small_only)
+    F9 = field_for(9)
+    K2 = k2_model(F9)
+    bw = BiWindow(-3, 3, -3, 3)
+    assert bw_dim(K2, bw) == 36
+    germ = E2Fn(K2, "E2", bw, tables.const_kron(F9.p, 1, 9, 36))
+    g = AutElem(K2, 1, 0, 2)
+    moved = rep_act(g, germ)
+    assert isinstance(moved.table, Kron) and moved.bw == BiWindow(-4, 2, -3, 3)
+    assert rep_act(g.inverse(), moved).table == germ.table
+    D = box_model(F9, 0, None, None, None, "D")
+    nu = VirtualMeasure(D, 0, 0, Fraction(5, 3))
+    delta = delta_nu(D, nu, bw)
+    assert isinstance(delta.table, Kron) and delta.table.size == 9 ** bw_dim(D, bw)
+    lift = AutHatElem(AutElem(K2, 1, 1, 2), VirtualMeasure(K2, 0, -1, Fraction(1)))
+    x = D2Elem(K2, 0, bw, tables.point_kron(F9.p, 1, 9, [3] * 36), VirtualMeasure(K2, bw.l, 0, Fraction(1)))
+    moved = rep_act(lift, x)
+    assert isinstance(moved.table, Kron)
+    # the digit 3 at every slot, times the inverse of the unit 2
+    inv = F9.inv_idx(2)
+    point = [next(d for d in range(9) if F9.mul_idx(inv, d) == 3)] * 36
+    assert moved.table == tables.point_kron(F9.p, 1, 9, point)

@@ -10,6 +10,7 @@ whatever the order of the claims.
 
 import os
 import select
+import sys
 import threading
 import time
 from pathlib import Path
@@ -206,4 +207,34 @@ def test_a_child_that_dies_is_an_error(forks, meet):
 
     with pytest.raises(ChildProcessError, match="exit code"):
         fanout.fan_out([lambda: task(0), lambda: task(1)], jobs=2)
+    no_child_left()
+
+
+class Refusal(Exception):
+    """Raised by a task; the test below rebinds this name to another class."""
+
+
+def test_an_exception_whose_class_was_rebound_comes_back_by_name(monkeypatch, forks, meet):
+    # after the library is imported again, a task can raise a class that its
+    # module's name no longer holds, and pickle refuses to send it
+    parent = os.getpid()
+    stale = Refusal
+
+    class Renamed(Exception):
+        pass
+
+    monkeypatch.setattr(sys.modules[__name__], "Refusal", Renamed)
+
+    def task(role):
+        meet(role)
+        if os.getpid() != parent:
+            raise stale("refused in a child", role)
+        return role
+
+    with pytest.raises(Renamed) as exc:
+        fanout.fan_out([lambda: task(0), lambda: task(1)], jobs=2)
+    assert exc.value.args[0] == "refused in a child"
+    if sys.version_info >= (3, 11):
+        assert "raised in a worker process" in exc.value.__notes__[0]
+    assert forks[0] == 1
     no_child_left()

@@ -659,3 +659,6 @@ def test_traced_names_resolve():
         for part in name.split("."):
             obj = getattr(obj, part)
         assert callable(obj), f"{mod_name}.{name}"
+    # perfbench/run.py reads the hit counts of the cached powers of zeta on
+    # every pass
+    assert callable(importlib.import_module("fqharmonic.exactnum")._zeta_pow_cached.cache_info)

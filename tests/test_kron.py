@@ -20,8 +20,9 @@ import pytest
 from fqharmonic import c1_triples, c2_triples, tables
 from fqharmonic.c1 import C1Fn, HaarMeasure, Window, fn_mul, laurent_model, lattice_model, window_dim
 from fqharmonic.c1_triples import interval_triple, poisson1_verify
-from fqharmonic.c2 import VirtualMeasure, k2_model
+from fqharmonic.c2 import BiWindow, VirtualMeasure, e2_constant_one, k2_model
 from fqharmonic.c2_triples import inner_cut_triple, outer_cut_triple, poisson2_verify
+from fqharmonic.dim0 import FinSpace, Fn0
 from fqharmonic.exactnum import CapacityError, CycNum, DomainError, field_for
 from fqharmonic.tables import DENSE_POINTS, Kron, Rows
 
@@ -109,7 +110,61 @@ def test_const_kron_is_const_table():
         for dim in range(4):
             for value in (1, Fraction(-5, 4), rand_cyc(random.Random(dim), p)):
                 c = value if isinstance(value, CycNum) else CycNum.from_rational(p, value)
-                assert tables.const_kron(p, value, q, dim).dense() == tables.const_table(c, q, dim)
+                assert tuple(tables.const_kron(p, value, q, dim)) == (c,) * q**dim
+
+
+def test_point_kron_is_the_point_mass():
+    rng = random.Random(11)
+    for q in QS:
+        p = field_for(q).p
+        zero = CycNum.zero(p)
+        for dim in range(4):
+            for value in (1, Fraction(5, 3), rand_cyc(rng, p)):
+                c = value if isinstance(value, CycNum) else CycNum.from_rational(p, value)
+                digits = [rng.randrange(q) for _ in range(dim)]
+                at = tables.encode(digits, q)
+                K = tables.point_kron(p, value, q, digits)
+                assert tuple(K) == tuple(c if i == at else zero for i in range(q**dim))
+    # the delta at 0 shares the unit factor, so its transform shares the ones
+    K = tables.point_kron(2, 1, 2, (0, 0))
+    assert all(f is tables._unit_factors(2, 2)[1] for f in K.factors)
+
+
+def test_constants_are_factored():
+    # Haar profiles, in both of their builders, and the germ 1
+    for q in (2, 3, 4):
+        fld = field_for(q)
+        p = fld.p
+        mu = HaarMeasure(laurent_model(fld), 0, Fraction(3, 2))
+        for w in (Window(-1, 1), Window(0, 2)):
+            expect = (CycNum.from_rational(p, mu.value_at(w.lo)),) * q ** window_dim(mu.model, w)
+            G = mu.as_dist(w)
+            assert isinstance(G.table, Kron) and tuple(G.table) == expect
+            moved = mu.as_dist(Window(-2, 2)).at(w)
+            assert isinstance(moved.table, Kron) and tuple(moved.table) == expect
+        bw = BiWindow(-1, 1, -1, 0)
+        one = e2_constant_one(k2_model(fld), bw)
+        assert isinstance(one.table, Kron) and tuple(one.table) == (CycNum.one(p),) * q**2
+        c = rand_cyc(random.Random(q), p)
+        assert tuple(Fn0.constant(FinSpace(fld, 2), c).table) == (c,) * q**2
+
+
+def test_dense_transport_is_refused_past_the_bound_before_it_plans(monkeypatch):
+    planned = []
+    plan = tables._transport_plan
+    monkeypatch.setattr(tables, "_transport_plan", lambda *key: planned.append(key) or plan(*key))
+    monkeypatch.setattr(tables, "DENSE_POINTS", 16)
+    tables._cached_plan.cache_clear()
+    D = rand_kron(random.Random(3), 2, 2).dense()
+    assert len(tables.expand(D, 2, 4, [0, 1], "zero")) == 16
+    assert len(planned) == 1
+    with pytest.raises(CapacityError, match="32 entries exceeds 16"):
+        tables.expand(D, 2, 5, [0, 1], "zero")
+    with pytest.raises(CapacityError, match="exceeds 16"):
+        tables.transport(D, 2, [0, 1], range(60))
+    assert len(planned) == 1
+    # a factored table is moved on its factors, whatever its size
+    assert tables.expand(Kron(2, 1, (tables._unit_factors(2, 2)[0],) * 2), 2, 60, [0, 1], "zero").dim == 60
 
 
 def test_dense_is_refused_past_the_bound_without_allocating():
@@ -179,7 +234,9 @@ def test_transport_wrappers_match_dense():
             got = tables.contract(K, q, dim, keep, mode)
             assert isinstance(got, Kron) and got.dense() == tables.contract(D, q, dim, keep, mode)
         assert tables.apply_perm(K, q, perm).dense() == tables.apply_perm(D, q, perm)
-        assert tables.reverse_positions(K, q, dim).dense() == tables.reverse_positions(D, q, dim)
+        rev = range(dim)[::-1]
+        got = tables.apply_perm(K, q, rev)
+        assert got.factors == K.factors[::-1] and got.dense() == tables.apply_perm(D, q, rev)
 
 
 def test_transport_checks_the_shape():

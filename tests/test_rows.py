@@ -252,7 +252,7 @@ def test_transport_moves(q):
         perm = rng.sample(range(dim), dim)
         assert tuple(tables.apply_perm(rows, q, perm)) == ref_transport(entries, q, list(range(dim)), perm)
         rev = list(reversed(range(dim)))
-        assert tuple(tables.reverse_positions(rows, q, dim)) == ref_transport(entries, q, list(range(dim)), rev)
+        assert tuple(tables.apply_perm(rows, q, rev)) == ref_transport(entries, q, list(range(dim)), rev)
 
 
 @pytest.mark.parametrize("q", QS)
@@ -300,7 +300,7 @@ def test_constant_zero_and_character_tables(q):
     rng = random.Random(500 + q)
     for dim in shapes(q):
         for value in rand_entries(rng, p, 3) + (CycNum.zero(p),):
-            assert tuple(tables.const_table(value, q, dim)) == (value,) * q**dim
+            assert tuple(tables.const_kron(p, value, q, dim)) == (value,) * q**dim
         assert tuple(tables.zero_table(p, q, dim)) == (CycNum.zero(p),) * q**dim
         assert tables.is_zero(tables.zero_table(p, q, dim))
         digits = [rng.randrange(q) for _ in range(dim)]
@@ -382,9 +382,11 @@ def test_point_mass_builders_match_their_entries():
             G = delta_point_dist(model, {(0, 0): 1}, w)
             digits = [1 if pos == (0, 0) else 0 for pos in positions(model, w)]
             assert G.table == ref_indicator(p, q ** window_dim(model, w), [encode(digits, q)])
+            assert isinstance(G.table, tables.Kron)
         bw = BiWindow(-1, 1, -1, 1)
         Q = box_model(fld, None, None, 0, None, "Q")
         assert delta0_fn(Q, 0, bw).table == ref_indicator(p, q ** bw_dim(Q, bw), [0])
         D = box_model(fld, 0, None, None, None, "D")
         nu = VirtualMeasure(D, 0, 0, Fraction(5, 3))
         assert delta_nu(D, nu, bw).table == ref_indicator(p, q ** bw_dim(D, bw), [0], Fraction(5, 3))
+        assert isinstance(delta0_fn(Q, 0, bw).table, tables.Kron) and isinstance(delta_nu(D, nu, bw).table, tables.Kron)

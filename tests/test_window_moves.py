@@ -98,7 +98,7 @@ def ref_dist_at(G, w):
     if G.extension and G.extension[0] == "haar":
         _, value, ref = G.extension
         const = value * Fraction(q) ** model.dim_between(ref, w.lo)
-        return tables.const_table(CycNum.from_rational(model.field.p, const), q, window_dim(model, w))
+        return tables.Rows.of((CycNum.from_rational(model.field.p, const),) * q ** window_dim(model, w), model.field.p)
     grows = w.lo < G.window.lo or w.hi > G.window.hi
     if grows and not (G.extension and G.extension[0] == "zero_up"):
         raise WindowError("grow")
