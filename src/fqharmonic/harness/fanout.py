@@ -139,10 +139,14 @@ def _forked(tasks: list, jobs: int) -> list:
 
 def _named(module: str, qualname: str, args: tuple, state: dict) -> BaseException:
     """The exception of the class that module and qualname name here, rebuilt
-    as pickle rebuilds one: from its args, then its attributes."""
-    cls = importlib.import_module(module)
-    for part in qualname.split("."):
-        cls = getattr(cls, part)
+    as pickle rebuilds one: from its args, then its attributes; a name that
+    reaches no class here (a class local to a function) is reported as such."""
+    try:
+        cls = importlib.import_module(module)
+        for part in qualname.split("."):
+            cls = getattr(cls, part)
+    except (ImportError, AttributeError):
+        return ChildProcessError(f"a worker raised {module}.{qualname}{args!r}, a class its name does not reach")
     exc = cls(*args)
     exc.__dict__.update(state)
     return exc

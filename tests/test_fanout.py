@@ -238,3 +238,15 @@ def test_an_exception_whose_class_was_rebound_comes_back_by_name(monkeypatch, fo
         assert "raised in a worker process" in exc.value.__notes__[0]
     assert forks[0] == 1
     no_child_left()
+
+    def local(role):
+        meet(role)
+        if os.getpid() != parent:
+            raise Renamed("local")
+        return role
+
+    # a class local to a function has no name to be rebuilt by
+    with pytest.raises(ChildProcessError, match="Renamed.*does not reach"):
+        fanout.fan_out([lambda: local(0), lambda: local(1)], jobs=2)
+    assert forks[0] == 2
+    no_child_left()
