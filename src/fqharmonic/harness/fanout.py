@@ -155,8 +155,6 @@ def _named(module: str, qualname: str, args: tuple, state: dict) -> BaseExceptio
 def _child(tasks: list, claim_r: int, w: int, mask) -> NoReturn:
     """A forked worker: run its claims, send their results and exit, never
     returning into the parent's stack."""
-    import traceback  # imported here, where only a child pays its memory (about 128 KB of RSS)
-
     code = 1
     try:
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
@@ -164,6 +162,8 @@ def _child(tasks: list, claim_r: int, w: int, mask) -> NoReturn:
         if sys.version_info >= (3, 11):  # a traceback does not pickle; keep where it was raised
             for _i, ok, exc in done:
                 if not ok:
+                    import traceback  # imported where it is used: the import costs a child milliseconds
+
                     exc.add_note("raised in a worker process at\n" + "".join(traceback.format_tb(exc.__traceback__)))
         # an exception goes by the name of its class: pickle refuses a class
         # its name no longer reaches here, as after the library is imported
@@ -173,6 +173,8 @@ def _child(tasks: list, claim_r: int, w: int, mask) -> NoReturn:
             pickle.dump(done, out)
         code = 0
     except Exception:
+        import traceback
+
         traceback.print_exc()
         sys.stderr.flush()
     finally:

@@ -15,8 +15,13 @@ significant digit = position 0.  It comes in two forms:
 Both forms are sequences of ``CycNum`` only at their edge: ``len``,
 iteration and integer indexing build entries, for CSV, pairings, scalar
 results and failure texts.  Indexing a ``Kron`` reads one entry from its
-factors; ``Kron.dense()`` builds the ``Rows`` and refuses more than
-``DENSE_POINTS`` entries with ``CapacityError``.
+factors; ``Kron.dense()`` builds the ``Rows``.
+
+Every dense table built to a size rather than from a table that exists
+(``Kron.dense()``, a dense ``transport``, ``zero_table``,
+``indicator_table``, ``psi_linear`` and ``scatter``) refuses more than
+``DENSE_POINTS`` entries with ``CapacityError`` before it allocates.
+Every other dense operation allocates in proportion to its input.
 
 Every operation here works on the rows.  The window layers move tables
 between windows with four moves: pull back along a coordinate projection,
@@ -40,9 +45,9 @@ digit once per distinct move, reused across calls: plans are kept by value
 (q and the labels, or the maps) in one least-recently-used cache of
 ``PLAN_CACHE`` moves.  A move with more than ``PLAN_POINTS`` source and
 destination entries is planned afresh on every call, so the cache holds at
-most ``PLAN_CACHE * PLAN_POINTS`` indices.  A dense transport refuses a
-destination of more than ``DENSE_POINTS`` entries before it plans.
-``gather`` applies a one-off index (pullbacks along linear maps).
+most ``PLAN_CACHE * PLAN_POINTS`` indices; a dense transport refuses an
+oversized destination before it plans.  ``gather`` applies a one-off index
+(pullbacks along linear maps).
 """
 
 from __future__ import annotations
@@ -137,7 +142,17 @@ def encode(digits: Sequence[int], q: int) -> int:
     return sum(d * q**j for j, d in enumerate(digits))
 
 
+DENSE_POINTS = 1 << 20  # entries of the largest dense table built here
+
+
+def _check_dense(size: int) -> None:
+    """Refuse a dense table of more than ``DENSE_POINTS`` entries, before it is built."""
+    if size > DENSE_POINTS:
+        raise CapacityError(f"a dense table of {size} entries exceeds {DENSE_POINTS}")
+
+
 def zero_table(p: int, q: int, dim: int) -> Rows:
+    _check_dense(q**dim)
     return Rows(p, 1, ((0,) * q**dim,) * (p - 1))
 
 
@@ -145,6 +160,7 @@ def indicator_table(p: int, size: int, indices: Iterable[int], value: Fraction |
     """The table of size entries that is the rational value at the given
     indices and zero elsewhere: an indicator of many points, or one factor
     of a point mass (``point_kron``)."""
+    _check_dense(size)
     value = Fraction(value)
     row = [0] * size
     for i in indices:
@@ -155,9 +171,6 @@ def indicator_table(p: int, size: int, indices: Iterable[int], value: Fraction |
 # ---------------------------------------------------------------------------
 # factored tables
 # ---------------------------------------------------------------------------
-
-
-DENSE_POINTS = 1 << 20  # entries of the largest table Kron.dense builds
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,9 +243,7 @@ class Kron:
 
     def dense(self) -> Rows:
         """The ``Rows`` of every entry; more than ``DENSE_POINTS`` are refused."""
-        size = self.size
-        if size > DENSE_POINTS:
-            raise CapacityError(f"a dense table of {size} entries exceeds {DENSE_POINTS}")
+        _check_dense(self.size)
         p, values, den = self.p, [_column(self.scalar, 0)], self.scalar.den
         for f in self.factors:
             # digit r has weight q^r: its value d repeats the table built so far
@@ -468,6 +479,7 @@ def gather(table: Rows, index: Sequence[int]) -> Rows:
 
 def scatter(table: Rows, index: Sequence[int], size: int) -> Rows:
     """out[j] = sum of table[i] over index[i] = j, on a table of the given size."""
+    _check_dense(size)
     table = _dense(table)
     out = []
     for row in table.rows:
@@ -523,8 +535,7 @@ def transport(
     if isinstance(table, Kron):
         return _transport_kron(table, q, src_pos, dst_pos, summed, zeroed)
     out = q ** len(dst_pos)
-    if out > DENSE_POINTS:
-        raise CapacityError(f"a dense table of {out} entries exceeds {DENSE_POINTS}")
+    _check_dense(out)
     points = q ** len(src_pos) + out
     return apply_plan(table, _plan(q, points, _transport_plan, src_pos, dst_pos, tuple(summed), tuple(zeroed)))
 
@@ -762,6 +773,7 @@ def psi_linear(field: FqField, dim: int, digits: Sequence[int], conj: bool = Fal
     Tr(digits[r] v_r) mod p, built digit by digit like a source index.
     """
     q, p = field.q, field.p
+    _check_dense(q**dim)
     sign = -1 if conj else 1
     coeffs = [digits[r] if r < len(digits) else 0 for r in range(dim)]
     expo = digit_index([[sign * field.trace_idx(field.mul_idx(c, d)) for d in range(q)] for c in coeffs])

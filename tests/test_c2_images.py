@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
+from fqharmonic import c2_triples
 from fqharmonic.c1 import CapabilityError, WindowError
 from fqharmonic.c2 import (
     BiWindow,
@@ -33,6 +35,8 @@ from fqharmonic.c2_triples import (
     one_mu,
     outer_cut_triple,
     poisson2_verify,
+    raise_inner_top,
+    raise_outer_top,
 )
 from fqharmonic.exactnum import CycNum, DomainError, field_for
 
@@ -322,6 +326,97 @@ def test_poisson_corruption_fails_every_bi_window(fld, which, fault):
         rep = poisson2_verify(which, T, sub_measure(T), quot_measure(T), cut_lo=-1, cut_hi=1, corrupt=fault)
         assert rep.cases > 0 and len(rep.failures) == rep.cases
         assert {f["identity"] for f in rep.failures} == {f"poisson2_{which}_characteristic_transform"}
+
+
+def reference_poisson2(which, T, mu, nu, cut_lo, cut_hi, max_points, corrupt):
+    """(cases, failures) of a sweep that builds both sides of every
+    bi-window afresh, as the verifier did before it shared them."""
+    Td = dual_triple2(T)
+    q = T.mid.field.q
+    if which == "II":
+        widen, fault = raise_inner_top, "transition"
+        primal, dual = partial(char_fn, T, 0), partial(char_fn, Td, 0)
+    else:
+        widen, fault = raise_outer_top, "measure"
+        primal, dual = partial(char_dist, T, mu, nu), partial(char_dist, Td, nu.on_dual(), mu.on_dual())
+    cases, failures = 0, []
+    cuts = range(cut_lo, cut_hi + 1)
+    windows = [(a, b) for a in cuts for b in cuts if a <= b]
+    for l, i in windows:
+        for m, n in windows:
+            bw = BiWindow(l, i, m, n)
+            primal_bw, dual_bw = widen(T.sub, bw.dual()), widen(Td.sub, bw)
+            if max_points is not None and max(
+                q ** bw_dim(T.mid, primal_bw), q ** bw_dim(Td.mid, dual_bw)
+            ) > max_points:
+                continue
+            cases += 1
+            x = primal(primal_bw)
+            if corrupt == fault:
+                x = x * Fraction(q)
+            if not d2_equal(fourier2(x), dual(dual_bw)):
+                failures.append(f"bi-window {bw}")
+    return cases, failures
+
+
+def shared_side_triples(fld):
+    K2 = k2_model(fld)
+    box = inner_cut_triple(box_model(fld, -1, 2, None, None), 0)
+    return {
+        "II": (inner_cut_triple(K2, 0), box, inner_cut_triple(K2, 1)),
+        "I": (outer_cut_triple(K2, 0), box, outer_cut_triple(K2, -1)),
+    }
+
+
+@pytest.mark.parametrize("fld", [F2, F3])
+@pytest.mark.parametrize("max_points", [256, None])
+@pytest.mark.parametrize("which, fault", [("II", "transition"), ("I", "measure")])
+def test_shared_sides_match_a_sweep_that_builds_every_side(fld, max_points, which, fault):
+    for T in shared_side_triples(fld)[which]:
+        mu, nu = sub_measure(T), quot_measure(T, scalar=Fraction(fld.q))
+        for corrupt in (None, fault):
+            rep = poisson2_verify(which, T, mu, nu, cut_lo=-2, cut_hi=2, max_points=max_points, corrupt=corrupt)
+            cases, failures = reference_poisson2(which, T, mu, nu, -2, 2, max_points, corrupt)
+            assert rep.cases == cases > 0
+            assert [f["context"] for f in rep.failures] == failures
+            assert len(failures) == (cases if corrupt else 0)
+
+
+def test_each_widened_side_is_built_once(monkeypatch):
+    # at +-2 over F_2 with the default cap, 216 bi-windows of each identity
+    # widen to 171 distinct primal sides and 171 distinct dual sides
+    builds = []
+    for name in ("char_fn", "char_dist"):
+        build = getattr(c2_triples, name)
+        monkeypatch.setattr(
+            c2_triples, name, lambda T, *args, build=build: builds.append((T, args[-1])) or build(T, *args)
+        )
+    held = []  # the groups of sides held before and after each release
+    release = c2_triples._Sides.release
+
+    def counted(self, k):
+        before = len(self.groups)
+        release(self, k)
+        held.append((before, len(self.groups)))
+
+    monkeypatch.setattr(c2_triples._Sides, "release", counted)
+    K2 = k2_model(F2)
+    for which, T in (("II", inner_cut_triple(K2, 0)), ("I", outer_cut_triple(K2, 0))):
+        builds.clear()
+        held.clear()
+        rep = poisson2_verify(which, T, sub_measure(T), quot_measure(T))
+        assert rep.cases == 216 and rep.passed
+        # the twist-free triple is its own dual as a value, so the sides are
+        # told apart by the triple object the verifier was given
+        primal = [bw for S, bw in builds if S is T]
+        dual = [bw for S, bw in builds if S is not T]
+        assert len(primal) == len(set(primal)) == 171
+        assert len(dual) == len(set(dual)) == 171
+        # every side is dropped by the end of the sweep; the twist-free rule
+        # keeps the outer edges, so its sides are dropped row by row
+        assert len(held) == 2 * 15 and held[-2:] == [(1, 0), (1, 0)]
+        if which == "II":
+            assert all(after == 0 for _before, after in held)
 
 
 # ---------------------------------------------------------------------------

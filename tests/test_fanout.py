@@ -8,8 +8,10 @@ other (``meet``) run in two processes, which puts one of them in a child
 whatever the order of the claims.
 """
 
+import ast
 import os
 import select
+import subprocess
 import sys
 import threading
 import time
@@ -22,7 +24,7 @@ from fqharmonic.harness import fanout
 from fqharmonic.harness.config import parse_config
 from fqharmonic.harness.report import Report, emit_report
 from fqharmonic.harness.suites import SUITES, run_suites
-from test_harness import F3_IMAGES
+from test_harness import F3_IMAGES, SRC
 
 EXAMPLE = (Path(__file__).resolve().parents[1] / "scripts" / "example.cfg").read_text()
 
@@ -250,3 +252,32 @@ def test_an_exception_whose_class_was_rebound_comes_back_by_name(monkeypatch, fo
         fanout.fan_out([lambda: local(0), lambda: local(1)], jobs=2)
     assert forks[0] == 2
     no_child_left()
+
+
+# two tasks that wait for each other, so one runs in the parent and one in a
+# child, each reporting its pid and whether ``traceback`` was imported there
+NO_TRACEBACK = """
+import os, select, sys
+from fqharmonic.harness.fanout import fan_out
+
+a, b = os.pipe(), os.pipe()
+
+def task(role):
+    mine, theirs = (a, b) if role == 0 else (b, a)
+    os.write(mine[1], b"x")
+    assert select.select([theirs[0]], [], [], 30)[0], "the other task never started"
+    return os.getpid(), "traceback" not in sys.modules
+
+print(fan_out([lambda: task(0), lambda: task(1)], jobs=2))
+"""
+
+
+def test_a_child_that_raises_nothing_does_not_import_traceback():
+    out = subprocess.run(
+        [sys.executable, "-c", NO_TRACEBACK],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert out.returncode == 0, out.stderr
+    (pid0, clean0), (pid1, clean1) = ast.literal_eval(out.stdout)
+    assert pid0 != pid1
+    assert clean0 and clean1

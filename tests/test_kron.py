@@ -18,7 +18,7 @@ from fractions import Fraction
 import pytest
 
 from fqharmonic import c1_triples, c2_triples, tables
-from fqharmonic.c1 import C1Fn, HaarMeasure, Window, fn_mul, laurent_model, lattice_model, window_dim
+from fqharmonic.c1 import C1Fn, HaarMeasure, Window, character_fn, fn_mul, laurent_model, lattice_model, window_dim
 from fqharmonic.c1_triples import interval_triple, poisson1_verify
 from fqharmonic.c2 import BiWindow, VirtualMeasure, e2_constant_one, k2_model
 from fqharmonic.c2_triples import inner_cut_triple, outer_cut_triple, poisson2_verify
@@ -165,6 +165,35 @@ def test_dense_transport_is_refused_past_the_bound_before_it_plans(monkeypatch):
     assert len(planned) == 1
     # a factored table is moved on its factors, whatever its size
     assert tables.expand(Kron(2, 1, (tables._unit_factors(2, 2)[0],) * 2), 2, 60, [0, 1], "zero").dim == 60
+
+
+def test_dense_tables_are_refused_past_the_bound_before_they_allocate(monkeypatch):
+    # unbounded, character_fn(laurent_model(F_9), Window(-20, 21), {}) asks
+    # psi_linear for 9^41 entries; with the bound at 16, 9^2 is refused alike
+    indexed = []
+    digit_index = tables.digit_index
+    monkeypatch.setattr(tables, "digit_index", lambda digits: indexed.append(len(digits)) or digit_index(digits))
+    monkeypatch.setattr(tables, "DENSE_POINTS", 16)
+    F2, F9 = field_for(2), field_for(9)
+    D = rand_kron(random.Random(5), 2, 2).dense()
+    built = [
+        tables.zero_table(2, 2, 4),
+        tables.indicator_table(2, 16, [3]),
+        tables.psi_linear(F2, 4, [1, 0, 1]),
+        tables.scatter(D, [0, 5, 9, 15], 16),
+    ]
+    assert [len(t) for t in built] == [16] * 4 and indexed == [4]
+    refused = [
+        lambda: tables.zero_table(2, 2, 5),
+        lambda: tables.indicator_table(2, 17, [3]),
+        lambda: tables.psi_linear(F2, 5, [1]),
+        lambda: tables.scatter(D, [0, 5, 9, 16], 17),
+        lambda: character_fn(laurent_model(F9), Window(-1, 1), {}),
+    ]
+    for build in refused:
+        with pytest.raises(CapacityError, match="exceeds 16"):
+            build()
+    assert indexed == [4]
 
 
 def test_dense_is_refused_past_the_bound_without_allocating():
