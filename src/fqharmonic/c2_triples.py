@@ -19,12 +19,14 @@ characteristic object, and a bi-window is certified exactly when both
 widened sides have at most ``max_points`` entries (every one, for None).
 The characteristic objects are factored tables (``tables.Kron``), and every
 step of the loop keeps them factored, so no table of q^dim entries is built.
-Bi-windows that widen to one bi-window share its sides: each distinct
-primal side (the transformed characteristic object) and each distinct dual
-side is built once per call, so a sweep builds about four in five of the
-sides it compares.  The rules widen the outer edges from the outer edges
-alone, so a side is kept only until the last outer window pair that widens
-to its outer edges, and nothing outlives the call.
+Bi-windows whose sides come back on one bi-window share them: a side is
+keyed by its widened bi-window lowered by the image rule of its own
+quotient, the window ``images2`` moves the characteristic object to, and
+each distinct primal side (the transformed characteristic object) and each
+distinct dual side is built once per call, so a sweep builds a little over
+half of the sides it compares.  The rules widen and lower the outer edges
+from the outer edges alone, so a side is kept only until the last outer
+window pair keyed to its outer edges, and nothing outlives the call.
 """
 
 from __future__ import annotations
@@ -145,6 +147,17 @@ def raise_inner_top(model: C2Model, bw: BiWindow) -> BiWindow:
     return BiWindow(bw.l, bw.i, bw.m, bw.n if sup is None else max(bw.n, sup))
 
 
+def lower_outer_bottom(model: C2Model, bw: BiWindow) -> BiWindow:
+    """bw with its outer bottom lowered under the outer bottom of an outer-discrete model."""
+    return BiWindow(min(bw.l, model.outer_inf), bw.i, bw.m, bw.n)
+
+
+def lower_inner_bottom(model: C2Model, bw: BiWindow) -> BiWindow:
+    """bw with its inner bottom lowered under the model's column bottoms on the outer window."""
+    inf = model.inner_inf(bw.l, bw.i)
+    return BiWindow(bw.l, bw.i, bw.m if inf is None else min(bw.m, inf), bw.n)
+
+
 # side-condition rules, named by the kind of twisted function that follows
 # them and shared with the conjugate kind of distribution; each gives the
 # bi-window to move to, the measure factor of the table and that of the twist
@@ -162,8 +175,7 @@ def _outer_discrete_quot(kind: str, T: GradedC2Triple, x, aux) -> tuple[BiWindow
     bot = T.quot.outer_inf
     _require(bot is not None, f"{kind} needs an outer-discrete quotient")
     nu = _check_measure(aux, T.quot, x.o, bot, kind)
-    bw = x.bw
-    return BiWindow(min(bw.l, bot), bw.i, bw.m, bw.n), Fraction(1), nu.scalar
+    return lower_outer_bottom(T.quot, x.bw), Fraction(1), nu.scalar
 
 
 def _fiberwise_compact_sub(kind: str, T: GradedC2Triple, x, aux) -> tuple[BiWindow, Fraction, Fraction]:
@@ -172,11 +184,8 @@ def _fiberwise_compact_sub(kind: str, T: GradedC2Triple, x, aux) -> tuple[BiWind
 
 
 def _fiberwise_discrete_quot(kind: str, T: GradedC2Triple, x, aux) -> tuple[BiWindow, Fraction, Fraction]:
-    bw = x.bw
-    canonical = vmeas_canonical(T.quot, bw.l, x.o, "delta")
-    inf = T.quot.inner_inf(bw.l, bw.i)
-    bw = BiWindow(bw.l, bw.i, bw.m if inf is None else min(bw.m, inf), bw.n)
-    return bw, Fraction(1), canonical.scalar
+    canonical = vmeas_canonical(T.quot, x.bw.l, x.o, "delta")
+    return lower_inner_bottom(T.quot, x.bw), Fraction(1), canonical.scalar
 
 
 _RULES2 = {
@@ -227,8 +236,7 @@ def one_fn(model: C2Model, o: int, bw: BiWindow) -> D2Elem:
 def delta0_fn(model: C2Model, o: int, bw: BiWindow) -> D2Elem:
     """The unit point mass at 0 of a fiberwise discrete model."""
     twist = vmeas_canonical(model, bw.l, o, "delta")
-    inf = model.inner_inf(bw.l, bw.i)
-    if inf is not None and bw.m > inf:
+    if lower_inner_bottom(model, bw) != bw:
         raise WindowError("window must reach below the column bottoms")
     table = tables.point_kron(model.field.p, 1, model.field.q, (0,) * bw_dim(model, bw))
     return D2Elem(model, o, bw, table, twist)
@@ -307,23 +315,25 @@ def poisson2_verify(
     for II, ``measure`` for I) scales the primal object by q before the
     transform.
 
-    Every bi-window is counted and compared, in order, but each distinct
-    widened side is built once: the primal side is the transformed (and
-    corrupted) characteristic object, the dual side the dual triple's.  A
-    side is dropped after the last outer pair (l, i) whose widened outer
-    edges are its own, so at most the sides of the outer edges still to be
-    reached are held: one row of each side for II, whose rule keeps the
-    outer edges."""
+    Every bi-window is counted and compared, in order, and its cap is read
+    on the widened bi-windows, but each distinct side is built once: the
+    primal side is the transformed (and corrupted) characteristic object,
+    the dual side the dual triple's, each kept under its widened bi-window
+    lowered by its own quotient's image rule (II lowers the inner bottom to
+    the quotient's column bottoms, I the outer bottom to its outer bottom).
+    A side is dropped after the last outer pair (l, i) keyed to its outer
+    edges (see ``_Sides``), so at most the sides of the outer edges still
+    to be reached are held."""
     poisson2_conditions(which, T)
     Td = dual_triple2(T)
     q = T.mid.field.q
     if which == "II":
-        widen, fault = raise_inner_top, "transition"
+        widen, lower, fault = raise_inner_top, lower_inner_bottom, "transition"
         primal, dual = partial(char_fn, T, o), partial(char_fn, Td, -o)
     else:
         if mu is None or nu is None:
             raise DomainError("the twisted identity consumes both measures")
-        widen, fault = raise_outer_top, "measure"
+        widen, lower, fault = raise_outer_top, lower_outer_bottom, "measure"
         primal, dual = partial(char_dist, T, mu, nu), partial(char_dist, Td, nu.on_dual(), mu.on_dual())
     report = CheckReport(f"poisson2_{which}")
     cuts = range(cut_lo, cut_hi + 1)
@@ -333,11 +343,11 @@ def poisson2_verify(
         x = primal(bw)
         return fourier2(x * Fraction(q) if corrupt == fault else x)
 
-    # both rules widen the outer edges from the outer edges alone, so any
-    # inner pair gives an outer pair's widened outer edges
+    # both rules widen and lower the outer edges from the outer edges alone,
+    # so any inner pair gives an outer pair's keyed outer edges
     outer = [BiWindow(l, i, 0, 0) for l, i in windows]
-    primal_sides = _Sides(transformed, [widen(T.sub, bw.dual()) for bw in outer])
-    dual_sides = _Sides(dual, [widen(Td.sub, bw) for bw in outer])
+    primal_sides = _Sides(transformed, partial(lower, T.quot), [widen(T.sub, bw.dual()) for bw in outer])
+    dual_sides = _Sides(dual, partial(lower, Td.quot), [widen(Td.sub, bw) for bw in outer])
     for k, (l, i) in enumerate(windows):
         for m, n in windows:
             bw = BiWindow(l, i, m, n)
@@ -355,23 +365,31 @@ def poisson2_verify(
 
 
 class _Sides:
-    """One side of a summation sweep, each widened bi-window built once.
+    """One side of a summation sweep, each distinct side built once.
 
-    The sides are grouped by their outer edges and a group is dropped after
-    the last outer pair of the sweep that widens to those edges, so at most
-    the groups of the outer pairs still to come are held."""
+    A side is asked for at its widened bi-window and kept under its key, that
+    window lowered by the image rule of the side's own quotient: ``images2``
+    moves the characteristic object there, so widened bi-windows that differ
+    only below the lowered bottom give one side.  The sides are grouped by
+    the outer edges of their keys and a group is dropped after the last outer
+    pair of the sweep keyed to those edges, so at most the groups of the
+    outer pairs still to come are held.  II's keys keep the outer edges, so
+    each outer pair has its own group; I's lowered outer bottom merges the
+    groups of the outer pairs with one raised top whose bottoms lie at or
+    above the quotient's outer bottom."""
 
-    def __init__(self, build, widened_outer: list[BiWindow]) -> None:
-        self.build = build
-        # outer edges -> the index of the last outer pair widened to them
-        self.last = {(bw.l, bw.i): k for k, bw in enumerate(widened_outer)}
+    def __init__(self, build, key, widened_outer: list[BiWindow]) -> None:
+        self.build, self.key = build, key
+        # keyed outer edges -> the index of the last outer pair keyed to them
+        self.last = {key(bw).edges[:2]: k for k, bw in enumerate(widened_outer)}
         self.groups: dict[tuple[int, int], dict] = {}
 
     def get(self, bw: BiWindow):
-        group = self.groups.setdefault((bw.l, bw.i), {})
-        side = group.get(bw)
+        key = self.key(bw)
+        group = self.groups.setdefault((key.l, key.i), {})
+        side = group.get(key)
         if side is None:
-            side = group[bw] = self.build(bw)
+            side = group[key] = self.build(bw)
         return side
 
     def release(self, k: int) -> None:

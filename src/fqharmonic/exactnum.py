@@ -477,11 +477,6 @@ def split_field_spec(text: str) -> tuple[int, int, tuple[int, ...]]:
     return int(parts[0]), int(parts[1]), tuple(int(s) for s in tail[:-1].split(","))
 
 
-def parse_field_spec(text: str) -> FqField:
-    """Parse a field descriptor of the form ``p,n,[c0,...,cn]``."""
-    return FqField(*split_field_spec(text))
-
-
 def psi(x: FqElem) -> CycNum:
     """The fixed nontrivial additive character zeta_p^{Tr(x)} of F_q."""
     return CycNum.zeta_pow(x.field.p, x.trace())

@@ -42,6 +42,7 @@ from fqharmonic.exactnum import CycNum, DomainError, field_for
 
 F2 = field_for(2)
 F3 = field_for(3)
+F4 = field_for(4)
 BW = BiWindow(-1, 1, -1, 1)
 
 
@@ -368,7 +369,7 @@ def shared_side_triples(fld):
     }
 
 
-@pytest.mark.parametrize("fld", [F2, F3])
+@pytest.mark.parametrize("fld", [F2, F3, F4])
 @pytest.mark.parametrize("max_points", [256, None])
 @pytest.mark.parametrize("which, fault", [("II", "transition"), ("I", "measure")])
 def test_shared_sides_match_a_sweep_that_builds_every_side(fld, max_points, which, fault):
@@ -382,9 +383,44 @@ def test_shared_sides_match_a_sweep_that_builds_every_side(fld, max_points, whic
             assert len(failures) == (cases if corrupt else 0)
 
 
+@pytest.mark.parametrize("fld", [F2, F3, F4])
+@pytest.mark.parametrize("max_points", [256, None])
+@pytest.mark.parametrize("which", ["II", "I"])
+def test_every_shared_side_is_the_side_built_at_its_widened_window(monkeypatch, fld, max_points, which):
+    # a side is kept under its lowered window, so every side the verifier
+    # compares must be the one built afresh at the widened window it was
+    # asked for: same model, basepoint, bi-window, table and twist
+    asked = []
+    get = c2_triples._Sides.get
+
+    def recorded(self, bw):
+        side = get(self, bw)
+        asked.append((bw, side))
+        return side
+
+    monkeypatch.setattr(c2_triples._Sides, "get", recorded)
+    for T in shared_side_triples(fld)[which]:
+        Td = dual_triple2(T)
+        mu, nu = sub_measure(T), quot_measure(T, scalar=Fraction(fld.q))
+        if which == "II":
+            primal, dual = partial(char_fn, T, 0), partial(char_fn, Td, 0)
+        else:
+            primal, dual = partial(char_dist, T, mu, nu), partial(char_dist, Td, nu.on_dual(), mu.on_dual())
+        asked.clear()
+        rep = poisson2_verify(which, T, mu, nu, cut_lo=-2, cut_hi=2, max_points=max_points)
+        # the verifier asks for the primal side, then the dual side
+        assert rep.cases > 0 and len(asked) == 2 * rep.cases
+        for k, (bw, side) in enumerate(asked):
+            fresh = fourier2(primal(bw)) if k % 2 == 0 else dual(bw)
+            assert type(side) is type(fresh)
+            assert (side.model, side.o, side.bw, side.twist) == (fresh.model, fresh.o, fresh.bw, fresh.twist), bw
+            assert side.table == fresh.table, bw
+
+
 def test_each_widened_side_is_built_once(monkeypatch):
     # at +-2 over F_2 with the default cap, 216 bi-windows of each identity
-    # widen to 171 distinct primal sides and 171 distinct dual sides
+    # widen to 171 distinct bi-windows a side, which the image rule of the
+    # side's own quotient lowers onto 126 distinct sides
     builds = []
     for name in ("char_fn", "char_dist"):
         build = getattr(c2_triples, name)
@@ -400,7 +436,21 @@ def test_each_widened_side_is_built_once(monkeypatch):
         held.append((before, len(self.groups)))
 
     monkeypatch.setattr(c2_triples._Sides, "release", counted)
+
+    def spans(edges):
+        """(before, after) the release at each outer pair, for sides grouped
+        by the given keyed outer edges of the outer pairs in sweep order."""
+        first, last = {}, {}
+        for k, e in enumerate(edges):
+            first.setdefault(e, k)
+            last[e] = k
+        return [
+            (sum(first[e] <= k <= last[e] for e in first), sum(first[e] <= k < last[e] for e in first))
+            for k in range(len(edges))
+        ]
+
     K2 = k2_model(F2)
+    outer = [(l, i) for l in range(-2, 3) for i in range(l, 3)]
     for which, T in (("II", inner_cut_triple(K2, 0)), ("I", outer_cut_triple(K2, 0))):
         builds.clear()
         held.clear()
@@ -410,11 +460,19 @@ def test_each_widened_side_is_built_once(monkeypatch):
         # told apart by the triple object the verifier was given
         primal = [bw for S, bw in builds if S is T]
         dual = [bw for S, bw in builds if S is not T]
-        assert len(primal) == len(set(primal)) == 171
-        assert len(dual) == len(set(dual)) == 171
-        # every side is dropped by the end of the sweep; the twist-free rule
-        # keeps the outer edges, so its sides are dropped row by row
-        assert len(held) == 2 * 15 and held[-2:] == [(1, 0), (1, 0)]
+        assert len(primal) == len(set(primal)) == 126
+        assert len(dual) == len(set(dual)) == 126
+        if which == "II":
+            # the rule keeps the outer edges, so the sides are dropped row by row
+            primal_edges = dual_edges = outer
+        else:
+            # both quotients have outer bottom 0 and both subs outer top 0:
+            # the dual side of (l, i) is keyed at (min(l, 0), max(i, 0)) and
+            # the primal side, built on the mirrored pair, at (min(-i, 0), max(-l, 0))
+            dual_edges = [(min(l, 0), max(i, 0)) for l, i in outer]
+            primal_edges = [(min(-i, 0), max(-l, 0)) for l, i in outer]
+        expected = [x for pair in zip(spans(primal_edges), spans(dual_edges)) for x in pair]
+        assert held == expected and held[-2:] == [(1, 0), (1, 0)]
         if which == "II":
             assert all(after == 0 for _before, after in held)
 

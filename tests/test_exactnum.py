@@ -9,8 +9,8 @@ from fqharmonic.exactnum import (
     DomainError,
     FqField,
     field_for,
-    parse_field_spec,
     psi,
+    split_field_spec,
 )
 
 ALL_Q = [2, 3, 4, 5, 8, 9]
@@ -200,10 +200,10 @@ def test_nonprime_p_rejected():
 
 
 def test_parse_field_spec():
-    fld = parse_field_spec("2,2,[1,1,1]")
+    fld = FqField(*split_field_spec("2,2,[1,1,1]"))
     assert fld == field_for(4)
     with pytest.raises(DomainError):
-        parse_field_spec("2,2")
+        split_field_spec("2,2")
 
 
 def test_enumeration_order_contract():

@@ -424,6 +424,13 @@ def test_equality_matches_dense():
             assert (K != L) == (not expect)
             # a factored table against a dense one compares the dense forms
             assert (K == L.dense()) == expect and (L.dense() == K) == expect
+    # proportional factors whose pivot values differ only beyond zeta^0:
+    # (1, 1, 1) against (1+zeta, 1+zeta, 1+zeta) over F_3, both with scalar 1
+    ones = Rows.of([CycNum.one(3)] * 3, 3)
+    one_plus_zeta = Rows.of([CycNum(3, (Fraction(1), Fraction(1)))] * 3, 3)
+    K, L = Kron(3, 1, (ones,)), Kron(3, 1, (one_plus_zeta,))
+    assert K.dense() != L.dense()
+    assert K != L and L != K and not K == L
 
 
 def test_proportional_tables_with_different_scalars():

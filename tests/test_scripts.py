@@ -1,27 +1,28 @@
-"""The two end-to-end scripts run to completion with every check passing.
+"""The end-to-end runs complete with every check passing.
 
 ``scripts/poisson_windows.py`` sweeps both two-dimensional summation
 identities over F_2 at ranges +-1, +-2 and +-3 under the default cap, and
-uncapped at +-6 over F_2, F_3 and F_4, and ``scripts/verify_all.py``
+uncapped at +-6 over F_2, F_3 and F_4, and ``verify scripts/example.cfg``
 runs every suite of the bundled example config.  Each runs as its own
 process, the way a user runs it.
 """
 
+import os
 import subprocess
 import sys
 from pathlib import Path
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
 
 
-def run(name):
-    return subprocess.run(
-        [sys.executable, str(SCRIPTS / name)], capture_output=True, text=True, timeout=300
-    )
+def run(*args):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=300, env=env)
 
 
 def test_poisson_windows_certifies_every_sweep():
-    out = run("poisson_windows.py")
+    out = run(str(SCRIPTS / "poisson_windows.py"))
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
     for identity in ("twist-free", "twisted"):
@@ -35,6 +36,6 @@ def test_poisson_windows_certifies_every_sweep():
 
 
 def test_verify_all_passes():
-    out = run("verify_all.py")
+    out = run("-m", "fqharmonic.harness.cli", "verify", str(SCRIPTS / "example.cfg"), "--format", "text")
     assert out.returncode == 0, out.stderr
     assert "24 suites, 0 failing checks" in out.stdout
