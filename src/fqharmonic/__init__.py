@@ -5,7 +5,7 @@ Q(zeta_p), measures and volume factors are rationals, and every identity is
 checked by exact equality on finite "window" truncations.
 """
 
-from fqharmonic.exactnum import CycNum, DomainError, FqElem, FqField, Rational, field_for, psi
+from fqharmonic.exactnum import CycNum, DomainError, FqElem, FqField, field_for, psi
 
 __version__ = "0.1.0"
 
@@ -14,7 +14,6 @@ __all__ = [
     "DomainError",
     "FqElem",
     "FqField",
-    "Rational",
     "field_for",
     "psi",
     "__version__",

@@ -352,20 +352,6 @@ class C1Fn(TableRep):
     def at(self, w: Window) -> "C1Fn":
         return fn_at(self, w)
 
-    def __add__(self, other: "C1Fn") -> "C1Fn":
-        if self.model != other.model or self.tag != other.tag:
-            raise DomainError("mismatched representatives")
-        w = common_window(self.dirs, self.window, other.dirs, other.window)
-        return C1Fn(self.model, self.tag, w, tables.add(fn_at(self, w).table, fn_at(other, w).table))
-
-    def __mul__(self, other):
-        if isinstance(other, C1Fn):
-            return fn_mul(self, other)
-        return super().__mul__(other)
-
-    def __neg__(self) -> "C1Fn":
-        return self * Fraction(-1)
-
 
 @dataclass(frozen=True, eq=False)
 class C1Dist(TableRep):
@@ -387,15 +373,6 @@ class C1Dist(TableRep):
 
     def at(self, w: Window) -> "C1Dist":
         return dist_at(self, w)
-
-    def __add__(self, other: "C1Dist") -> "C1Dist":
-        if self.model != other.model:
-            raise DomainError("mismatched models")
-        if self.window != other.window:
-            raise WindowError("sum of distributions needs a common window")
-        return C1Dist(
-            self.model, self.tag, self.window, tables.add(self.table, other.table)
-        )
 
 
 # -- table transport
@@ -442,32 +419,6 @@ def mul_dist(f: C1Fn, G: C1Dist) -> C1Dist:
     return C1Dist(G.model, G.tag, G.window, tables.mul_pointwise(fn_at(f, G.window).table, G.table), None)
 
 
-def canonical_fn(f: C1Fn) -> C1Fn:
-    """Trim a compactly-supported representative to its minimal window."""
-    if f.tag != "D":
-        raise DomainError("only D representatives have a canonical trim")
-    model, q = f.model, f.model.field.q
-    cur = f
-    # trim the top while the outermost slots carry no support
-    while cur.window.hi > cur.window.lo:
-        w = Window(cur.window.lo, cur.window.hi - 1)
-        # positions are cut-major, so the outermost slots are the top digits
-        # and the entries with all of them zero come first
-        inner = q ** window_dim(model, w)
-        if not tables.is_zero(cur.table[inner:]):
-            break
-        cur = C1Fn(model, "D", w, cur.table[:inner])
-    # raise the bottom while the table is invariant along the lowest slots
-    while cur.window.lo < cur.window.hi:
-        w = Window(cur.window.lo + 1, cur.window.hi)
-        sliced = tables.transport(cur.table, q, positions(model, cur.window), positions(model, w))
-        candidate = C1Fn(model, "D", w, sliced)
-        if fn_at(candidate, cur.window).table != cur.table:
-            break
-        cur = candidate
-    return cur
-
-
 def fn_equal(a: C1Fn, b: C1Fn) -> bool:
     if a.model != b.model:
         return False
@@ -503,8 +454,10 @@ def normalize_point(model: C1Model, a) -> Point:
         pos = (key, 0) if isinstance(key, int) else tuple(key)
         if pos[1] < 0 or model.mult(pos[0]) <= pos[1]:
             raise DomainError(f"point component at missing slot {pos}")
-        if v % model.field.q:
-            out[pos] = v % model.field.q
+        if not 0 <= v < model.field.q:
+            raise DomainError(f"point value {v} at {pos} is not a field element index 0..{model.field.q - 1}")
+        if v:
+            out[pos] = v
     return out
 
 
@@ -554,12 +507,6 @@ def translate_dist(G: C1Dist, a) -> C1Dist:
         tables.translate(moved.table, fld.q, dim, _shift_digits(G.model, w, neg), fld),
         ext,
     )
-
-
-def translate(x, a):
-    if isinstance(x, C1Fn):
-        return translate_fn(x, a)
-    return translate_dist(x, a)
 
 
 def eval_fn_at(f: C1Fn, point) -> CycNum:

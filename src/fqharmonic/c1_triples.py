@@ -64,6 +64,13 @@ def triple_split(T, w) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return T.make_split(w)
 
 
+def require_members(cls, *models) -> None:
+    """Refuse a triple member of the wrong dimension before it is read."""
+    for m in models:
+        if not isinstance(m, cls):
+            raise DomainError(f"triple members must be {cls.__name__}s, not {type(m).__name__}")
+
+
 @dataclass(frozen=True)
 class TripleC1:
     """Graded short exact sequence sub -> mid -> quot; ``cells`` has
@@ -131,6 +138,7 @@ def _leading(mid: C1Model, sub: C1Model) -> list[Cell]:
 
 def interval_triple(mid: C1Model, sub: C1Model, label: str = "") -> TripleC1:
     """Triple with the sub given by its own slot interval inside the mid."""
+    require_members(C1Model, mid, sub)
     cells, quot = _leading(mid, sub), mid.intervals
     if sub.intervals:
         if len(sub.intervals) > 1 or len(mid.intervals) > 1:

@@ -340,15 +340,6 @@ class D2Elem(BiWindowRep):
     def folded(self) -> Rows:
         return tables.scale(self.table, self.twist.scalar)
 
-    def __add__(self, other: "D2Elem") -> "D2Elem":
-        if self.model != other.model or self.o != other.o or self.bw != other.bw:
-            raise DomainError("sum needs matching windows")
-        return D2Elem(
-            self.model, self.o, self.bw,
-            tables.add(self.folded(), other.folded()),
-            VirtualMeasure(self.model, self.bw.l, self.o, Fraction(1)),
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class D2Dist(BiWindowRep):

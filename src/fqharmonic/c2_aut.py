@@ -25,7 +25,6 @@ from fqharmonic.c2 import (
     D2Elem,
     E2Fn,
     VirtualMeasure,
-    bw_dim,
     dual_model2,
     positions2,
     shift_region,

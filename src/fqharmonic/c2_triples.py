@@ -52,8 +52,8 @@ from fqharmonic.c2 import (
     vmeas_canonical,
 )
 from fqharmonic.c1_triples import (
-    CONJUGATE, IMAGE_KINDS, CheckReport, _require, cell_points, image_table, image_target, split_flags,
-    triple_split,
+    CONJUGATE, IMAGE_KINDS, CheckReport, _require, cell_points, image_table, image_target, require_members,
+    split_flags, triple_split,
 )
 from fqharmonic.exactnum import DomainError, q_power
 
@@ -66,6 +66,7 @@ class GradedC2Triple:
     label: str = field(default="", compare=False)
 
     def __post_init__(self) -> None:
+        require_members(C2Model, self.mid, self.sub, self.quot)
         if not (self.mid.field == self.sub.field == self.quot.field):
             raise DomainError("triple members over different fields")
         # region membership is constant between consecutive finite box

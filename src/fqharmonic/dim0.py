@@ -128,26 +128,14 @@ class Fn0:
             raise DomainError("space mismatch")
         return Fn0(self.space, tables.add(self.table, other.table))
 
-    def __mul__(self, other):
-        if isinstance(other, Fn0):
-            if self.space != other.space:
-                raise DomainError("space mismatch")
-            return Fn0(self.space, tables.mul_pointwise(self.table, other.table))
-        return Fn0(self.space, tables.scale(self.table, other))
+    def __mul__(self, c):
+        return Fn0(self.space, tables.scale(self.table, c))
 
     __rmul__ = __mul__
 
     def check(self) -> "Fn0":
         sp = self.space
         return Fn0(sp, tables.check_table(self.table, sp.field.q, sp.dim, sp.field))
-
-    def translate(self, a: Sequence[int]) -> "Fn0":
-        """T_a(f)(v) = f(v + a)."""
-        sp = self.space
-        return Fn0(sp, tables.translate(self.table, sp.field.q, sp.dim, a, sp.field))
-
-    def is_zero(self) -> bool:
-        return tables.is_zero(self.table)
 
 
 def pairing0(f: Fn0, g: Fn0) -> CycNum:
@@ -244,11 +232,6 @@ class Subspace0:
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def contains(self, vec: Sequence[int]) -> bool:
-        rows = list(self.basis) + [tuple(vec)]
-        red, _ = rref(rows, self.ambient.dim, self.ambient.field)
-        return len(red) == len(self.basis)
 
     def points(self) -> Iterator[tuple[int, ...]]:
         fld = self.ambient.field

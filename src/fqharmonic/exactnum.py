@@ -13,8 +13,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-Rational = Fraction
-
 _ZERO = Fraction(0)  # immutable, so every zero coefficient built here can share it
 
 
@@ -171,12 +169,6 @@ class CycNum:
 
     def __bool__(self) -> bool:
         return not self.is_zero()
-
-    def rational_value(self) -> Fraction:
-        """The value as a rational; error if not rational."""
-        if any(c != 0 for c in self.coeffs[1:]):
-            raise DomainError("not a rational cyclotomic number")
-        return self.coeffs[0]
 
     def __repr__(self) -> str:
         terms = []
@@ -390,12 +382,6 @@ class FqField:
     def elem(self, index: int) -> "FqElem":
         return FqElem(self, self._coeffs[index])
 
-    def from_coeffs(self, coeffs: Sequence[int]) -> "FqElem":
-        c = tuple(x % self.p for x in coeffs)
-        if len(c) != self.n:
-            raise DomainError("coefficient vector has wrong length")
-        return FqElem(self, c)
-
     def zero(self) -> "FqElem":
         return self.elem(0)
 
@@ -432,10 +418,6 @@ class FqElem:
     def __add__(self, other: "FqElem") -> "FqElem":
         self._check(other)
         return self.field.elem(self.field.add_idx(self.index, other.index))
-
-    def __sub__(self, other: "FqElem") -> "FqElem":
-        self._check(other)
-        return self.field.elem(self.field.sub_idx(self.index, other.index))
 
     def __neg__(self) -> "FqElem":
         return self.field.elem(self.field.neg_idx(self.index))

@@ -9,7 +9,6 @@ from fqharmonic.c1 import (
     HaarMeasure,
     WindowError,
     Window,
-    canonical_fn,
     character_fn,
     delta_lattice,
     delta_point_dist,
@@ -18,7 +17,6 @@ from fqharmonic.c1 import (
     dual_model,
     eval_fn_at,
     fn_at,
-    fn_equal,
     fn_mul,
     i_mu,
     integrate,
@@ -29,7 +27,6 @@ from fqharmonic.c1 import (
     positions,
     shift_model,
     sum_model,
-    translate,
     translate_dist,
     translate_fn,
     window_dim,
@@ -104,16 +101,6 @@ def test_refine_illegal_moves():
     G = rand_dist(random.Random(0), K, Window(0, 1))
     with pytest.raises(WindowError):
         dist_at(G, Window(-1, 1))
-
-
-def test_canonical_trims():
-    rng = random.Random(8)
-    K = laurent_model(F2)
-    f = delta_lattice(K, 0)
-    blown = fn_at(f, Window(-2, 3))
-    assert canonical_fn(blown).window == Window(0, 0)
-    g = rand_fn(rng, K, Window(0, 2))
-    assert fn_equal(canonical_fn(fn_at(g, Window(-2, 3))), g)
 
 
 # ---------------------------------------------------------------------------
@@ -303,14 +290,6 @@ def test_character_window_guard():
         character_fn(K, Window(-1, 1), {(5, 0): 1})
 
 
-def test_translate_dispatch():
-    K = laurent_model(F2)
-    f = delta_lattice(K, 0)
-    assert isinstance(translate(f, {}), C1Fn)
-    mu = HaarMeasure(K, 0, Fraction(1))
-    assert isinstance(translate(mu.as_dist(Window(0, 1)), {}), C1Dist)
-
-
 def test_negative_slot_index_is_refused():
     # slot -1 does not exist; it must not be read as the origin
     K = laurent_model(F2)
@@ -331,3 +310,26 @@ def test_negative_slot_index_is_refused():
     # the slots that exist still work: slot 1 of a two-slot cut
     K2s = sum_model(K, K)
     assert eval_fn_at(delta_lattice(K2s, 0), {(-1, 1): 1}) == CycNum.one(2)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_out_of_range_point_value_is_refused(q):
+    # a point value is a field element index: q, 7 or -1 is refused, never
+    # reduced mod q onto another point
+    K = laurent_model(field_for(q))
+    f = delta_lattice(K, 0)
+    for v in (q, 7, -1):
+        bad = {0: v}
+        calls = [
+            lambda: translate_fn(f, bad),
+            lambda: delta_point_dist(K, bad, Window(-1, 1)),
+            lambda: character_fn(K, Window(-1, 1), bad),
+        ]
+        for call in calls:
+            with pytest.raises(DomainError, match=f"point value {v} at \\(0, 0\\) is not a field element index"):
+                call()
+    # every index in range is still a point: q - 1 moves the lattice off 0
+    top = {0: q - 1}
+    assert translate_fn(f, top).table != fn_at(f, Window(0, 1)).table
+    assert delta_point_dist(K, top, Window(-1, 1)).table != delta_point_dist(K, {}, Window(-1, 1)).table
+    assert character_fn(K, Window(-1, 1), top).table != character_fn(K, Window(-1, 1), {}).table

@@ -26,6 +26,7 @@ from fqharmonic.c1 import (
     segment_model,
     window_dim,
 )
+from fqharmonic import c1_triples
 from fqharmonic.c1_triples import (
     TripleC1,
     char_dist1,
@@ -269,6 +270,28 @@ def test_poisson1_negative_controls():
         rep = poisson1_verify(T, mu1, mu2, cut_lo=-1, cut_hi=1, corrupt=fault)
         assert not rep.passed
         assert rep.failures[0]["identity"] == "poisson1_characteristic_transform"
+
+
+def test_poisson1_dual_pipeline_fault_fails_every_window(monkeypatch):
+    # a fault in the dual triple's characteristic distribution alone leaves
+    # the transform side as it is and fails the dual pipeline on every window;
+    # the lattice below 0 is its own dual triple, the one below 1 is not
+    T = standard_triple(F2, cut=1)
+    mu1 = HaarMeasure(T.sub, 0, Fraction(1))
+    mu2 = HaarMeasure(T.mid, 0, Fraction(1))
+    clean = poisson1_verify(T, mu1, mu2, cut_lo=-2, cut_hi=2)
+    assert clean.cases > 0 and clean.passed
+    Td = dual_triple(T)
+    assert Td != T
+
+    def scaled_on_dual(triple, mu, w):
+        G = char_dist1(triple, mu, w)
+        return G * Fraction(2) if triple == Td else G
+
+    monkeypatch.setattr(c1_triples, "char_dist1", scaled_on_dual)
+    rep = poisson1_verify(T, mu1, mu2, cut_lo=-2, cut_hi=2)
+    assert rep.cases == clean.cases
+    assert [f["identity"] for f in rep.failures] == ["poisson1_dual_pipeline"] * rep.cases
 
 
 def test_direct_sum_triple_split():

@@ -278,10 +278,3 @@ def test_subspace_count_matches_gaussian_binomial():
     sp = FinSpace(field_for(3), 3)
     # 1 + (q^3-1)/(q-1) * 2 + 1 = 2 + 2*13 = 28 subspaces of F_3^3
     assert sum(1 for _ in all_subspaces(sp)) == 28
-
-
-def test_subspace_membership():
-    sp = FinSpace(field_for(2), 3)
-    H = Subspace0.from_vectors(sp, [(1, 1, 0), (0, 0, 1)])
-    assert H.contains((1, 1, 1))
-    assert not H.contains((1, 0, 0))

@@ -12,6 +12,8 @@ from pathlib import Path
 import pytest
 
 from fqharmonic import c1
+from fqharmonic.c2 import k2_model
+from fqharmonic.c2_triples import outer_cut_triple
 from fqharmonic.dim0 import FinSpace, Fn0, fourier0
 from fqharmonic.exactnum import CycNum, DomainError, field_for
 from fqharmonic.harness.cli import main as cli_main
@@ -191,6 +193,18 @@ def test_f3_images2_report_bytes_are_pinned():
     assert [r["cases"] for r in json.loads(text)] == [12, 16, 2]
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == "242e96bfc6dbd01c69faf24db9ae4a15bee8b2b433df774ccfd08f6c48f7cf7e"
+
+
+@pytest.mark.parametrize("seed, digest", [
+    (5, "55501d6815ebe2345866daafe79023b7fcc85402dcb807eb0aceaa594482747d"),
+    (20260808, "58e4bb0eb82532f5c3168673685e2cc046f52d3da487861a804ed181469de97e"),
+])
+def test_example_report_bytes_are_pinned(seed, digest):
+    # the bytes of `verify scripts/example.cfg --format json --seed N`,
+    # pinned the same way as the F_3 runs above
+    text = emit_report(run_suites(parse_config(EXAMPLE.read_text()), seed=seed), "json")
+    assert sum(r["cases"] for r in json.loads(text)) == 6232
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_lcg_fraction_grid_has_no_zero():
@@ -463,6 +477,49 @@ def test_suite_triple_its_identity_cannot_take(tmp_path, kind, triple, expect):
     parse_config(MINIMAL + TRIPLES_2D + f"\n[suite x]\nrun = {kind}\ntriple = {good}\n")
 
 
+MIXED_TRIPLES = """
+[model K2]
+c2 = full
+
+[triple M2]
+mid = K2
+sub = O
+quot = K
+
+[triple M1]
+mid = K
+sub = K2
+"""
+
+
+def test_triple_of_mixed_dimensions_is_refused_at_its_line(tmp_path):
+    # a 2d middle with 1d members, and a 1d middle with a 2d sub: each is a
+    # config error at the triple's line and exit 2, never a traceback
+    bad = MINIMAL + MIXED_TRIPLES
+    lines = bad.splitlines()
+    with pytest.raises(ConfigError) as exc:
+        parse_config(bad)
+    assert exc.value.errors == [
+        (lines.index("[triple M2]") + 1, "bad triple 'M2': triple members must be C2Models, not C1Model"),
+        (lines.index("[triple M1]") + 1, "bad triple 'M1': triple members must be C1Models, not C2Model"),
+    ]
+    cfg_path = tmp_path / "c.cfg"
+    cfg_path.write_text(bad)
+    out = _verify_subprocess(cfg_path)
+    assert out.returncode == 2 and out.stdout == ""
+    assert "bad triple 'M2'" in out.stderr and "bad triple 'M1'" in out.stderr
+    assert "Traceback" not in out.stderr, out.stderr
+    # the two formats README documents: a 2d triple given by its sub and
+    # quot, and a segment model
+    good = MINIMAL + (
+        "\n[model K2]\nc2 = full\n\n[model S]\nc2 = box * 0 * *\n\n[model Q]\nc2 = box 0 * * *\n"
+        "\n[triple T2]\nmid = K2\nsub = S\nquot = Q\n\n[model G]\nc1 = segment -1 2\n"
+    )
+    cfg = parse_config(good)
+    assert cfg.triples["T2"] == outer_cut_triple(k2_model(cfg.field), 0)
+    assert cfg.models["G"] == c1.segment_model(cfg.field, -1, 2)
+
+
 def test_poisson2_i_refuses_a_middle_its_corollary_cannot_act_on(tmp_path):
     # identity I takes the inner cut of a box middle, but the corollary's
     # monomial automorphisms do not preserve the box: a config error at the
@@ -574,9 +631,14 @@ def test_field_table_cap_decides():
     ("seed = 7", "deltaF:abc", "malformed spec 'deltaF:abc'"),
     ("seed = 7", "point:x=1", "malformed spec 'point:x=1'"),
     ("seed = 7", "point:1", "malformed spec 'point:1'"),
+    # a point value is a field element index, never reduced mod q
+    ("seed = 7", "point:0=7", "point value 7 at (0, 0) is not a field element index 0..1"),
+    ("seed = 7", "point:0=2", "point value 2 at (0, 0) is not a field element index 0..1"),
+    ("seed = 7", "point:0=-1", "point value -1 at (0, 0) is not a field element index 0..1"),
 ])
 def test_cli_malformed_integers_exit_2(tmp_path, run_line, elem, expect):
-    # a non-integer config value or element spec is a typed error, never a traceback
+    # a non-integer config value or element spec, or a point value outside
+    # the field, is a typed error, never a traceback
     cfg_path = tmp_path / "c.cfg"
     cfg_path.write_text(MINIMAL.replace("seed = 7", run_line))
     out = subprocess.run(
