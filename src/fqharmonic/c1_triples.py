@@ -387,6 +387,10 @@ class CheckReport:
         )
 
 
+# the faults poisson1_verify injects as negative controls
+POISSON1_FAULTS = ("measure", "transition")
+
+
 def poisson1_verify(
     T: TripleC1,
     mu1: HaarMeasure,
@@ -400,10 +404,13 @@ def poisson1_verify(
     the dual triple's characteristic distribution, window by window, and
     against the independent profile formula value(j) = mu1(F1(j)) / mu2(F2(j))
     on the dual-sub lattice.  ``transition`` pins the sub measure one cut too
-    high, and ``measure`` scales the transform's measure by q."""
+    high, and ``measure`` scales the transform's measure by q; any other
+    fault raises DomainError."""
     report = CheckReport("poisson1")
     if mu1.model != T.sub or mu2.model != T.mid:
         raise DomainError("measures on the wrong models")
+    if corrupt not in (None, *POISSON1_FAULTS):
+        raise DomainError(f"poisson1_verify injects no fault {corrupt!r}")
     q = T.mid.field.q
     Td = dual_triple(T)
     mu2_used = mu2.scaled(Fraction(q)) if corrupt == "measure" else mu2

@@ -29,7 +29,7 @@ from fqharmonic.c2 import (
     positions2,
     shift_region,
 )
-from fqharmonic.exactnum import DomainError
+from fqharmonic.exactnum import DomainError, q_power
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,7 @@ def measure_transport(g: AutElem, vm: VirtualMeasure) -> VirtualMeasure:
     """
     if vm.model != g.model:
         raise DomainError("measure and automorphism on different models")
-    factor = Fraction(g.model.field.q) ** g.model.sigma(vm.src, vm.dst, g.u_shift)
+    factor = q_power(g.model.field.q, g.model.sigma(vm.src, vm.dst, g.u_shift))
     return VirtualMeasure(g.model, g.apply_cut(vm.src), g.apply_cut(vm.dst), vm.scalar * factor)
 
 
@@ -174,7 +174,7 @@ def rep_act(x, target):
     if target.o != x.o:
         raise DomainError("basepoint mismatch")
     g, model = x.g, target.model
-    vol = Fraction(g.model.field.q) ** g.model.sigma(target.bw.l, x.o, g.u_shift)
+    vol = q_power(g.model.field.q, g.model.sigma(target.bw.l, x.o, g.u_shift))
     bw_out, table = _relabel(g, target.bw, target.table)
     if isinstance(target, D2Elem):
         scalar = target.twist.scalar * vol / x.mu.scalar

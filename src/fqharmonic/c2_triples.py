@@ -286,6 +286,10 @@ def char_fn(T: GradedC2Triple, o: int, bw: BiWindow) -> D2Elem:
 # ---------------------------------------------------------------------------
 
 
+# the fault poisson2_verify injects into each identity as a negative control
+POISSON2_FAULTS = {"I": "measure", "II": "transition"}
+
+
 def poisson2_conditions(which: str, T: GradedC2Triple) -> None:
     """Refuse a triple outside the class of identity I (twisted) or II (twist-free)."""
     if which == "II":
@@ -312,9 +316,9 @@ def poisson2_verify(
     """Check the transform of the sub's characteristic object against the
     dual triple's, bi-window by bi-window, through two independent
     pipelines (the primal construction transformed, and the dual-triple
-    construction built directly).  The identity's corruption (``transition``
-    for II, ``measure`` for I) scales the primal object by q before the
-    transform.
+    construction built directly).  The identity's fault (``POISSON2_FAULTS``)
+    scales the primal object by q before the transform; any other fault
+    raises DomainError.
 
     Every bi-window is counted and compared, in order, and its cap is read
     on the widened bi-windows, but each distinct side is built once: the
@@ -326,15 +330,18 @@ def poisson2_verify(
     edges (see ``_Sides``), so at most the sides of the outer edges still
     to be reached are held."""
     poisson2_conditions(which, T)
+    fault = POISSON2_FAULTS[which]
+    if corrupt not in (None, fault):
+        raise DomainError(f"identity {which} injects no fault {corrupt!r}, only {fault!r}")
     Td = dual_triple2(T)
     q = T.mid.field.q
     if which == "II":
-        widen, lower, fault = raise_inner_top, lower_inner_bottom, "transition"
+        widen, lower = raise_inner_top, lower_inner_bottom
         primal, dual = partial(char_fn, T, o), partial(char_fn, Td, -o)
     else:
         if mu is None or nu is None:
             raise DomainError("the twisted identity consumes both measures")
-        widen, lower, fault = raise_outer_top, lower_outer_bottom, "measure"
+        widen, lower = raise_outer_top, lower_outer_bottom
         primal, dual = partial(char_dist, T, mu, nu), partial(char_dist, Td, nu.on_dual(), mu.on_dual())
     report = CheckReport(f"poisson2_{which}")
     cuts = range(cut_lo, cut_hi + 1)

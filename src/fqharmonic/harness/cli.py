@@ -29,9 +29,19 @@ from fqharmonic.harness.report import emit_report
 from fqharmonic.harness.suites import run_suites
 
 
+def _file(path: str, text: Optional[str] = None):
+    """The UTF-8 text of the file at path, or, given text, write it there.  A
+    file that cannot be read or written prints ``path: message`` and exits 2."""
+    try:
+        return Path(path).read_text(encoding="utf-8") if text is None else Path(path).write_text(text)
+    except (OSError, UnicodeError) as exc:
+        print(f"{path}: {getattr(exc, 'strerror', None) or exc}", file=sys.stderr)
+        sys.exit(2)
+
+
 def _load_config(path: str):
     try:
-        return parse_config(Path(path).read_text())
+        return parse_config(_file(path))
     except ConfigError as exc:
         for ln, msg in exc.errors:
             print(f"{path}:{ln}: {msg}", file=sys.stderr)
@@ -77,7 +87,7 @@ def cmd_verify(args) -> int:
     text = emit_report(reports, args.format)
     out = args.out or cfg.out
     if out:
-        Path(out).write_text(text)
+        _file(out, text)
     else:
         sys.stdout.write(text)
     return 0 if all(r.passed for r in reports) else 1
@@ -94,17 +104,14 @@ def cmd_transform(args) -> int:
 
 def _transform(cfg, args) -> int:
     p = cfg.field.p
-    q, dim, table = parse_table(Path(args.input).read_text(), p)
+    q, dim, table = parse_table(_file(args.input), p)
     if q != cfg.field.q:
-        print(f"table is over q={q}, config field has q={cfg.field.q}", file=sys.stderr)
-        return 2
+        raise DomainError(f"table is over q={q}, config field has q={cfg.field.q}")
     if args.op == "fourier0":
         out_fn = fourier0(Fn0(FinSpace(cfg.field, dim), table))
         text = render_table(q, out_fn.table)
     elif args.op == "fourier1":
         model = _op_model(cfg, args, C1Model, "one-dimensional")
-        if model is None:
-            return 2
         w = _parse_window(args.window)
         value, ref = _parse_measure(args.measure or "1@0")
         # counted, not listed: a window's slot labels are listed only once
@@ -114,32 +121,25 @@ def _transform(cfg, args) -> int:
         f = C1Fn(model, "D", w, table)
         out_f = fourier1(f, HaarMeasure(model, ref, value))
         text = render_table(q, out_f.table, window=(out_f.window.lo, out_f.window.hi))
-    elif args.op == "fourier2":
+    else:  # fourier2, the last of the op's choices
         model = _op_model(cfg, args, C2Model, "two-dimensional")
-        if model is None:
-            return 2
         bw = _parse_biwindow(args.biwindow)
         o = args.basepoint
         x = D2Elem(model, o, bw, table, VirtualMeasure(model, bw.l, o, Fraction(1)))
         y = fourier2(x)
         text = render_table(q, y.table, biwindow=(y.bw.l, y.bw.i, y.bw.m, y.bw.n))
-    else:
-        print(f"unknown op {args.op!r}", file=sys.stderr)
-        return 2
-    Path(args.out).write_text(text)
+    _file(args.out, text)
     return 0
 
 
 def _op_model(cfg, args, cls, kind: str):
-    """The named model if it is a ``cls``; else None, after a message."""
+    """The named model; DomainError unless it is a ``cls``."""
     model = cfg.models.get(args.model)
     if model is None:
-        print(f"unknown model {args.model!r}", file=sys.stderr)
-    elif not isinstance(model, cls):
-        print(f"{args.op} needs a {kind} model; {args.model!r} is not one", file=sys.stderr)
-    else:
-        return model
-    return None
+        raise DomainError(f"unknown model {args.model!r}")
+    if not isinstance(model, cls):
+        raise DomainError(f"{args.op} needs a {kind} model; {args.model!r} is not one")
+    return model
 
 
 def _build_elem(model, spec: str, w: Window):
@@ -173,10 +173,9 @@ def _check_table_cap(cfg, dim: int) -> None:
 def cmd_dump(args) -> int:
     cfg = _load_config(args.config)
     model = cfg.models.get(args.model)
-    if model is None:
-        print(f"unknown model {args.model!r}", file=sys.stderr)
-        return 2
     try:
+        if model is None:
+            raise DomainError(f"unknown model {args.model!r}")
         if isinstance(model, C2Model):
             bw = _parse_biwindow(args.window)
             _check_table_cap(cfg, bw_dim(model, bw))
@@ -198,7 +197,7 @@ def cmd_dump(args) -> int:
         print(str(exc), file=sys.stderr)
         return 2
     if args.out:
-        Path(args.out).write_text(text)
+        _file(args.out, text)
     else:
         sys.stdout.write(text)
     return 0

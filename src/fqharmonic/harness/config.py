@@ -28,8 +28,9 @@ The format is deliberately minimal so that configs diff cleanly:
     cut_hi = 2
 
 Unknown keys, unresolved names and cap violations are reported with line
-numbers; a suite section accepts only the keys its suite kind reads, and a
-``triple`` only when it passes the suite kind's triple check.  The keys and
+numbers; a suite section accepts only the keys its suite kind reads, a
+``triple`` only when it passes the suite kind's triple check, and a
+``corrupt`` only when it names a fault the suite kind injects.  The keys and
 their defaults come from the suite registry in ``harness.suites``, and a
 suite's values are checked with the defaults filled in.  A value that leaves
 a suite nothing to check (a case count or point cap below 1, a range whose
@@ -49,7 +50,7 @@ from fqharmonic.c1_triples import interval_triple
 from fqharmonic.c2 import C2Model, box_model, k2_model
 from fqharmonic.c2_triples import GradedC2Triple, inner_cut_triple, outer_cut_triple
 from fqharmonic.exactnum import DomainError, FqField, split_field_spec
-from fqharmonic.harness.suites import SUITE_KEYS, SUITE_TRIPLES, with_defaults
+from fqharmonic.harness.suites import DECLARATIONS, with_defaults
 
 
 class ConfigError(ValueError):
@@ -67,8 +68,6 @@ class SuiteSpec:
     name: str
     kind: str
     params: dict
-    corrupt: Optional[str] = None
-    line: int = 0
 
 
 @dataclass
@@ -274,19 +273,16 @@ def parse_config(text: str) -> SuiteConfig:
             name = head.split(None, 1)[1]
             runs = [(ln, val) for ln, key, val in items if key == "run"]
             ln_run, kind = runs[-1] if runs else (ln0, name)
-            if kind not in SUITE_KEYS:
+            if kind not in DECLARATIONS:
                 errors.append((ln_run, f"unknown suite kind {kind!r}"))
                 continue
             params: dict = {}
-            corrupt = None
             for ln, key, val in items:
-                if key not in SUITE_KEYS[kind]:
-                    errors.append((ln, f"unknown suite key {key!r}"))
-                elif key == "corrupt":
-                    corrupt = val
-                elif key != "run":
+                if key in DECLARATIONS[kind].defaults:
                     params[key] = (ln, val)
-            suites.append(SuiteSpec(name, kind, params, corrupt, ln0))
+                elif key != "run":
+                    errors.append((ln, f"unknown suite key {key!r}"))
+            suites.append(SuiteSpec(name, kind, params))
         else:
             errors.append((ln0, f"unknown section {head!r}"))
 
@@ -302,11 +298,16 @@ def parse_config(text: str) -> SuiteConfig:
                     errors.append((ln, f"undeclared triple {val!r}"))
                     continue
                 try:
-                    SUITE_TRIPLES[spec.kind](triples[val])
+                    DECLARATIONS[spec.kind].triple(triples[val])
                 except DomainError as exc:
                     errors.append((ln, f"triple {val!r} cannot run {spec.kind}: {exc}"))
                     continue
                 resolved[key] = triples[val]
+            elif key == "corrupt":
+                try:
+                    resolved[key] = with_defaults(spec.kind, {key: val})[key]
+                except DomainError as exc:
+                    errors.append((ln, str(exc)))
             else:
                 try:
                     resolved[key] = int(val)

@@ -1,11 +1,13 @@
 """Named verification suites driven by the harness.
 
 Every suite is declared once, by ``register``: its identity tags, each config
-key it reads with its default, and the check it puts on a ``triple``.  The
-config checks a suite's values, and the suite runs, with the defaults filled
-in.  Every suite draws its randomness from the documented generator, runs a
-set of exact identities, and reports each violation under a stable identity
-tag; the registry is the machine-checkable inventory of the identities.
+key it reads with its default, the faults it can inject as a negative
+control, and the check it puts on a ``triple``.  The config checks a suite's
+values, and the suite runs, with the defaults filled in.  Every suite draws
+its randomness from the documented generator, runs a set of exact
+identities, and books each case and each violation, under a stable identity
+tag, on the report ``register`` hands it; the registry is the
+machine-checkable inventory of the identities and of their controls.
 
 The table laws are commuting squares (x, a, b): two paths a and b of steps
 from one input x, run by ``_walk`` and compared by ``_same``.  A step is an
@@ -18,11 +20,11 @@ the pairing with y on C_0 or C_2.  ``_commutes`` books one case over one or
 more squares, and ``_square`` draws x on the source model of a path's first
 image.  A function square and its distribution square come in pairs; ``_twin``
 derives the second by reversing both paths and swapping every kind through
-``CONJUGATE``, with the measures unchanged.  ``_adjoint`` builds the square of
-<a(f), G> == <f, b(G)>; the image pairings take b from a through
-``CONJUGATE``.  Checks that are no square (group laws, tag exchange, lattice
-block, domination invariance, two constructions compared) are direct
-``_check``s.
+``CONJUGATE``, with the measures unchanged, and ``_square_and_twin`` books
+both.  ``_adjoint`` builds the square of <a(f), G> == <f, b(G)>; the image
+pairings take b from a through ``CONJUGATE``.  Checks that are no square
+(group laws, tag exchange, lattice block, domination invariance, two
+constructions compared) are direct ``_check``s.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial, wraps
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from fqharmonic import tables
 from fqharmonic.c1 import (
@@ -66,6 +68,7 @@ from fqharmonic.c1 import (
 from fqharmonic.c1_triples import (
     CONJUGATE,
     IMAGE_KINDS,
+    POISSON1_FAULTS,
     TripleC1,
     base_change,
     compose_epi,
@@ -105,6 +108,7 @@ from fqharmonic.c2_aut import (
     rep_act,
 )
 from fqharmonic.c2_triples import (
+    POISSON2_FAULTS,
     GradedC2Triple,
     char_dist,
     char_fn,
@@ -131,7 +135,7 @@ from fqharmonic.dim0 import (
     pull0,
     push0,
 )
-from fqharmonic.exactnum import CycNum, DomainError, FqField, field_for, psi
+from fqharmonic.exactnum import CycNum, DomainError, FqField, field_for, psi, q_power
 from fqharmonic.harness.fanout import fan_out
 from fqharmonic.harness.report import Report
 from fqharmonic.harness.rng import LCG
@@ -142,42 +146,60 @@ class SuiteContext:
     field: FqField
     params: dict
     rng: LCG
-    corrupt: Optional[str] = None
+
+
+class Declaration(NamedTuple):
+    """What a suite kind reads: each config key but ``run`` with its default,
+    the faults its ``corrupt`` key may name, and the check of its ``triple``."""
+
+    defaults: dict
+    faults: tuple
+    triple: Optional[Callable]
 
 
 SUITES: dict[str, tuple[Callable, tuple[str, ...]]] = {}
-SUITE_DEFAULTS: dict[str, dict] = {}  # each config key of a suite kind, with its default
-SUITE_KEYS: dict[str, frozenset] = {}  # those keys and ``run``
-SUITE_TRIPLES: dict[str, Optional[Callable]] = {}  # what each kind's ``triple`` must satisfy
+DECLARATIONS: dict[str, Declaration] = {}
 
 
-def register(name: str, *tags: str, params: Optional[dict] = None, triple: Optional[Callable] = None):
+def register(
+    name: str, *tags: str, params: Optional[dict] = None, faults: tuple = (), triple: Optional[Callable] = None
+):
     """Register a suite under its identity tags.  params maps each config key
-    it reads (``run`` is a key of every suite) to its default, and the suite
-    runs on ``ctx.params`` with them filled in; ``corrupt`` is read from
-    ``ctx.corrupt``.  A suite that reads a ``triple`` gives the check it puts
-    on one, which raises DomainError on a triple the suite cannot take."""
-    params = params or {}
-    if ("triple" in params) != (triple is not None):
-        raise ValueError(f"suite {name!r} reads a triple exactly when it gives a triple check")
+    it reads to its default.  A suite that can inject faults names them and
+    reads the one chosen, if any, as ``corrupt``; a suite that reads a
+    ``triple`` gives the check it puts on one, which raises DomainError on a
+    triple the suite cannot take.  Both keys default to None.  The registered
+    run builds the suite's report, hands it to the body with the defaults
+    filled in, and returns it."""
+    defaults = dict(params or {})
+    if faults:
+        defaults["corrupt"] = None
+    if triple is not None:
+        defaults["triple"] = None
+    DECLARATIONS[name] = Declaration(defaults, tuple(faults), triple)
 
-    def wrap(fn):
-        @wraps(fn)
+    def wrap(body):
+        @wraps(body)
         def run(ctx: SuiteContext) -> Report:
-            return fn(replace(ctx, params=with_defaults(name, ctx.params)))
+            rep = Report(name, list(tags))
+            body(replace(ctx, params=with_defaults(name, ctx.params)), rep)
+            return rep
 
         SUITES[name] = (run, tags)
-        SUITE_DEFAULTS[name] = params
-        SUITE_KEYS[name] = frozenset(("run", *params))
-        SUITE_TRIPLES[name] = triple
         return run
 
     return wrap
 
 
 def with_defaults(kind: str, params: dict) -> dict:
-    """The values of a suite of this kind: the given params over its defaults."""
-    return {**SUITE_DEFAULTS[kind], **params}
+    """The values of a suite of this kind: the given params over its
+    defaults.  A ``corrupt`` that names no fault it injects raises DomainError."""
+    decl = DECLARATIONS[kind]
+    values = {**decl.defaults, **params}
+    fault = values.get("corrupt")
+    if fault not in (None, *decl.faults):
+        raise DomainError(f"{kind} injects no fault {fault!r}; its faults are: {', '.join(decl.faults) or 'none'}")
+    return values
 
 
 def _c1_triple(T) -> None:
@@ -207,10 +229,6 @@ def _corollary_triple(T) -> None:
     for t_shift, u_shift in _COROLLARY_SHIFTS:
         if shift_region(T.mid, -t_shift, -u_shift) != T.mid:
             raise DomainError(f"the monomial corollary needs a middle the shift {(t_shift, u_shift)} preserves")
-
-
-def _report(name: str, ctx: SuiteContext) -> Report:
-    return Report(name, list(SUITES[name][1]))
 
 
 def _rand_cyc(rng: LCG, p: int) -> CycNum:
@@ -266,12 +284,11 @@ def _check(rep: Report, identity: str, ok: bool, context: str = "") -> None:
         rep.fail(identity, context)
 
 
-def _merge(rep: Report, subs) -> Report:
+def _merge(rep: Report, subs) -> None:
     """Add the cases and failures of library check reports, in order."""
     for sub in subs:
         rep.cases += sub.cases
         rep.failures.extend(sub.failures)
-    return rep
 
 
 def _c1_draws(rng: LCG, w: Window):
@@ -366,6 +383,12 @@ def _square(rep: Report, identity: str, draw, a, b, context: str = "") -> None:
     _commutes(rep, identity, context, (draw(getattr(T, IMAGE_KINDS[kind][0])), a, b))
 
 
+def _square_and_twin(rep: Report, identity: str, draws, a, b, context: str = "") -> None:
+    """Book the function square (a, b), then its distribution twin, drawn by draws = (fn, dist)."""
+    _square(rep, identity, draws[0], a, b, context)
+    _square(rep, identity, draws[1], *_twin(a, b), context)
+
+
 def _adjoint(f, G, a, b):
     """The square of the pairing identity <a(f), G> == <f, b(G)>."""
     return f, [*a, ("pair", G)], [("pair", _walk(G, b))]
@@ -376,13 +399,12 @@ def _adjoint(f, G, a, b):
 # ---------------------------------------------------------------------------
 
 
-@register("psi_character", "psi_additive", "psi_nontrivial", "conj_involution", params={"corrupt": None})
-def psi_character(ctx: SuiteContext) -> Report:
-    rep = _report("psi_character", ctx)
+@register("psi_character", "psi_additive", "psi_nontrivial", "conj_involution", faults=("psi",))
+def psi_character(ctx: SuiteContext, rep: Report) -> None:
     for q in (2, 3, 4, 5, 8, 9):
         fld = field_for(q)
         p = fld.p
-        chi = (lambda x: CycNum.one(p)) if ctx.corrupt == "psi" else psi
+        chi = (lambda x: CycNum.one(p)) if ctx.params["corrupt"] == "psi" else psi
         total = CycNum.zero(p)
         for x in fld:
             total = total + chi(x)
@@ -394,12 +416,10 @@ def psi_character(ctx: SuiteContext) -> Report:
         _check(rep, "psi_nontrivial", total.is_zero(), f"q={q}")
         for x in fld:
             _check(rep, "conj_involution", psi(x).conj().conj() == psi(x), f"q={q}")
-    return rep
 
 
 @register("cyc_ring", "cyc_commutative_ring", "conj_ring_hom", params={"cases": 50})
-def cyc_ring(ctx: SuiteContext) -> Report:
-    rep = _report("cyc_ring", ctx)
+def cyc_ring(ctx: SuiteContext, rep: Report) -> None:
     p = ctx.field.p
     for _ in range(ctx.params["cases"]):
         a, b, c = (_rand_cyc(ctx.rng, p) for _ in range(3))
@@ -408,12 +428,10 @@ def cyc_ring(ctx: SuiteContext) -> Report:
         _check(rep, "conj_ring_hom", (a * b).conj() == a.conj() * b.conj(), "")
         r = CycNum.from_rational(p, ctx.rng.fraction())
         _check(rep, "conj_ring_hom", r.conj() == r, "")
-    return rep
 
 
 @register("fq_axioms", "field_axioms")
-def fq_axioms(ctx: SuiteContext) -> Report:
-    rep = _report("fq_axioms", ctx)
+def fq_axioms(ctx: SuiteContext, rep: Report) -> None:
     for q in (2, 3, 4, 5, 8, 9):
         fld = field_for(q)
         elems = list(fld)
@@ -425,7 +443,6 @@ def fq_axioms(ctx: SuiteContext) -> Report:
                 if a + b != b + a or a * b != b * a:
                     ok = False
         _check(rep, "field_axioms", ok, f"q={q}")
-    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -434,8 +451,7 @@ def fq_axioms(ctx: SuiteContext) -> Report:
 
 
 @register("poisson0", "poisson0_subspace_transform", params={"max_dim": 3})
-def poisson0(ctx: SuiteContext) -> Report:
-    rep = _report("poisson0", ctx)
+def poisson0(ctx: SuiteContext, rep: Report) -> None:
     qs = (2, 3, 4)
     max_dim = ctx.params["max_dim"]
     for q in qs:
@@ -449,7 +465,6 @@ def poisson0(ctx: SuiteContext) -> Report:
                     rep, "poisson0_subspace_transform",
                     lhs == rhs, f"q={q} n={n} dimH={H.dim}",
                 )
-    return rep
 
 
 @register(
@@ -462,8 +477,7 @@ def poisson0(ctx: SuiteContext) -> Report:
     "fourier0_push_pull_squares",
     params={"cases": 200},
 )
-def fourier0_props(ctx: SuiteContext) -> Report:
-    rep = _report("fourier0_props", ctx)
+def fourier0_props(ctx: SuiteContext, rep: Report) -> None:
     F = ("fourier",)
     for q in (2, 3):
         fld, at = field_for(q), f"q={q}"
@@ -496,7 +510,6 @@ def fourier0_props(ctx: SuiteContext) -> Report:
                     [F, ("scale", Fraction(1, W.size)), ("push0", pi.dual())],
                 ),
             )
-    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -505,15 +518,13 @@ def fourier0_props(ctx: SuiteContext) -> Report:
 
 
 @register("fourier1_delta", "fourier1_lattice_indicator", params={"i_lo": -3, "i_hi": 3})
-def fourier1_delta(ctx: SuiteContext) -> Report:
-    rep = _report("fourier1_delta", ctx)
+def fourier1_delta(ctx: SuiteContext, rep: Report) -> None:
     K = laurent_model(ctx.field)
     mu = HaarMeasure(K, 0, Fraction(1))
     for i in range(ctx.params["i_lo"], ctx.params["i_hi"] + 1):
         out = fourier1(delta_lattice(K, i), mu)
         expect = delta_lattice(dual_model(K), -i) * mu.value_at(i)
         _check(rep, "fourier1_lattice_indicator", fn_equal(out, expect), f"i={i}")
-    return rep
 
 
 @register(
@@ -530,8 +541,7 @@ def fourier1_delta(ctx: SuiteContext) -> Report:
     "fourier1_measure_scaling",
     params={"cases": 25},
 )
-def fourier1_props(ctx: SuiteContext) -> Report:
-    rep = _report("fourier1_props", ctx)
+def fourier1_props(ctx: SuiteContext, rep: Report) -> None:
     K = laurent_model(ctx.field)
     q = ctx.field.q
     mu = HaarMeasure(K, 0, Fraction(1))
@@ -576,16 +586,15 @@ def fourier1_props(ctx: SuiteContext) -> Report:
     H = mu.as_dist(Window(-2, 2))
     _check(rep, "haar_uniqueness", len(set(H.table)) == 1, "")
     _check(rep, "haar_uniqueness", _same(translate_dist(H, {(0, 0): 1}), H), "translation invariance")
-    return rep
 
 
 @register(
     "poisson1", "poisson1_characteristic_transform",
-    params={"triple": None, "cut_hi": 2, "deep_cut": 0, "max_points": 256, "corrupt": None},
+    params={"cut_hi": 2, "deep_cut": 0, "max_points": 256},
+    faults=POISSON1_FAULTS,
     triple=_c1_triple,
 )
-def poisson1(ctx: SuiteContext) -> Report:
-    rep = _report("poisson1", ctx)
+def poisson1(ctx: SuiteContext, rep: Report) -> None:
     K = laurent_model(ctx.field)
     q = ctx.field.q
     cut = ctx.params["cut_hi"]
@@ -599,7 +608,7 @@ def poisson1(ctx: SuiteContext) -> Report:
         # full-depth sweep reaching the point cap, over the whole measure grid
         T0 = ctx.params["triple"] or interval_triple(K, lattice_model(ctx.field, 0))
         sweeps.append((T0, deep))
-    return _merge(rep, (
+    _merge(rep, (
         poisson1_verify(
             T,
             HaarMeasure(T.sub, 0, v1),
@@ -607,7 +616,7 @@ def poisson1(ctx: SuiteContext) -> Report:
             cut_lo=-reach,
             cut_hi=reach,
             max_points=ctx.params["max_points"],
-            corrupt=ctx.corrupt,
+            corrupt=ctx.params["corrupt"],
         )
         for T, reach in sweeps
         for v1 in values
@@ -625,8 +634,7 @@ def poisson1(ctx: SuiteContext) -> Report:
     "density_pushforward_compat",
     params={"cases": 100},
 )
-def fubini_projection(ctx: SuiteContext) -> Report:
-    rep = _report("fubini_projection", ctx)
+def fubini_projection(ctx: SuiteContext, rep: Report) -> None:
     K = laurent_model(ctx.field)
     fn, germ, _dist, _etp = _c1_draws(ctx.rng, Window(-1, 2))
     for _ in range(ctx.params["cases"]):
@@ -650,7 +658,6 @@ def fubini_projection(ctx: SuiteContext) -> Report:
             rep, "density_pushforward_compat", at,
             (fe, [push, ("density", mu3)], [("density", mu2), ("beta_push", T, None)]),
         )
-    return rep
 
 
 @register(
@@ -663,8 +670,7 @@ def fubini_projection(ctx: SuiteContext) -> Report:
     "compose_mono_distributions",
     params={"cases": 100},
 )
-def compose1(ctx: SuiteContext) -> Report:
-    rep = _report("compose1", ctx)
+def compose1(ctx: SuiteContext, rep: Report) -> None:
     K = laurent_model(ctx.field)
     w = Window(-1, 2)
     fn, germ, dist, etp = _c1_draws(ctx.rng, w)
@@ -698,7 +704,6 @@ def compose1(ctx: SuiteContext) -> Report:
         _square(rep, "compose_mono_functions", fn, *mono_push)
         _square(rep, "compose_mono_distributions", dist, *_twin(*mono_pull))
         _square(rep, "compose_mono_distributions", dist, *_twin(*mono_push))
-    return rep
 
 
 @register(
@@ -711,8 +716,7 @@ def compose1(ctx: SuiteContext) -> Report:
     "base_change_double_square",
     params={"cases": 100},
 )
-def base_change1(ctx: SuiteContext) -> Report:
-    rep = _report("base_change1", ctx)
+def base_change1(ctx: SuiteContext, rep: Report) -> None:
     K = laurent_model(ctx.field)
     w = Window(-1, 2)
     fn, germ, dist, _etp = _c1_draws(ctx.rng, w)
@@ -745,9 +749,7 @@ def base_change1(ctx: SuiteContext) -> Report:
         _square(rep, "base_change_germ_square", germ, *germ_square)
         _square(rep, "base_change_compact_square", fn, *germ_square)
         _square(rep, "base_change_discrete_square", fn, *discrete)
-        _square(rep, "base_change_double_square", fn, *double)
-        _square(rep, "base_change_double_square", dist, *_twin(*double))
-    return rep
+        _square_and_twin(rep, "base_change_double_square", (fn, dist), *double)
 
 
 @register(
@@ -758,8 +760,7 @@ def base_change1(ctx: SuiteContext) -> Report:
     "fourier_image_germ_squares",
     params={"cases": 100},
 )
-def fourier_image1(ctx: SuiteContext) -> Report:
-    rep = _report("fourier_image1", ctx)
+def fourier_image1(ctx: SuiteContext, rep: Report) -> None:
     K = laurent_model(ctx.field)
     fn, germ, dist, etp = _c1_draws(ctx.rng, Window(-1, 1))
     F = ("fourier", None)
@@ -790,12 +791,10 @@ def fourier_image1(ctx: SuiteContext) -> Report:
             (f3, [("beta_pull", T, None), F], [F, ("alpha_push", Td, None)]),
             (G2, [("beta_push", T, None), F], [F, ("alpha_pull", Td, None)]),
         )
-    return rep
 
 
 @register("invariance1", "reindexing_invariance", params={"cases": 10})
-def invariance1(ctx: SuiteContext) -> Report:
-    rep = _report("invariance1", ctx)
+def invariance1(ctx: SuiteContext, rep: Report) -> None:
     O = lattice_model(ctx.field, 0)
     for s in (-2, -1, 1, 2):
         Os = shift_model(O, s)
@@ -810,12 +809,10 @@ def invariance1(ctx: SuiteContext) -> Report:
                 and fourier1(f, mu).table == fourier1(fs, mus).table,
                 f"s={s}",
             )
-    return rep
 
 
 @register("characterization1", "compact_support_profile", "support_detection")
-def characterization1(ctx: SuiteContext) -> Report:
-    rep = _report("characterization1", ctx)
+def characterization1(ctx: SuiteContext, rep: Report) -> None:
     K = laurent_model(ctx.field)
     f = fn_at(delta_lattice(K, 0), Window(-1, 1))
     _check(rep, "compact_support_profile", eval_fn_at(f, {(1, 0): 1}).is_zero(), "outside")
@@ -825,7 +822,6 @@ def characterization1(ctx: SuiteContext) -> Report:
     )
     d = delta_point_dist(K, {(0, 0): 1})
     _check(rep, "support_detection", dist_vanishes_at(d, {}) and not dist_vanishes_at(d, {(0, 0): 1}), "")
-    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -840,8 +836,7 @@ def characterization1(ctx: SuiteContext) -> Report:
     "vmeasure_duality_scalars",
     "vmeasure_reference_stability",
 )
-def vmeasure(ctx: SuiteContext) -> Report:
-    rep = _report("vmeasure", ctx)
+def vmeasure(ctx: SuiteContext, rep: Report) -> None:
     K2 = k2_model(ctx.field)
     E1p = box_model(ctx.field, None, None, None, 0, "E1'")
     Q = dual_model2(E1p)
@@ -884,7 +879,6 @@ def vmeasure(ctx: SuiteContext) -> Report:
                         K2.sigma(l2, i, m) == K2.sigma(l2, l, m) + K2.sigma(l, i, m),
                         f"{l2},{l},{i},{m}",
                     )
-    return rep
 
 
 @register(
@@ -896,8 +890,7 @@ def vmeasure(ctx: SuiteContext) -> Report:
     "fourier2_basepoint_compat",
     params={"cases": 15},
 )
-def fourier2_props(ctx: SuiteContext) -> Report:
-    rep = _report("fourier2_props", ctx)
+def fourier2_props(ctx: SuiteContext, rep: Report) -> None:
     K2 = k2_model(ctx.field)
     bw = BiWindow(-1, 1, -1, 1)
     F = ("fourier",)
@@ -919,14 +912,12 @@ def fourier2_props(ctx: SuiteContext) -> Report:
     T = inner_cut_triple(K2, 0)
     blk = char_fn(T, 0, bw)
     _check(rep, "fourier2_lattice_block", d2_equal(fourier2(blk), char_fn(dual_triple2(T), 0, bw)), "")
-    return rep
 
 
 @register(
     "module2", "module_unit", "module_associativity", "module_pairing_compat", params={"cases": 15}
 )
-def module2(ctx: SuiteContext) -> Report:
-    rep = _report("module2", ctx)
+def module2(ctx: SuiteContext, rep: Report) -> None:
     K2 = k2_model(ctx.field)
     bw = BiWindow(-1, 1, -1, 1)
     one = ("module", e2_constant_one(K2, bw))
@@ -938,7 +929,6 @@ def module2(ctx: SuiteContext) -> Report:
         _commutes(rep, "module_associativity", "", (x, [("module", g2), *by_g1], [("module", _walk(g2, by_g1))]))
         G = _rand_d2dist(ctx.rng, K2, 0, bw)
         _commutes(rep, "module_pairing_compat", "", _adjoint(x, G, by_g1, by_g1))
-    return rep
 
 
 @register(
@@ -949,8 +939,7 @@ def module2(ctx: SuiteContext) -> Report:
     "profile_transform_exchange",
     params={"cases": 10},
 )
-def images2_adjoint(ctx: SuiteContext) -> Report:
-    rep = _report("images2_adjoint", ctx)
+def images2_adjoint(ctx: SuiteContext, rep: Report) -> None:
     K2 = k2_model(ctx.field)
     for _ in range(ctx.params["cases"]):
         cut = ctx.rng.randint(-1, 1)
@@ -983,37 +972,36 @@ def images2_adjoint(ctx: SuiteContext) -> Report:
             rep, "profile_transform_exchange",
             d2_equal(profile, delta_nu(dual_model2(T.sub), mu.on_dual(), bws.dual())), at,
         )
-    return rep
 
 
 def _sweep2(ctx: SuiteContext) -> dict:
     """The sweep settings of both two-dimensional identities."""
     return dict(
         o=ctx.params["basepoint"], cut_lo=ctx.params["cut_lo"], cut_hi=ctx.params["cut_hi"],
-        max_points=ctx.params["max_points"], corrupt=ctx.corrupt,
+        max_points=ctx.params["max_points"], corrupt=ctx.params["corrupt"],
     )
 
 
 @register(
     "poisson2_ii", "poisson2_II_characteristic_transform",
-    params={"triple": None, "basepoint": 0, "cut_lo": -2, "cut_hi": 2, "max_points": 256, "corrupt": None},
+    params={"basepoint": 0, "cut_lo": -2, "cut_hi": 2, "max_points": 256},
+    faults=(POISSON2_FAULTS["II"],),
     triple=_identity_triple("II"),
 )
-def poisson2_ii(ctx: SuiteContext) -> Report:
-    rep = _report("poisson2_ii", ctx)
+def poisson2_ii(ctx: SuiteContext, rep: Report) -> None:
     triple = ctx.params["triple"] or inner_cut_triple(k2_model(ctx.field), 0)
-    return _merge(rep, [poisson2_verify("II", triple, **_sweep2(ctx))])
+    _merge(rep, [poisson2_verify("II", triple, **_sweep2(ctx))])
 
 
 @register(
     "poisson2_i",
     "poisson2_I_characteristic_transform",
     "poisson2_I_monomial_corollary",
-    params={"triple": None, "basepoint": 0, "cut_lo": -1, "cut_hi": 1, "max_points": 256, "corrupt": None},
+    params={"basepoint": 0, "cut_lo": -1, "cut_hi": 1, "max_points": 256},
+    faults=(POISSON2_FAULTS["I"],),
     triple=_corollary_triple,
 )
-def poisson2_i(ctx: SuiteContext) -> Report:
-    rep = _report("poisson2_i", ctx)
+def poisson2_i(ctx: SuiteContext, rep: Report) -> None:
     q = ctx.field.q
     triple = ctx.params["triple"] or outer_cut_triple(k2_model(ctx.field), 0)
     values = (Fraction(1), Fraction(q), Fraction(1, q))
@@ -1040,7 +1028,6 @@ def poisson2_i(ctx: SuiteContext) -> Report:
         ghat = AutHatElem(g, VirtualMeasure(mid, 0, g.apply_cut(0), Fraction(1)))
         lhs, rhs = _walk(delta, [("act", ghat), ("fourier",)]), _walk(delta_d, [("act", ghat.dual_lift())])
         _check(rep, "poisson2_I_monomial_corollary", _same(lhs, rhs), f"g={shifts}")
-    return rep
 
 
 @register(
@@ -1055,8 +1042,7 @@ def poisson2_i(ctx: SuiteContext) -> Report:
     "fourier_intertwines_action",
     params={"cases": 100, "rep_cases": 10},
 )
-def central_ext(ctx: SuiteContext) -> Report:
-    rep = _report("central_ext", ctx)
+def central_ext(ctx: SuiteContext, rep: Report) -> None:
     K2 = k2_model(ctx.field)
     q = ctx.field.q
     bw = BiWindow(-1, 1, -1, 1)
@@ -1089,7 +1075,6 @@ def central_ext(ctx: SuiteContext) -> Report:
         _commutes(rep, "rep_module_compat", "", (f, [by_e, act], [act, by_ge]), (G, [by_e, act], [act, by_ge]))
         dual = ("act", x.dual_lift())
         _commutes(rep, "fourier_intertwines_action", "", (f, [act, F], [F, dual]), (G, [act, F], [F, dual]))
-    return rep
 
 
 def _zvezda(ctx: SuiteContext, kind: str, c1_: int, c2_: int):
@@ -1125,8 +1110,7 @@ def _zvezda(ctx: SuiteContext, kind: str, c1_: int, c2_: int):
     "composition2_monos",
     params={"cases": 6},
 )
-def base_change2(ctx: SuiteContext) -> Report:
-    rep = _report("base_change2", ctx)
+def base_change2(ctx: SuiteContext, rep: Report) -> None:
     K2 = k2_model(ctx.field)
     F = ctx.field
     for _ in range(ctx.params["cases"]):
@@ -1137,55 +1121,49 @@ def base_change2(ctx: SuiteContext) -> Report:
         T, Tg, T_fiber, T_mono = _zvezda(ctx, "cc_dd", c1_, c2_)
         mu = VirtualMeasure(T.sub, 0, c1_, abs(ctx.rng.fraction()))
         nu = VirtualMeasure(Tg.quot, 0, c2_, abs(ctx.rng.fraction()))
-        fn, dist = _d2_draws(ctx.rng, BiWindow(min(-1, c2_), max(1, c1_), -1, 1))
+        draws = _d2_draws(ctx.rng, BiWindow(min(-1, c2_), max(1, c1_), -1, 1))
         twisted = (
             [("beta_push", T, mu), ("alpha_pull", Tg, nu)],
             [("alpha_pull", T_mono, nu), ("beta_push", T_fiber, mu)],
         )
-        _square(rep, "base_change2_twisted", fn, *twisted, at)
-        _square(rep, "base_change2_twisted", dist, *_twin(*twisted), at)
+        _square_and_twin(rep, "base_change2_twisted", draws, *twisted, at)
         # fiberwise base change through inner cuts
         T, Tg, T_fiber, T_mono = _zvezda(ctx, "cf_df", c1_, c2_)
-        fn, dist = _d2_draws(ctx.rng, BiWindow(-1, 1, min(-1, c1_), max(1, c2_)))
+        draws = _d2_draws(ctx.rng, BiWindow(-1, 1, min(-1, c1_), max(1, c2_)))
         fiberwise = (
             [("alpha_push", Tg, None), ("beta_pull", T, None)],
             [("beta_pull", T_fiber, None), ("alpha_push", T_mono, None)],
         )
-        _square(rep, "base_change2_fiberwise", fn, *fiberwise, at)
-        _square(rep, "base_change2_fiberwise", dist, *_twin(*fiberwise), at)
+        _square_and_twin(rep, "base_change2_fiberwise", draws, *fiberwise, at)
         # mixed classes
         T, Tg, T_fiber, T_mono = _zvezda(ctx, "cc_df", c1_, c2_)
         mu = VirtualMeasure(T.sub, 0, c1_, abs(ctx.rng.fraction()))
-        fn, dist = _d2_draws(ctx.rng, BiWindow(-1, max(1, c1_), -1, max(1, c2_)))
+        draws = _d2_draws(ctx.rng, BiWindow(-1, max(1, c1_), -1, max(1, c2_)))
         mixed = (
             [("alpha_push", T_mono, None), ("beta_push", T, mu)],
             [("beta_push", T_fiber, mu), ("alpha_push", Tg, None)],
         )
-        _square(rep, "base_change2_mixed", fn, *mixed, at)
-        _square(rep, "base_change2_mixed", dist, *_twin(*mixed), at)
+        _square_and_twin(rep, "base_change2_mixed", draws, *mixed, at)
         T, Tg, T_fiber, T_mono = _zvezda(ctx, "cf_dc", c1_, c2_)
         nu = VirtualMeasure(Tg.quot, 0, c2_, abs(ctx.rng.fraction()))
-        fn, dist = _d2_draws(ctx.rng, BiWindow(min(-1, c2_), 1, min(-1, c1_), max(1, c1_)))
+        draws = _d2_draws(ctx.rng, BiWindow(min(-1, c2_), 1, min(-1, c1_), max(1, c1_)))
         mixed = (
             [("beta_pull", T, None), ("alpha_pull", T_mono, nu)],
             [("alpha_pull", Tg, nu), ("beta_pull", T_fiber, None)],
         )
-        _square(rep, "base_change2_mixed", fn, *mixed, at)
-        _square(rep, "base_change2_mixed", dist, *_twin(*mixed), at)
+        _square_and_twin(rep, "base_change2_mixed", draws, *mixed, at)
         # compositions of epimorphisms, twisted and fiberwise
         T, Tg, T_fiber, T_mono = _zvezda(ctx, "cc_dd", c1_, c2_)
         mu = VirtualMeasure(T.sub, 0, c1_, abs(ctx.rng.fraction()))
         nug = VirtualMeasure(Tg.sub, 0, c2_, abs(ctx.rng.fraction()))
         munu = VirtualMeasure(T_mono.sub, 0, c2_, mu.scalar * nug.scalar)
-        fn, dist = _d2_draws(ctx.rng, BiWindow(min(-1, c2_), max(1, c2_), -1, 1))
+        draws = _d2_draws(ctx.rng, BiWindow(min(-1, c2_), max(1, c2_), -1, 1))
         epis = [("beta_push", T, mu), ("beta_push", Tg, nug)], [("beta_push", T_mono, munu)]
-        _square(rep, "composition2_epis", fn, *epis, at)
-        _square(rep, "composition2_epis", dist, *_twin(*epis), at)
+        _square_and_twin(rep, "composition2_epis", draws, *epis, at)
         T, Tg, T_fiber, T_mono = _zvezda(ctx, "cf_df", c1_, c2_)
-        fn, dist = _d2_draws(ctx.rng, BiWindow(-1, 1, min(-1, c1_), max(1, c2_)))
+        draws = _d2_draws(ctx.rng, BiWindow(-1, 1, min(-1, c1_), max(1, c2_)))
         epis = [("beta_pull", Tg, None), ("beta_pull", T, None)], [("beta_pull", T_mono, None)]
-        _square(rep, "composition2_epis", fn, *epis, at)
-        _square(rep, "composition2_epis", dist, *_twin(*epis), at)
+        _square_and_twin(rep, "composition2_epis", draws, *epis, at)
         # compositions of monomorphisms through enlargements
         T2o = outer_cut_triple(K2, c2_)
         E1 = box_model(F, None, c1_, None, None, "E1")
@@ -1196,21 +1174,18 @@ def base_change2(ctx: SuiteContext) -> Report:
         mu3 = VirtualMeasure(E3, 0, c1_, abs(ctx.rng.fraction()))
         nul = VirtualMeasure(T2o.quot, 0, c2_, abs(ctx.rng.fraction()))
         mn = VirtualMeasure(coker, 0, c1_, mu3.scalar * nul.scalar)
-        fn, dist = _d2_draws(ctx.rng, BiWindow(min(-1, c1_), 1, -1, 1))
+        draws = _d2_draws(ctx.rng, BiWindow(min(-1, c1_), 1, -1, 1))
         monos = [("alpha_pull", T2o, nul), ("alpha_pull", Tin, mu3)], [("alpha_pull", Tc, mn)]
-        _square(rep, "composition2_monos", fn, *monos, at)
-        _square(rep, "composition2_monos", dist, *_twin(*monos), at)
+        _square_and_twin(rep, "composition2_monos", draws, *monos, at)
         T2i = inner_cut_triple(K2, c2_)
         E1i = box_model(F, None, None, None, c1_, "E1i")
         E3i = box_model(F, None, None, c1_, c2_, "E3i")
         Tini = GradedC2Triple(T2i.sub, E1i, E3i, "ini")
         cokeri = box_model(F, None, None, c1_, None, "cokeri")
         Tci = GradedC2Triple(K2, E1i, cokeri, "compi")
-        fn, dist = _d2_draws(ctx.rng, BiWindow(-1, 1, min(-1, c1_), max(1, c2_)))
+        draws = _d2_draws(ctx.rng, BiWindow(-1, 1, min(-1, c1_), max(1, c2_)))
         monos = [("alpha_push", Tini, None), ("alpha_push", T2i, None)], [("alpha_push", Tci, None)]
-        _square(rep, "composition2_monos", fn, *monos, at)
-        _square(rep, "composition2_monos", dist, *_twin(*monos), at)
-    return rep
+        _square_and_twin(rep, "composition2_monos", draws, *monos, at)
 
 
 @register(
@@ -1219,8 +1194,7 @@ def base_change2(ctx: SuiteContext) -> Report:
     "fourier_image2_fiberwise_squares",
     params={"cases": 6},
 )
-def fourier_image2(ctx: SuiteContext) -> Report:
-    rep = _report("fourier_image2", ctx)
+def fourier_image2(ctx: SuiteContext, rep: Report) -> None:
     K2 = k2_model(ctx.field)
     F = ("fourier",)
     for _ in range(ctx.params["cases"]):
@@ -1248,12 +1222,10 @@ def fourier_image2(ctx: SuiteContext) -> Report:
             (G2, [("beta_push", Ti, None), F], [F, ("alpha_pull", Tdi, None)]),
             (G2, [("alpha_pull", Ti, None), F], [F, ("beta_push", Tdi, None)]),
         )
-    return rep
 
 
 @register("dominate2", "domination_invariance", "basepoint_change_compat", params={"cases": 10})
-def dominate2(ctx: SuiteContext) -> Report:
-    rep = _report("dominate2", ctx)
+def dominate2(ctx: SuiteContext, rep: Report) -> None:
     K2 = k2_model(ctx.field)
     q = ctx.field.q
     bw = BiWindow(-1, 1, -1, 1)
@@ -1265,9 +1237,7 @@ def dominate2(ctx: SuiteContext) -> Report:
         Ks = shift_region(K2, da, db)
         bws = BiWindow(bw.l + da, bw.i + da, bw.m + db, bw.n + db)
         xs = D2Elem(Ks, da, bws, x.table, VirtualMeasure(Ks, bws.l, da, x.twist.scalar))
-        renorm = Fraction(q) ** (
-            Ks.sigma(bws.l, bws.i, bws.m) - K2.sigma(bw.l, bw.i, bw.m)
-        )
+        renorm = q_power(q, Ks.sigma(bws.l, bws.i, bws.m) - K2.sigma(bw.l, bw.i, bw.m))
         _check(
             rep, "domination_invariance",
             fourier2(xs).table == tables.scale(fourier2(x).table, renorm),
@@ -1277,7 +1247,6 @@ def dominate2(ctx: SuiteContext) -> Report:
         G = _rand_d2dist(ctx.rng, K2, 0, bw)
         moved = _walk(G, [("basepoint", vm.inverse())])
         _commutes(rep, "basepoint_change_compat", "", (x, [("basepoint", vm), ("pair", moved)], [("pair", G)]))
-    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -1293,12 +1262,10 @@ def _suite_seed(seed: int, name: str) -> int:
 
 
 def _run_suite(field, spec, seed: int) -> dict:
-    if spec.kind not in SUITES:
-        raise ValueError(f"unknown suite kind {spec.kind!r}")
     fn, _tags = SUITES[spec.kind]
     suite_seed = _suite_seed(seed, spec.kind)
     t0 = time.monotonic()
-    rep = fn(SuiteContext(field, spec.params, LCG(suite_seed), spec.corrupt))
+    rep = fn(SuiteContext(field, spec.params, LCG(suite_seed)))
     rep.name = spec.name
     rep.seed = suite_seed
     rep.wall_time = time.monotonic() - t0

@@ -5,9 +5,11 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from fqharmonic.c2 import VirtualMeasure, k2_model
 from fqharmonic.c2_triples import outer_cut_triple, poisson2_verify
-from fqharmonic.exactnum import field_for
+from fqharmonic.exactnum import DomainError, field_for
 from fqharmonic.harness.config import parse_config
 from fqharmonic.harness.rng import LCG
 from fqharmonic.harness.suites import SUITES, SuiteContext
@@ -15,8 +17,8 @@ from fqharmonic.harness.suites import SUITES, SuiteContext
 EXAMPLE = (Path(__file__).resolve().parents[1] / "scripts" / "example.cfg").read_text()
 
 
-def _ctx(q=2, params=None, corrupt=None, seed=20260808):
-    return SuiteContext(field_for(q), params or {}, LCG(seed), corrupt)
+def _ctx(q=2, params=None, seed=20260808):
+    return SuiteContext(field_for(q), params or {}, LCG(seed))
 
 
 def _run(name, ctx):
@@ -130,17 +132,20 @@ def test_criterion_10_two_dimensional_base_change():
 
 def test_criterion_11_negative_controls():
     t0 = time.monotonic()
-    bad_psi = _run("psi_character", _ctx(corrupt="psi"))
+    bad_psi = _run("psi_character", _ctx(params={"corrupt": "psi"}))
     assert not bad_psi.passed
     assert any(f["identity"] == "psi_nontrivial" for f in bad_psi.failures)
-    bad_transition = _run("poisson1", _ctx(params={"cut_hi": 1}, corrupt="transition"))
+    bad_transition = _run("poisson1", _ctx(params={"cut_hi": 1, "corrupt": "transition"}))
     assert not bad_transition.passed
     assert bad_transition.failures[0]["identity"] == "poisson1_characteristic_transform"
-    bad_measure = _run("poisson1", _ctx(params={"cut_hi": 1}, corrupt="measure"))
+    bad_measure = _run("poisson1", _ctx(params={"cut_hi": 1, "corrupt": "measure"}))
     assert not bad_measure.passed
-    bad2 = _run("poisson2_i", _ctx(params={"cut_lo": -1, "cut_hi": 1}, corrupt="measure"))
+    bad2 = _run("poisson2_i", _ctx(params={"cut_lo": -1, "cut_hi": 1, "corrupt": "measure"}))
     assert not bad2.passed
     assert bad2.failures[0]["identity"] == "poisson2_I_characteristic_transform"
+    # a fault the suite does not inject is refused before the suite runs
+    with pytest.raises(DomainError, match="psi_character injects no fault 'pxi'"):
+        _run("psi_character", _ctx(params={"corrupt": "pxi"}))
     print(f"[criterion 11] negative controls name the violated identity: PASS "
           f"({time.monotonic() - t0:.1f}s)")
 

@@ -26,7 +26,7 @@ from fqharmonic.c1 import (
     segment_model,
     window_dim,
 )
-from fqharmonic import c1_triples
+from fqharmonic import c1_triples, tables
 from fqharmonic.c1_triples import (
     TripleC1,
     char_dist1,
@@ -270,6 +270,9 @@ def test_poisson1_negative_controls():
         rep = poisson1_verify(T, mu1, mu2, cut_lo=-1, cut_hi=1, corrupt=fault)
         assert not rep.passed
         assert rep.failures[0]["identity"] == "poisson1_characteristic_transform"
+    # a fault the verifier does not inject is refused, never run clean
+    with pytest.raises(DomainError, match="no fault 'psi'"):
+        poisson1_verify(T, mu1, mu2, cut_lo=-1, cut_hi=1, corrupt="psi")
 
 
 def test_poisson1_dual_pipeline_fault_fails_every_window(monkeypatch):
@@ -356,6 +359,28 @@ def test_image_capabilities_raise(kind, make, tag, member):
     x = make(random.Random(7), getattr(T, member), Window(-1, 1), tag=tag)
     with pytest.raises(CapabilityError):
         images1(kind, T, x, HaarMeasure(T.sub, 0, Fraction(1)))
+
+
+@pytest.mark.parametrize("tag", ["Ep", "ETp"])
+def test_e_type_beta_push_over_a_non_compact_sub_keeps_its_window(tag):
+    # a distribution's beta_push follows beta_pull's rule: over a colattice
+    # sub, which is not compact, an E-type distribution is not widened, and
+    # its table is its fiber sum on its own window
+    K = laurent_model(F3)
+    T = interval_triple(K, colattice_model(F3, 0))
+    w = Window(-2, 2)
+    G = rand_dist(random.Random(11), K, w, tag=tag)
+    out = images1("beta_push", T, G)
+    assert (out.model, out.tag, out.window) == (T.quot, tag, w)
+    _sub_slots, quot_slots = T.split(w)
+    expect = [CycNum.zero(3)] * 3 ** len(quot_slots)
+    for i, value in enumerate(G.table):
+        digits = tables.decode(i, 3, window_dim(K, w))
+        at = tables.encode([digits[s] for s in quot_slots], 3)
+        expect[at] = expect[at] + value
+    assert tuple(out.table) == tuple(expect)
+    with pytest.raises(CapabilityError):
+        images1("beta_push", T, rand_dist(random.Random(11), K, w, tag="Dp"))
 
 
 def test_germ_beta_push_needs_window_over_the_fibers():

@@ -304,6 +304,11 @@ def test_poisson_negative_controls():
     rep2 = poisson2_verify("II", Ti, o=0, cut_lo=-1, cut_hi=1, max_points=64, corrupt="transition")
     assert not rep2.passed
     assert rep2.failures[0]["identity"] == "poisson2_II_characteristic_transform"
+    # each identity injects only its own fault; the other one is refused
+    with pytest.raises(DomainError, match="identity II injects no fault 'measure'"):
+        poisson2_verify("II", Ti, o=0, cut_lo=-1, cut_hi=1, max_points=64, corrupt="measure")
+    with pytest.raises(DomainError, match="identity I injects no fault 'transition'"):
+        poisson2_verify("I", T, sub_measure(T), quot_measure(T), cut_lo=-1, cut_hi=1, corrupt="transition")
 
 
 @pytest.mark.parametrize("fld, cases_ii, cases_i", [(F2, 219, 189), (F3, 196, 144)])

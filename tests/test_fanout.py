@@ -93,13 +93,13 @@ def test_negative_controls_fail_alike(forks):
         kind = section[len("[suite "):-2]
         text = text.replace(section + f"run = {kind}\n", section + f"run = {kind}\n" + line)
     cfg = parse_config(text)
-    assert sum(s.corrupt is not None for s in cfg.suites) == len(CORRUPTED)
+    assert sum("corrupt" in s.params for s in cfg.suites) == len(CORRUPTED)
     reports = {jobs: run_suites(cfg, jobs=jobs) for jobs in (1, 2)}
     assert forks[0] == 1
     no_child_left()
     for reps in reports.values():
         failing = {r.name for r in reps if not r.passed}
-        assert failing == {s.name for s in cfg.suites if s.corrupt}
+        assert failing == {s.name for s in cfg.suites if "corrupt" in s.params}
     assert emit_report(reports[1], "json") == emit_report(reports[2], "json")
 
 

@@ -21,7 +21,7 @@ from fqharmonic.harness.config import ConfigError, parse_config
 from fqharmonic.harness.csvio import parse_table, render_table
 from fqharmonic.harness.report import emit_report
 from fqharmonic.harness.rng import LCG
-from fqharmonic.harness.suites import SUITES, run_suites
+from fqharmonic.harness.suites import DECLARATIONS, SUITES, run_suites
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 EXAMPLE = Path(__file__).resolve().parents[1] / "scripts" / "example.cfg"
@@ -94,6 +94,82 @@ def test_suite_keys_are_checked_per_kind(tmp_path):
     assert stop.value.code == 2
     cfg = parse_config(MINIMAL + "\n[suite cyc_ring]\ncases = 3\n")
     assert (cfg.suites[-1].kind, cfg.suites[-1].params) == ("cyc_ring", {"cases": 3})
+
+
+# the smallest sweep of each suite kind that injects faults
+FAULT_SWEEPS = {
+    "psi_character": "",
+    "poisson1": "cut_hi = 1\n",
+    "poisson2_ii": "cut_lo = -1\ncut_hi = 1\n",
+    "poisson2_i": "cut_lo = 0\ncut_hi = 0\n",
+}
+
+
+def test_every_declared_fault_fails_its_suite():
+    # the negative controls are inventoried: each fault a suite declares
+    # makes that suite fail, under one of its own identity tags
+    faults = {kind: decl.faults for kind, decl in DECLARATIONS.items() if decl.faults}
+    assert faults == {
+        "psi_character": ("psi",),
+        "poisson1": ("measure", "transition"),
+        "poisson2_ii": ("transition",),
+        "poisson2_i": ("measure",),
+    }
+    for kind, names in faults.items():
+        for fault in names:
+            cfg = parse_config(MINIMAL + f"\n[suite x]\nrun = {kind}\n{FAULT_SWEEPS[kind]}corrupt = {fault}\n")
+            (rep,) = run_suites(cfg, only={"x"}, jobs=1)
+            assert rep.cases > 0 and not rep.passed, (kind, fault)
+            assert {f["identity"] for f in rep.failures} <= set(SUITES[kind][1]), (kind, fault)
+
+
+@pytest.mark.parametrize("kind, fault", [
+    ("poisson2_ii", "measure"), ("psi_character", "pxi"), ("poisson2_i", "transition"), ("poisson1", "psi"),
+])
+def test_an_undeclared_fault_is_refused_at_its_line(tmp_path, kind, fault):
+    bad = MINIMAL + f"\n[suite x]\nrun = {kind}\ncorrupt = {fault}\n"
+    with pytest.raises(ConfigError) as exc:
+        parse_config(bad)
+    ((ln, msg),) = exc.value.errors
+    assert ln == len(bad.splitlines()) and msg.startswith(f"{kind} injects no fault {fault!r}")
+    cfg_path = tmp_path / "c.cfg"
+    cfg_path.write_text(bad)
+    with pytest.raises(SystemExit) as stop:
+        cli_main(["verify", str(cfg_path)])
+    assert stop.value.code == 2
+
+
+def _cli_exit(argv, capsys):
+    try:
+        code = cli_main(argv)
+    except SystemExit as stop:
+        code = stop.code
+    return code, capsys.readouterr()
+
+
+@pytest.mark.parametrize("command, bad", [
+    ("verify {missing}", "{missing}"),
+    ("verify {latin1}", "{latin1}"),
+    ("verify {cfg} --out {nodir}", "{nodir}"),
+    ("transform {cfg} --op fourier0 --input {missing} --out {out}", "{missing}"),
+    ("transform {cfg} --op fourier0 --input {csv} --out {nodir}", "{nodir}"),
+    ("dump {missing} --model K --window=-1:1 --elem deltaF:0", "{missing}"),
+    ("dump {cfg} --model K --window=-1:1 --elem deltaF:0 --out {nodir}", "{nodir}"),
+])
+def test_a_file_that_cannot_be_read_or_written_exits_2(tmp_path, capsys, command, bad):
+    # a missing or non-UTF-8 input, or an output in a missing directory, is
+    # named with its message and exits 2, never a traceback
+    paths = {
+        "cfg": tmp_path / "ok.cfg", "csv": tmp_path / "in.csv", "out": tmp_path / "out.csv",
+        "missing": tmp_path / "nope", "latin1": tmp_path / "latin1.cfg", "nodir": tmp_path / "no" / "x",
+    }
+    paths["cfg"].write_text(MINIMAL)
+    paths["csv"].write_text(render_table(2, (CycNum.one(2), CycNum.zero(2))))
+    paths["latin1"].write_bytes(MINIMAL.replace("[field]", "# caf\xe9\n[field]").encode("latin-1"))
+    code, captured = _cli_exit(command.format(**paths).split(), capsys)
+    assert code == 2 and captured.err.startswith(f"{bad.format(**paths)}: "), captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not paths["out"].exists()
 
 
 def test_undeclared_model_reports_identifier():
