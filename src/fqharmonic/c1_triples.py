@@ -391,6 +391,17 @@ class CheckReport:
 POISSON1_FAULTS = ("measure", "transition")
 
 
+def sweep_pairs(cut_lo: int, cut_hi: int, max_points: Optional[int]) -> list[tuple[int, int]]:
+    """The cut pairs a <= b of a summation sweep, in sweep order.  A range or
+    cap that leaves nothing to check raises DomainError (None is no cap)."""
+    if cut_lo > cut_hi:
+        raise DomainError(f"cut_lo = {cut_lo} is above cut_hi = {cut_hi}: nothing to check")
+    if max_points is not None and max_points < 1:
+        raise DomainError(f"max_points = {max_points} leaves nothing to check")
+    cuts = range(cut_lo, cut_hi + 1)
+    return [(a, b) for a in cuts for b in cuts if a <= b]
+
+
 def poisson1_verify(
     T: TripleC1,
     mu1: HaarMeasure,
@@ -414,8 +425,7 @@ def poisson1_verify(
     q = T.mid.field.q
     Td = dual_triple(T)
     mu2_used = mu2.scaled(Fraction(q)) if corrupt == "measure" else mu2
-    cuts = range(cut_lo, cut_hi + 1)
-    for w in [Window(a, b) for a in cuts for b in cuts if a <= b]:
+    for w in [Window(a, b) for a, b in sweep_pairs(cut_lo, cut_hi, max_points)]:
         if max_points is not None and q ** window_dim(T.mid, w) > max_points:
             continue
         report.cases += 1

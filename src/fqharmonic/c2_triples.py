@@ -19,13 +19,13 @@ characteristic object, and a bi-window is certified exactly when both
 widened sides have at most ``max_points`` entries (every one, for None).
 The characteristic objects are factored tables (``tables.Kron``), and every
 step of the loop keeps them factored, so no table of q^dim entries is built.
-Bi-windows whose sides come back on one bi-window share them: a side is
-keyed by its widened bi-window lowered by the image rule of its own
-quotient, the window ``images2`` moves the characteristic object to, and
-each distinct primal side (the transformed characteristic object) and each
-distinct dual side is built once per call, so a sweep builds a little over
-half of the sides it compares.  The rules widen and lower the outer edges
-from the outer edges alone, so a side is kept only until the last outer
+Bi-windows whose sides come back on one bi-window share them: a
+characteristic object is keyed by its constructor's arguments and its
+widened bi-window lowered by the image rule of its own quotient, the window
+``images2`` moves it to.  Each distinct object is built once per call and
+each distinct primal object is transformed once, so a primal and a dual
+side with equal arguments share one build.  The rules widen and lower the outer edges
+from the outer edges alone, so an object is kept only until the last outer
 window pair keyed to its outer edges, and nothing outlives the call.
 """
 
@@ -53,7 +53,7 @@ from fqharmonic.c2 import (
 )
 from fqharmonic.c1_triples import (
     CONJUGATE, IMAGE_KINDS, CheckReport, _require, cell_points, image_table, image_target, require_members,
-    split_flags, triple_split,
+    split_flags, sweep_pairs, triple_split,
 )
 from fqharmonic.exactnum import DomainError, q_power
 
@@ -321,41 +321,44 @@ def poisson2_verify(
     raises DomainError.
 
     Every bi-window is counted and compared, in order, and its cap is read
-    on the widened bi-windows, but each distinct side is built once: the
-    primal side is the transformed (and corrupted) characteristic object,
-    the dual side the dual triple's, each kept under its widened bi-window
-    lowered by its own quotient's image rule (II lowers the inner bottom to
-    the quotient's column bottoms, I the outer bottom to its outer bottom).
-    A side is dropped after the last outer pair (l, i) keyed to its outer
-    edges (see ``_Sides``), so at most the sides of the outer edges still
-    to be reached are held."""
+    on the widened bi-windows, but each distinct characteristic object and
+    each distinct transform is built once (see ``_Sides``).  An object is
+    kept under its constructor's arguments and its widened bi-window lowered
+    by its own quotient's image rule (II lowers the inner bottom to the
+    quotient's column bottoms, I the outer bottom to its outer bottom).  The
+    two argument tuples get small ids once per call, so a dual object whose
+    arguments equal the primal's (a self-dual triple, o = 0 and dual
+    measures (nu*, mu*) equal to (mu, nu)) is the primal object.  A range
+    or cap that leaves nothing to check raises DomainError."""
     poisson2_conditions(which, T)
     fault = POISSON2_FAULTS[which]
     if corrupt not in (None, fault):
         raise DomainError(f"identity {which} injects no fault {corrupt!r}, only {fault!r}")
+    windows = sweep_pairs(cut_lo, cut_hi, max_points)
     Td = dual_triple2(T)
     q = T.mid.field.q
     if which == "II":
-        widen, lower = raise_inner_top, lower_inner_bottom
-        primal, dual = partial(char_fn, T, o), partial(char_fn, Td, -o)
+        widen, lower, build = raise_inner_top, lower_inner_bottom, char_fn
+        args, dual_args = (T, o), (Td, -o)
     else:
         if mu is None or nu is None:
             raise DomainError("the twisted identity consumes both measures")
-        widen, lower = raise_outer_top, lower_outer_bottom
-        primal, dual = partial(char_dist, T, mu, nu), partial(char_dist, Td, nu.on_dual(), mu.on_dual())
+        widen, lower, build = raise_outer_top, lower_outer_bottom, char_dist
+        args, dual_args = (T, mu, nu), (Td, nu.on_dual(), mu.on_dual())
+    dual_id = {args: 0}.setdefault(dual_args, 1)
     report = CheckReport(f"poisson2_{which}")
-    cuts = range(cut_lo, cut_hi + 1)
-    windows = [(a, b) for a in cuts for b in cuts if a <= b]
 
     def transformed(bw: BiWindow):
-        x = primal(bw)
+        x = sides.get(0, bw)
         return fourier2(x * Fraction(q) if corrupt == fault else x)
 
+    primal_key = partial(lower, T.quot)
+    kinds = {0: (partial(build, *args), primal_key), 2: (transformed, primal_key)}
+    kinds.setdefault(dual_id, (partial(build, *dual_args), partial(lower, Td.quot)))
     # both rules widen and lower the outer edges from the outer edges alone,
     # so any inner pair gives an outer pair's keyed outer edges
-    outer = [BiWindow(l, i, 0, 0) for l, i in windows]
-    primal_sides = _Sides(transformed, partial(lower, T.quot), [widen(T.sub, bw.dual()) for bw in outer])
-    dual_sides = _Sides(dual, partial(lower, Td.quot), [widen(Td.sub, bw) for bw in outer])
+    outer = [(widen(T.sub, bw.dual()), widen(Td.sub, bw)) for bw in (BiWindow(l, i, 0, 0) for l, i in windows)]
+    sides = _Sides(kinds, [((0, p), (2, p), (dual_id, d)) for p, d in outer])
     for k, (l, i) in enumerate(windows):
         for m, n in windows:
             bw = BiWindow(l, i, m, n)
@@ -365,41 +368,42 @@ def poisson2_verify(
             ):
                 continue
             report.cases += 1
-            if not d2_equal(primal_sides.get(primal_bw), dual_sides.get(dual_bw)):
+            if not d2_equal(sides.get(2, primal_bw), sides.get(dual_id, dual_bw)):
                 report.fail(f"poisson2_{which}_characteristic_transform", f"bi-window {bw}")
-        primal_sides.release(k)
-        dual_sides.release(k)
+        sides.release(k)
     return report
 
 
 class _Sides:
-    """One side of a summation sweep, each distinct side built once.
+    """The objects of a summation sweep, each distinct one built once.
 
-    A side is asked for at its widened bi-window and kept under its key, that
-    window lowered by the image rule of the side's own quotient: ``images2``
-    moves the characteristic object there, so widened bi-windows that differ
-    only below the lowered bottom give one side.  The sides are grouped by
-    the outer edges of their keys and a group is dropped after the last outer
-    pair of the sweep keyed to those edges, so at most the groups of the
-    outer pairs still to come are held.  II's keys keep the outer edges, so
-    each outer pair has its own group; I's lowered outer bottom merges the
-    groups of the outer pairs with one raised top whose bottoms lie at or
-    above the quotient's outer bottom."""
+    ``kinds`` maps a side id to its builder and key rule: the primal objects
+    are 0, their transforms 2, and the dual objects 0 too when their
+    arguments are the primal's, else 1.  An object is asked for by id at its
+    widened bi-window and kept under the id and its key, that window lowered
+    by the image rule of the side's own quotient.  The objects are grouped
+    by id and the outer edges of their keys, and a group is dropped after
+    the last outer pair k whose asks (``asks[k]``: (id, widened outer pair)
+    of either side) are keyed to it, so at most the groups either side may
+    still ask for are held.  II's keys keep the outer edges; I's lowered
+    outer bottom merges the groups of the outer pairs with one raised top
+    whose bottoms lie at or above the quotient's outer bottom."""
 
-    def __init__(self, build, key, widened_outer: list[BiWindow]) -> None:
-        self.build, self.key = build, key
-        # keyed outer edges -> the index of the last outer pair keyed to them
-        self.last = {key(bw).edges[:2]: k for k, bw in enumerate(widened_outer)}
-        self.groups: dict[tuple[int, int], dict] = {}
+    def __init__(self, kinds: dict, asks: list) -> None:
+        self.kinds = kinds
+        # (id, keyed outer edges) -> the index of the last outer pair keyed to them
+        self.last = {(sid, *kinds[sid][1](bw).edges[:2]): k for k, ask in enumerate(asks) for sid, bw in ask}
+        self.groups: dict[tuple[int, int, int], dict] = {}
 
-    def get(self, bw: BiWindow):
-        key = self.key(bw)
-        group = self.groups.setdefault((key.l, key.i), {})
+    def get(self, sid: int, bw: BiWindow):
+        build, key = self.kinds[sid]
+        key = key(bw)
+        group = self.groups.setdefault((sid, key.l, key.i), {})
         side = group.get(key)
         if side is None:
-            side = group[key] = self.build(bw)
+            side = group[key] = build(bw)
         return side
 
     def release(self, k: int) -> None:
-        for edges in [e for e in self.groups if self.last[e] == k]:
-            del self.groups[edges]
+        for g in [g for g in self.groups if self.last[g] == k]:
+            del self.groups[g]

@@ -275,6 +275,23 @@ def test_poisson1_negative_controls():
         poisson1_verify(T, mu1, mu2, cut_lo=-1, cut_hi=1, corrupt="psi")
 
 
+@pytest.mark.parametrize("sweep, message", [
+    ({"cut_lo": 1, "cut_hi": 0}, "cut_lo = 1 is above cut_hi = 0"),
+    ({"max_points": 0}, "max_points = 0 leaves nothing to check"),
+    ({"max_points": -4}, "max_points = -4 leaves nothing to check"),
+])
+def test_poisson1_refuses_a_sweep_that_checks_nothing(sweep, message):
+    # such a sweep used to report 0 cases as a pass
+    T = standard_triple(F2)
+    mu1 = HaarMeasure(T.sub, 0, Fraction(1))
+    mu2 = HaarMeasure(T.mid, 0, Fraction(1))
+    with pytest.raises(DomainError, match=message):
+        poisson1_verify(T, mu1, mu2, **{"cut_lo": -1, "cut_hi": 1, **sweep})
+    # no cap checks every window, and a one-cut range its one window
+    assert poisson1_verify(T, mu1, mu2, cut_lo=-1, cut_hi=1, max_points=None).cases == 6
+    assert poisson1_verify(T, mu1, mu2, cut_lo=1, cut_hi=1, max_points=1).cases == 1
+
+
 def test_poisson1_dual_pipeline_fault_fails_every_window(monkeypatch):
     # a fault in the dual triple's characteristic distribution alone leaves
     # the transform side as it is and fails the dual pipeline on every window;

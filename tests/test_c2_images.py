@@ -31,6 +31,8 @@ from fqharmonic.c2_triples import (
     dual_triple2,
     images2,
     inner_cut_triple,
+    lower_inner_bottom,
+    lower_outer_bottom,
     one_fn,
     one_mu,
     outer_cut_triple,
@@ -311,6 +313,23 @@ def test_poisson_negative_controls():
         poisson2_verify("I", T, sub_measure(T), quot_measure(T), cut_lo=-1, cut_hi=1, corrupt="transition")
 
 
+@pytest.mark.parametrize("which", ["II", "I"])
+@pytest.mark.parametrize("sweep, message", [
+    ({"cut_lo": 1, "cut_hi": 0}, "cut_lo = 1 is above cut_hi = 0"),
+    ({"max_points": 0}, "max_points = 0 leaves nothing to check"),
+    ({"max_points": -4}, "max_points = -4 leaves nothing to check"),
+])
+def test_poisson2_refuses_a_sweep_that_checks_nothing(which, sweep, message):
+    # such a sweep used to report 0 cases as a pass
+    T = (inner_cut_triple if which == "II" else outer_cut_triple)(k2_model(F2), 0)
+    mu, nu = sub_measure(T), quot_measure(T)
+    with pytest.raises(DomainError, match=message):
+        poisson2_verify(which, T, mu, nu, **{"cut_lo": -1, "cut_hi": 1, **sweep})
+    # no cap checks every bi-window, and a one-cut range its one bi-window
+    assert poisson2_verify(which, T, mu, nu, cut_lo=-1, cut_hi=1, max_points=None).cases == 36
+    assert poisson2_verify(which, T, mu, nu, cut_lo=1, cut_hi=1, max_points=1).cases == 1
+
+
 @pytest.mark.parametrize("fld, cases_ii, cases_i", [(F2, 219, 189), (F3, 196, 144)])
 def test_poisson_sweep_on_a_box_middle(fld, cases_ii, cases_i):
     # the dual middle differs from the middle here, so a cap read on the
@@ -334,18 +353,34 @@ def test_poisson_corruption_fails_every_bi_window(fld, which, fault):
         assert {f["identity"] for f in rep.failures} == {f"poisson2_{which}_characteristic_transform"}
 
 
-def reference_poisson2(which, T, mu, nu, cut_lo, cut_hi, max_points, corrupt):
+def reference_poisson2(which, T, mu, nu, cut_lo, cut_hi, max_points, corrupt, o=0):
     """(cases, failures) of a sweep that builds both sides of every
     bi-window afresh, as the verifier did before it shared them."""
     Td = dual_triple2(T)
     q = T.mid.field.q
     if which == "II":
         widen, fault = raise_inner_top, "transition"
-        primal, dual = partial(char_fn, T, 0), partial(char_fn, Td, 0)
+        primal, dual = partial(char_fn, T, o), partial(char_fn, Td, -o)
     else:
         widen, fault = raise_outer_top, "measure"
         primal, dual = partial(char_dist, T, mu, nu), partial(char_dist, Td, nu.on_dual(), mu.on_dual())
     cases, failures = 0, []
+    for bw, primal_bw, dual_bw in widened_sides(which, T, cut_lo, cut_hi, max_points):
+        cases += 1
+        x = primal(primal_bw)
+        if corrupt == fault:
+            x = x * Fraction(q)
+        if not d2_equal(fourier2(x), dual(dual_bw)):
+            failures.append(f"bi-window {bw}")
+    return cases, failures
+
+
+def widened_sides(which, T, cut_lo, cut_hi, max_points):
+    """(bi-window, widened primal bi-window, widened dual bi-window) of each
+    bi-window a sweep compares, in sweep order."""
+    Td = dual_triple2(T)
+    q = T.mid.field.q
+    widen = raise_inner_top if which == "II" else raise_outer_top
     cuts = range(cut_lo, cut_hi + 1)
     windows = [(a, b) for a in cuts for b in cuts if a <= b]
     for l, i in windows:
@@ -356,13 +391,29 @@ def reference_poisson2(which, T, mu, nu, cut_lo, cut_hi, max_points, corrupt):
                 q ** bw_dim(T.mid, primal_bw), q ** bw_dim(Td.mid, dual_bw)
             ) > max_points:
                 continue
-            cases += 1
-            x = primal(primal_bw)
-            if corrupt == fault:
-                x = x * Fraction(q)
-            if not d2_equal(fourier2(x), dual(dual_bw)):
-                failures.append(f"bi-window {bw}")
-    return cases, failures
+            yield bw, primal_bw, dual_bw
+
+
+def distinct_keys(which, T, cut_lo, cut_hi, max_points):
+    """The distinct primal and dual side keys of a sweep: each widened
+    bi-window lowered by the image rule of its own side's quotient."""
+    Td = dual_triple2(T)
+    lower = lower_inner_bottom if which == "II" else lower_outer_bottom
+    sides = list(widened_sides(which, T, cut_lo, cut_hi, max_points))
+    return {lower(T.quot, p) for _bw, p, _d in sides}, {lower(Td.quot, d) for _bw, _p, d in sides}
+
+
+def counted_builds(monkeypatch):
+    """Record (triple, bi-window) of every characteristic object the
+    verifier builds, and the input of every transform it takes."""
+    builds, transforms = [], []
+    for name in ("char_fn", "char_dist"):
+        build = getattr(c2_triples, name)
+        monkeypatch.setattr(
+            c2_triples, name, lambda T, *args, build=build: builds.append((T, args[-1])) or build(T, *args)
+        )
+    monkeypatch.setattr(c2_triples, "fourier2", lambda x: transforms.append(x.bw) or fourier2(x))
+    return builds, transforms
 
 
 def shared_side_triples(fld):
@@ -388,51 +439,100 @@ def test_shared_sides_match_a_sweep_that_builds_every_side(fld, max_points, whic
             assert len(failures) == (cases if corrupt else 0)
 
 
+def unequal_argument_sweeps(fld):
+    """(which, T, mu, nu, o) of sweeps whose dual constructor gets other
+    arguments than the primal one, so no object may be shared between them."""
+    K2 = k2_model(fld)
+    triples = shared_side_triples(fld)
+    Tu, Tt = inner_cut_triple(K2, 0), outer_cut_triple(K2, 0)
+    sweeps = [
+        (which, T, sub_measure(T), quot_measure(T), 0)
+        for which in ("II", "I") for T in triples[which][1:]
+    ]
+    # a self-dual triple whose dual basepoint -o differs from o
+    sweeps += [("II", Tu, None, None, o) for o in (1, -1)]
+    # a self-dual triple whose dual measures (nu*, mu*) differ from (mu, nu)
+    for s_mu, s_nu in ((Fraction(1), Fraction(fld.q)), (Fraction(1, 2), Fraction(3))):
+        mu, nu = sub_measure(Tt, scalar=s_mu), quot_measure(Tt, scalar=s_nu)
+        assert nu.on_dual() != mu
+        sweeps.append(("I", Tt, mu, nu, 0))
+    return sweeps
+
+
+@pytest.mark.parametrize("fld", [F2, F3])
+def test_unequal_arguments_share_no_object(monkeypatch, fld):
+    # sharing is keyed by value: a primal and a dual object are one object
+    # only when their constructors get equal arguments
+    builds, transforms = counted_builds(monkeypatch)
+    for which, T, mu, nu, o in unequal_argument_sweeps(fld):
+        fault = "transition" if which == "II" else "measure"
+        primal_keys, dual_keys = distinct_keys(which, T, -2, 2, 256)
+        for corrupt in (None, fault):
+            builds.clear()
+            transforms.clear()
+            rep = poisson2_verify(which, T, mu, nu, o=o, cut_lo=-2, cut_hi=2, corrupt=corrupt)
+            cases, failures = reference_poisson2(which, T, mu, nu, -2, 2, 256, corrupt, o=o)
+            assert rep.cases == cases > 0
+            assert [f["context"] for f in rep.failures] == failures
+            assert len(failures) == (cases if corrupt else 0)
+            assert len(builds) == len(primal_keys) + len(dual_keys)
+            assert len(transforms) == len(primal_keys)
+
+
+@pytest.mark.parametrize("fld, cases", [(F2, 216), (F3, 186)])
+def test_poisson_II_off_the_basepoint(fld, cases):
+    T = inner_cut_triple(k2_model(fld), 0)
+    for o in (1, -1):
+        rep = poisson2_verify("II", T, o=o, cut_lo=-2, cut_hi=2)
+        assert (rep.cases, rep.failures) == (cases, [])
+
+
 @pytest.mark.parametrize("fld", [F2, F3, F4])
 @pytest.mark.parametrize("max_points", [256, None])
 @pytest.mark.parametrize("which", ["II", "I"])
 def test_every_shared_side_is_the_side_built_at_its_widened_window(monkeypatch, fld, max_points, which):
-    # a side is kept under its lowered window, so every side the verifier
-    # compares must be the one built afresh at the widened window it was
-    # asked for: same model, basepoint, bi-window, table and twist
-    asked = []
-    get = c2_triples._Sides.get
+    # an object is kept under its lowered window and may be shared by both
+    # sides, so every pair of sides the verifier compares must be the pair
+    # built afresh at the widened windows of its bi-window: same model,
+    # basepoint, bi-window, table and twist
+    compared = []
 
-    def recorded(self, bw):
-        side = get(self, bw)
-        asked.append((bw, side))
-        return side
+    def recorded(x, y):
+        compared.append((x, y))
+        return d2_equal(x, y)
 
-    monkeypatch.setattr(c2_triples._Sides, "get", recorded)
-    for T in shared_side_triples(fld)[which]:
+    monkeypatch.setattr(c2_triples, "d2_equal", recorded)
+    sweeps = [(T, sub_measure(T), quot_measure(T, scalar=Fraction(fld.q))) for T in shared_side_triples(fld)[which]]
+    if which == "I":
+        # the self-dual triple with unit measures, whose dual constructor
+        # gets the primal's arguments
+        T = outer_cut_triple(k2_model(fld), 0)
+        sweeps.append((T, sub_measure(T), quot_measure(T)))
+    for T, mu, nu in sweeps:
         Td = dual_triple2(T)
-        mu, nu = sub_measure(T), quot_measure(T, scalar=Fraction(fld.q))
         if which == "II":
             primal, dual = partial(char_fn, T, 0), partial(char_fn, Td, 0)
         else:
             primal, dual = partial(char_dist, T, mu, nu), partial(char_dist, Td, nu.on_dual(), mu.on_dual())
-        asked.clear()
+        compared.clear()
         rep = poisson2_verify(which, T, mu, nu, cut_lo=-2, cut_hi=2, max_points=max_points)
-        # the verifier asks for the primal side, then the dual side
-        assert rep.cases > 0 and len(asked) == 2 * rep.cases
-        for k, (bw, side) in enumerate(asked):
-            fresh = fourier2(primal(bw)) if k % 2 == 0 else dual(bw)
-            assert type(side) is type(fresh)
-            assert (side.model, side.o, side.bw, side.twist) == (fresh.model, fresh.o, fresh.bw, fresh.twist), bw
-            assert side.table == fresh.table, bw
+        asked = list(widened_sides(which, T, -2, 2, max_points))
+        assert rep.cases == len(asked) == len(compared) > 0
+        for (_bw, primal_bw, dual_bw), sides in zip(asked, compared):
+            for side, fresh in zip(sides, (fourier2(primal(primal_bw)), dual(dual_bw))):
+                assert type(side) is type(fresh)
+                assert (side.model, side.o, side.bw, side.twist) == (fresh.model, fresh.o, fresh.bw, fresh.twist)
+                assert side.table == fresh.table
 
 
 def test_each_widened_side_is_built_once(monkeypatch):
     # at +-2 over F_2 with the default cap, 216 bi-windows of each identity
     # widen to 171 distinct bi-windows a side, which the image rule of the
-    # side's own quotient lowers onto 126 distinct sides
-    builds = []
-    for name in ("char_fn", "char_dist"):
-        build = getattr(c2_triples, name)
-        monkeypatch.setattr(
-            c2_triples, name, lambda T, *args, build=build: builds.append((T, args[-1])) or build(T, *args)
-        )
-    held = []  # the groups of sides held before and after each release
+    # side's own quotient lowers onto 126 distinct keys; both triples are
+    # their own duals and at o = 0 with unit measures the dual constructor
+    # gets the primal's arguments, so the 126 dual keys are primal keys
+    builds, transforms = counted_builds(monkeypatch)
+    held = []  # the groups of the store held before and after each release
     release = c2_triples._Sides.release
 
     def counted(self, k):
@@ -442,44 +542,48 @@ def test_each_widened_side_is_built_once(monkeypatch):
 
     monkeypatch.setattr(c2_triples._Sides, "release", counted)
 
-    def spans(edges):
-        """(before, after) the release at each outer pair, for sides grouped
-        by the given keyed outer edges of the outer pairs in sweep order."""
+    def spans(asked):
+        """(before, after) the release at each outer pair, for store groups
+        asked for at the given outer pairs in sweep order."""
         first, last = {}, {}
-        for k, e in enumerate(edges):
-            first.setdefault(e, k)
-            last[e] = k
+        for k, groups in enumerate(asked):
+            for g in groups:
+                first.setdefault(g, k)
+                last[g] = k
         return [
-            (sum(first[e] <= k <= last[e] for e in first), sum(first[e] <= k < last[e] for e in first))
-            for k in range(len(edges))
+            (sum(first[g] <= k <= last[g] for g in first), sum(first[g] <= k < last[g] for g in first))
+            for k in range(len(asked))
         ]
 
     K2 = k2_model(F2)
     outer = [(l, i) for l in range(-2, 3) for i in range(l, 3)]
     for which, T in (("II", inner_cut_triple(K2, 0)), ("I", outer_cut_triple(K2, 0))):
         builds.clear()
+        transforms.clear()
         held.clear()
         rep = poisson2_verify(which, T, sub_measure(T), quot_measure(T))
         assert rep.cases == 216 and rep.passed
-        # the twist-free triple is its own dual as a value, so the sides are
-        # told apart by the triple object the verifier was given
-        primal = [bw for S, bw in builds if S is T]
-        dual = [bw for S, bw in builds if S is not T]
-        assert len(primal) == len(set(primal)) == 126
-        assert len(dual) == len(set(dual)) == 126
+        primal_keys, dual_keys = distinct_keys(which, T, -2, 2, 256)
+        assert dual_keys == primal_keys and len(primal_keys) == 126
+        assert len(builds) == len(set(builds)) == 126
+        assert len(transforms) == len(set(transforms)) == 126
         if which == "II":
-            # the rule keeps the outer edges, so the sides are dropped row by row
-            primal_edges = dual_edges = outer
+            # the rule keeps the outer edges, and the primal side of (l, i) is
+            # built on the mirrored pair (-i, -l)
+            dual_edges = outer
+            primal_edges = [(-i, -l) for l, i in outer]
         else:
             # both quotients have outer bottom 0 and both subs outer top 0:
             # the dual side of (l, i) is keyed at (min(l, 0), max(i, 0)) and
             # the primal side, built on the mirrored pair, at (min(-i, 0), max(-l, 0))
             dual_edges = [(min(l, 0), max(i, 0)) for l, i in outer]
             primal_edges = [(min(-i, 0), max(-l, 0)) for l, i in outer]
-        expected = [x for pair in zip(spans(primal_edges), spans(dual_edges)) for x in pair]
-        assert held == expected and held[-2:] == [(1, 0), (1, 0)]
-        if which == "II":
-            assert all(after == 0 for _before, after in held)
+        # the objects and the transforms are grouped apart; an object group
+        # is held while either side may still ask for it
+        asked = [
+            {("object", p), ("transform", p), ("object", d)} for p, d in zip(primal_edges, dual_edges)
+        ]
+        assert held == spans(asked) and held[-1][1] == 0
 
 
 # ---------------------------------------------------------------------------
