@@ -9,6 +9,14 @@ a cut the slots come in list order.  A window (lo, hi) identifies the
 finite quotient F(hi)/F(lo) with a coordinate space over the graded slots
 in [lo, hi).
 
+The Fourier transform sends a model to its index-reversed dual, whose slot
+list is the primal list mirrored under k -> -k-1 and reversed, and a window
+(lo, hi) to its dual window (-hi, -lo) there.  So the dual window's positions
+are the primal positions mirrored, in reverse order, as ``c2``'s mirrored
+boxes give in two dimensions: the transform reads its table back with the
+digits reversed (``TableRep.dual_table``), and a dual point pairs with the
+primal point read in reverse (``character_fn``).
+
 Function representatives carry a window and a dense table.  The limit
 structure of the six functional spaces is realized by table transport between
 windows, all through the one primitive ``tables.transport``.  Each kind of
@@ -230,8 +238,12 @@ def shift_model(m: C1Model, s: int, label: str = "") -> C1Model:
 
 
 def dual_model(m: C1Model) -> C1Model:
-    """Index-reversed dual: slots mirrored under k -> -k-1."""
-    return C1Model(m.field, tuple(mirror(lo, hi) for lo, hi in m.intervals), f"dual({m.label})")
+    """Index-reversed dual: the interval list mirrored under k -> -k-1 and
+    reversed, so dual slot s at cut k pairs with primal slot
+    m.mult(-k-1) - 1 - s at cut -k-1, and the positions of a dual window are
+    the primal window's mirrored, in reverse order."""
+    intervals = tuple(mirror(lo, hi) for lo, hi in reversed(m.intervals))
+    return C1Model(m.field, intervals, f"dual({m.label})")
 
 
 # ---------------------------------------------------------------------------
@@ -252,9 +264,8 @@ class Window:
     def edges(self) -> tuple[int, int]:
         return self.lo, self.hi
 
-
-def dual_window(w: Window) -> Window:
-    return Window(-w.hi, -w.lo)
+    def dual(self) -> "Window":
+        return Window(-self.hi, -self.lo)
 
 
 POSITION_CACHE = 1024  # (model, window) pairs whose slot labels are kept
@@ -273,18 +284,6 @@ def positions(model: C1Model, w: Window) -> tuple[tuple[int, int], ...]:
 
 def window_dim(model: C1Model, w: Window) -> int:
     return len(positions(model, w))
-
-
-def dual_perm(model: C1Model, w: Window) -> list[int]:
-    """For each dual-window position, the index of its paired primal position.
-
-    The dual window of (lo, hi) is (-hi, -lo) on the dual model; dual slot
-    (k', s) pairs with primal slot (-k'-1, s).
-    """
-    src = positions(model, w)
-    index_of = {pos: r for r, pos in enumerate(src)}
-    dm = dual_model(model)
-    return [index_of[(-k - 1, s)] for (k, s) in positions(dm, dual_window(w))]
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +330,12 @@ class TableRep:
 
     def is_zero(self) -> bool:
         return tables.is_zero(self.table)
+
+    def dual_table(self, factor=1) -> Rows:
+        """The dot-pairing transform of the table times factor, read back on
+        the dual (bi-)window, whose positions are these in reverse order."""
+        fld, dim = self.model.field, self.dim
+        return tables.apply_perm(tables.fourier(self.table, fld.q, dim, fld, factor), fld.q, range(dim)[::-1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -533,15 +538,15 @@ def dist_vanishes_at(G: C1Dist, point) -> bool:
 def character_fn(model: C1Model, w: Window, b) -> C1Fn:
     """psi_b restricted to the window; b is a point of the dual model.
 
-    The dual-model component at cut k' pairs with the primal slot at
-    -k'-1, so well-definedness requires supp(b) within [-w.hi, -w.lo).
+    The dual window's positions are the window's in reverse order, so b read
+    there and reversed gives the digit at each primal slot; well-definedness
+    requires supp(b) within the dual window.
     """
-    dm = dual_model(model)
+    dm, wd = dual_model(model), w.dual()
     b = normalize_point(dm, b)
-    for (k, _s) in b:
-        if not (-w.hi <= k < -w.lo):
-            raise WindowError("character component outside the dual window")
-    digits = [b.get((-k - 1, s), 0) for (k, s) in positions(model, w)]
+    if any(not wd.lo <= k < wd.hi for (k, _s) in b):
+        raise WindowError("character component outside the dual window")
+    digits = _shift_digits(dm, wd, b)[::-1]
     return C1Fn(model, "ET", w, tables.psi_linear(model.field, window_dim(model, w), digits))
 
 
@@ -649,10 +654,8 @@ def fourier1(x, mu: Optional[HaarMeasure] = None):
         tag, factor = "D", mu.value_at(x.window.lo)
     else:
         tag, factor = "Dp", Fraction(1) / mu.value_at(x.window.hi)
-    # the dot-pairing transform, then the dual-window slot matching
-    ft = tables.fourier(x.table, q, x.dim, x.model.field, factor)
-    table = tables.apply_perm(ft, q, dual_perm(x.model, x.window))
-    dm, dw = dual_model(x.model), dual_window(x.window)
+    table = x.dual_table(factor)
+    dm, dw = dual_model(x.model), x.window.dual()
     if tag in FN_TAGS:
         return C1Fn(dm, tag, dw, table)
     return C1Dist(dm, tag, dw, table, ("zero_up",) if x.tag == "Haar" else None)

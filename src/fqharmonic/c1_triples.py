@@ -47,7 +47,6 @@ from fqharmonic.c1 import (
     WindowError,
     C1Model,
     dual_model,
-    dual_window,
     fourier1,
     sum_model,
     window_dim,
@@ -159,9 +158,10 @@ def direct_sum_triple(sub: C1Model, quot: C1Model, label: str = "") -> TripleC1:
 
 
 def dual_triple(T: TripleC1) -> TripleC1:
-    """0 -> quot* -> mid* -> sub* -> 0: the cell [a, b) mirrors to [-b, -a), its flags negated."""
+    """0 -> quot* -> mid* -> sub* -> 0: the cell [a, b) mirrors to [-b, -a),
+    its flags negated and, as ``dual_model`` lists the slots, reversed."""
     ends = [c for c, _ in T.cells[1:]] + [None]
-    cells = [(None if e is None else -e, tuple(not f for f in flags)) for (_, flags), e in zip(T.cells, ends)]
+    cells = [(None if e is None else -e, tuple(not f for f in flags[::-1])) for (_, flags), e in zip(T.cells, ends)]
     return TripleC1(dual_model(T.mid), dual_model(T.quot), dual_model(T.sub), cells[::-1], f"dual({T.label})")
 
 
@@ -342,11 +342,12 @@ def images1(kind: str, T: TripleC1, x, mu1: Optional[HaarMeasure] = None):
     return type(x)(dst, "Dp" if x.tag == "Haar" else x.tag, w, table)
 
 
-def tensor_haar(T: TripleC1, mu1: HaarMeasure, mu3: HaarMeasure, ref: int = 0) -> HaarMeasure:
-    """The product measure on the middle model: value = sub value * quot value."""
+def tensor_haar(T: TripleC1, mu1: HaarMeasure, mu3: HaarMeasure) -> HaarMeasure:
+    """The product measure on the middle model: value = sub value * quot value,
+    pinned at cut 0 (the same measure at any cut)."""
     if mu1.model != T.sub or mu3.model != T.quot:
         raise DomainError("tensor factors on the wrong models")
-    return HaarMeasure(T.mid, ref, mu1.value_at(ref) * mu3.value_at(ref))
+    return HaarMeasure(T.mid, 0, mu1.value_at(0) * mu3.value_at(0))
 
 
 def char_dist1(T: TripleC1, mu1: HaarMeasure, w: Window) -> C1Dist:
@@ -431,7 +432,7 @@ def poisson1_verify(
         report.cases += 1
         mu = mu1.scaled(mu1.value_at(w.lo + 1) / mu1.value_at(w.lo)) if corrupt == "transition" else mu1
         lhs = fourier1(char_dist1(T, mu, w), mu2_used)
-        wd = dual_window(w)
+        wd = w.dual()
         val = mu1.value_at(w.hi) / mu2.value_at(w.hi)
         sub_idx, _ = Td.split(wd)
         const = tables.const_kron(T.mid.field.p, val, q, len(sub_idx))

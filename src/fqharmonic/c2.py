@@ -472,14 +472,6 @@ def basepoint_change(x, vm: VirtualMeasure):
 # ---------------------------------------------------------------------------
 
 
-def _rev_fourier2(model: C2Model, bw: BiWindow, table: Rows, factor: Fraction = Fraction(1)) -> Rows:
-    """Dot-pairing transform times factor, then the dual bi-window slot order."""
-    q = model.field.q
-    dim = bw_dim(model, bw)
-    ft = tables.fourier(table, q, dim, model.field, factor)
-    return tables.apply_perm(ft, q, range(dim)[::-1])
-
-
 def fourier2(x):
     """Levelwise transform with exact reference-volume bookkeeping."""
     if not isinstance(x, (D2Elem, D2Dist, E2Fn)):
@@ -487,12 +479,11 @@ def fourier2(x):
     model, bw = x.model, x.bw
     q, dm = model.field.q, dual_model2(model)
     if isinstance(x, D2Elem):
-        out = _rev_fourier2(model, bw, x.table, q_power(q, model.sigma(bw.l, bw.i, bw.m)))
+        out = x.dual_table(q_power(q, model.sigma(bw.l, bw.i, bw.m)))
         return D2Elem(dm, -x.o, bw.dual(), out, VirtualMeasure(dm, -bw.i, -x.o, x.twist.scalar))
     if isinstance(x, D2Dist):
-        out = _rev_fourier2(model, bw, x.table, q_power(q, -model.sigma(bw.l, bw.i, bw.n)))
+        out = x.dual_table(q_power(q, -model.sigma(bw.l, bw.i, bw.n)))
         return D2Dist(dm, -x.o, bw.dual(), out, VirtualMeasure(dm, -x.o, -bw.i, x.twist.scalar))
     if x.tag in GERM_TAGS:
-        out = _rev_fourier2(model, bw, x.table, Fraction(1, q ** bw_dim(model, bw)))
-        return E2Fn(dm, "E2tp" if x.tag == "E2" else "E2p", bw.dual(), out)
-    return E2Fn(dm, "E2" if x.tag == "E2tp" else "E2t", bw.dual(), _rev_fourier2(model, bw, x.table))
+        return E2Fn(dm, "E2tp" if x.tag == "E2" else "E2p", bw.dual(), x.dual_table(Fraction(1, q**x.dim)))
+    return E2Fn(dm, "E2" if x.tag == "E2tp" else "E2t", bw.dual(), x.dual_table())

@@ -343,6 +343,8 @@ def poisson2_verify(
     else:
         if mu is None or nu is None:
             raise DomainError("the twisted identity consumes both measures")
+        if mu.src != o:
+            raise DomainError(f"the twisted identity runs at its measures' source {mu.src}, not at o = {o}")
         widen, lower, build = raise_outer_top, lower_outer_bottom, char_dist
         args, dual_args = (T, mu, nu), (Td, nu.on_dual(), mu.on_dual())
     dual_id = {args: 0}.setdefault(dual_args, 1)

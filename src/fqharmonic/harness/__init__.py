@@ -1,17 +1,1 @@
 """Configuration-driven verification harness and CLI front end."""
-
-from fqharmonic.harness.config import ConfigError, SuiteConfig, parse_config
-from fqharmonic.harness.report import Report, emit_report
-from fqharmonic.harness.rng import LCG
-from fqharmonic.harness.suites import SUITES, run_suites
-
-__all__ = [
-    "ConfigError",
-    "LCG",
-    "Report",
-    "SUITES",
-    "SuiteConfig",
-    "emit_report",
-    "parse_config",
-    "run_suites",
-]

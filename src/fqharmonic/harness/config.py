@@ -164,6 +164,15 @@ def _value_errors(spec: SuiteSpec, given: dict, table_cap: Optional[int]) -> lis
             errors.append((line[at], msg))
     if table_cap is not None and given.get("max_points", 0) > table_cap:
         errors.append((line["max_points"], f"max_points {got['max_points']} exceeds table cap {table_cap}"))
+    if "max_dim" in given:
+        # poisson0's largest table has 4^max_dim entries, over F_4; a huge
+        # power is never formed
+        n = got["max_dim"]
+        if n < 0:
+            errors.append((line["max_dim"], f"max_dim = {n} leaves the suite nothing to check; give at least 0"))
+        elif table_cap is not None and (2 * n > table_cap.bit_length() or 4**n > table_cap):
+            msg = f"max_dim {n} makes tables of 4^{n} entries, more than table cap {table_cap}"
+            errors.append((line["max_dim"], msg))
     if spec.kind == "poisson1":
         if got["triple"] is not None and not got["deep_cut"]:
             # the triple runs only in the deep sweep, so without it the triple is ignored

@@ -47,7 +47,6 @@ from fqharmonic.c1 import (
     dist_at,
     dist_vanishes_at,
     dual_model,
-    dual_window,
     eval_fn_at,
     fn_at,
     fn_equal,
@@ -273,9 +272,9 @@ def _rand_e2(rng: LCG, model, bw, tag="E2") -> E2Fn:
     return E2Fn(model, tag, bw, _rand_table(rng, model.field, bw_dim(model, bw)))
 
 
-def _rand_lift(rng: LCG, model, o=0) -> AutHatElem:
+def _rand_lift(rng: LCG, model) -> AutHatElem:
     g = AutElem(model, rng.randint(-1, 1), rng.randint(-1, 1), rng.randint(1, model.field.q - 1))
-    return AutHatElem(g, VirtualMeasure(model, o, g.apply_cut(o), abs(rng.fraction())))
+    return AutHatElem(g, VirtualMeasure(model, 0, g.apply_cut(0), abs(rng.fraction())))
 
 
 def _check(rep: Report, identity: str, ok: bool, context: str = "") -> None:
@@ -554,7 +553,7 @@ def fourier1_props(ctx: SuiteContext, rep: Report) -> None:
         ge = _rand_c1fn(ctx.rng, K, w, tag="E")
         twice = [("fourier", mu), ("fourier", mu.inverse_on_dual())]
         _commutes(rep, "fourier1_inversion", "", (f, twice, [("check",)]))
-        chi = character_fn(dual_model(K), dual_window(w), a)
+        chi = character_fn(dual_model(K), w.dual(), a)
         _check(
             rep, "fourier1_translation_twist",
             fn_equal(fourier1(translate_fn(f, a), mu), fn_mul(chi, fourier1(f, mu))), "",
@@ -1002,15 +1001,15 @@ def poisson2_ii(ctx: SuiteContext, rep: Report) -> None:
     triple=_corollary_triple,
 )
 def poisson2_i(ctx: SuiteContext, rep: Report) -> None:
-    q = ctx.field.q
+    q, o = ctx.field.q, ctx.params["basepoint"]
     triple = ctx.params["triple"] or outer_cut_triple(k2_model(ctx.field), 0)
     values = (Fraction(1), Fraction(q), Fraction(1, q))
     _merge(rep, (
         poisson2_verify(
             "I",
             triple,
-            VirtualMeasure(triple.sub, 0, triple.sub.outer_sup, s_mu),
-            VirtualMeasure(triple.quot, 0, triple.quot.outer_inf, s_nu),
+            VirtualMeasure(triple.sub, o, triple.sub.outer_sup, s_mu),
+            VirtualMeasure(triple.quot, o, triple.quot.outer_inf, s_nu),
             **_sweep2(ctx),
         )
         for s_mu in values
@@ -1019,13 +1018,13 @@ def poisson2_i(ctx: SuiteContext, rep: Report) -> None:
     # the corollary under monomial automorphisms of the middle, on one
     # bi-window widened over both subs as the verifier widens each side
     mid, Td = triple.mid, dual_triple2(triple)
-    mu = VirtualMeasure(triple.sub, 0, triple.sub.outer_sup, Fraction(1))
-    nu = VirtualMeasure(triple.quot, 0, triple.quot.outer_inf, Fraction(1))
+    mu = VirtualMeasure(triple.sub, o, triple.sub.outer_sup, Fraction(1))
+    nu = VirtualMeasure(triple.quot, o, triple.quot.outer_inf, Fraction(1))
     bw = raise_outer_top(Td.sub, raise_outer_top(triple.sub, BiWindow(-1, 1, -1, 1)))
     delta, delta_d = char_dist(triple, mu, nu, bw), char_dist(Td, nu.on_dual(), mu.on_dual(), bw)
     for shifts in _COROLLARY_SHIFTS:
         g = AutElem(mid, shifts[0], shifts[1], 1)
-        ghat = AutHatElem(g, VirtualMeasure(mid, 0, g.apply_cut(0), Fraction(1)))
+        ghat = AutHatElem(g, VirtualMeasure(mid, o, g.apply_cut(o), Fraction(1)))
         lhs, rhs = _walk(delta, [("act", ghat), ("fourier",)]), _walk(delta_d, [("act", ghat.dual_lift())])
         _check(rep, "poisson2_I_monomial_corollary", _same(lhs, rhs), f"g={shifts}")
 

@@ -156,16 +156,15 @@ def zero_table(p: int, q: int, dim: int) -> Rows:
     return Rows(p, 1, ((0,) * q**dim,) * (p - 1))
 
 
-def indicator_table(p: int, size: int, indices: Iterable[int], value: Fraction | int = 1) -> Rows:
-    """The table of size entries that is the rational value at the given
-    indices and zero elsewhere: an indicator of many points, or one factor
-    of a point mass (``point_kron``)."""
+def indicator_table(p: int, size: int, indices: Iterable[int]) -> Rows:
+    """The table of size entries that is 1 at the given indices and zero
+    elsewhere: an indicator of many points, or one factor of a point mass
+    (``point_kron``)."""
     _check_dense(size)
-    value = Fraction(value)
     row = [0] * size
     for i in indices:
-        row[i] = value.numerator
-    return Rows(p, value.denominator, [row] + [[0] * size] * (p - 2))
+        row[i] = 1
+    return Rows(p, 1, [row] + [[0] * size] * (p - 2))
 
 
 # ---------------------------------------------------------------------------
@@ -766,17 +765,16 @@ def fourier(table: Rows, q: int, dim: int, field: FqField, factor: Fraction | in
     return Rows(p, table.den * factor.denominator, out)
 
 
-def psi_linear(field: FqField, dim: int, digits: Sequence[int], conj: bool = False) -> Rows:
-    """Table of psi(sum_r digits[r] * v_r) over all v (or its conjugate).
+def psi_linear(field: FqField, dim: int, digits: Sequence[int]) -> Rows:
+    """Table of psi(sum_r digits[r] * v_r) over all v.
 
     The trace is additive, so the power of zeta at v is the sum over r of
     Tr(digits[r] v_r) mod p, built digit by digit like a source index.
     """
     q, p = field.q, field.p
     _check_dense(q**dim)
-    sign = -1 if conj else 1
     coeffs = [digits[r] if r < len(digits) else 0 for r in range(dim)]
-    expo = digit_index([[sign * field.trace_idx(field.mul_idx(c, d)) for d in range(q)] for c in coeffs])
+    expo = digit_index([[field.trace_idx(field.mul_idx(c, d)) for d in range(q)] for c in coeffs])
     expo = [e % p for e in expo]
     # zeta^k is the unit row k below p - 1, and zeta^(p-1) is -1 in every row
     rows = [[1 if e == k else -1 if e == p - 1 else 0 for e in expo] for k in range(p - 1)]

@@ -15,7 +15,6 @@ from fqharmonic.c1 import (
     delta_lattice,
     dist_at,
     dual_model,
-    dual_window,
     eval_fn_at,
     fn_at,
     fn_equal,
@@ -93,7 +92,7 @@ def test_translation_twist_lemma():
         f = rand_fn(rng, K, Window(-2, 2))
         a = {(-1, 0): rng.randrange(3), (1, 0): rng.randrange(3)}
         lhs = fourier1(translate_fn(f, a), mu)
-        chi = character_fn(dual_model(K), dual_window(f.window), a)
+        chi = character_fn(dual_model(K), f.window.dual(), a)
         rhs = fn_mul(chi, fourier1(f, mu))
         assert fn_equal(lhs, rhs)
 
@@ -177,7 +176,7 @@ def test_germ_transform_mixed_adjointness():
     dK = dual_model(K)
     w = Window(-1, 1)
     f = rand_fn(rng, K, w, tag="E")
-    g = rand_fn(rng, dK, dual_window(w), tag="ET")
+    g = rand_fn(rng, dK, w.dual(), tag="ET")
     assert pairing1(fourier1(f), g) == pairing1(fourier1(g), f)
 
 

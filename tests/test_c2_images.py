@@ -487,6 +487,21 @@ def test_poisson_II_off_the_basepoint(fld, cases):
         assert (rep.cases, rep.failures) == (cases, [])
 
 
+@pytest.mark.parametrize("fld, cases", [(F2, 216), (F3, 186)])
+def test_poisson_I_off_the_basepoint(fld, cases):
+    # identity I runs at its measures' source; its fault fails every bi-window
+    T = outer_cut_triple(k2_model(fld), 0)
+    for o in (1, -1):
+        mu, nu = sub_measure(T, o), quot_measure(T, o)
+        rep = poisson2_verify("I", T, mu, nu, o=o, cut_lo=-2, cut_hi=2)
+        assert (rep.cases, rep.failures) == (cases, [])
+        rep = poisson2_verify("I", T, mu, nu, o=o, cut_lo=-2, cut_hi=2, corrupt="measure")
+        assert rep.cases == len(rep.failures) == cases
+        # an o the measures do not start at was never read: refused
+        with pytest.raises(DomainError, match=f"runs at its measures' source {o}, not at o = {-o}"):
+            poisson2_verify("I", T, mu, nu, o=-o, cut_lo=-2, cut_hi=2)
+
+
 @pytest.mark.parametrize("fld", [F2, F3, F4])
 @pytest.mark.parametrize("max_points", [256, None])
 @pytest.mark.parametrize("which", ["II", "I"])

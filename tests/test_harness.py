@@ -21,6 +21,7 @@ from fqharmonic.harness.config import ConfigError, parse_config
 from fqharmonic.harness.csvio import parse_table, render_table
 from fqharmonic.harness.report import emit_report
 from fqharmonic.harness.rng import LCG
+from fqharmonic.harness import suites
 from fqharmonic.harness.suites import DECLARATIONS, SUITES, run_suites
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -358,6 +359,46 @@ def test_cli_transform_fourier1(tmp_path):
     assert "window=-1:1" in out.read_text()
 
 
+# K2 is not fiberwise discrete, so delta0 is dumped on the half plane H2
+PIN_MODELS = "\n[model K2]\nc2 = full\n\n[model H2]\nc2 = box * * -1 *\n"
+
+# name: (command and its options, entries of the input table or None, sha256 of the CSV written)
+CSV_PINS = {
+    "fourier1_K": (["transform", "--op", "fourier1", "--model", "K", "--window=-2:1"], 8,
+                   "3f4f81e6b29a11e175fce28137766413e18b10f1792c958a42d2eb95574c8a66"),
+    "fourier1_O": (["transform", "--op", "fourier1", "--model", "O", "--window=-3:0", "--measure", "3/2@-1"], 8,
+                   "16d310e42b8f35593747b63760fa630f2ab9f43e12a929a869ede5867d05f9c2"),
+    "fourier2_K2": (["transform", "--op", "fourier2", "--model", "K2", "--biwindow=0:2,-1:1", "--basepoint", "1"],
+                    16, "ddc449c43161be1c198fa5edf92338422fe76de71e5134928e1e1ecacc566a75"),
+    "ones_K2": (["dump", "--model", "K2", "--window=0:2,-1:1", "--elem", "ones"], None,
+                "1642097dc594e750bbe6e42052befcee95cb06f54dd725c051f9c4ff56e393f8"),
+    "delta0_H2": (["dump", "--model", "H2", "--window=0:2,-1:1", "--elem", "delta0"], None,
+                  "c2f59b21ab0ab62bb64f262bb87afeae9d7bb65e1ae82bda3aa08874a6f33d07"),
+    "deltaF_K": (["dump", "--model", "K", "--window=-2:1", "--elem", "deltaF:-1"], None,
+                 "d6a62ee7a875cc16bb8a850fa0546e89ff3966b7cb5bd09643690e0455dbf6d9"),
+    "haar_K": (["dump", "--model", "K", "--window=-2:1", "--elem", "haar:3/2@-1"], None,
+               "a9bfdcf861f96ded4512aa9cab4f7caaacc3acc079db316cc8002d981c717f54"),
+    "point_K": (["dump", "--model", "K", "--window=-2:1", "--elem", "point:-1=1;0=1"], None,
+                "4aab5dddca3f6eb4ef4e0aea10f316da1cba922ff3134959ea11bfb594aa4a18"),
+}
+
+
+@pytest.mark.parametrize("name", list(CSV_PINS))
+def test_cli_csv_bytes_are_pinned(tmp_path, name):
+    # the CSV of transform and dump stays byte for byte the same; the input
+    # entries are distinct, so a change of slot order changes the bytes
+    (cmd, *options), entries, digest = CSV_PINS[name]
+    cfg_path = tmp_path / "c.cfg"
+    cfg_path.write_text(MINIMAL + PIN_MODELS)
+    if entries is not None:
+        src = tmp_path / "in.csv"
+        src.write_text(render_table(2, [CycNum.from_rational(2, Fraction(k + 1, 3)) for k in range(entries)]))
+        options += ["--input", str(src)]
+    out = tmp_path / "out.csv"
+    assert cli_main([cmd, str(cfg_path), *options, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, out.read_text()
+
+
 @pytest.mark.parametrize("cell,reason", [
     ("1/0", "zero denominator"),
     ("x/2", "not an integer"),
@@ -568,6 +609,34 @@ sub = K2
 """
 
 
+@pytest.mark.parametrize("o", [1, -1])
+def test_poisson2_i_runs_at_its_basepoint(monkeypatch, o):
+    # the suite builds identity I's measures, and the corollary its measures
+    # and lifts, at the basepoint; the measure fault fails every bi-window of
+    # identity I and leaves the corollary passing
+    sources = set()
+    verify, char_dist = suites.poisson2_verify, suites.char_dist
+
+    def verify_at(which, T, mu, nu, **sweep):
+        sources.add((mu.src, nu.src, sweep["o"]))
+        return verify(which, T, mu, nu, **sweep)
+
+    def char_dist_at(T, mu, nu, bw):
+        sources.add((mu.src, nu.src))
+        return char_dist(T, mu, nu, bw)
+
+    monkeypatch.setattr(suites, "poisson2_verify", verify_at)
+    monkeypatch.setattr(suites, "char_dist", char_dist_at)
+    for corrupt in ("", "corrupt = measure\n"):
+        cfg = parse_config(MINIMAL + f"\n[suite x]\nrun = poisson2_i\nbasepoint = {o}\n{corrupt}")
+        (rep,) = run_suites(cfg, only={"x"}, jobs=1)
+        failed = [f["identity"] for f in rep.failures]
+        assert rep.cases == 9 * 36 + 3
+        assert failed == (["poisson2_I_characteristic_transform"] * 9 * 36 if corrupt else [])
+    # the corollary's dual object sits at the mirrored basepoint
+    assert sources == {(o, o, o), (o, o), (-o, -o)}
+
+
 def test_triple_of_mixed_dimensions_is_refused_at_its_line(tmp_path):
     # a 2d middle with 1d members, and a 1d middle with a 2d sub: each is a
     # config error at the triple's line and exit 2, never a traceback
@@ -626,6 +695,11 @@ def test_poisson2_i_refuses_a_middle_its_corollary_cannot_act_on(tmp_path):
     ("run = central_ext\nrep_cases = -1", "rep_cases", "nothing to check"),
     ("run = poisson2_i\nmax_points = 0", "max_points", "nothing to check"),
     ("run = poisson1\ncut_hi = -1", "cut_hi", "must not be negative"),
+    ("run = poisson0\nmax_dim = -1", "max_dim", "max_dim = -1 leaves the suite nothing to check"),
+    # F_4's 4^7 entries against the default table cap of 4096
+    ("run = poisson0\nmax_dim = 7", "max_dim", "max_dim 7 makes tables of 4^7 entries, more than table cap 4096"),
+    # a huge max_dim is refused by its size, its power never formed
+    ("run = poisson0\nmax_dim = 10000000000000000000000", "max_dim", "more than table cap 4096"),
     # one end given: checked against the suite's default other end
     ("run = poisson2_ii\ntriple = T2u\ncut_lo = 3", "cut_lo", "cut_lo = 3 is above cut_hi = 2 (the default)"),
     ("run = fourier1_delta\ni_hi = -4", "i_hi", "i_hi = -4 is below i_lo = -3 (the default)"),

@@ -130,7 +130,8 @@ def dual_desc(desc):
         return ("below", -desc[1])
     if kind == "segment":
         return ("segment", -desc[2], -desc[1])
-    return ("sum", dual_desc(desc[1]), dual_desc(desc[2]))
+    # the dual lists its slot intervals in reverse, so the summands swap
+    return ("sum", dual_desc(desc[2]), dual_desc(desc[1]))
 
 
 def _interval_of(desc):

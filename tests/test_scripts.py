@@ -35,7 +35,7 @@ def test_poisson_windows_certifies_every_sweep():
     assert not any(line.startswith("[FAIL") for line in lines)
 
 
-def test_verify_all_passes():
+def test_verify_example_passes():
     out = run("-m", "fqharmonic.harness.cli", "verify", str(SCRIPTS / "example.cfg"), "--format", "text")
     assert out.returncode == 0, out.stderr
     assert "24 suites, 0 failing checks" in out.stdout

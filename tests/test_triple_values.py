@@ -6,11 +6,18 @@ constructor as a closure over its parts' predicates.  Every constructor's
 cells must give the splits that the reference predicate gives.
 """
 
+from fractions import Fraction
+
 import pytest
 
+from fqharmonic import tables
 from fqharmonic.c1 import (
+    C1Fn,
+    HaarMeasure,
     Window,
     colattice_model,
+    dual_model,
+    fourier1,
     lattice_model,
     laurent_model,
     positions,
@@ -27,7 +34,7 @@ from fqharmonic.c1_triples import (
     split_flags,
     triple_split,
 )
-from fqharmonic.c2 import C2Model, box_model, k2_model
+from fqharmonic.c2 import BiWindow, C2Model, E2Fn, box_model, dual_model2, fourier2, k2_model, positions2
 from fqharmonic.c2_triples import GradedC2Triple, dual_triple2, inner_cut_triple, outer_cut_triple
 from fqharmonic.exactnum import DomainError, field_for
 
@@ -41,8 +48,9 @@ def ref_leading(sub):
     return lambda k, s: s < sub.mult(k)
 
 
-def ref_dual(pred):
-    return lambda k, s: not pred(-k - 1, s)
+def ref_dual(pred, mid):
+    """Dual slot s at cut k pairs with primal slot mid.mult(-k-1) - 1 - s."""
+    return lambda k, s: not pred(-k - 1, mid.mult(-k - 1) - 1 - s)
 
 
 def ref_slot_within(pred, k, s, value):
@@ -115,19 +123,19 @@ def _family(field):
             out.append((compose_epi(Tc, Tb2), ref_epi(rc, ref_leading(L2))))
             Tm2 = direct_sum_triple(Tc.mid, colattice_model(field, c2))
             out.append((compose_mono(Tc, Tm2), ref_mono(rc, ref_leading(Tc.mid))))
-            out.append((dual_triple(Tc), ref_dual(rc)))
+            out.append((dual_triple(Tc), ref_dual(rc, Tc.mid)))
             Lp = colattice_model(field, c2)
             T2, r2 = direct_sum_triple(K, Lp), ref_leading(K)
             Tcm, rcm = compose_mono(T1, T2), ref_mono(r1, r2)
             out.append((Tcm, rcm))
             out.append((compose_mono(dual_triple(T1), direct_sum_triple(dual_triple(T1).mid, L)),
-                        ref_mono(ref_dual(r1), ref_leading(dual_triple(T1).mid))))
+                        ref_mono(ref_dual(r1, T1.mid), ref_leading(dual_triple(T1).mid))))
             # both outputs of a base change, of a plain and of a composite triple
             for T, r in ((T1, r1), (Tc, rc)):
                 D = segment_model(field, c1, c1 + 1 + (c2 + 1) % 2)
                 Tg, rg = interval_triple(T.quot, D), ref_leading(D)
                 (T_fiber, T_mono), (r_fiber, r_mono) = base_change(T, Tg), ref_base_change(r, rg, T.mid)
-                out += [(T_fiber, r_fiber), (T_mono, r_mono), (dual_triple(T_mono), ref_dual(r_mono))]
+                out += [(T_fiber, r_fiber), (T_mono, r_mono), (dual_triple(T_mono), ref_dual(r_mono, T_mono.mid))]
     return out
 
 
@@ -151,6 +159,47 @@ def test_dual_triples_are_involutions(q):
     for T in (inner_cut_triple(K2, 0), outer_cut_triple(K2, 1), outer_cut_triple(box, 0), inner_cut_triple(box, -1)):
         back = dual_triple2(dual_triple2(T))
         assert back == T and hash(back) == hash(T)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_a_dual_window_lists_the_primal_positions_mirrored_in_reverse(q):
+    # the one duality convention of both dimensions: a dual window lists its
+    # slots as the primal ones mirrored, in reverse order, and a transform
+    # reads primal position r back at dual position dim - 1 - r
+    field = field_for(q)
+    p, minus_one = field.p, field.neg_idx(1)
+
+    def point_masses(dim):
+        """(the point mass at e_r, the table of v -> conj psi(v_{dim-1-r})) for each r."""
+        for r in range(dim):
+            digits, expect = [0] * dim, [0] * dim
+            digits[r], expect[dim - 1 - r] = 1, minus_one
+            yield tables.point_kron(p, 1, q, digits), tuple(tables.psi_linear(field, dim, expect))
+
+    singles = [laurent_model(field), lattice_model(field, 0), colattice_model(field, -1), segment_model(field, -1, 2)]
+    for A in singles:
+        for B in singles:
+            T = direct_sum_triple(A, B)
+            assert dual_triple(T) == direct_sum_triple(dual_model(B), dual_model(A))
+            for w in (Window(-2, 1), Window(-1, 2)):
+                pos, dual_pos = positions(T.mid, w), positions(dual_model(T.mid), w.dual())
+                assert dual_pos == tuple((-k - 1, T.mid.mult(k) - 1 - s) for k, s in reversed(pos))
+                for table, expect in point_masses(len(pos)):
+                    out = fourier1(C1Fn(T.mid, "D", w, table), HaarMeasure(T.mid, w.lo, Fraction(1)))
+                    assert (out.model, out.window) == (dual_model(T.mid), w.dual())
+                    assert tuple(out.table) == expect, (T.label, w)
+    # a box of every shape, two boxes side by side, and their transforms
+    spans = ((None, None), (None, 0), (0, None), (-1, 1), (0, 2))
+    regions = [C2Model(field, ((*a, *b),)) for a in spans for b in spans]
+    regions += [C2Model(field, ((None, 0, *b), (0, None, *c))) for b in spans for c in spans]
+    two_boxes = C2Model(field, ((None, 0, -1, 1), (0, None, 0, 2)))
+    for model in regions:
+        for bw in (BiWindow(-1, 1, -1, 1), BiWindow(-2, 1, 0, 2)):
+            pos, dual_pos = positions2(model, bw), positions2(dual_model2(model), bw.dual())
+            assert dual_pos == tuple((-a - 1, -b - 1) for a, b in reversed(pos)), (model, bw)
+            if model in (two_boxes, k2_model(field), box_model(field, -1, 1, None, 0)):
+                for table, expect in point_masses(len(pos)):
+                    assert tuple(fourier2(E2Fn(model, "E2p", bw, table)).table) == expect, (model, bw)
 
 
 def test_triples_differing_only_in_label_are_equal():
