@@ -471,17 +471,20 @@ def point_window(a: Point) -> Optional[int]:
     return max((k + 1 for (k, _s) in a), default=None)
 
 
+def _covering(model: C1Model, point, w: Window) -> tuple[Point, Window]:
+    """The normalized point and w with its top raised to the point's window."""
+    a = normalize_point(model, point)
+    need = point_window(a)
+    return a, w if need is None or need <= w.hi else Window(w.lo, need)
+
+
 def _shift_digits(model: C1Model, w: Window, a: Point) -> list[int]:
     return [a.get(pos, 0) for pos in positions(model, w)]
 
 
 def translate_fn(f: C1Fn, a) -> C1Fn:
-    a = normalize_point(f.model, a)
-    need = point_window(a)
-    w = f.window
-    if need is not None and need > w.hi:
-        w = Window(w.lo, need)  # a germ refuses the move
-    moved = fn_at(f, w)
+    a, w = _covering(f.model, a, f.window)
+    moved = fn_at(f, w)  # a germ refuses the move
     dim = window_dim(f.model, w)
     return C1Fn(
         f.model,
@@ -493,11 +496,7 @@ def translate_fn(f: C1Fn, a) -> C1Fn:
 
 def translate_dist(G: C1Dist, a) -> C1Dist:
     """T_a(G)(f) = G(T_{-a} f); pairing tables shift by -a."""
-    a = normalize_point(G.model, a)
-    need = point_window(a)
-    w = G.window
-    if need is not None and need > w.hi:
-        w = Window(w.lo, need)
+    a, w = _covering(G.model, a, G.window)
     moved = dist_at(G, w)
     fld = G.model.field
     neg = {pos: fld.neg_idx(v) for pos, v in a.items()}
@@ -527,9 +526,7 @@ def eval_fn_at(f: C1Fn, point) -> CycNum:
 
 def dist_vanishes_at(G: C1Dist, point) -> bool:
     """Support test: G vanishes near the point iff the coset entry is zero."""
-    a = normalize_point(G.model, point)
-    need = point_window(a)
-    w = G.window if need is None or need <= G.window.hi else Window(G.window.lo, need)
+    a, w = _covering(G.model, point, G.window)
     moved = dist_at(G, w)
     digits = _shift_digits(G.model, w, a)
     return not moved.table[tables.encode(digits, G.model.field.q)]

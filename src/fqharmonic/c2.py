@@ -310,53 +310,54 @@ class BiWindowRep(TableRep):
         return tables.transport(self.table, model.field.q, src_pos, dst_pos, summed, zeroed)
 
 
+class TwistedRep(BiWindowRep):
+    """A representative of a twisted space: the window table tensored with a
+    twist, one element of the one-dimensional space of virtual measures
+    between the window bottom F(bw.l) and the basepoint F(o).  In the pinned
+    reference basis that space is Q, so ``twist`` is a nonzero Fraction: the
+    reference coordinate of mu(F(bw.l) | F(o)) for a function and of
+    mu(F(o) | F(bw.l)) for a distribution.  A move of the window keeps it."""
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.twist, Fraction) or self.twist == 0:
+            raise DomainError(f"a twist is a nonzero Fraction, not {self.twist!r}")
+        super().__post_init__()
+
+    def folded(self) -> Rows:
+        return tables.scale(self.table, self.twist)
+
+
 @dataclass(frozen=True, eq=False)
-class D2Elem(BiWindowRep):
+class D2Elem(TwistedRep):
     """Window representative of a measure-twisted test function."""
 
     model: C2Model
     o: int
     bw: BiWindow
     table: Rows
-    twist: VirtualMeasure
+    twist: Fraction
 
     dirs = (UP, DOWN, DOWN, UP)
-
-    def __post_init__(self) -> None:
-        if self.twist.model != self.model or self.twist.src != self.bw.l or self.twist.dst != self.o:
-            raise DomainError("twist must compare the window bottom with the basepoint")
-        super().__post_init__()
 
     def at(self, bw2: BiWindow) -> "D2Elem":
         if bw2 == self.bw:
             return self
         model, bw, moved = self.model, self.bw, self._moved(bw2)
         factor = q_power(model.field.q, model.sigma(bw.l, bw2.l, bw.m))
-        return D2Elem(
-            model, self.o, bw2, tables.scale(moved, factor),
-            VirtualMeasure(model, bw2.l, self.o, self.twist.scalar),
-        )
-
-    def folded(self) -> Rows:
-        return tables.scale(self.table, self.twist.scalar)
+        return D2Elem(model, self.o, bw2, tables.scale(moved, factor), self.twist)
 
 
 @dataclass(frozen=True, eq=False)
-class D2Dist(BiWindowRep):
+class D2Dist(TwistedRep):
     """Window representative of a measure-twisted distribution (pairing table)."""
 
     model: C2Model
     o: int
     bw: BiWindow
     table: Rows
-    twist: VirtualMeasure
+    twist: Fraction
 
     dirs = (DOWN, UP, UP, DOWN)
-
-    def __post_init__(self) -> None:
-        if self.twist.model != self.model or self.twist.src != self.o or self.twist.dst != self.bw.l:
-            raise DomainError("twist must compare the basepoint with the window bottom")
-        super().__post_init__()
 
     def at(self, bw2: BiWindow) -> "D2Dist":
         if bw2 == self.bw:
@@ -364,13 +365,7 @@ class D2Dist(BiWindowRep):
         model, bw, moved = self.model, self.bw, self._moved(bw2)
         # the kernel pullback is scaled at the destination inner level
         factor = q_power(model.field.q, model.sigma(bw2.l, bw.l, bw2.m))
-        return D2Dist(
-            model, self.o, bw2, tables.scale(moved, factor),
-            VirtualMeasure(model, self.o, bw2.l, self.twist.scalar),
-        )
-
-    def folded(self) -> Rows:
-        return tables.scale(self.table, self.twist.scalar)
+        return D2Dist(model, self.o, bw2, tables.scale(moved, factor), self.twist)
 
 
 E2_TAGS = ("E2", "E2t", "E2p", "E2tp")
@@ -426,7 +421,7 @@ def pairing2(f: D2Elem, G: D2Dist) -> CycNum:
     fa = f.at(bw)
     Ga = G.at(bw)
     val = tables.dot(fa.table, Ga.table, f.p)
-    return val * (fa.twist.scalar * Ga.twist.scalar)
+    return val * (fa.twist * Ga.twist)
 
 
 def pairing2_e(f: E2Fn, G: E2Fn) -> CycNum:
@@ -456,15 +451,17 @@ def module_mul(g: E2Fn, x):
 
 def basepoint_change(x, vm: VirtualMeasure):
     """Retwist to a new basepoint along a comparison measure."""
+    if not isinstance(x, (D2Elem, D2Dist)):
+        raise DomainError("basepoint change applies to twisted representatives")
+    if vm.model != x.model:
+        raise DomainError("comparison measure on a different model")
     if isinstance(x, D2Elem):
         if vm.src != x.o:
             raise DomainError("comparison must start at the old basepoint")
-        return D2Elem(x.model, vm.dst, x.bw, x.table, x.twist.compose(vm))
-    if isinstance(x, D2Dist):
-        if vm.dst != x.o:
-            raise DomainError("comparison must end at the old basepoint")
-        return D2Dist(x.model, vm.src, x.bw, x.table, vm.compose(x.twist))
-    raise DomainError("basepoint change applies to twisted representatives")
+        return D2Elem(x.model, vm.dst, x.bw, x.table, x.twist * vm.scalar)
+    if vm.dst != x.o:
+        raise DomainError("comparison must end at the old basepoint")
+    return D2Dist(x.model, vm.src, x.bw, x.table, vm.scalar * x.twist)
 
 
 # ---------------------------------------------------------------------------
@@ -480,10 +477,10 @@ def fourier2(x):
     q, dm = model.field.q, dual_model2(model)
     if isinstance(x, D2Elem):
         out = x.dual_table(q_power(q, model.sigma(bw.l, bw.i, bw.m)))
-        return D2Elem(dm, -x.o, bw.dual(), out, VirtualMeasure(dm, -bw.i, -x.o, x.twist.scalar))
+        return D2Elem(dm, -x.o, bw.dual(), out, x.twist)
     if isinstance(x, D2Dist):
         out = x.dual_table(q_power(q, -model.sigma(bw.l, bw.i, bw.n)))
-        return D2Dist(dm, -x.o, bw.dual(), out, VirtualMeasure(dm, -x.o, -bw.i, x.twist.scalar))
+        return D2Dist(dm, -x.o, bw.dual(), out, x.twist)
     if x.tag in GERM_TAGS:
         return E2Fn(dm, "E2tp" if x.tag == "E2" else "E2p", bw.dual(), x.dual_table(Fraction(1, q**x.dim)))
     return E2Fn(dm, "E2" if x.tag == "E2tp" else "E2t", bw.dual(), x.dual_table())

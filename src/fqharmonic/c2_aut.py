@@ -177,7 +177,5 @@ def rep_act(x, target):
     vol = q_power(g.model.field.q, g.model.sigma(target.bw.l, x.o, g.u_shift))
     bw_out, table = _relabel(g, target.bw, target.table)
     if isinstance(target, D2Elem):
-        scalar = target.twist.scalar * vol / x.mu.scalar
-        return D2Elem(model, x.o, bw_out, table, VirtualMeasure(model, bw_out.l, x.o, scalar))
-    scalar = target.twist.scalar / vol * x.mu.scalar
-    return D2Dist(model, x.o, bw_out, table, VirtualMeasure(model, x.o, bw_out.l, scalar))
+        return D2Elem(model, x.o, bw_out, table, target.twist * vol / x.mu.scalar)
+    return D2Dist(model, x.o, bw_out, table, target.twist / vol * x.mu.scalar)

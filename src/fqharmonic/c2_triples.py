@@ -216,8 +216,7 @@ def images2(kind: str, T: GradedC2Triple, x, aux: Optional[VirtualMeasure] = Non
     bw, factor, twist_factor = rule(kind, T, x, aux)
     moved = x.at(bw)
     table = tables.scale(image_table(kind, T, moved.table, bw), factor)
-    tw = moved.twist
-    return type(x)(dst, x.o, bw, table, VirtualMeasure(dst, tw.src, tw.dst, tw.scalar * twist_factor))
+    return type(x)(dst, x.o, bw, table, moved.twist * twist_factor)
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +226,7 @@ def images2(kind: str, T: GradedC2Triple, x, aux: Optional[VirtualMeasure] = Non
 
 def one_fn(model: C2Model, o: int, bw: BiWindow) -> D2Elem:
     """The constant 1 of a fiberwise compact model, canonically twisted."""
-    twist = vmeas_canonical(model, bw.l, o, "one")
+    twist = vmeas_canonical(model, bw.l, o, "one").scalar
     if raise_inner_top(model, bw) != bw:
         raise WindowError("window must contain the column tops")
     table = tables.const_kron(model.field.p, 1, model.field.q, bw_dim(model, bw))
@@ -236,7 +235,7 @@ def one_fn(model: C2Model, o: int, bw: BiWindow) -> D2Elem:
 
 def delta0_fn(model: C2Model, o: int, bw: BiWindow) -> D2Elem:
     """The unit point mass at 0 of a fiberwise discrete model."""
-    twist = vmeas_canonical(model, bw.l, o, "delta")
+    twist = vmeas_canonical(model, bw.l, o, "delta").scalar
     if lower_inner_bottom(model, bw) != bw:
         raise WindowError("window must reach below the column bottoms")
     table = tables.point_kron(model.field.p, 1, model.field.q, (0,) * bw_dim(model, bw))
@@ -253,11 +252,7 @@ def one_mu(model: C2Model, mu: VirtualMeasure, bw: BiWindow) -> D2Dist:
     q = model.field.q
     dim = bw_dim(model, bw)
     value = mu.scalar * q_power(q, model.sigma(bw.l, bw.i, bw.m))
-    return D2Dist(
-        model, mu.src, bw,
-        tables.const_kron(model.field.p, value, q, dim),
-        VirtualMeasure(model, mu.src, bw.l, Fraction(1)),
-    )
+    return D2Dist(model, mu.src, bw, tables.const_kron(model.field.p, value, q, dim), Fraction(1))
 
 
 def delta_nu(model: C2Model, nu: VirtualMeasure, bw: BiWindow) -> D2Dist:
@@ -268,7 +263,7 @@ def delta_nu(model: C2Model, nu: VirtualMeasure, bw: BiWindow) -> D2Dist:
     if bw.l > bot:
         raise WindowError("window bottom must sit below the whole model")
     table = tables.point_kron(model.field.p, nu.scalar, model.field.q, (0,) * bw_dim(model, bw))
-    return D2Dist(model, nu.src, bw, table, VirtualMeasure(model, nu.src, bw.l, Fraction(1)))
+    return D2Dist(model, nu.src, bw, table, Fraction(1))
 
 
 def char_dist(T: GradedC2Triple, mu: VirtualMeasure, nu: VirtualMeasure, bw: BiWindow) -> D2Dist:
@@ -338,6 +333,8 @@ def poisson2_verify(
     Td = dual_triple2(T)
     q = T.mid.field.q
     if which == "II":
+        if mu is not None or nu is not None:
+            raise DomainError("the twist-free identity reads no measures")
         widen, lower, build = raise_inner_top, lower_inner_bottom, char_fn
         args, dual_args = (T, o), (Td, -o)
     else:

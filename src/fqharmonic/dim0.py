@@ -251,9 +251,6 @@ class Subspace0:
 
 def annihilator0(H: Subspace0) -> Subspace0:
     """H^perp = {u in V* : u(H) = 0}, in the dual coordinates."""
-    if H.dim == 0:
-        full = [_unit(H.ambient, j) for j in range(H.ambient.dim)]
-        return Subspace0.from_vectors(H.ambient, full)
     basis = kernel_basis(H.basis, H.ambient.dim, H.ambient.field)
     return Subspace0(H.ambient, tuple(tuple(b) for b in basis))
 

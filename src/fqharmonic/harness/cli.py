@@ -19,12 +19,12 @@ from fqharmonic.c1 import (
     fn_at,
     fourier1,
 )
-from fqharmonic.c2 import BiWindow, C2Model, D2Elem, VirtualMeasure, bw_dim, e2_constant_one, fourier2
+from fqharmonic.c2 import BiWindow, C2Model, D2Elem, bw_dim, e2_constant_one, fourier2
 from fqharmonic.c2_triples import delta0_fn, one_fn
 from fqharmonic.dim0 import FinSpace, Fn0, fourier0
 from fqharmonic.exactnum import DomainError
 from fqharmonic.harness.config import ConfigError, parse_config
-from fqharmonic.harness.csvio import parse_table, render_table
+from fqharmonic.harness.csvio import context_line, parse_table, render_table
 from fqharmonic.harness.report import emit_report
 from fqharmonic.harness.suites import run_suites
 
@@ -104,7 +104,7 @@ def cmd_transform(args) -> int:
 
 def _transform(cfg, args) -> int:
     p = cfg.field.p
-    q, dim, table = parse_table(_file(args.input), p)
+    q, dim, table, edges = parse_table(_file(args.input), p)
     if q != cfg.field.q:
         raise DomainError(f"table is over q={q}, config field has q={cfg.field.q}")
     if args.op == "fourier0":
@@ -112,7 +112,7 @@ def _transform(cfg, args) -> int:
         text = render_table(q, out_fn.table)
     elif args.op == "fourier1":
         model = _op_model(cfg, args, C1Model, "one-dimensional")
-        w = _parse_window(args.window)
+        w = _op_window(args.op, edges, _parse_window(args.window))
         value, ref = _parse_measure(args.measure or "1@0")
         # counted, not listed: a window's slot labels are listed only once
         # the table is known to fit it
@@ -120,16 +120,23 @@ def _transform(cfg, args) -> int:
             raise DomainError("table length does not match the window")
         f = C1Fn(model, "D", w, table)
         out_f = fourier1(f, HaarMeasure(model, ref, value))
-        text = render_table(q, out_f.table, window=(out_f.window.lo, out_f.window.hi))
+        text = render_table(q, out_f.table, out_f.window.edges)
     else:  # fourier2, the last of the op's choices
         model = _op_model(cfg, args, C2Model, "two-dimensional")
-        bw = _parse_biwindow(args.biwindow)
+        bw = _op_window(args.op, edges, _parse_biwindow(args.biwindow))
         o = args.basepoint
-        x = D2Elem(model, o, bw, table, VirtualMeasure(model, bw.l, o, Fraction(1)))
+        x = D2Elem(model, o, bw, table, Fraction(1))
         y = fourier2(x)
-        text = render_table(q, y.table, biwindow=(y.bw.l, y.bw.i, y.bw.m, y.bw.n))
+        text = render_table(q, y.table, y.bw.edges)
     _file(args.out, text)
     return 0
+
+
+def _op_window(op: str, edges, window):
+    """The window the op reads, unless the table's context line names another."""
+    if edges not in (None, window.edges):
+        raise DomainError(f"the table is on {context_line(edges)}, but {op} reads {context_line(window.edges)}")
+    return window
 
 
 def _op_model(cfg, args, cls, kind: str):
@@ -187,12 +194,12 @@ def cmd_dump(args) -> int:
                 table = delta0_fn(model, args.basepoint, bw).table
             else:
                 raise DomainError(f"unknown element spec {args.elem!r}")
-            text = render_table(cfg.field.q, table, biwindow=(bw.l, bw.i, bw.m, bw.n))
+            text = render_table(cfg.field.q, table, bw.edges)
         else:
             w = _parse_window(args.window)
             _check_table_cap(cfg, model.count(w.lo, w.hi))
             table = _build_elem(model, args.elem, w)
-            text = render_table(cfg.field.q, table, window=(w.lo, w.hi))
+            text = render_table(cfg.field.q, table, w.edges)
     except DomainError as exc:
         print(str(exc), file=sys.stderr)
         return 2

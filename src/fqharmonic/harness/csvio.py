@@ -1,6 +1,6 @@
 """CSV exchange format for window tables.
 
-Format: optional context lines ``window=lo:hi`` or ``biwindow=l:i,m:n``,
+Format: an optional context line ``window=lo:hi`` or ``biwindow=l:i,m:n``,
 then the header ``q,dim,enumeration=lex``, then one row per point with the
 point index followed by the p-1 cyclotomic coefficients as ``num/den``.
 The row order is the package-wide enumeration: lexicographic on coordinate
@@ -15,29 +15,26 @@ from typing import Optional, Sequence
 from fqharmonic.exactnum import CycNum, DomainError
 
 
-def render_table(
-    q: int,
-    table: Sequence[CycNum],
-    window: Optional[tuple[int, int]] = None,
-    biwindow: Optional[tuple[int, int, int, int]] = None,
-) -> str:
+def render_table(q: int, table: Sequence[CycNum], edges: Optional[tuple[int, ...]] = None) -> str:
+    """The CSV text of a table, with the context line of the window edges given."""
     dim = 0
     n = len(table)
     while q**dim < n:
         dim += 1
     if q**dim != n:
         raise DomainError("table length is not a power of q")
-    lines = []
-    if window is not None:
-        lines.append(f"window={window[0]}:{window[1]}")
-    if biwindow is not None:
-        l, i, m, nn = biwindow
-        lines.append(f"biwindow={l}:{i},{m}:{nn}")
+    lines = [] if edges is None else [context_line(edges)]
     lines.append(f"{q},{dim},enumeration=lex")
     for idx, c in enumerate(table):
         coeffs = ",".join(f"{x.numerator}/{x.denominator}" for x in c.coeffs)
         lines.append(f"{idx},{coeffs}")
     return "\n".join(lines) + "\n"
+
+
+def context_line(edges: tuple[int, ...]) -> str:
+    """The ``window=lo:hi`` or ``biwindow=l:i,m:n`` line of a window's edges."""
+    pairs = ",".join(f"{lo}:{hi}" for lo, hi in zip(edges[::2], edges[1::2]))
+    return f"{'window' if len(edges) == 2 else 'biwindow'}={pairs}"
 
 
 def _int(token: str, where: str) -> int:
@@ -47,16 +44,24 @@ def _int(token: str, where: str) -> int:
         raise DomainError(f"{where}: {token!r} is not an integer") from None
 
 
-def parse_table(text: str, p: int) -> tuple[int, int, tuple[CycNum, ...]]:
-    """Returns (q, dim, table); context lines are skipped.
+def parse_table(text: str, p: int) -> tuple[int, int, tuple[CycNum, ...], Optional[tuple[int, ...]]]:
+    """Returns (q, dim, table, edges): the edges of the context line, (lo, hi)
+    or (l, i, m, n), or None for a table without one.
 
     Malformed input raises DomainError naming the file line and the row.
     """
-    rows = [
-        (n, ln.strip())
-        for n, ln in enumerate(text.splitlines(), 1)
-        if ln.strip() and not ln.strip().startswith(("window=", "biwindow="))
-    ]
+    rows, edges = [], None
+    for n, ln in enumerate(text.splitlines(), 1):
+        ln = ln.strip()
+        key, _, value = ln.partition("=")
+        if key in ("window", "biwindow"):
+            found = tuple(_int(t, f"line {n}: {key}") for t in value.replace(",", ":").split(":"))
+            # a context line must read back as written
+            if edges is not None or len(found) not in (2, 4) or context_line(found) != ln:
+                raise DomainError(f"line {n}: bad or second context line {ln!r}")
+            edges = found
+        elif ln:
+            rows.append((n, ln))
     if not rows:
         raise DomainError("empty table file")
     head_line, head_text = rows[0]
@@ -85,4 +90,4 @@ def parse_table(text: str, p: int) -> tuple[int, int, tuple[CycNum, ...]]:
     # q**dim > dim for q >= 2; testing dim first never raises q to a huge header dim
     if dim > len(table) or len(table) != q**dim:
         raise DomainError("row count does not match the header")
-    return q, dim, tuple(table)
+    return q, dim, tuple(table), edges

@@ -260,12 +260,12 @@ def _rand_c1dist(rng: LCG, model, w, tag="Dp") -> C1Dist:
 
 def _rand_d2elem(rng: LCG, model, o, bw) -> D2Elem:
     table = _rand_table(rng, model.field, bw_dim(model, bw))
-    return D2Elem(model, o, bw, table, VirtualMeasure(model, bw.l, o, abs(rng.fraction())))
+    return D2Elem(model, o, bw, table, abs(rng.fraction()))
 
 
 def _rand_d2dist(rng: LCG, model, o, bw) -> D2Dist:
     table = _rand_table(rng, model.field, bw_dim(model, bw))
-    return D2Dist(model, o, bw, table, VirtualMeasure(model, o, bw.l, abs(rng.fraction())))
+    return D2Dist(model, o, bw, table, abs(rng.fraction()))
 
 
 def _rand_e2(rng: LCG, model, bw, tag="E2") -> E2Fn:
@@ -1235,7 +1235,7 @@ def dominate2(ctx: SuiteContext, rep: Report) -> None:
         da, db = ctx.rng.randint(-1, 1), ctx.rng.randint(-1, 1)
         Ks = shift_region(K2, da, db)
         bws = BiWindow(bw.l + da, bw.i + da, bw.m + db, bw.n + db)
-        xs = D2Elem(Ks, da, bws, x.table, VirtualMeasure(Ks, bws.l, da, x.twist.scalar))
+        xs = D2Elem(Ks, da, bws, x.table, x.twist)
         renorm = q_power(q, Ks.sigma(bws.l, bws.i, bws.m) - K2.sigma(bw.l, bw.i, bw.m))
         _check(
             rep, "domination_invariance",

@@ -47,7 +47,7 @@ def rand_elem(rng, model, o, bw):
     return D2Elem(
         model, o, bw,
         tuple(rand_cyc(rng, model.field.p) for _ in range(n)),
-        VirtualMeasure(model, bw.l, o, Fraction(rng.choice([1, 2, 3]), rng.choice([1, 2]))),
+        Fraction(rng.choice([1, 2, 3]), rng.choice([1, 2])),
     )
 
 
@@ -56,7 +56,7 @@ def rand_dist(rng, model, o, bw):
     return D2Dist(
         model, o, bw,
         tuple(rand_cyc(rng, model.field.p) for _ in range(n)),
-        VirtualMeasure(model, o, bw.l, Fraction(rng.choice([1, 2, 3]), rng.choice([1, 2]))),
+        Fraction(rng.choice([1, 2, 3]), rng.choice([1, 2])),
     )
 
 
@@ -333,7 +333,7 @@ def test_rep_act_matches_the_gather_reference(q):
                 got = rep_act(g, E2Fn(K2, "E2", bw, table))
                 assert got.bw == bw_out and got.table == expect
                 assert isinstance(got.table, Kron) == isinstance(table, Kron)
-                x = D2Elem(K2, 0, bw, table, VirtualMeasure(K2, bw.l, 0, Fraction(2)))
+                x = D2Elem(K2, 0, bw, table, Fraction(2))
                 got = rep_act(lift, x)
                 assert got.bw == bw_out and got.table == expect
                 assert isinstance(got.table, Kron) == isinstance(table, Kron)
@@ -363,7 +363,7 @@ def test_wide_action_stays_factored(monkeypatch):
     delta = delta_nu(D, nu, bw)
     assert isinstance(delta.table, Kron) and delta.table.size == 9 ** bw_dim(D, bw)
     lift = AutHatElem(AutElem(K2, 1, 1, 2), VirtualMeasure(K2, 0, -1, Fraction(1)))
-    x = D2Elem(K2, 0, bw, tables.point_kron(F9.p, 1, 9, [3] * 36), VirtualMeasure(K2, bw.l, 0, Fraction(1)))
+    x = D2Elem(K2, 0, bw, tables.point_kron(F9.p, 1, 9, [3] * 36), Fraction(1))
     moved = rep_act(lift, x)
     assert isinstance(moved.table, Kron)
     # the digit 3 at every slot, times the inverse of the unit 2

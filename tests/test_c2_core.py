@@ -42,7 +42,7 @@ def rand_elem(rng, model, o, bw):
     return D2Elem(
         model, o, bw,
         tuple(rand_cyc(rng, model.field.p) for _ in range(n)),
-        VirtualMeasure(model, bw.l, o, Fraction(rng.choice([1, 2, 3]), rng.choice([1, 2]))),
+        Fraction(rng.choice([1, 2, 3]), rng.choice([1, 2])),
     )
 
 
@@ -51,7 +51,7 @@ def rand_dist(rng, model, o, bw):
     return D2Dist(
         model, o, bw,
         tuple(rand_cyc(rng, model.field.p) for _ in range(n)),
-        VirtualMeasure(model, o, bw.l, Fraction(rng.choice([1, 2, 3]), rng.choice([1, 2]))),
+        Fraction(rng.choice([1, 2, 3]), rng.choice([1, 2])),
     )
 
 
@@ -197,10 +197,7 @@ def test_elem_outer_push_volume():
     # reference volume of the kernel's inner cut
     model = k2_model(F2)
     one = CycNum.one(2)
-    x = D2Elem(
-        model, 0, BiWindow(-1, 0, -1, 0), (one, one),
-        VirtualMeasure(model, -1, 0, Fraction(1)),
-    )
+    x = D2Elem(model, 0, BiWindow(-1, 0, -1, 0), (one, one), Fraction(1))
     pushed = x.at(BiWindow(0, 0, -1, 0))
     # kernel column a=-1 with inner cut m=-1: sigma = -1, factor 1/2; the
     # fiber sum adds the two values
@@ -231,6 +228,31 @@ def test_basepoint_change_commutes_with_pairing():
     assert pairing2(f1, G1) == pairing2(f, G)
 
 
+@pytest.mark.parametrize("cls", [D2Elem, D2Dist])
+@pytest.mark.parametrize("twist", [Fraction(0), 0.5, "1/2", None])
+def test_a_twist_is_a_nonzero_fraction(cls, twist):
+    model = k2_model(F2)
+    bw = BiWindow(0, 1, -1, 1)
+    table = (CycNum.one(2),) * 2 ** bw_dim(model, bw)
+    with pytest.raises(DomainError, match="a twist is a nonzero Fraction"):
+        cls(model, 0, bw, table, twist)
+
+
+@pytest.mark.parametrize("cls, ends, vm_field, message", [
+    (D2Elem, (1, 2), F2, "comparison must start at the old basepoint"),
+    (D2Dist, (2, 1), F2, "comparison must end at the old basepoint"),
+    # the ends match the basepoint; only the model is wrong
+    (D2Elem, (0, 2), F3, "comparison measure on a different model"),
+    (D2Dist, (2, 0), F3, "comparison measure on a different model"),
+])
+def test_basepoint_change_refuses_a_mismatched_measure(cls, ends, vm_field, message):
+    rng = random.Random(6)
+    model = k2_model(F2)
+    x = (rand_elem if cls is D2Elem else rand_dist)(rng, model, 0, BiWindow(0, 1, -1, 1))
+    with pytest.raises(DomainError, match=message):
+        basepoint_change(x, VirtualMeasure(k2_model(vm_field), *ends, Fraction(5, 3)))
+
+
 # ---------------------------------------------------------------------------
 # the transform
 # ---------------------------------------------------------------------------
@@ -248,7 +270,7 @@ def test_fourier2_lattice_block():
     for idx in range(2 ** len(pos)):
         digs = [(idx >> r) & 1 for r in range(len(pos))]
         table.append(one if all(digs[r] == 0 for r in range(len(pos)) if r not in sub) else zero)
-    x = D2Elem(model, -1, bw, tuple(table), VirtualMeasure(model, -1, -1, Fraction(1)))
+    x = D2Elem(model, -1, bw, tuple(table), Fraction(1))
     y = fourier2(x)
     assert y.model == k2_model(F2)
     assert y.bw == bw

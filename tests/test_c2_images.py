@@ -57,7 +57,7 @@ def rand_elem(rng, model, o, bw):
     return D2Elem(
         model, o, bw,
         tuple(rand_cyc(rng, model.field.p) for _ in range(n)),
-        VirtualMeasure(model, bw.l, o, Fraction(rng.choice([1, 2, 3]), rng.choice([1, 2]))),
+        Fraction(rng.choice([1, 2, 3]), rng.choice([1, 2])),
     )
 
 
@@ -66,7 +66,7 @@ def rand_dist(rng, model, o, bw):
     return D2Dist(
         model, o, bw,
         tuple(rand_cyc(rng, model.field.p) for _ in range(n)),
-        VirtualMeasure(model, o, bw.l, Fraction(rng.choice([1, 2, 3]), rng.choice([1, 2]))),
+        Fraction(rng.choice([1, 2, 3]), rng.choice([1, 2])),
     )
 
 
@@ -76,6 +76,11 @@ def sub_measure(T, o=0, scalar=Fraction(1)):
 
 def quot_measure(T, o=0, scalar=Fraction(1)):
     return VirtualMeasure(T.quot, o, T.quot.outer_inf, scalar)
+
+
+def measures(which, T, nu_scalar=Fraction(1)):
+    """The (mu, nu) that identity I consumes; the twist-free identity II reads none."""
+    return (sub_measure(T), quot_measure(T, scalar=nu_scalar)) if which == "I" else (None, None)
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +115,7 @@ def test_beta_push_lattice_block():
     for idx in range(2 ** len(pos)):
         digs = [(idx >> r) & 1 for r in range(len(pos))]
         table.append(one if all(digs[r] == 0 for r in quot_idx) else zero)
-    f = D2Elem(T.mid, 0, BW, tuple(table), VirtualMeasure(T.mid, -1, 0, Fraction(1)))
+    f = D2Elem(T.mid, 0, BW, tuple(table), Fraction(1))
     out = images2("beta_push", T, f, mu)
     assert out.model == T.quot
     # in-window fiber count q^2 times the reference volume q^{sigma(-1,1,-1)}
@@ -322,7 +327,7 @@ def test_poisson_negative_controls():
 def test_poisson2_refuses_a_sweep_that_checks_nothing(which, sweep, message):
     # such a sweep used to report 0 cases as a pass
     T = (inner_cut_triple if which == "II" else outer_cut_triple)(k2_model(F2), 0)
-    mu, nu = sub_measure(T), quot_measure(T)
+    mu, nu = measures(which, T)
     with pytest.raises(DomainError, match=message):
         poisson2_verify(which, T, mu, nu, **{"cut_lo": -1, "cut_hi": 1, **sweep})
     # no cap checks every bi-window, and a one-cut range its one bi-window
@@ -348,7 +353,7 @@ def test_poisson_corruption_fails_every_bi_window(fld, which, fault):
     box_triple = inner_cut_triple(box_model(fld, -1, 2, None, None), 0)
     k2_triple = (inner_cut_triple if which == "II" else outer_cut_triple)(k2_model(fld), 0)
     for T in (box_triple, k2_triple):
-        rep = poisson2_verify(which, T, sub_measure(T), quot_measure(T), cut_lo=-1, cut_hi=1, corrupt=fault)
+        rep = poisson2_verify(which, T, *measures(which, T), cut_lo=-1, cut_hi=1, corrupt=fault)
         assert rep.cases > 0 and len(rep.failures) == rep.cases
         assert {f["identity"] for f in rep.failures} == {f"poisson2_{which}_characteristic_transform"}
 
@@ -430,7 +435,7 @@ def shared_side_triples(fld):
 @pytest.mark.parametrize("which, fault", [("II", "transition"), ("I", "measure")])
 def test_shared_sides_match_a_sweep_that_builds_every_side(fld, max_points, which, fault):
     for T in shared_side_triples(fld)[which]:
-        mu, nu = sub_measure(T), quot_measure(T, scalar=Fraction(fld.q))
+        mu, nu = measures(which, T, Fraction(fld.q))
         for corrupt in (None, fault):
             rep = poisson2_verify(which, T, mu, nu, cut_lo=-2, cut_hi=2, max_points=max_points, corrupt=corrupt)
             cases, failures = reference_poisson2(which, T, mu, nu, -2, 2, max_points, corrupt)
@@ -446,7 +451,7 @@ def unequal_argument_sweeps(fld):
     triples = shared_side_triples(fld)
     Tu, Tt = inner_cut_triple(K2, 0), outer_cut_triple(K2, 0)
     sweeps = [
-        (which, T, sub_measure(T), quot_measure(T), 0)
+        (which, T, *measures(which, T), 0)
         for which in ("II", "I") for T in triples[which][1:]
     ]
     # a self-dual triple whose dual basepoint -o differs from o
@@ -487,6 +492,15 @@ def test_poisson_II_off_the_basepoint(fld, cases):
         assert (rep.cases, rep.failures) == (cases, [])
 
 
+def test_poisson_II_reads_no_measures():
+    # a measure given to the twist-free identity would go unread
+    T = inner_cut_triple(k2_model(F2), 0)
+    mu, nu = VirtualMeasure(T.sub, 0, 0, Fraction(5)), VirtualMeasure(T.quot, 0, 0, Fraction(5))
+    for given in ((mu, nu), (mu, None), (None, nu)):
+        with pytest.raises(DomainError, match="the twist-free identity reads no measures"):
+            poisson2_verify("II", T, *given, cut_lo=-1, cut_hi=1)
+
+
 @pytest.mark.parametrize("fld, cases", [(F2, 216), (F3, 186)])
 def test_poisson_I_off_the_basepoint(fld, cases):
     # identity I runs at its measures' source; its fault fails every bi-window
@@ -517,7 +531,7 @@ def test_every_shared_side_is_the_side_built_at_its_widened_window(monkeypatch, 
         return d2_equal(x, y)
 
     monkeypatch.setattr(c2_triples, "d2_equal", recorded)
-    sweeps = [(T, sub_measure(T), quot_measure(T, scalar=Fraction(fld.q))) for T in shared_side_triples(fld)[which]]
+    sweeps = [(T, *measures(which, T, Fraction(fld.q))) for T in shared_side_triples(fld)[which]]
     if which == "I":
         # the self-dual triple with unit measures, whose dual constructor
         # gets the primal's arguments
@@ -576,7 +590,7 @@ def test_each_widened_side_is_built_once(monkeypatch):
         builds.clear()
         transforms.clear()
         held.clear()
-        rep = poisson2_verify(which, T, sub_measure(T), quot_measure(T))
+        rep = poisson2_verify(which, T, *measures(which, T))
         assert rep.cases == 216 and rep.passed
         primal_keys, dual_keys = distinct_keys(which, T, -2, 2, 256)
         assert dual_keys == primal_keys and len(primal_keys) == 126

@@ -324,9 +324,9 @@ def test_csv_round_trip():
     fld = field_for(3)
     sp = FinSpace(fld, 2)
     f = Fn0.delta(sp, (1, 2)) * Fraction(5, 3)
-    text = render_table(3, f.table, window=(-1, 1))
-    q, dim, table = parse_table(text, 3)
-    assert (q, dim) == (3, 2) and table == tuple(f.table)
+    text = render_table(3, f.table, (-1, 1))
+    q, dim, table, edges = parse_table(text, 3)
+    assert (q, dim, edges) == (3, 2, (-1, 1)) and table == tuple(f.table)
 
 
 def test_cli_transform_fourier0(tmp_path):
@@ -340,7 +340,8 @@ def test_cli_transform_fourier0(tmp_path):
     assert cli_main(["transform", str(cfg_path), "--op", "fourier0", "--input", str(src), "--out", str(mid)]) == 0
     out = tmp_path / "out.csv"
     assert cli_main(["transform", str(cfg_path), "--op", "fourier0", "--input", str(mid), "--out", str(out)]) == 0
-    _, _, table = parse_table(out.read_text(), 2)
+    _, _, table, edges = parse_table(out.read_text(), 2)
+    assert edges is None
     assert table == tuple((f.check() * sp.size).table)
 
 
@@ -349,7 +350,7 @@ def test_cli_transform_fourier1(tmp_path):
     cfg_path.write_text(MINIMAL)
     one, zero = CycNum.one(2), CycNum.zero(2)
     src = tmp_path / "in.csv"
-    src.write_text(render_table(2, (one, one, zero, zero), window=(-1, 1)))
+    src.write_text(render_table(2, (one, one, zero, zero), (-1, 1)))
     out = tmp_path / "out.csv"
     code = cli_main([
         "transform", str(cfg_path), "--op", "fourier1", "--input", str(src),
@@ -417,6 +418,12 @@ def test_parse_table_rejects_bad_header():
         parse_table("2,1000000000,enumeration=lex\n0,1/1\n", 2)
 
 
+@pytest.mark.parametrize("line", ["window=-1:one", "window=-1:1,0:1", "biwindow=0:1", "window=0:1\nwindow=0:1"])
+def test_parse_table_rejects_bad_context_lines(line):
+    with pytest.raises(DomainError, match="line [12]: "):
+        parse_table(f"{line}\n2,1,enumeration=lex\n0,1/1\n1,1/1\n", 2)
+
+
 def _transform_exit(tmp_path, capsys, csv_text, *extra):
     cfg_path = tmp_path / "c.cfg"
     cfg_path.write_text(MINIMAL + "\n[model K2]\nc2 = full\n")
@@ -449,6 +456,22 @@ def test_cli_transform_misfit_table_exits_2(tmp_path, capsys, extra):
     assert code == 2 and "bad.csv" in err
 
 
+@pytest.mark.parametrize("edges, entries, extra, expect", [
+    # each table fits both windows by its length, so only its context line
+    # tells them apart
+    ((-1, 2), 8, ("--op", "fourier1", "--model", "K", "--window=5:8"),
+     "the table is on window=-1:2, but fourier1 reads window=5:8"),
+    ((0, 1, -1, 1), 4, ("--op", "fourier1", "--model", "K", "--window=0:2"),
+     "the table is on biwindow=0:1,-1:1, but fourier1 reads window=0:2"),
+    ((0, 2), 4, ("--op", "fourier2", "--model", "K2", "--biwindow=0:1,-1:1"),
+     "the table is on window=0:2, but fourier2 reads biwindow=0:1,-1:1"),
+])
+def test_cli_transform_reads_the_window_of_its_input(tmp_path, capsys, edges, entries, extra, expect):
+    one = CycNum.one(2)
+    code, err = _transform_exit(tmp_path, capsys, render_table(2, (one,) * entries, edges), *extra)
+    assert code == 2 and f"bad.csv: {expect}" in err
+
+
 @pytest.mark.parametrize("op, model, window, expect", [
     ("fourier1", "K2", "--window=0:1", "fourier1 needs a one-dimensional model; 'K2'"),
     ("fourier2", "K", "--biwindow=0:1,0:1", "fourier2 needs a two-dimensional model; 'K'"),
@@ -475,7 +498,7 @@ def test_cli_dump(tmp_path, capsys):
     assert cli_main(["dump", str(cfg_path), "--model", "K", "--window=-1:1", "--elem", "deltaF:0"]) == 0
     captured = capsys.readouterr().out
     assert captured.startswith("window=-1:1")
-    q, dim, table = parse_table(captured, 2)
+    q, dim, table, _ = parse_table(captured, 2)
     assert dim == 2 and table[0] == CycNum.one(2)
 
 
@@ -485,7 +508,7 @@ def test_cli_dump_biwindow(tmp_path, capsys):
     assert cli_main(["dump", str(cfg_path), "--model", "K2", "--window=0:1,-1:1", "--elem", "ones"]) == 0
     captured = capsys.readouterr().out
     assert captured.startswith("biwindow=0:1,-1:1")
-    q, dim, table = parse_table(captured, 2)
+    q, dim, table, _ = parse_table(captured, 2)
     assert dim == 2 and all(c == CycNum.one(2) for c in table)
 
 

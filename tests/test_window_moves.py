@@ -36,7 +36,6 @@ from fqharmonic.c2 import (
     D2Dist,
     D2Elem,
     E2Fn,
-    VirtualMeasure,
     box_model,
     bw_dim,
     d2_equal,
@@ -119,7 +118,7 @@ def ref_d2elem_at(x, bw2):
     summed = [pos for pos in src_pos if pos[0] < bw2.l]
     zeroed = [pos for pos in dst_pos if pos[1] >= bw.n]
     out = tables.scale(tables.transport(x.table, q, src_pos, dst_pos, summed, zeroed), factor)
-    return out, VirtualMeasure(model, bw2.l, x.o, x.twist.scalar)
+    return out, x.twist
 
 
 def ref_d2dist_at(x, bw2):
@@ -134,7 +133,7 @@ def ref_d2dist_at(x, bw2):
     summed = [pos for pos in src_pos if pos[1] < bw2.m]
     zeroed = [pos for pos in dst_pos if pos[0] >= bw.i]
     out = tables.scale(tables.transport(x.table, q, src_pos, dst_pos, summed, zeroed), factor)
-    return out, VirtualMeasure(model, x.o, bw2.l, x.twist.scalar)
+    return out, x.twist
 
 
 def ref_e2_at(x, bw2):
@@ -249,8 +248,7 @@ def test_c2_moves_match_the_reference(model):
 
     def twisted(cls, ref):
         def make(bw):
-            vm = VirtualMeasure(model, *((bw.l, 1) if cls is D2Elem else (1, bw.l)), Fraction(2, 3))
-            return cls(model, 1, bw, rand_rows(rng, fld, bw_dim(model, bw)), vm)
+            return cls(model, 1, bw, rand_rows(rng, fld, bw_dim(model, bw)), Fraction(2, 3))
 
         def new(x, bw2):
             y = x.at(bw2)
@@ -299,8 +297,7 @@ def test_c2_meets_match_the_reference():
     rng = random.Random(5)
 
     def rep(cls, bw):
-        ends = (bw.l, 0) if cls is D2Elem else (0, bw.l)
-        return cls(model, 0, bw, rand_rows(rng, fld, bw_dim(model, bw)), VirtualMeasure(model, *ends, Fraction(1)))
+        return cls(model, 0, bw, rand_rows(rng, fld, bw_dim(model, bw)), Fraction(1))
 
     elems, dists = ([rep(cls, bw) for bw in BIWINDOWS] for cls in (D2Elem, D2Dist))
     for reps, ref, equal, ref_at in (
@@ -314,7 +311,7 @@ def test_c2_meets_match_the_reference():
                 assert outcome(equal, x, y) is WindowError
                 continue
             (tx, vx), (ty, vy) = ref_at(x, meet), ref_at(y, meet)
-            assert equal(x, y) == (tables.scale(tx, vx.scalar) == tables.scale(ty, vy.scalar))
+            assert equal(x, y) == (tables.scale(tx, vx) == tables.scale(ty, vy))
             assert equal(x, x.at(meet))
 
 
