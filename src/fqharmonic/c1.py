@@ -561,8 +561,10 @@ class HaarMeasure:
     value: Fraction
 
     def __post_init__(self) -> None:
-        if self.value == 0:
-            raise DomainError("the zero measure is not allowed here")
+        if not isinstance(self.value, Fraction) or self.value == 0:
+            raise DomainError(f"a Haar measure's value is a nonzero Fraction, not {self.value!r}")
+        if not isinstance(self.ref, int):
+            raise DomainError(f"a Haar measure's ref is an int cut, not {self.ref!r}")
 
     def value_at(self, i: int) -> Fraction:
         return self.value * q_power(self.model.field.q, self.model.dim_between(self.ref, i))

@@ -353,9 +353,7 @@ def tensor_haar(T: TripleC1, mu1: HaarMeasure, mu3: HaarMeasure) -> HaarMeasure:
 def char_dist1(T: TripleC1, mu1: HaarMeasure, w: Window) -> C1Dist:
     """The characteristic distribution of the sub: push forward its measure,
     whose constant table is built factored."""
-    model = mu1.model
-    table = tables.const_kron(model.field.p, mu1.value_at(w.lo), model.field.q, window_dim(model, w))
-    return images1("alpha_push", T, C1Dist(model, "Haar", w, table, ("haar", mu1.value, mu1.ref)))
+    return images1("alpha_push", T, mu1.as_dist(w))
 
 
 # ---------------------------------------------------------------------------

@@ -255,8 +255,10 @@ class VirtualMeasure:
     scalar: Fraction
 
     def __post_init__(self) -> None:
-        if self.scalar == 0:
-            raise DomainError("virtual measures are nonzero")
+        if not isinstance(self.scalar, Fraction) or self.scalar == 0:
+            raise DomainError(f"a virtual measure is a nonzero Fraction, not {self.scalar!r}")
+        if not isinstance(self.src, int) or not isinstance(self.dst, int):
+            raise DomainError(f"a virtual measure's ends are int cuts, not {self.src!r} and {self.dst!r}")
 
     def compose(self, other: "VirtualMeasure") -> "VirtualMeasure":
         if self.model != other.model:

@@ -23,7 +23,7 @@ from fqharmonic.c2 import BiWindow, C2Model, D2Elem, bw_dim, e2_constant_one, fo
 from fqharmonic.c2_triples import delta0_fn, one_fn
 from fqharmonic.dim0 import FinSpace, Fn0, fourier0
 from fqharmonic.exactnum import DomainError
-from fqharmonic.harness.config import ConfigError, parse_config
+from fqharmonic.harness.config import ConfigError, exceeds_cap, parse_config
 from fqharmonic.harness.csvio import context_line, parse_table, render_table
 from fqharmonic.harness.report import emit_report
 from fqharmonic.harness.suites import run_suites
@@ -171,9 +171,7 @@ def _build_elem(model, spec: str, w: Window):
 def _check_table_cap(cfg, dim: int) -> None:
     """Refuse a window table of more than ``table_cap`` entries before it is built."""
     q, cap = cfg.field.q, cfg.table_cap
-    # q >= 2: a dim past the cap's bit length is over the cap, and a huge
-    # q**dim is never formed
-    if dim > cap.bit_length() or q**dim > cap:
+    if exceeds_cap(q, dim, cap):
         raise DomainError(f"the window table has {q}^{dim} entries, more than table_cap = {cap}")
 
 

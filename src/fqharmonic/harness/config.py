@@ -123,13 +123,18 @@ def _c1_model(field: FqField, spec: str, name: str) -> C1Model:
     raise DomainError(f"unknown c1 model kind {kind!r}")
 
 
+def exceeds_cap(base: int, exp: int, cap: int) -> bool:
+    """Whether base**exp > cap, for base >= 2 and exp >= 0.  An exp past the
+    cap's bit length is over the cap, so a huge power is never formed."""
+    return exp > cap.bit_length() or base**exp > cap
+
+
 def _field(spec: str, table_cap: int) -> FqField:
     """The field of a spec, refused before it is built when a q x q table
     (the field's own addition and multiplication tables) exceeds the cap."""
     p, n, coeffs = split_field_spec(spec)
-    # for p >= 2 an n past half the cap's bit length is over the cap, so a
-    # huge q is never formed; any other p or n is left to FqField to refuse
-    if p >= 2 and n >= 1 and (2 * n > table_cap.bit_length() or p ** (2 * n) > table_cap):
+    # any other p or n is left to FqField to refuse
+    if p >= 2 and n >= 1 and exceeds_cap(p, 2 * n, table_cap):
         raise DomainError(f"the field has q^2 = {p}^{2 * n} table entries, more than table_cap = {table_cap}")
     return FqField(p, n, coeffs)
 
@@ -165,12 +170,11 @@ def _value_errors(spec: SuiteSpec, given: dict, table_cap: Optional[int]) -> lis
     if table_cap is not None and given.get("max_points", 0) > table_cap:
         errors.append((line["max_points"], f"max_points {got['max_points']} exceeds table cap {table_cap}"))
     if "max_dim" in given:
-        # poisson0's largest table has 4^max_dim entries, over F_4; a huge
-        # power is never formed
+        # poisson0's largest table has 4^max_dim entries, over F_4
         n = got["max_dim"]
         if n < 0:
             errors.append((line["max_dim"], f"max_dim = {n} leaves the suite nothing to check; give at least 0"))
-        elif table_cap is not None and (2 * n > table_cap.bit_length() or 4**n > table_cap):
+        elif table_cap is not None and exceeds_cap(4, n, table_cap):
             msg = f"max_dim {n} makes tables of 4^{n} entries, more than table cap {table_cap}"
             errors.append((line["max_dim"], msg))
     if spec.kind == "poisson1":

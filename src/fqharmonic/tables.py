@@ -7,7 +7,7 @@ significant digit = position 0.  It comes in two forms:
   denominator.  ``rows[k][i]`` is ``den`` times the coefficient of zeta^k in
   entry i.  The form is canonical (``den > 0`` and coprime to every
   numerator), so table equality is structural and exact.
-* ``Kron``, the factored form: a one-entry ``Rows`` scalar times one q-entry
+* ``Kron``, the factored form: a ``CycNum`` scalar times one q-entry
   ``Rows`` factor per digit, a tensor product.  The characteristic functions
   and measure profiles of monomial regions are such products, and the
   summation identities compare nothing else.
@@ -34,7 +34,8 @@ Native to ``Kron``, each in O(D*q): ``transport`` (so ``expand``,
 ``contract`` and ``apply_perm``), ``digit_map`` (so ``translate`` and
 ``check_table``), ``scale``, ``fourier`` (one q-point transform per
 factor), ``is_zero`` and ``==`` (an exact comparison of factors and one
-entry, with no division).  Constants (``const_kron``) and point masses
+entry, with no division).  Every scalar step of the factored form is one
+``CycNum`` product.  Constants (``const_kron``) and point masses
 (``point_kron``) are built factored.  Every other operation, and a
 comparison with a ``Rows``, works on ``Kron.dense()``.
 
@@ -177,22 +178,20 @@ class Kron:
     """A table held as a scalar times one q-entry factor per digit.
 
     The entry at the digits (d_0, ..., d_{D-1}) is ``scalar * factors[0][d_0]
-    * ... * factors[D-1][d_{D-1}]``.  ``scalar`` is a one-entry ``Rows`` (a
-    rational or a ``CycNum`` is accepted) and every factor is a ``Rows`` of
-    the same length q.  Equal tables may hold different factors, so a
-    ``Kron`` is compared by value and is not hashable.
+    * ... * factors[D-1][d_{D-1}]``.  ``scalar`` is a ``CycNum`` (a rational
+    is accepted) and every factor is a ``Rows`` of the same length q.  Equal
+    tables may hold different factors, so a ``Kron`` is compared by value and
+    is not hashable.
     """
 
     p: int
-    scalar: Rows
+    scalar: CycNum
     factors: tuple[Rows, ...]
 
     __hash__ = None
 
     def __post_init__(self) -> None:
-        scalar = self.scalar if isinstance(self.scalar, Rows) else _scalar(self.p, self.scalar)
-        if scalar.p != self.p or len(scalar) != 1:
-            raise DomainError(f"the scalar of a factored table is one entry over Q(zeta_{self.p})")
+        scalar = _scalar(self.p, self.scalar)
         factors = tuple(as_rows(f, self.p) for f in self.factors)
         if len({len(f) for f in factors}) > 1:
             raise DomainError("the factors of a factored table need one length")
@@ -200,7 +199,7 @@ class Kron:
         object.__setattr__(self, "factors", factors)
 
     @classmethod
-    def _of(cls, p: int, scalar: Rows, factors: tuple[Rows, ...]) -> "Kron":
+    def _of(cls, p: int, scalar: CycNum, factors: tuple[Rows, ...]) -> "Kron":
         """The table of parts already checked, built without the checks."""
         table = object.__new__(cls)
         object.__setattr__(table, "p", p)
@@ -231,19 +230,20 @@ class Kron:
             i += size
         if not 0 <= i < size:
             raise IndexError("table index out of range")
-        value, den = _column(self.scalar, 0), self.scalar.den
+        value = self.scalar
         for f in self.factors:
             i, d = divmod(i, len(f))
-            value, den = _cyc_product(value, _column(f, d), self.p), den * f.den
-        return CycNum(self.p, tuple(Fraction(x, den) if x else _ZERO for x in value))
+            value = value * f[d]
+        return value
 
     def is_zero(self) -> bool:
-        return is_zero(self.scalar) or any(map(is_zero, self.factors))
+        return self.scalar.is_zero() or any(map(is_zero, self.factors))
 
     def dense(self) -> Rows:
         """The ``Rows`` of every entry; more than ``DENSE_POINTS`` are refused."""
         _check_dense(self.size)
-        p, values, den = self.p, [_column(self.scalar, 0)], self.scalar.den
+        p, (value, den) = self.p, _cyc_ints(self.scalar)
+        values = [value]
         for f in self.factors:
             # digit r has weight q^r: its value d repeats the table built so far
             values = [_cyc_product(v, col, p) for col in zip(*f.rows) for v in values]
@@ -270,28 +270,16 @@ def point_kron(p: int, value, q: int, digits: Sequence[int]) -> Kron:
     return Kron._of(p, _scalar(p, value), tuple(_point_factor(p, q, d) for d in digits))
 
 
-def _scalar(p: int, value) -> Rows:
-    """The one-entry table of a rational or a ``CycNum``."""
+def _scalar(p: int, value) -> CycNum:
+    """The scalar of a factored table over Q(zeta_p): a ``CycNum``, or a
+    rational made one; anything else is refused."""
     if isinstance(value, CycNum):
         if value.prime != p:
             raise DomainError("mixed cyclotomic fields")
-        return _entry(p, *_cyc_ints(value))
+        return value
     if not isinstance(value, (int, Fraction)):
-        value = Fraction(value)
-    return _entry(p, (value.numerator,) + (0,) * (p - 2), value.denominator)
-
-
-def _entry(p: int, value: Sequence[int], den: int) -> Rows:
-    """The one-entry table value / den, made canonical by one gcd."""
-    g = math.gcd(den, *value)
-    if den < 0:
-        g = -g
-    return Rows._of(p, den // g, tuple((x // g,) for x in value))
-
-
-def _column(table: Rows, i: int) -> tuple[int, ...]:
-    """The power-basis numerators of entry i."""
-    return tuple(row[i] for row in table.rows)
+        raise DomainError(f"the scalar of a factored table is one entry over Q(zeta_{p}), not {value!r}")
+    return CycNum.from_rational(p, value)
 
 
 @lru_cache(maxsize=None)
@@ -336,17 +324,15 @@ def _kron_equal(a: Kron, b: Kron) -> bool:
     zero_a, zero_b = a.is_zero(), b.is_zero()
     if zero_a or zero_b:
         return zero_a and zero_b
-    p = a.p
-    va, da, vb, db = _column(a.scalar, 0), a.scalar.den, _column(b.scalar, 0), b.scalar.den
+    p, va, vb = a.p, a.scalar, b.scalar
     for fa, fb in pairs:
         cols_a, cols_b = list(zip(*fa.rows)), list(zip(*fb.rows))
         j = next(i for i, col in enumerate(cols_a) if any(col))
         for xa, xb in zip(cols_a, cols_b):
             if _cyc_product(xa, cols_b[j], p) != _cyc_product(cols_a[j], xb, p):
                 return False
-        va, da = _cyc_product(va, cols_a[j], p), da * fa.den
-        vb, db = _cyc_product(vb, cols_b[j], p), db * fb.den
-    return all(x * db == y * da for x, y in zip(va, vb))
+        va, vb = va * fa[j], vb * fb[j]
+    return va == vb
 
 
 def _transport_kron(table: Kron, q: int, src_pos: tuple, dst_pos: tuple, summed, zeroed) -> Kron:
@@ -360,14 +346,9 @@ def _transport_kron(table: Kron, q: int, src_pos: tuple, dst_pos: tuple, summed,
     ones, delta = _unit_factors(p, q)
     # taking the kept factors out leaves the dropped ones
     factors = tuple([by_label.pop(pos) if pos in by_label else delta if pos in zeroed else ones for pos in dst_pos])
-    scalar = table.scalar
-    if by_label:
-        summed = set(summed)
-        value, den = _column(scalar, 0), scalar.den
-        for pos, f in by_label.items():
-            value = _cyc_product(value, tuple(map(sum, f.rows)) if pos in summed else _column(f, 0), p)
-            den *= f.den
-        scalar = _entry(p, value, den)
+    scalar, summed = table.scalar, set(summed)
+    for pos, f in by_label.items():
+        scalar = scalar * (total(f) if pos in summed else f[0])
     return Kron._of(p, scalar, factors)
 
 
@@ -388,13 +369,6 @@ def _fourier_factor(f: Rows, field: FqField) -> tuple[int, int, Rows]:
         if c and g.rows == tuple(tuple(c * x for x in row) for row in unit.rows):
             return c, g.den, unit
     return 1, 1, g
-
-
-def _rescaled(table: Kron, num: int, den: int) -> Kron:
-    """table times num / den, on its scalar."""
-    scalar = table.scalar
-    value = tuple(x * num for x in _column(scalar, 0))
-    return Kron._of(table.p, _entry(table.p, value, scalar.den * den), table.factors)
 
 
 def _dense(table) -> Rows:
@@ -626,16 +600,10 @@ def _same_shape(a, b) -> tuple[Rows, Rows]:
 def scale(table: Rows, c) -> Rows:
     """c times every entry; c is a rational or a CycNum."""
     if isinstance(table, Kron):
-        p, scalar = table.p, table.scalar
-        if isinstance(c, CycNum):
-            value, den = _cyc_ints(c)
-            value, den = _cyc_product(_column(scalar, 0), value, p), scalar.den * den
-            return Kron._of(p, _entry(p, value, den), table.factors)
-        if c == 1:
-            return table
-        c = c if isinstance(c, (int, Fraction)) else Fraction(c)
-        return _rescaled(table, c.numerator, c.denominator)
+        return table if c == 1 else Kron._of(table.p, table.scalar * c, table.factors)
     if isinstance(c, CycNum):
+        if c.prime != table.p:
+            raise DomainError("mixed cyclotomic fields")
         if any(c.coeffs[1:]):
             value, den = _cyc_ints(c)
             cols = [_cyc_product(col, value, table.p) for col in zip(*table.rows)]
@@ -740,8 +708,7 @@ def fourier(table: Rows, q: int, dim: int, field: FqField, factor: Fraction | in
             n, d, g = got
             num, den = num * n, den * d
             factors.append(g)
-        factor = factor if isinstance(factor, (int, Fraction)) else Fraction(factor)
-        return _rescaled(Kron._of(table.p, table.scalar, tuple(factors)), factor.numerator * num, factor.denominator * den)
+        return Kron._of(table.p, table.scalar * (Fraction(num, den) * factor), tuple(factors))
     n = len(table)
     if n != q**dim:
         raise DomainError(f"table has {n} entries, expected q^dim = {q**dim}")

@@ -16,7 +16,6 @@ from fqharmonic.c1 import (
     dist_at,
     dual_model,
     eval_fn_at,
-    fn_at,
     fn_equal,
     fn_mul,
     fourier1,

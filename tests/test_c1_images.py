@@ -11,24 +11,20 @@ from fqharmonic.c1 import (
     Window,
     WindowError,
     delta_lattice,
-    dist_at,
     fn_at,
     fn_equal,
     fn_mul,
-    fourier1,
     i_mu,
     integrate,
     lattice_model,
     laurent_model,
     colattice_model,
-    mul_dist,
     pairing1,
     segment_model,
     window_dim,
 )
 from fqharmonic import c1_triples, tables
 from fqharmonic.c1_triples import (
-    TripleC1,
     char_dist1,
     direct_sum_triple,
     dual_triple,

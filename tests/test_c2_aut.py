@@ -22,7 +22,6 @@ from fqharmonic.c2 import (
 from fqharmonic.c2_aut import (
     AutElem,
     AutHatElem,
-    aut_identity,
     authat_identity,
     authat_inverse,
     authat_mul,

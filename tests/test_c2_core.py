@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from fqharmonic.c1 import HaarMeasure, laurent_model
 from fqharmonic.c2 import (
     BiWindow,
-    C2Model,
     CapabilityError,
     D2Dist,
     D2Elem,
@@ -24,7 +24,6 @@ from fqharmonic.c2 import (
     pairing2,
     pairing2_e,
     positions2,
-    shift_region,
     vmeas_canonical,
 )
 from fqharmonic.exactnum import CycNum, DomainError, field_for
@@ -236,6 +235,21 @@ def test_a_twist_is_a_nonzero_fraction(cls, twist):
     table = (CycNum.one(2),) * 2 ** bw_dim(model, bw)
     with pytest.raises(DomainError, match="a twist is a nonzero Fraction"):
         cls(model, 0, bw, table, twist)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: VirtualMeasure(k2_model(F2), 0, 1, 2.5), "nonzero Fraction"),
+    (lambda: VirtualMeasure(k2_model(F2), 0, 1, Fraction(0)), "nonzero Fraction"),
+    (lambda: VirtualMeasure(k2_model(F2), 0, None, Fraction(1)), "int cuts"),
+    (lambda: VirtualMeasure(k2_model(F2), "0", 1, Fraction(1)), "int cuts"),
+    (lambda: HaarMeasure(laurent_model(F2), 0, 2.5), "nonzero Fraction"),
+    (lambda: HaarMeasure(laurent_model(F2), 0, Fraction(0)), "nonzero Fraction"),
+    (lambda: HaarMeasure(laurent_model(F2), "0", Fraction(1)), "int cut"),
+    (lambda: HaarMeasure(laurent_model(F2), None, Fraction(1)), "int cut"),
+], ids=["vm-float", "vm-zero", "vm-none-end", "vm-str-end", "haar-float", "haar-zero", "haar-str-ref", "haar-none-ref"])
+def test_a_measure_is_rational_on_int_cuts(build, message):
+    with pytest.raises(DomainError, match=message):
+        build()
 
 
 @pytest.mark.parametrize("cls, ends, vm_field, message", [

@@ -20,7 +20,6 @@ from fqharmonic.c2 import (
     k2_model,
     pairing2,
     positions2,
-    vmeas_canonical,
 )
 from fqharmonic.c2_triples import (
     GradedC2Triple,
@@ -33,7 +32,6 @@ from fqharmonic.c2_triples import (
     inner_cut_triple,
     lower_inner_bottom,
     lower_outer_bottom,
-    one_fn,
     one_mu,
     outer_cut_triple,
     poisson2_verify,

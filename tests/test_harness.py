@@ -14,7 +14,7 @@ import pytest
 from fqharmonic import c1
 from fqharmonic.c2 import k2_model
 from fqharmonic.c2_triples import outer_cut_triple
-from fqharmonic.dim0 import FinSpace, Fn0, fourier0
+from fqharmonic.dim0 import FinSpace, Fn0
 from fqharmonic.exactnum import CycNum, DomainError, field_for
 from fqharmonic.harness.cli import main as cli_main
 from fqharmonic.harness.config import ConfigError, parse_config

@@ -286,6 +286,14 @@ def test_scale_matches_dense():
         assert tables.scale(K, 1) is K
 
 
+@pytest.mark.parametrize("c", [CycNum.zeta_pow(5, 1), CycNum.one(5)], ids=["zeta", "one"])
+def test_scale_refuses_a_scalar_of_another_field(c):
+    K = tables.const_kron(3, 1, 3, 2)
+    for table in (K, K.dense()):
+        with pytest.raises(DomainError, match="mixed cyclotomic fields"):
+            tables.scale(table, c)
+
+
 def test_fourier_matches_dense():
     for rng, q, dim in cases(5, per_dim=2):
         fld = field_for(q)
@@ -399,14 +407,14 @@ def rescaled(rng, K):
         c = Fraction(rng.choice((-3, -1, 2, 5)), rng.choice((1, 2, 7)))
         factors.append(tables.scale(f, c))
         total *= c
-    return Kron(p, tables.scale(K.scalar, 1 / total), factors)
+    return Kron(p, K.scalar * (1 / total), factors)
 
 
 def perturbed(rng, K):
     """K with one entry of one factor (or the scalar) changed."""
     p = K.p
     if not K.factors:
-        return Kron(p, tables.add(K.scalar, Rows.of([CycNum.one(p)], p)), ())
+        return Kron(p, K.scalar + CycNum.one(p), ())
     r = rng.randrange(len(K.factors))
     entries = list(K.factors[r])
     d = rng.randrange(len(entries))
@@ -441,10 +449,10 @@ def test_proportional_tables_with_different_scalars():
         if K.is_zero():
             continue
         L = rescaled(rng, K)
-        M = Kron(K.p, tables.scale(K.scalar, Fraction(1, 2)), (tables.scale(K.factors[0], 2),) + K.factors[1:])
+        M = Kron(K.p, K.scalar * Fraction(1, 2), (tables.scale(K.factors[0], 2),) + K.factors[1:])
         assert M.scalar != K.scalar and K == L == M
         # proportional factors with a wrong scalar: not equal
-        assert K != Kron(K.p, tables.scale(L.scalar, 3), L.factors)
+        assert K != Kron(K.p, L.scalar * 3, L.factors)
 
 
 def test_zero_tables_are_equal_whatever_their_factors():
