@@ -278,9 +278,11 @@ class VirtualMeasure:
         return VirtualMeasure(dual_model2(self.model), -self.src, -self.dst, self.scalar)
 
 
+@lru_cache(maxsize=POSITION_CACHE)
 def vmeas_canonical(model: C2Model, i: int, j: int, kind: str) -> VirtualMeasure:
     """The canonical total-mass-1 (fiberwise compact) or unit-point-mass
-    (fiberwise discrete) element of mu(F(i) | F(j))."""
+    (fiberwise discrete) element of mu(F(i) | F(j)); kept by value, as
+    ``positions2`` is, since each image of a fiberwise side reads it."""
     if kind == "one":
         if not model.is_cf:
             raise CapabilityError("canonical mass-1 elements need a fiberwise compact model")

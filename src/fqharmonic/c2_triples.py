@@ -24,17 +24,23 @@ characteristic object is keyed by its constructor's arguments and its
 widened bi-window lowered by the image rule of its own quotient, the window
 ``images2`` moves it to.  Each distinct object is built once per call and
 each distinct primal object is transformed once, so a primal and a dual
-side with equal arguments share one build.  The rules widen and lower the outer edges
-from the outer edges alone, so an object is kept only until the last outer
-window pair keyed to its outer edges, and nothing outlives the call.
+side with equal arguments share one build.  A verdict is fixed by the keys
+of its two sides, so each distinct pair of keys is compared once.  Each
+image rule pins one edge with a bound of the model and the outer pair
+alone (``EdgeRule``), so the loop reads the bounds of both sides once per
+outer pair and an inner pair costs only integer edges, the cap's two
+rectangle counts and one verdict lookup.  The rules widen and lower the
+outer edges from the outer edges alone, so an object and its verdicts are
+kept only until the last outer window pair keyed to its outer edges, and
+nothing outlives the call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
-from typing import Optional
+from itertools import count
+from typing import Callable, Optional
 
 from fqharmonic import tables
 from fqharmonic.c1 import WindowError
@@ -137,26 +143,45 @@ def _check_measure(vm: Optional[VirtualMeasure], model: C2Model, src: int, dst: 
 # ---------------------------------------------------------------------------
 
 
-def raise_outer_top(model: C2Model, bw: BiWindow) -> BiWindow:
-    """bw with its outer top raised over the outer top of an outer-compact model."""
-    return BiWindow(bw.l, max(bw.i, model.outer_sup), bw.m, bw.n)
+class EdgeRule:
+    """A rule that pins one bi-window edge (0..3 for l, i, m, n): a top (odd
+    edge) is raised to at least ``bound(model, l, i)`` and a bottom lowered
+    to at most it, None leaving the edge in place.  The bound depends on the
+    model and the outer pair alone, so a sweep reads it once per outer pair;
+    called as ``rule(model, bw)``, the rule moves one bi-window."""
+
+    __slots__ = ("edge", "bound")
+
+    def __init__(self, edge: int, bound: Callable[[C2Model, int, int], Optional[int]]) -> None:
+        self.edge, self.bound = edge, bound
+
+    def pins(self, model: C2Model, l: int, i: int, far: int) -> list[int]:
+        """The bound at each edge at the outer pair (l, i): the rule's own at
+        its edge, and far above (a bottom) or below (a top) at the others,
+        which leaves every edge of absolute value at most far in place."""
+        pins = [far, -far, far, -far]
+        bound = self.bound(model, l, i)
+        if bound is not None:
+            pins[self.edge] = bound
+        return pins
+
+    def __call__(self, model: C2Model, bw: BiWindow) -> BiWindow:
+        bound = self.bound(model, bw.l, bw.i)
+        if bound is None:
+            return bw
+        edges, e = list(bw.edges), self.edge
+        edges[e] = max(edges[e], bound) if e % 2 else min(edges[e], bound)
+        return BiWindow(*edges)
 
 
-def raise_inner_top(model: C2Model, bw: BiWindow) -> BiWindow:
-    """bw with its inner top raised over the model's column tops on the outer window."""
-    sup = model.inner_sup(bw.l, bw.i)
-    return BiWindow(bw.l, bw.i, bw.m, bw.n if sup is None else max(bw.n, sup))
-
-
-def lower_outer_bottom(model: C2Model, bw: BiWindow) -> BiWindow:
-    """bw with its outer bottom lowered under the outer bottom of an outer-discrete model."""
-    return BiWindow(min(bw.l, model.outer_inf), bw.i, bw.m, bw.n)
-
-
-def lower_inner_bottom(model: C2Model, bw: BiWindow) -> BiWindow:
-    """bw with its inner bottom lowered under the model's column bottoms on the outer window."""
-    inf = model.inner_inf(bw.l, bw.i)
-    return BiWindow(bw.l, bw.i, bw.m if inf is None else min(bw.m, inf), bw.n)
+# the outer top over that of an outer-compact model
+raise_outer_top = EdgeRule(1, lambda model, _l, _i: model.outer_sup)
+# the inner top over the model's column tops on the outer window
+raise_inner_top = EdgeRule(3, C2Model.inner_sup)
+# the outer bottom under that of an outer-discrete model
+lower_outer_bottom = EdgeRule(0, lambda model, _l, _i: model.outer_inf)
+# the inner bottom under the model's column bottoms on the outer window
+lower_inner_bottom = EdgeRule(2, C2Model.inner_inf)
 
 
 # side-condition rules, named by the kind of twisted function that follows
@@ -315,13 +340,16 @@ def poisson2_verify(
     scales the primal object by q before the transform; any other fault
     raises DomainError.
 
-    Every bi-window is counted and compared, in order, and its cap is read
-    on the widened bi-windows, but each distinct characteristic object and
-    each distinct transform is built once (see ``_Sides``).  An object is
-    kept under its constructor's arguments and its widened bi-window lowered
-    by its own quotient's image rule (II lowers the inner bottom to the
-    quotient's column bottoms, I the outer bottom to its outer bottom).  The
-    two argument tuples get small ids once per call, so a dual object whose
+    Every bi-window is counted, in order, and its cap is read on the widened
+    bi-windows; each distinct characteristic object and transform is built
+    once, and each distinct pair of side keys is compared once (see
+    ``_Sides``).  An object is kept under its constructor's arguments and
+    its widened bi-window lowered by its own quotient's image rule (II
+    lowers the inner bottom to the quotient's column bottoms, I the outer
+    bottom to its outer bottom).  Both rules' bounds are read once per outer
+    pair (``EdgeRule``), so an inner pair costs integer edges, two rectangle
+    counts and one verdict lookup, and its sides are fetched only when that
+    verdict is missing.  The two argument tuples get small ids once per call, so a dual object whose
     arguments equal the primal's (a self-dual triple, o = 0 and dual
     measures (nu*, mu*) equal to (mu, nu)) is the primal object.  A range
     or cap that leaves nothing to check raises DomainError."""
@@ -346,62 +374,90 @@ def poisson2_verify(
         args, dual_args = (T, mu, nu), (Td, nu.on_dual(), mu.on_dual())
     dual_id = {args: 0}.setdefault(dual_args, 1)
     report = CheckReport(f"poisson2_{which}")
+    check = f"poisson2_{which}_characteristic_transform"
+    # q ** dim <= max_points exactly when dim <= cap
+    cap = None if max_points is None else next(d for d in count() if q ** (d + 1) > max_points)
 
-    def transformed(bw: BiWindow):
-        x = sides.get(0, bw)
+    def transformed(key: BiWindow, bw: BiWindow):
+        x = sides.get(0, key, bw)
         return fourier2(x * Fraction(q) if corrupt == fault else x)
 
-    primal_key = partial(lower, T.quot)
-    kinds = {0: (partial(build, *args), primal_key), 2: (transformed, primal_key)}
-    kinds.setdefault(dual_id, (partial(build, *dual_args), partial(lower, Td.quot)))
-    # both rules widen and lower the outer edges from the outer edges alone,
-    # so any inner pair gives an outer pair's keyed outer edges
-    outer = [(widen(T.sub, bw.dual()), widen(Td.sub, bw)) for bw in (BiWindow(l, i, 0, 0) for l, i in windows)]
-    sides = _Sides(kinds, [((0, p), (2, p), (dual_id, d)) for p, d in outer])
-    for k, (l, i) in enumerate(windows):
+    builders = {0: lambda _key, bw: build(*args, bw), 2: transformed}
+    builders.setdefault(dual_id, lambda _key, bw: build(*dual_args, bw))
+    # every edge of either side lies within far of 0, and the primal side of
+    # the outer pair (l, i) sits on its mirror (-i, -l)
+    far = max(-cut_lo, cut_hi)
+    bounds = [
+        (_side_bounds(widen, lower, T, -i, -l, far), _side_bounds(widen, lower, Td, l, i, far)) for l, i in windows
+    ]
+    asks = [((0, *pk[:2]), (2, *pk[:2]), (dual_id, *dk[:2])) for (_pw, pk), (_dw, dk) in bounds]
+    sides = _Sides(builders, asks)
+    for k, ((l, i), (primal_bounds, dual_bounds)) in enumerate(zip(windows, bounds)):
+        (pl, pi, pwm, pwn), (pkl, pki, pkm, pkn) = primal_bounds
+        (dl, di, dwm, dwn), (dkl, dki, dkm, dkn) = dual_bounds
+        verdicts = sides.verdicts((2, pkl, pki), (dual_id, dkl, dki))
         for m, n in windows:
-            bw = BiWindow(l, i, m, n)
-            primal_bw, dual_bw = widen(T.sub, bw.dual()), widen(Td.sub, bw)
-            if max_points is not None and (
-                q ** bw_dim(T.mid, primal_bw) > max_points or q ** bw_dim(Td.mid, dual_bw) > max_points
-            ):
+            pm, pn, dm, dn = min(-n, pwm), max(-m, pwn), min(m, dwm), max(n, dwn)
+            if cap is not None and (T.mid.count_rect(pl, pi, pm, pn) > cap or Td.mid.count_rect(dl, di, dm, dn) > cap):
                 continue
             report.cases += 1
-            if not d2_equal(sides.get(2, primal_bw), sides.get(dual_id, dual_bw)):
-                report.fail(f"poisson2_{which}_characteristic_transform", f"bi-window {bw}")
+            key = (min(-n, pkm), max(-m, pkn), min(m, dkm), max(n, dkn))
+            same = verdicts.get(key)
+            if same is None:
+                primal = sides.get(2, BiWindow(pkl, pki, *key[:2]), BiWindow(pl, pi, pm, pn))
+                dual = sides.get(dual_id, BiWindow(dkl, dki, *key[2:]), BiWindow(dl, di, dm, dn))
+                same = verdicts[key] = d2_equal(primal, dual)
+            if not same:
+                report.fail(check, f"bi-window {BiWindow(l, i, m, n)}")
         sides.release(k)
     return report
 
 
+def _side_bounds(widen: EdgeRule, lower: EdgeRule, T: GradedC2Triple, l: int, i: int, far: int):
+    """One side of a sweep at the outer pair (l, i), widened by ``widen`` on
+    T's sub and keyed by ``lower`` on T's quotient at the widened outer
+    pair: (wl, wi, wm, wn) and (kl, ki, km, kn), such that at an inner pair
+    (m, n) of edges within far the widened bi-window is (wl, wi | min(m, wm),
+    max(n, wn)) and the key (kl, ki | min(m, km), max(n, kn))."""
+    w = widen.pins(T.sub, l, i, far)
+    wl, wi = min(l, w[0]), max(i, w[1])
+    k = lower.pins(T.quot, wl, wi, far)
+    return (wl, wi, w[2], w[3]), (min(wl, k[0]), max(wi, k[1]), min(w[2], k[2]), max(w[3], k[3]))
+
+
 class _Sides:
-    """The objects of a summation sweep, each distinct one built once.
+    """The objects of a summation sweep, each distinct one built once, and
+    the verdicts on their pairs, each distinct one reached once.
 
-    ``kinds`` maps a side id to its builder and key rule: the primal objects
-    are 0, their transforms 2, and the dual objects 0 too when their
-    arguments are the primal's, else 1.  An object is asked for by id at its
-    widened bi-window and kept under the id and its key, that window lowered
-    by the image rule of the side's own quotient.  The objects are grouped
-    by id and the outer edges of their keys, and a group is dropped after
-    the last outer pair k whose asks (``asks[k]``: (id, widened outer pair)
-    of either side) are keyed to it, so at most the groups either side may
-    still ask for are held.  II's keys keep the outer edges; I's lowered
-    outer bottom merges the groups of the outer pairs with one raised top
-    whose bottoms lie at or above the quotient's outer bottom."""
+    ``builders`` maps a side id to its builder, called with the side's key
+    and widened bi-window: the primal objects are 0, their transforms 2, and
+    the dual objects 0 too when their arguments are the primal's, else 1.
+    An object is kept under its id and its key, its widened bi-window
+    lowered by the image rule of the side's own quotient.  The objects are
+    grouped by id and the outer edges of their keys, and the verdicts on a
+    transform group and a dual group are kept in the transform group under
+    the dual group's name.  A group is dropped after the last outer pair k
+    that asks for it (``asks[k]``: the groups of either side), so at most
+    the groups either side may still ask for are held.  II's keys keep the
+    outer edges; I's lowered outer bottom merges the groups of the outer
+    pairs with one raised top whose bottoms lie at or above the quotient's
+    outer bottom."""
 
-    def __init__(self, kinds: dict, asks: list) -> None:
-        self.kinds = kinds
-        # (id, keyed outer edges) -> the index of the last outer pair keyed to them
-        self.last = {(sid, *kinds[sid][1](bw).edges[:2]): k for k, ask in enumerate(asks) for sid, bw in ask}
+    def __init__(self, builders: dict, asks: list) -> None:
+        self.builders = builders
+        # group -> the index of the last outer pair that asks for it
+        self.last = {group: k for k, ask in enumerate(asks) for group in ask}
         self.groups: dict[tuple[int, int, int], dict] = {}
 
-    def get(self, sid: int, bw: BiWindow):
-        build, key = self.kinds[sid]
-        key = key(bw)
+    def get(self, sid: int, key: BiWindow, bw: BiWindow):
         group = self.groups.setdefault((sid, key.l, key.i), {})
         side = group.get(key)
         if side is None:
-            side = group[key] = build(bw)
+            side = group[key] = self.builders[sid](key, bw)
         return side
+
+    def verdicts(self, transforms: tuple, dual: tuple) -> dict:
+        return self.groups.setdefault(transforms, {}).setdefault(dual, {})
 
     def release(self, k: int) -> None:
         for g in [g for g in self.groups if self.last[g] == k]:

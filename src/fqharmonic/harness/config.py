@@ -129,6 +129,18 @@ def exceeds_cap(base: int, exp: int, cap: int) -> bool:
     return exp > cap.bit_length() or base**exp > cap
 
 
+def poisson0_cases(max_dim: int) -> int:
+    """The subspaces of F_q^n over q = 2, 3, 4 and n <= max_dim, one poisson0
+    case each.  F_q^n has G(n) subspaces, G(n + 1) = 2 G(n) + (q^n - 1) G(n - 1)."""
+    total = 0
+    for q in (2, 3, 4):
+        prev, cur = 1, 1  # G(-1) stands in as 1: (q^0 - 1) G(-1) = 0
+        for n in range(max_dim + 1):
+            total += cur
+            prev, cur = cur, 2 * cur + (q**n - 1) * prev
+    return total
+
+
 def _field(spec: str, table_cap: int) -> FqField:
     """The field of a spec, refused before it is built when a q x q table
     (the field's own addition and multiplication tables) exceeds the cap."""
@@ -176,6 +188,9 @@ def _value_errors(spec: SuiteSpec, given: dict, table_cap: Optional[int]) -> lis
             errors.append((line["max_dim"], f"max_dim = {n} leaves the suite nothing to check; give at least 0"))
         elif table_cap is not None and exceeds_cap(4, n, table_cap):
             msg = f"max_dim {n} makes tables of 4^{n} entries, more than table cap {table_cap}"
+            errors.append((line["max_dim"], msg))
+        elif table_cap is not None and (cases := poisson0_cases(n)) > table_cap:
+            msg = f"max_dim {n} makes {cases} subspace cases, more than table cap {table_cap}"
             errors.append((line["max_dim"], msg))
     if spec.kind == "poisson1":
         if got["triple"] is not None and not got["deep_cut"]:

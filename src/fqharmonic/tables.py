@@ -30,13 +30,13 @@ sum over dropped coordinates.  ``transport`` is the one primitive that makes
 all four at once, on digits named by labels; function tables and pairing
 (distribution) tables use it in opposite directions.
 
-Native to ``Kron``, each in O(D*q): ``transport`` (so ``expand``,
-``contract`` and ``apply_perm``), ``digit_map`` (so ``translate`` and
-``check_table``), ``scale``, ``fourier`` (one q-point transform per
-factor), ``is_zero`` and ``==`` (an exact comparison of factors and one
-entry, with no division).  Every scalar step of the factored form is one
-``CycNum`` product.  Constants (``const_kron``) and point masses
-(``point_kron``) are built factored.  Every other operation, and a
+Native to ``Kron``, each in O(D*q): ``transport`` (so ``expand`` and
+``contract``), ``apply_perm`` (a reordering of the factors), ``digit_map``
+(so ``translate`` and ``check_table``), ``scale``, ``fourier`` (one
+q-point transform per factor), ``is_zero`` and ``==`` (an exact comparison
+of factors and one entry, with no division).  Every scalar step of the
+factored form is one ``CycNum`` product.  Constants (``const_kron``) and
+point masses (``point_kron``) are built factored.  Every other operation, and a
 comparison with a ``Rows``, works on ``Kron.dense()``.
 
 Every dense index move is a ``MovePlan``, its index work, applied by
@@ -533,7 +533,11 @@ def contract(table: Rows, q: int, old_dim: int, keep: Sequence[int], mode: str) 
 
 
 def apply_perm(table: Rows, q: int, perm: Sequence[int]) -> Rows:
-    """Permute coordinates: new digit j is the old digit perm[j]."""
+    """Permute coordinates: new digit j is the old digit perm[j].  A ``Kron``
+    reorders its factors, as ``digit_map`` reads them."""
+    if isinstance(table, Kron):
+        _check_kron(table, q, len(perm))
+        return Kron._of(table.p, table.scalar, tuple(map(table.factors.__getitem__, perm)))
     return transport(table, q, range(len(perm)), perm)
 
 
@@ -598,7 +602,10 @@ def _same_shape(a, b) -> tuple[Rows, Rows]:
 
 
 def scale(table: Rows, c) -> Rows:
-    """c times every entry; c is a rational or a CycNum."""
+    """c times every entry; c is a rational or a CycNum, and anything else
+    (a float, say) is refused on both table forms."""
+    if not isinstance(c, (int, Fraction, CycNum)):
+        raise DomainError(f"a table is scaled by a rational or a CycNum, not {c!r}")
     if isinstance(table, Kron):
         return table if c == 1 else Kron._of(table.p, table.scalar * c, table.factors)
     if isinstance(c, CycNum):

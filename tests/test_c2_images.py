@@ -519,14 +519,18 @@ def test_poisson_I_off_the_basepoint(fld, cases):
 @pytest.mark.parametrize("which", ["II", "I"])
 def test_every_shared_side_is_the_side_built_at_its_widened_window(monkeypatch, fld, max_points, which):
     # an object is kept under its lowered window and may be shared by both
-    # sides, so every pair of sides the verifier compares must be the pair
-    # built afresh at the widened windows of its bi-window: same model,
-    # basepoint, bi-window, table and twist
-    compared = []
+    # sides, and a verdict is kept under the keys of both sides, so for
+    # every bi-window the pair compared under its keys must be the pair
+    # built afresh at its widened windows (same model, basepoint,
+    # bi-window, table and twist), and its verdict must be that pair's
+    compared = {}  # (transform window, dual window) -> the pair compared
 
     def recorded(x, y):
-        compared.append((x, y))
-        return d2_equal(x, y)
+        # each pair of sides is compared once; the verdicts alternate, so
+        # a bi-window that read another pair's verdict would show
+        assert (x.bw, y.bw) not in compared
+        compared[(x.bw, y.bw)] = (x, y)
+        return len(compared) % 2 == 0
 
     monkeypatch.setattr(c2_triples, "d2_equal", recorded)
     sweeps = [(T, *measures(which, T, Fraction(fld.q))) for T in shared_side_triples(fld)[which]]
@@ -544,12 +548,112 @@ def test_every_shared_side_is_the_side_built_at_its_widened_window(monkeypatch, 
         compared.clear()
         rep = poisson2_verify(which, T, mu, nu, cut_lo=-2, cut_hi=2, max_points=max_points)
         asked = list(widened_sides(which, T, -2, 2, max_points))
-        assert rep.cases == len(asked) == len(compared) > 0
-        for (_bw, primal_bw, dual_bw), sides in zip(asked, compared):
-            for side, fresh in zip(sides, (fourier2(primal(primal_bw)), dual(dual_bw))):
-                assert type(side) is type(fresh)
-                assert (side.model, side.o, side.bw, side.twist) == (fresh.model, fresh.o, fresh.bw, fresh.twist)
-                assert side.table == fresh.table
+        assert rep.cases == len(asked) > 0
+        failures, keys = [], set()
+        for bw, primal_bw, dual_bw in asked:
+            fresh = (fourier2(primal(primal_bw)), dual(dual_bw))
+            keys.add((fresh[0].bw, fresh[1].bw))
+            sides = compared[(fresh[0].bw, fresh[1].bw)]
+            for side, built in zip(sides, fresh):
+                assert type(side) is type(built)
+                assert (side.model, side.o, side.bw, side.twist) == (built.model, built.o, built.bw, built.twist)
+                assert side.table == built.table
+            if list(compared).index((fresh[0].bw, fresh[1].bw)) % 2 == 0:
+                failures.append(f"bi-window {bw}")
+        assert [f["context"] for f in rep.failures] == failures
+        # every pair compared is the pair of some bi-window
+        assert set(compared) == keys
+
+
+@pytest.mark.parametrize("r, max_points, calls", [(2, 256, 126), (2, None, 135), (6, None, 4459)])
+def test_each_side_pair_is_compared_once(monkeypatch, r, max_points, calls):
+    # on the self-dual triples over F_2, the verdict of a bi-window is fixed
+    # by its sides' keys: 216 bi-windows at +-2 capped, 225 uncapped and
+    # 8281 at +-6 uncapped come down to 126, 135 and 4459 comparisons
+    compared = []
+
+    def counted(x, y):
+        compared.append((x.bw, y.bw))
+        return d2_equal(x, y)
+
+    monkeypatch.setattr(c2_triples, "d2_equal", counted)
+    K2 = k2_model(F2)
+    for which, T in (("II", inner_cut_triple(K2, 0)), ("I", outer_cut_triple(K2, 0))):
+        compared.clear()
+        rep = poisson2_verify(which, T, *measures(which, T), cut_lo=-r, cut_hi=r, max_points=max_points)
+        assert rep.passed and rep.cases == {256: 216, None: (2 * r + 1) ** 2 * (r + 1) ** 2}[max_points]
+        assert len(compared) == len(set(compared)) == calls
+
+
+def bound_models():
+    """The 2d models the tests build: K2, boxes, a two-box staircase, the
+    members of the cut triples and the base-change diagrams, and the
+    empty model, each with its dual."""
+    models = []
+    for fld in (F2, F3):
+        K2 = k2_model(fld)
+        box = box_model(fld, -1, 2, None, None)
+        stair = C2Model(fld, ((None, 0, None, 1), (0, None, None, -1)), "stair")
+        models += [K2, box, stair, C2Model(fld, ()), box_model(fld, -2, 1, -1, 3), box_model(fld, None, 1, 0, None)]
+        for cut in (-1, 0, 1):
+            for T in (inner_cut_triple(K2, cut), outer_cut_triple(K2, cut), inner_cut_triple(box, cut)):
+                models += [T.mid, T.sub, T.quot]
+    for make in (zvezda_cc_dd, zvezda_cf_df, zvezda_cc_df, zvezda_cf_dc):
+        for T in make(-1, 1):
+            models += [T.mid, T.sub, T.quot]
+    return list(dict.fromkeys(models + [dual_model2(m) for m in models]))
+
+
+# each rule written directly on a bi-window: the oracle of its bound form
+BOUND_ORACLES = {
+    "raise_outer_top": lambda model, bw: BiWindow(bw.l, max(bw.i, model.outer_sup), bw.m, bw.n),
+    "raise_inner_top": lambda model, bw: BiWindow(
+        bw.l, bw.i, bw.m, bw.n if model.inner_sup(bw.l, bw.i) is None else max(bw.n, model.inner_sup(bw.l, bw.i))
+    ),
+    "lower_outer_bottom": lambda model, bw: BiWindow(min(bw.l, model.outer_inf), bw.i, bw.m, bw.n),
+    "lower_inner_bottom": lambda model, bw: BiWindow(
+        bw.l, bw.i, bw.m if model.inner_inf(bw.l, bw.i) is None else min(bw.m, model.inner_inf(bw.l, bw.i)), bw.n
+    ),
+}
+
+
+def test_each_bound_form_is_its_bi_window_rule():
+    # every outer cut pair in [-8, 8] and every one-cut inner pair there, so
+    # each inner edge meets the bound from both sides
+    cuts = range(-8, 9)
+    outer = [(l, i) for l in cuts for i in cuts if l <= i]
+    for model in bound_models():
+        for name, oracle in BOUND_ORACLES.items():
+            rule = getattr(c2_triples, name)
+            if rule.bound(model, 0, 0) is None and rule.edge < 2:
+                continue  # no outer bound: the model is not outer-compact or outer-discrete
+            for l, i in outer:
+                pins = rule.pins(model, l, i, 8)
+                for c in cuts:
+                    bw = BiWindow(l, i, c, c)
+                    want = oracle(model, bw)
+                    assert rule(model, bw) == want, (model, name, bw)
+                    pinned = BiWindow(min(l, pins[0]), max(i, pins[1]), min(c, pins[2]), max(c, pins[3]))
+                    assert pinned == want, (model, name, bw)
+
+
+def test_each_side_bound_is_the_widened_and_lowered_window():
+    # the bounds a sweep reads once per outer pair give, at every inner
+    # pair, the widened window and its key that the rules give
+    cuts = range(-4, 5)
+    pairs = [(a, b) for a in cuts for b in cuts if a <= b]
+    for fld in (F2, F3):
+        triples = shared_side_triples(fld)
+        for which, widen, lower in (
+            ("II", raise_inner_top, lower_inner_bottom), ("I", raise_outer_top, lower_outer_bottom)
+        ):
+            for T in triples[which]:
+                for l, i in pairs:
+                    (wl, wi, wm, wn), (kl, ki, km, kn) = c2_triples._side_bounds(widen, lower, T, l, i, 4)
+                    for m, n in pairs:
+                        widened = widen(T.sub, BiWindow(l, i, m, n))
+                        assert widened == BiWindow(wl, wi, min(m, wm), max(n, wn))
+                        assert lower(T.quot, widened) == BiWindow(kl, ki, min(m, km), max(n, kn))
 
 
 def test_each_widened_side_is_built_once(monkeypatch):

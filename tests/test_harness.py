@@ -17,7 +17,7 @@ from fqharmonic.c2_triples import outer_cut_triple
 from fqharmonic.dim0 import FinSpace, Fn0
 from fqharmonic.exactnum import CycNum, DomainError, field_for
 from fqharmonic.harness.cli import main as cli_main
-from fqharmonic.harness.config import ConfigError, parse_config
+from fqharmonic.harness.config import ConfigError, parse_config, poisson0_cases
 from fqharmonic.harness.csvio import parse_table, render_table
 from fqharmonic.harness.report import emit_report
 from fqharmonic.harness.rng import LCG
@@ -723,6 +723,8 @@ def test_poisson2_i_refuses_a_middle_its_corollary_cannot_act_on(tmp_path):
     ("run = poisson0\nmax_dim = 7", "max_dim", "max_dim 7 makes tables of 4^7 entries, more than table cap 4096"),
     # a huge max_dim is refused by its size, its power never formed
     ("run = poisson0\nmax_dim = 10000000000000000000000", "max_dim", "more than table cap 4096"),
+    # 4^5 entries fit, but the subspaces of F_q^n for q = 2, 3, 4 and n <= 5 do not
+    ("run = poisson0\nmax_dim = 5", "max_dim", "max_dim 5 makes 16239 subspace cases, more than table cap 4096"),
     # one end given: checked against the suite's default other end
     ("run = poisson2_ii\ntriple = T2u\ncut_lo = 3", "cut_lo", "cut_lo = 3 is above cut_hi = 2 (the default)"),
     ("run = fourier1_delta\ni_hi = -4", "i_hi", "i_hi = -4 is below i_lo = -3 (the default)"),
@@ -743,6 +745,13 @@ def test_suite_left_nothing_to_check_exits_2(tmp_path, suite, key, expect):
     out = _verify_subprocess(cfg_path)
     assert out.returncode == 2 and out.stdout == ""
     assert f"c.cfg:{ln}: " in out.stderr and "Traceback" not in out.stderr, out.stderr
+
+
+def test_poisson0_runs_every_subspace_the_cap_admits():
+    # max_dim = 4 makes 923 subspace cases, within the default table cap
+    cfg = parse_config(MINIMAL + "\n[suite x]\nrun = poisson0\nmax_dim = 4\n")
+    (rep,) = run_suites(cfg, only=["x"])
+    assert rep.passed and rep.cases == poisson0_cases(4) == 923
 
 
 def test_malformed_range_end_is_not_compared_with_a_default():

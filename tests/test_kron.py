@@ -268,6 +268,22 @@ def test_transport_wrappers_match_dense():
         assert got.factors == K.factors[::-1] and got.dense() == tables.apply_perm(D, q, rev)
 
 
+def test_apply_perm_reorders_the_factors():
+    # a factored table's permutation is its factors reordered, and equals
+    # the dense path's label transport
+    rng = random.Random(11)
+    for q in (2, 3, 4):
+        for dim in range(7):
+            perms = itertools.permutations(range(dim)) if dim <= 3 else [rng.sample(range(dim), dim) for _ in range(6)]
+            for perm in perms:
+                K = rand_kron(rng, q, dim)
+                got = tables.apply_perm(K, q, perm)
+                assert isinstance(got, Kron) and got.factors == tuple(K.factors[j] for j in perm)
+                assert got.dense() == tables.apply_perm(K.dense(), q, perm), (q, dim, perm)
+    with pytest.raises(DomainError, match="entries, expected"):
+        tables.apply_perm(tables.const_kron(2, 1, 2, 3), 2, (1, 0))
+
+
 def test_transport_checks_the_shape():
     K = Kron(2, 1, (tables._unit_factors(2, 2)[0],) * 2)
     with pytest.raises(DomainError, match="entries, expected"):
@@ -284,6 +300,16 @@ def test_scale_matches_dense():
             got = tables.scale(K, c)
             assert isinstance(got, Kron) and got.dense() == tables.scale(K.dense(), c)
         assert tables.scale(K, 1) is K
+
+
+@pytest.mark.parametrize("c", [0.5, 1.0, "2", None, complex(1, 0)])
+def test_scale_refuses_a_factor_that_is_not_exact(c):
+    # a float was converted by Fraction on a dense table and raised
+    # AttributeError on a factored one; both forms refuse it alike
+    K = tables.const_kron(3, 1, 3, 1)
+    for table in (K, K.dense()):
+        with pytest.raises(DomainError, match="scaled by a rational or a CycNum"):
+            tables.scale(table, c)
 
 
 @pytest.mark.parametrize("c", [CycNum.zeta_pow(5, 1), CycNum.one(5)], ids=["zeta", "one"])
