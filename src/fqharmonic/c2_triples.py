@@ -19,20 +19,19 @@ characteristic object, and a bi-window is certified exactly when both
 widened sides have at most ``max_points`` entries (every one, for None).
 The characteristic objects are factored tables (``tables.Kron``), and every
 step of the loop keeps them factored, so no table of q^dim entries is built.
-Bi-windows whose sides come back on one bi-window share them: a
-characteristic object is keyed by its constructor's arguments and its
-widened bi-window lowered by the image rule of its own quotient, the window
-``images2`` moves it to.  Each distinct object is built once per call and
-each distinct primal object is transformed once, so a primal and a dual
-side with equal arguments share one build.  A verdict is fixed by the keys
-of its two sides, so each distinct pair of keys is compared once.  Each
+A characteristic object comes back on its widened bi-window lowered by the
+image rule of its own quotient, the window ``images2`` moves it to: its
+key.  The rules mirror under the dual triple, so the dual side's key is
+the primal key mirrored, and a verdict is fixed by the primal key alone.
+One judgment builds the primal object at the key and the dual object at
+the mirrored key, compares the primal's transform with the dual object, and
+keeps the verdict under the key's four edges; when the two constructors get
+equal arguments, the same two objects also judge the mirrored key.  So each
+distinct key is judged once and no object outlives its judgment.  Each
 image rule pins one edge with a bound of the model and the outer pair
 alone (``EdgeRule``), so the loop reads the bounds of both sides once per
 outer pair and an inner pair costs only integer edges, the cap's two
-rectangle counts and one verdict lookup.  The rules widen and lower the
-outer edges from the outer edges alone, so an object and its verdicts are
-kept only until the last outer window pair keyed to its outer edges, and
-nothing outlives the call.
+rectangle counts and one verdict lookup.
 """
 
 from __future__ import annotations
@@ -155,15 +154,17 @@ class EdgeRule:
     def __init__(self, edge: int, bound: Callable[[C2Model, int, int], Optional[int]]) -> None:
         self.edge, self.bound = edge, bound
 
-    def pins(self, model: C2Model, l: int, i: int, far: int) -> list[int]:
-        """The bound at each edge at the outer pair (l, i): the rule's own at
-        its edge, and far above (a bottom) or below (a top) at the others,
-        which leaves every edge of absolute value at most far in place."""
-        pins = [far, -far, far, -far]
+    def pins(self, model: C2Model, l: int, i: int, far: int) -> tuple[int, int, int, int]:
+        """The rule at the outer pair (l, i) as (l', i', m0, n0): it moves
+        (l, i | m, n) to (l', i' | min(m, m0), max(n, n0)) for inner edges
+        within far.  An inner clamp the rule does not pin is far above (a
+        bottom) or below (a top), which leaves such an edge in place."""
+        pins = [l, i, far, -far]
         bound = self.bound(model, l, i)
         if bound is not None:
-            pins[self.edge] = bound
-        return pins
+            e = self.edge
+            pins[e] = max(pins[e], bound) if e % 2 else min(pins[e], bound)
+        return tuple(pins)
 
     def __call__(self, model: C2Model, bw: BiWindow) -> BiWindow:
         bound = self.bound(model, bw.l, bw.i)
@@ -341,18 +342,21 @@ def poisson2_verify(
     raises DomainError.
 
     Every bi-window is counted, in order, and its cap is read on the widened
-    bi-windows; each distinct characteristic object and transform is built
-    once, and each distinct pair of side keys is compared once (see
-    ``_Sides``).  An object is kept under its constructor's arguments and
-    its widened bi-window lowered by its own quotient's image rule (II
+    bi-windows.  Its verdict is the judgment of its primal key: the primal
+    side widened and lowered by the image rule of its own quotient (II
     lowers the inner bottom to the quotient's column bottoms, I the outer
-    bottom to its outer bottom).  Both rules' bounds are read once per outer
-    pair (``EdgeRule``), so an inner pair costs integer edges, two rectangle
-    counts and one verdict lookup, and its sides are fetched only when that
-    verdict is missing.  The two argument tuples get small ids once per call, so a dual object whose
-    arguments equal the primal's (a self-dual triple, o = 0 and dual
-    measures (nu*, mu*) equal to (mu, nu)) is the primal object.  A range
-    or cap that leaves nothing to check raises DomainError."""
+    bottom to its outer bottom), which is the window ``images2`` moves the
+    object to.  The dual side's key is that key mirrored, so a judgment
+    builds the primal object at the key, the dual object at the mirrored
+    key, and compares the primal's transform with the dual object; each
+    distinct key is judged once and nothing but its verdict is kept.  When
+    the dual constructor gets the primal's arguments (a self-dual triple, o
+    = 0 and dual measures (nu*, mu*) equal to (mu, nu)), the same two
+    objects also judge the mirrored key, and a key that is its own mirror
+    builds one object.  Both rules' bounds are read once per outer pair
+    (``EdgeRule``), so an inner pair costs integer edges, two rectangle
+    counts and one verdict lookup.  A range or cap that leaves nothing to
+    check raises DomainError."""
     poisson2_conditions(which, T)
     fault = POISSON2_FAULTS[which]
     if corrupt not in (None, fault):
@@ -372,44 +376,42 @@ def poisson2_verify(
             raise DomainError(f"the twisted identity runs at its measures' source {mu.src}, not at o = {o}")
         widen, lower, build = raise_outer_top, lower_outer_bottom, char_dist
         args, dual_args = (T, mu, nu), (Td, nu.on_dual(), mu.on_dual())
-    dual_id = {args: 0}.setdefault(dual_args, 1)
+    mirrored = args == dual_args
     report = CheckReport(f"poisson2_{which}")
     check = f"poisson2_{which}_characteristic_transform"
     # q ** dim <= max_points exactly when dim <= cap
     cap = None if max_points is None else next(d for d in count() if q ** (d + 1) > max_points)
+    verdicts: dict[tuple[int, int, int, int], bool] = {}
 
-    def transformed(key: BiWindow, bw: BiWindow):
-        x = sides.get(0, key, bw)
+    def transformed(x):
         return fourier2(x * Fraction(q) if corrupt == fault else x)
 
-    builders = {0: lambda _key, bw: build(*args, bw), 2: transformed}
-    builders.setdefault(dual_id, lambda _key, bw: build(*dual_args, bw))
-    # every edge of either side lies within far of 0, and the primal side of
-    # the outer pair (l, i) sits on its mirror (-i, -l)
+    def judge(key: BiWindow) -> bool:
+        dual_key = key.dual()
+        primal = build(*args, key)
+        dual = primal if mirrored and dual_key == key else build(*dual_args, dual_key)
+        same = verdicts[key.edges] = d2_equal(transformed(primal), dual)
+        if mirrored and dual is not primal:
+            verdicts[dual_key.edges] = d2_equal(transformed(dual), primal)
+        return same
+
+    # every edge of either side lies within far of 0
     far = max(-cut_lo, cut_hi)
-    bounds = [
-        (_side_bounds(widen, lower, T, -i, -l, far), _side_bounds(widen, lower, Td, l, i, far)) for l, i in windows
-    ]
-    asks = [((0, *pk[:2]), (2, *pk[:2]), (dual_id, *dk[:2])) for (_pw, pk), (_dw, dk) in bounds]
-    sides = _Sides(builders, asks)
-    for k, ((l, i), (primal_bounds, dual_bounds)) in enumerate(zip(windows, bounds)):
-        (pl, pi, pwm, pwn), (pkl, pki, pkm, pkn) = primal_bounds
-        (dl, di, dwm, dwn), (dkl, dki, dkm, dkn) = dual_bounds
-        verdicts = sides.verdicts((2, pkl, pki), (dual_id, dkl, dki))
+    for l, i in windows:
+        # the primal side of the outer pair (l, i) sits on its mirror (-i, -l)
+        (pl, pi, pwm, pwn), (kl, ki, km, kn) = _side_bounds(widen, lower, T, -i, -l, far)
+        dl, di, dwm, dwn = widen.pins(Td.sub, l, i, far)
         for m, n in windows:
             pm, pn, dm, dn = min(-n, pwm), max(-m, pwn), min(m, dwm), max(n, dwn)
             if cap is not None and (T.mid.count_rect(pl, pi, pm, pn) > cap or Td.mid.count_rect(dl, di, dm, dn) > cap):
                 continue
             report.cases += 1
-            key = (min(-n, pkm), max(-m, pkn), min(m, dkm), max(n, dkn))
+            key = (kl, ki, min(-n, km), max(-m, kn))
             same = verdicts.get(key)
             if same is None:
-                primal = sides.get(2, BiWindow(pkl, pki, *key[:2]), BiWindow(pl, pi, pm, pn))
-                dual = sides.get(dual_id, BiWindow(dkl, dki, *key[2:]), BiWindow(dl, di, dm, dn))
-                same = verdicts[key] = d2_equal(primal, dual)
+                same = judge(BiWindow(*key))
             if not same:
                 report.fail(check, f"bi-window {BiWindow(l, i, m, n)}")
-        sides.release(k)
     return report
 
 
@@ -419,46 +421,6 @@ def _side_bounds(widen: EdgeRule, lower: EdgeRule, T: GradedC2Triple, l: int, i:
     pair: (wl, wi, wm, wn) and (kl, ki, km, kn), such that at an inner pair
     (m, n) of edges within far the widened bi-window is (wl, wi | min(m, wm),
     max(n, wn)) and the key (kl, ki | min(m, km), max(n, kn))."""
-    w = widen.pins(T.sub, l, i, far)
-    wl, wi = min(l, w[0]), max(i, w[1])
-    k = lower.pins(T.quot, wl, wi, far)
-    return (wl, wi, w[2], w[3]), (min(wl, k[0]), max(wi, k[1]), min(w[2], k[2]), max(w[3], k[3]))
-
-
-class _Sides:
-    """The objects of a summation sweep, each distinct one built once, and
-    the verdicts on their pairs, each distinct one reached once.
-
-    ``builders`` maps a side id to its builder, called with the side's key
-    and widened bi-window: the primal objects are 0, their transforms 2, and
-    the dual objects 0 too when their arguments are the primal's, else 1.
-    An object is kept under its id and its key, its widened bi-window
-    lowered by the image rule of the side's own quotient.  The objects are
-    grouped by id and the outer edges of their keys, and the verdicts on a
-    transform group and a dual group are kept in the transform group under
-    the dual group's name.  A group is dropped after the last outer pair k
-    that asks for it (``asks[k]``: the groups of either side), so at most
-    the groups either side may still ask for are held.  II's keys keep the
-    outer edges; I's lowered outer bottom merges the groups of the outer
-    pairs with one raised top whose bottoms lie at or above the quotient's
-    outer bottom."""
-
-    def __init__(self, builders: dict, asks: list) -> None:
-        self.builders = builders
-        # group -> the index of the last outer pair that asks for it
-        self.last = {group: k for k, ask in enumerate(asks) for group in ask}
-        self.groups: dict[tuple[int, int, int], dict] = {}
-
-    def get(self, sid: int, key: BiWindow, bw: BiWindow):
-        group = self.groups.setdefault((sid, key.l, key.i), {})
-        side = group.get(key)
-        if side is None:
-            side = group[key] = self.builders[sid](key, bw)
-        return side
-
-    def verdicts(self, transforms: tuple, dual: tuple) -> dict:
-        return self.groups.setdefault(transforms, {}).setdefault(dual, {})
-
-    def release(self, k: int) -> None:
-        for g in [g for g in self.groups if self.last[g] == k]:
-            del self.groups[g]
+    wl, wi, wm, wn = widen.pins(T.sub, l, i, far)
+    kl, ki, km, kn = lower.pins(T.quot, wl, wi, far)
+    return (wl, wi, wm, wn), (kl, ki, min(wm, km), max(wn, kn))

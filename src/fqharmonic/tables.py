@@ -18,8 +18,8 @@ results and failure texts.  Indexing a ``Kron`` reads one entry from its
 factors; ``Kron.dense()`` builds the ``Rows``.
 
 Every dense table built to a size rather than from a table that exists
-(``Kron.dense()``, a dense ``transport``, ``zero_table``,
-``indicator_table``, ``psi_linear`` and ``scatter``) refuses more than
+(``Kron.dense()``, a dense ``transport``, ``indicator_table``,
+``psi_linear`` and ``scatter``) refuses more than
 ``DENSE_POINTS`` entries with ``CapacityError`` before it allocates.
 Every other dense operation allocates in proportion to its input.
 
@@ -150,11 +150,6 @@ def _check_dense(size: int) -> None:
     """Refuse a dense table of more than ``DENSE_POINTS`` entries, before it is built."""
     if size > DENSE_POINTS:
         raise CapacityError(f"a dense table of {size} entries exceeds {DENSE_POINTS}")
-
-
-def zero_table(p: int, q: int, dim: int) -> Rows:
-    _check_dense(q**dim)
-    return Rows(p, 1, ((0,) * q**dim,) * (p - 1))
 
 
 def indicator_table(p: int, size: int, indices: Iterable[int]) -> Rows:

@@ -1,4 +1,5 @@
 import random
+import weakref
 from fractions import Fraction
 from functools import partial
 
@@ -633,7 +634,7 @@ def test_each_bound_form_is_its_bi_window_rule():
                     bw = BiWindow(l, i, c, c)
                     want = oracle(model, bw)
                     assert rule(model, bw) == want, (model, name, bw)
-                    pinned = BiWindow(min(l, pins[0]), max(i, pins[1]), min(c, pins[2]), max(c, pins[3]))
+                    pinned = BiWindow(pins[0], pins[1], min(c, pins[2]), max(c, pins[3]))
                     assert pinned == want, (model, name, bw)
 
 
@@ -661,60 +662,93 @@ def test_each_widened_side_is_built_once(monkeypatch):
     # widen to 171 distinct bi-windows a side, which the image rule of the
     # side's own quotient lowers onto 126 distinct keys; both triples are
     # their own duals and at o = 0 with unit measures the dual constructor
-    # gets the primal's arguments, so the 126 dual keys are primal keys
+    # gets the primal's arguments, so the 126 dual keys are primal keys and
+    # one judgment builds the objects of a key and of its mirror
     builds, transforms = counted_builds(monkeypatch)
-    held = []  # the groups of the store held before and after each release
-    release = c2_triples._Sides.release
+    compared = []
+    monkeypatch.setattr(c2_triples, "d2_equal", lambda x, y: compared.append((x.bw, y.bw)) or d2_equal(x, y))
+    # a weak reference to every object built, and whether its judgment's
+    # first object was still alive when it was built
+    alive, paired = [], []
+    for name in ("char_fn", "char_dist"):
+        build = getattr(c2_triples, name)
 
-    def counted(self, k):
-        before = len(self.groups)
-        release(self, k)
-        held.append((before, len(self.groups)))
+        def held(*args, build=build):
+            # nothing built earlier is alive but the other object of this
+            # judgment, built just before and not itself a second object
+            live = [k for k, ref in enumerate(alive) if ref() is not None]
+            assert live in ([], [len(alive) - 1]) and not (live and paired[-1]), live
+            x = build(*args)
+            alive.append(weakref.ref(x))
+            paired.append(bool(live))
+            return x
 
-    monkeypatch.setattr(c2_triples._Sides, "release", counted)
-
-    def spans(asked):
-        """(before, after) the release at each outer pair, for store groups
-        asked for at the given outer pairs in sweep order."""
-        first, last = {}, {}
-        for k, groups in enumerate(asked):
-            for g in groups:
-                first.setdefault(g, k)
-                last[g] = k
-        return [
-            (sum(first[g] <= k <= last[g] for g in first), sum(first[g] <= k < last[g] for g in first))
-            for k in range(len(asked))
-        ]
+        monkeypatch.setattr(c2_triples, name, held)
 
     K2 = k2_model(F2)
-    outer = [(l, i) for l in range(-2, 3) for i in range(l, 3)]
     for which, T in (("II", inner_cut_triple(K2, 0)), ("I", outer_cut_triple(K2, 0))):
-        builds.clear()
-        transforms.clear()
-        held.clear()
-        rep = poisson2_verify(which, T, *measures(which, T))
-        assert rep.cases == 216 and rep.passed
+        for cuts, cases, calls in (((-2, 2), 216, 126), ((-1, 2), 99, 94)):
+            builds.clear()
+            transforms.clear()
+            compared.clear()
+            alive.clear()
+            paired.clear()
+            rep = poisson2_verify(which, T, *measures(which, T), cut_lo=cuts[0], cut_hi=cuts[1])
+            assert rep.passed and rep.cases == cases
+            assert len(builds) == len(set(builds)) == len(alive) == calls
+            assert len(transforms) == len(set(transforms)) == calls
+            assert len(compared) == len(set(compared)) == calls
+            assert not any(ref() for ref in alive)
+        # at +-2 the primal keys are closed under the mirror, so every
+        # verdict a judgment gives is read; at -1..2 the mirror of a key
+        # need not be a key, and its verdict is judged with the objects
+        # already built though no bi-window reads it
         primal_keys, dual_keys = distinct_keys(which, T, -2, 2, 256)
-        assert dual_keys == primal_keys and len(primal_keys) == 126
-        assert len(builds) == len(set(builds)) == 126
-        assert len(transforms) == len(set(transforms)) == 126
-        if which == "II":
-            # the rule keeps the outer edges, and the primal side of (l, i) is
-            # built on the mirrored pair (-i, -l)
-            dual_edges = outer
-            primal_edges = [(-i, -l) for l, i in outer]
-        else:
-            # both quotients have outer bottom 0 and both subs outer top 0:
-            # the dual side of (l, i) is keyed at (min(l, 0), max(i, 0)) and
-            # the primal side, built on the mirrored pair, at (min(-i, 0), max(-l, 0))
-            dual_edges = [(min(l, 0), max(i, 0)) for l, i in outer]
-            primal_edges = [(min(-i, 0), max(-l, 0)) for l, i in outer]
-        # the objects and the transforms are grouped apart; an object group
-        # is held while either side may still ask for it
-        asked = [
-            {("object", p), ("transform", p), ("object", d)} for p, d in zip(primal_edges, dual_edges)
-        ]
-        assert held == spans(asked) and held[-1][1] == 0
+        assert dual_keys == primal_keys == {key.dual() for key in primal_keys} and len(primal_keys) == 126
+
+
+def mirror_triples(fld):
+    """The triples the mirror identity is checked on, by identity: those
+    whose sides are shared, and the cut triples of K2 and of a box at cuts
+    -1..1 that each identity accepts."""
+    K2 = k2_model(fld)
+    box = box_model(fld, -1, 2, None, None)
+    out = {}
+    for which, triples in shared_side_triples(fld).items():
+        cut = [make(mid, c) for make in (inner_cut_triple, outer_cut_triple) for mid in (K2, box) for c in (-1, 0, 1)]
+        out[which] = list(dict.fromkeys(triples + tuple(T for T in cut if accepts(which, T))))
+    return out
+
+
+def accepts(which, T):
+    try:
+        c2_triples.poisson2_conditions(which, T)
+    except CapabilityError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("fld", [F2, F3])
+@pytest.mark.parametrize(
+    "which, widen, lower", [("II", raise_inner_top, lower_inner_bottom), ("I", raise_outer_top, lower_outer_bottom)]
+)
+def test_the_dual_side_is_the_primal_side_mirrored(fld, which, widen, lower):
+    # the sweep judges each primal key with its mirror: at every bi-window
+    # with cuts in [-4, 4] the dual side's key is the primal key mirrored,
+    # and the dual widened bi-window is the mirror of the quotient-lowered
+    # mirrored bi-window, so the cap may read either
+    cuts = range(-4, 5)
+    pairs = [(a, b) for a in cuts for b in cuts if a <= b]
+    triples = mirror_triples(fld)[which]
+    assert len(triples) >= 5
+    for T in triples:
+        Td = dual_triple2(T)
+        for l, i in pairs:
+            for m, n in pairs:
+                bw = BiWindow(l, i, m, n)
+                primal, dual = widen(T.sub, bw.dual()), widen(Td.sub, bw)
+                assert lower(Td.quot, dual) == lower(T.quot, primal).dual(), (T, bw)
+                assert dual == lower(T.quot, bw.dual()).dual(), (T, bw)
 
 
 # ---------------------------------------------------------------------------

@@ -60,7 +60,7 @@ def _delta(p, n, idx, value):
 @pytest.mark.parametrize("q,dim", SHAPES)
 def test_zero_table(q, dim):
     fld = field_for(q)
-    table = tables.zero_table(fld.p, q, dim)
+    table = tables.Rows(fld.p, 1, [(0,) * q**dim] * (fld.p - 1))
     assert tuple(tables.fourier(table, q, dim, fld)) == dense_fourier(table, q, dim, fld) == tuple(table)
 
 

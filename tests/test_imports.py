@@ -1,11 +1,18 @@
-"""Every imported name is read: a stdlib ``ast`` check over ``src/``,
-``scripts/`` and ``tests/``.
+"""Every imported name is read, and every private module-level name in
+``src/`` is reached: a stdlib ``ast`` check over ``src/``, ``scripts/`` and
+``tests/``.
 
 A name bound by ``import`` or ``from ... import`` must be read somewhere in
 its file: as a name, as the root of an attribute chain, inside a string
 annotation, or by being listed in the module's ``__all__``.  ``from
 __future__`` imports and ``*`` imports bind nothing and are skipped.  A
 failure lists each unread name as ``file:line: name``.
+
+A private name (one leading underscore, not a dunder) that a ``src/``
+module binds at its top level, by ``def``, ``class`` or assignment, must be
+reached from ``src/``: read as a name, as an attribute or through ``from
+... import``.  What only the tests reach is no part of the library, and a
+helper that its last caller left behind shows here.
 """
 
 import ast
@@ -83,3 +90,65 @@ def test_the_check_sees_an_unread_import(tmp_path):
     tree = ast.parse(path.read_text())
     read = _read(tree)
     assert sorted(name for _, name in _imported(tree) if name not in read) == ["F", "Sequence"]
+
+
+def _private(tree: ast.Module) -> list[tuple[int, str]]:
+    """The (line, name) of every private name bound at the module's top level."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out += [(n.lineno, n.id) for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [(line, name) for line, name in out if name.startswith("_") and not name.endswith("__")]
+
+
+def _reached(tree: ast.Module) -> set[str]:
+    """The names the file reads, with every attribute it reads and every
+    name it imports."""
+    names = _read(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names |= {a.name for a in node.names}
+    return names
+
+
+def _unreached(paths: list[Path], root: Path) -> list[str]:
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in paths}
+    reached = set().union(*map(_reached, trees.values()))
+    return [
+        f"{path.relative_to(root)}:{line}: {name}"
+        for path, tree in trees.items()
+        for line, name in _private(tree)
+        if name not in reached
+    ]
+
+
+def test_every_private_name_in_src_is_reached():
+    files = sorted((ROOT / "src").rglob("*.py"))
+    assert files
+    unreached = _unreached(files, ROOT)
+    assert not unreached, "private and never reached from src/:\n" + "\n".join(unreached)
+
+
+def test_the_check_sees_an_unreached_private_name(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "import b\n"
+        "from b import _imported\n"
+        "_CONST, __dunder__ = 1, 2\n"
+        "def _left(): pass\n"
+        "class _Kept: pass\n"
+        "def public(x: '_Kept'):\n"
+        "    return b._attr, _imported\n"
+    )
+    (tmp_path / "b.py").write_text(
+        "_attr: int = 0\n"
+        "_unused = 1\n"
+        "def _imported(): return _recursive()\n"
+        "def _recursive(): return _recursive\n"
+    )
+    found = _unreached(sorted(tmp_path.glob("*.py")), tmp_path)
+    assert found == ["a.py:3: _CONST", "a.py:4: _left", "b.py:2: _unused"]

@@ -177,14 +177,12 @@ def test_dense_tables_are_refused_past_the_bound_before_they_allocate(monkeypatc
     F2, F9 = field_for(2), field_for(9)
     D = rand_kron(random.Random(5), 2, 2).dense()
     built = [
-        tables.zero_table(2, 2, 4),
         tables.indicator_table(2, 16, [3]),
         tables.psi_linear(F2, 4, [1, 0, 1]),
         tables.scatter(D, [0, 5, 9, 15], 16),
     ]
-    assert [len(t) for t in built] == [16] * 4 and indexed == [4]
+    assert [len(t) for t in built] == [16] * 3 and indexed == [4]
     refused = [
-        lambda: tables.zero_table(2, 2, 5),
         lambda: tables.indicator_table(2, 17, [3]),
         lambda: tables.psi_linear(F2, 5, [1]),
         lambda: tables.scatter(D, [0, 5, 9, 16], 17),

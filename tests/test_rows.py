@@ -29,6 +29,11 @@ from test_fast_paths import old_cyc_coeffs, old_fraction
 QS = (2, 3, 4, 5, 9)
 
 
+def zeros(p, q, dim):
+    """The zero table of q^dim entries over Q(zeta_p)."""
+    return Rows(p, 1, [(0,) * q**dim] * (p - 1))
+
+
 def shapes(q, max_points=81):
     dim = 0
     while q**dim <= max_points:
@@ -176,8 +181,8 @@ def test_canonical_form_of_non_canonical_inputs():
         assert (other.den, other.rows) == (2, ((1, 0), (0, 1)))
     assert Rows.of((CycNum(3, (Fraction(2, 4), Fraction(0))),), 3) == Rows(3, 2, [(1,), (0,)])
     # a zero table has denominator 1 whatever it was built with
-    assert Rows(5, 12, [(0, 0)] * 4) == tables.zero_table(5, 2, 1)
-    assert tables.zero_table(5, 2, 1).den == 1
+    assert Rows(5, 12, [(0, 0)] * 4) == zeros(5, 2, 1)
+    assert Rows(5, 12, [(0, 0)] * 4).den == 1
     with pytest.raises(DomainError):
         Rows(3, 0, [(1,), (0,)])
     with pytest.raises(DomainError):
@@ -202,14 +207,14 @@ def test_equality_and_hash_agree_with_entries(q):
 
 
 def test_mixed_fields_are_rejected():
-    a, b = tables.zero_table(3, 3, 1), tables.zero_table(5, 3, 1)
+    a, b = zeros(3, 3, 1), zeros(5, 3, 1)
     for op in (tables.add, tables.mul_pointwise):
         with pytest.raises(DomainError):
             op(a, b)
     with pytest.raises(DomainError):
         tables.dot(a, b, 3)
     with pytest.raises(DomainError):
-        tables.add(a, tables.zero_table(3, 3, 2))
+        tables.add(a, zeros(3, 3, 2))
     with pytest.raises(DomainError):
         tables.as_rows(a, 5)
     with pytest.raises(DomainError):
@@ -300,8 +305,8 @@ def test_constant_zero_and_character_tables(q):
     for dim in shapes(q):
         for value in rand_entries(rng, p, 3) + (CycNum.zero(p),):
             assert tuple(tables.const_kron(p, value, q, dim)) == (value,) * q**dim
-        assert tuple(tables.zero_table(p, q, dim)) == (CycNum.zero(p),) * q**dim
-        assert tables.is_zero(tables.zero_table(p, q, dim))
+        assert tuple(zeros(p, q, dim)) == (CycNum.zero(p),) * q**dim
+        assert tables.is_zero(zeros(p, q, dim))
         digits = [rng.randrange(q) for _ in range(dim)]
         assert tuple(tables.psi_linear(fld, dim, digits)) == ref_psi_linear(fld, dim, digits)
 

@@ -2,10 +2,9 @@
 
 ``scripts/poisson_windows.py`` sweeps both two-dimensional summation
 identities over F_2 at ranges +-1, +-2 and +-3 under the default cap,
-uncapped at +-6 over F_2, F_3 and F_4, and uncapped at +-9 over F_2, and
-``verify scripts/example.cfg``
-runs every suite of the bundled example config.  Each runs as its own
-process, the way a user runs it.
+uncapped at +-6 over F_2, F_3 and F_4, and uncapped at +-9 and +-12 over
+F_2, and ``verify scripts/example.cfg`` runs every suite of the bundled
+example config.  Each runs as its own process, the way a user runs it.
 """
 
 import os
@@ -33,8 +32,9 @@ def test_poisson_windows_certifies_every_sweep():
         for q in (2, 3, 4):
             prefix = f"[ok] {identity} range +-6 over F_{q} uncapped: 8281 bi-windows"
             assert any(line.startswith(prefix) for line in lines), (prefix, out.stdout)
-        prefix = f"[ok] {identity} range +-9 over F_2 uncapped: 36100 bi-windows"
-        assert any(line.startswith(prefix) for line in lines), (prefix, out.stdout)
+        for rng, count in ((9, 36100), (12, 105625)):
+            prefix = f"[ok] {identity} range +-{rng} over F_2 uncapped: {count} bi-windows"
+            assert any(line.startswith(prefix) for line in lines), (prefix, out.stdout)
     assert not any(line.startswith("[FAIL") for line in lines)
 
 
